@@ -26,20 +26,18 @@
  *   through a DSA engine (functional + timing model together).
  *
  * Usage:
- *   bench_datapath [--json=PATH] [--check=PATH [--tol=0.2]]
+ *   bench_datapath [--json=PATH] [--check=PATH]
  *
- * --json writes the metrics as a JSON object. --check loads a
- * previously committed JSON and exits nonzero if any metric fell
- * more than --tol (default 20%) below it — the CI regression gate.
+ * Prints the metrics as a JSON object and --json writes it to PATH.
+ * --check compares against a committed JSON (the Gate in common.hh)
+ * and fails if any gated metric fell more than 20% below it — the CI
+ * regression gate. write_64, write_1m and copy_64 are recorded but
+ * not gated.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,39 +49,12 @@ namespace dsasim::bench
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-seconds(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/**
- * Run @p fn (moving @p bytes_per_iter each call) for >= min_secs,
- * three trials, best rate. Best-of damps scheduler noise on shared
- * hosts; peak sustained rate is the stable capability number.
- */
+/** GB/s of @p fn, which moves @p bytes_per_iter per call. */
 template <typename Fn>
 double
-gbps(std::uint64_t bytes_per_iter, Fn &&fn, double min_secs = 0.25)
+gbps(std::uint64_t bytes_per_iter, Fn &&fn)
 {
-    // Warm-up pass materializes backing chunks and caches.
-    fn();
-    double best = 0;
-    for (int trial = 0; trial < 3; ++trial) {
-        std::uint64_t bytes = 0;
-        auto t0 = Clock::now();
-        double el = 0;
-        do {
-            fn();
-            bytes += bytes_per_iter;
-            el = seconds(t0);
-        } while (el < min_secs);
-        best = std::max(best,
-                        static_cast<double>(bytes) / el / 1e9);
-    }
-    return best;
+    return bestRate(static_cast<double>(bytes_per_iter), fn) / 1e9;
 }
 
 struct Metrics
@@ -198,124 +169,25 @@ measure()
     m.bulk = geomean({m.read4k, m.read1m, m.write4k, m.write1m,
                       m.fill1m, m.read2mPage});
 
-    {
-        // End-to-end engine throughput (functional + timing model).
-        // Best of two fresh rigs, same noise-damping rationale.
-        auto run = [](std::uint64_t size, int total) {
-            double best = 1e99;
-            for (int trial = 0; trial < 2; ++trial) {
-                Rig::Options o;
-                Rig rig(o);
-                auto ring = memMoveRing(rig, size, 16);
-                auto t0 = Clock::now();
-                asyncHw(rig, ring, total, 32);
-                best = std::min(best, seconds(t0));
-            }
-            return best;
-        };
-        {
-            const std::uint64_t size = 256 << 10;
-            const int total = 512;
-            double el = run(size, total);
-            m.engineGbps =
-                static_cast<double>(size) * total / el / 1e9;
+    // End-to-end engine throughput (functional + timing model): host
+    // seconds for @p total memmoves of @p size, best of two fresh
+    // rigs to damp scheduler noise.
+    auto run = [](std::uint64_t size, int total) {
+        double best = 1e99;
+        for (int trial = 0; trial < 2; ++trial) {
+            Rig::Options o;
+            Rig rig(o);
+            auto ring = memMoveRing(rig, size, 16);
+            auto t0 = Clock::now();
+            asyncHw(rig, ring, total, 32);
+            best = std::min(best, secondsSince(t0));
         }
-        {
-            const std::uint64_t size = 4096;
-            const int total = 4096;
-            double el = run(size, total);
-            m.engineDescPerSec = total / el;
-        }
-    }
-    return m;
-}
-
-void
-emit(std::FILE *f, const Metrics &m)
-{
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"datapath\",\n"
-                 "  \"read_64_gbps\": %.3f,\n"
-                 "  \"read_4k_gbps\": %.3f,\n"
-                 "  \"read_1m_gbps\": %.3f,\n"
-                 "  \"write_64_gbps\": %.3f,\n"
-                 "  \"write_4k_gbps\": %.3f,\n"
-                 "  \"write_1m_gbps\": %.3f,\n"
-                 "  \"copy_64_gbps\": %.3f,\n"
-                 "  \"copy_4k_gbps\": %.3f,\n"
-                 "  \"copy_1m_gbps\": %.3f,\n"
-                 "  \"fill_1m_gbps\": %.3f,\n"
-                 "  \"read_2m_page_gbps\": %.3f,\n"
-                 "  \"composite_gbps\": %.3f,\n"
-                 "  \"bulk_gbps\": %.3f,\n"
-                 "  \"engine_gbps\": %.3f,\n"
-                 "  \"engine_desc_per_sec\": %.0f\n"
-                 "}\n",
-                 m.read64, m.read4k, m.read1m, m.write64, m.write4k,
-                 m.write1m, m.copy64, m.copy4k, m.copy1m, m.fill1m,
-                 m.read2mPage, m.composite, m.bulk, m.engineGbps,
-                 m.engineDescPerSec);
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_datapath: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    struct Item
-    {
-        const char *key;
-        double cur;
-    } items[] = {
-        {"composite_gbps", m.composite},
-        {"bulk_gbps", m.bulk},
-        {"read_64_gbps", m.read64},
-        {"read_4k_gbps", m.read4k},
-        {"read_1m_gbps", m.read1m},
-        {"write_4k_gbps", m.write4k},
-        {"copy_4k_gbps", m.copy4k},
-        {"copy_1m_gbps", m.copy1m},
-        {"fill_1m_gbps", m.fill1m},
-        {"read_2m_page_gbps", m.read2mPage},
-        {"engine_gbps", m.engineGbps},
-        {"engine_desc_per_sec", m.engineDescPerSec},
+        return best;
     };
-    int failures = 0;
-    for (const Item &it : items) {
-        double want = 0;
-        if (!jsonNumber(text, it.key, want) || want <= 0)
-            continue;
-        double floor = want * (1.0 - tol);
-        const bool ok = it.cur >= floor;
-        std::printf("%-22s %10.3f  committed %10.3f  %s\n", it.key,
-                    it.cur, want, ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-    return failures ? 1 : 0;
+    const std::uint64_t big = 256 << 10;
+    m.engineGbps = static_cast<double>(big) * 512 / run(big, 512) / 1e9;
+    m.engineDescPerSec = 4096 / run(4096, 4096);
+    return m;
 }
 
 } // namespace
@@ -325,30 +197,29 @@ int
 main(int argc, char **argv)
 {
     using namespace dsasim::bench;
-    std::string json_path, check_path;
-    double tol = 0.20;
+    Gate gate("datapath", 0.20);
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-    }
-
-    Metrics m = measure();
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_datapath: fopen");
+        if (!gate.parseArg(argv[i])) {
+            std::fprintf(stderr, "usage: bench_datapath [--json=PATH] "
+                                 "[--check=PATH]\n");
             return 2;
         }
-        emit(f, m);
-        std::fclose(f);
     }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    const Metrics m = measure();
+    gate.add(Gate::Floor, "read_64_gbps", m.read64, 3);
+    gate.add(Gate::Floor, "read_4k_gbps", m.read4k, 3);
+    gate.add(Gate::Floor, "read_1m_gbps", m.read1m, 3);
+    gate.add(Gate::Info, "write_64_gbps", m.write64, 3);
+    gate.add(Gate::Floor, "write_4k_gbps", m.write4k, 3);
+    gate.add(Gate::Info, "write_1m_gbps", m.write1m, 3);
+    gate.add(Gate::Info, "copy_64_gbps", m.copy64, 3);
+    gate.add(Gate::Floor, "copy_4k_gbps", m.copy4k, 3);
+    gate.add(Gate::Floor, "copy_1m_gbps", m.copy1m, 3);
+    gate.add(Gate::Floor, "fill_1m_gbps", m.fill1m, 3);
+    gate.add(Gate::Floor, "read_2m_page_gbps", m.read2mPage, 3);
+    gate.add(Gate::Floor, "composite_gbps", m.composite, 3);
+    gate.add(Gate::Floor, "bulk_gbps", m.bulk, 3);
+    gate.add(Gate::Floor, "engine_gbps", m.engineGbps, 3);
+    gate.add(Gate::Floor, "engine_desc_per_sec", m.engineDescPerSec);
+    return gate.finish();
 }

@@ -31,19 +31,15 @@
  * for accidental timing changes.
  *
  * Usage:
- *   bench_engine [--json=PATH] [--check=PATH [--tol=0.2]]
+ *   bench_engine [--json=PATH] [--check=PATH]
  *
- * --json writes the metrics as a JSON object. --check loads a
- * previously committed JSON and exits nonzero if any throughput
- * metric fell more than --tol (default 20%) below it or the stream
- * hash differs — the CI regression gate.
+ * Prints the metrics as a JSON object and --json writes it to PATH.
+ * --check compares against a committed JSON (the Gate in common.hh):
+ * it fails if any throughput fell more than 20% below the committed
+ * value or stream_hash differs — the CI regression gate.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,54 +49,6 @@ namespace dsasim::bench
 {
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-seconds(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/**
- * Async driver mirroring detail::asyncHwLoop but with per-pass cache
- * flushing optional — the warm scenario needs lines to stay resident
- * so the walk takes the hit-classification path.
- */
-SimTask
-ringLoop(Rig &rig, const std::vector<WorkDescriptor> &ring, int total,
-         int depth, bool flush_per_pass)
-{
-    Core &core = rig.plat.core(0);
-    Semaphore window(rig.sim, static_cast<std::uint64_t>(depth));
-    Latch all(rig.sim, static_cast<std::uint64_t>(total));
-
-    struct Waiter
-    {
-        static SimTask
-        drain(std::unique_ptr<dml::Job> job, Semaphore &win,
-              Latch &done)
-        {
-            if (!job->cr.isDone())
-                co_await job->cr.done.wait();
-            win.release();
-            done.arrive();
-        }
-    };
-
-    for (int i = 0; i < total; ++i) {
-        const WorkDescriptor &d =
-            ring[static_cast<std::size_t>(i) % ring.size()];
-        if (flush_per_pass && i > 0 &&
-            static_cast<std::size_t>(i) % ring.size() == 0)
-            rig.plat.mem().cache().invalidateAll();
-        co_await window.acquire();
-        auto job = rig.exec->prepare(d);
-        co_await rig.exec->submit(core, *job);
-        Waiter::drain(std::move(job), window, all);
-    }
-    co_await all.wait();
-}
 
 enum class Op { MemMove, Fill, Crc };
 
@@ -152,23 +100,11 @@ run(Op op, std::uint64_t size, int total, bool cache_control,
         auto ring =
             buildRing(rig, op, size, ring_count, cache_control);
         auto t0 = Clock::now();
-        ringLoop(rig, ring, total, depth, flush_per_pass);
-        rig.sim.run();
-        best = std::min(best, seconds(t0));
+        asyncHw(rig, std::move(ring), total, depth, flush_per_pass);
+        best = std::min(best, secondsSince(t0));
     }
     return best;
 }
-
-struct Metrics
-{
-    double memmove1m = 0;
-    double memmove1mNocc = 0;
-    double memmove1mWarm = 0;
-    double fill1m = 0;
-    double crc1m = 0;
-    double descPerSec = 0;
-    std::uint64_t streamHash = 0;
-};
 
 /**
  * Fixed mixed workload with event-stream hashing on: 4 KiB / 64 KiB
@@ -191,142 +127,35 @@ fingerprint()
              buildRing(rig, Op::Crc, 64 << 10, 4, true),
          })
         ring.insert(ring.end(), r.begin(), r.end());
-    ringLoop(rig, ring, 96, 16, true);
-    rig.sim.run();
+    asyncHw(rig, std::move(ring), 96, 16);
     return rig.sim.streamHash();
 }
 
-Metrics
-measure()
-{
-    Metrics m;
-    const std::uint64_t mb = 1 << 20;
-    auto gbps = [](std::uint64_t size, int total, double el) {
-        return static_cast<double>(size) * total / el / 1e9;
-    };
-
-    m.memmove1m = gbps(mb, 192, run(Op::MemMove, mb, 192, true, true));
-    m.memmove1mNocc =
-        gbps(mb, 192, run(Op::MemMove, mb, 192, false, true));
-    m.memmove1mWarm =
-        gbps(mb, 192, run(Op::MemMove, mb, 192, true, false));
-    m.fill1m = gbps(mb, 192, run(Op::Fill, mb, 192, true, true));
-    m.crc1m = gbps(mb, 192, run(Op::Crc, mb, 192, true, true));
-    {
-        const int total = 16384;
-        m.descPerSec =
-            total / run(Op::MemMove, 4096, total, true, true, 16);
-    }
-    m.streamHash = fingerprint();
-    return m;
-}
-
+/** Run every scenario and declare its metric on @p gate. */
 void
-emit(std::FILE *f, const Metrics &m)
+measure(Gate &gate)
 {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"engine\",\n"
-                 "  \"memmove_1m_gbps\": %.3f,\n"
-                 "  \"memmove_1m_nocc_gbps\": %.3f,\n"
-                 "  \"memmove_1m_warm_gbps\": %.3f,\n"
-                 "  \"fill_1m_gbps\": %.3f,\n"
-                 "  \"crc_1m_gbps\": %.3f,\n"
-                 "  \"engine_desc_per_sec\": %.0f,\n"
-                 "  \"engine_gbps\": %.3f,\n"
-                 "  \"stream_hash\": \"%016llx\"\n"
-                 "}\n",
-                 m.memmove1m, m.memmove1mNocc, m.memmove1mWarm,
-                 m.fill1m, m.crc1m, m.descPerSec, m.memmove1m,
-                 static_cast<unsigned long long>(m.streamHash));
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-/** Pull `"key": "value"` out of a JSON blob (flat, known keys). */
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    auto open = text.find('"', at);
-    if (open == std::string::npos)
-        return false;
-    auto close = text.find('"', open + 1);
-    if (close == std::string::npos)
-        return false;
-    out = text.substr(open + 1, close - open - 1);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_engine: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    struct Item
-    {
-        const char *key;
-        double cur;
-    } items[] = {
-        {"engine_gbps", m.memmove1m},
-        {"engine_desc_per_sec", m.descPerSec},
-        {"memmove_1m_gbps", m.memmove1m},
-        {"memmove_1m_nocc_gbps", m.memmove1mNocc},
-        {"memmove_1m_warm_gbps", m.memmove1mWarm},
-        {"fill_1m_gbps", m.fill1m},
-        {"crc_1m_gbps", m.crc1m},
+    // GB/s of a 192 x 1 MiB scenario.
+    auto bulk = [](Op op, bool cache_control, bool flush_per_pass) {
+        const std::uint64_t mb = 1 << 20;
+        return static_cast<double>(mb) * 192 /
+               run(op, mb, 192, cache_control, flush_per_pass) / 1e9;
     };
-    int failures = 0;
-    for (const Item &it : items) {
-        double want = 0;
-        if (!jsonNumber(text, it.key, want) || want <= 0)
-            continue;
-        double floor = want * (1.0 - tol);
-        const bool ok = it.cur >= floor;
-        std::printf("%-22s %12.3f  committed %12.3f  %s\n", it.key,
-                    it.cur, want, ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
+    const double memmove1m = bulk(Op::MemMove, true, true);
+    gate.add(Gate::Floor, "memmove_1m_gbps", memmove1m, 3);
+    gate.add(Gate::Floor, "memmove_1m_nocc_gbps",
+             bulk(Op::MemMove, false, true), 3);
+    gate.add(Gate::Floor, "memmove_1m_warm_gbps",
+             bulk(Op::MemMove, true, false), 3);
+    gate.add(Gate::Floor, "fill_1m_gbps", bulk(Op::Fill, true, true), 3);
+    gate.add(Gate::Floor, "crc_1m_gbps", bulk(Op::Crc, true, true), 3);
+    const int total = 16384;
+    gate.add(Gate::Floor, "engine_desc_per_sec",
+             total / run(Op::MemMove, 4096, total, true, true, 16));
+    gate.add(Gate::Floor, "engine_gbps", memmove1m, 3);
     // The fingerprint is exact: any drift means the timing walk's
-    // event stream changed, which a perf-only PR must never do.
-    std::string want_hash;
-    if (jsonString(text, "stream_hash", want_hash)) {
-        char cur[32];
-        std::snprintf(cur, sizeof(cur), "%016llx",
-                      static_cast<unsigned long long>(m.streamHash));
-        const bool ok = want_hash == cur;
-        std::printf("%-22s %16s  committed %16s  %s\n", "stream_hash",
-                    cur, want_hash.c_str(), ok ? "ok" : "MISMATCH");
-        failures += ok ? 0 : 1;
-    }
-    return failures ? 1 : 0;
+    // event stream changed, which a perf-only change must never do.
+    gate.add(Gate::Exact, "stream_hash", hex64(fingerprint()));
 }
 
 } // namespace
@@ -336,30 +165,14 @@ int
 main(int argc, char **argv)
 {
     using namespace dsasim::bench;
-    std::string json_path, check_path;
-    double tol = 0.20;
+    Gate gate("engine", 0.20);
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-    }
-
-    Metrics m = measure();
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_engine: fopen");
+        if (!gate.parseArg(argv[i])) {
+            std::fprintf(stderr, "usage: bench_engine [--json=PATH] "
+                                 "[--check=PATH]\n");
             return 2;
         }
-        emit(f, m);
-        std::fclose(f);
     }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    measure(gate);
+    return gate.finish();
 }

@@ -18,27 +18,23 @@
  *   events_per_sec at 1/2/4 threads (best of --trials), and
  *   speedup_2 / speedup_4 relative to the 1-thread run. events,
  *   end_us and stream_hash are simulated quantities — bit-identical
- *   across thread counts, trials and hosts — and --check compares
- *   them to the committed JSON exactly.
+ *   across thread counts, trials and hosts.
  *
  * Usage:
  *   bench_parallel [--n=DESC] [--trials=3] [--json=PATH]
- *                  [--check=PATH [--tol=0.2]]
+ *                  [--check=PATH]
  *
- * --check loads a committed JSON and fails if (a) the simulated
- * fingerprint (events, end_us, stream_hash) differs at all, (b) the
- * serial event rate fell more than --tol below the committed value,
- * or (c) — only on hosts with >= 4 hardware threads, since speedup
- * on fewer cores measures the scheduler, not the simulator —
- * speedup_4 is below 2.5x.
+ * Prints the metrics as a JSON object and --json writes it to PATH.
+ * --check compares against a committed JSON (the Gate in common.hh)
+ * and fails if (a) the simulated fingerprint (events, end_us,
+ * stream_hash) differs at all, (b) the serial event rate fell more
+ * than 20% below the committed value, or (c) — only on hosts with
+ * >= 4 hardware threads, since speedup on fewer cores measures the
+ * scheduler, not the simulator — speedup_4 is below 2.5x.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,8 +46,6 @@ namespace dsasim::bench
 {
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
 
 struct Params
 {
@@ -167,9 +161,7 @@ runAt(unsigned threads, const Params &p)
 
         const auto t0 = Clock::now();
         cl.run(threads);
-        const double secs =
-            std::chrono::duration<double>(Clock::now() - t0)
-                .count();
+        const double secs = secondsSince(t0);
 
         RunResult r;
         r.secs = secs;
@@ -201,24 +193,12 @@ runAt(unsigned threads, const Params &p)
     return best;
 }
 
-struct Metrics
+/** Run at 1, 2 and 4 threads and declare the metrics on @p gate. */
+void
+measure(const Params &p, Gate &gate)
 {
-    unsigned hwThreads = 0;
-    std::uint64_t events = 0;
-    Tick endTick = 0;
-    std::uint64_t streamHash = 0;
-    std::uint64_t epochs = 0;
-    double rate1 = 0, rate2 = 0, rate4 = 0;
-    double speedup2 = 0, speedup4 = 0;
-};
-
-Metrics
-measure(const Params &p)
-{
-    Metrics m;
-    m.hwThreads =
+    const unsigned hw_threads =
         std::max(1u, std::thread::hardware_concurrency());
-
     RunResult r1 = runAt(1, p);
     RunResult r2 = runAt(2, p);
     RunResult r4 = runAt(4, p);
@@ -239,150 +219,33 @@ measure(const Params &p)
         std::exit(1);
     }
 
-    m.events = r1.events;
-    m.endTick = r1.endTick;
-    m.streamHash = r1.streamHash;
-    m.epochs = r4.epochs;
     const double ev = static_cast<double>(r1.events);
-    m.rate1 = ev / r1.secs;
-    m.rate2 = ev / r2.secs;
-    m.rate4 = ev / r4.secs;
-    m.speedup2 = r1.secs / r2.secs;
-    m.speedup4 = r1.secs / r4.secs;
-    return m;
-}
-
-void
-emit(std::FILE *f, const Metrics &m)
-{
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"parallel\",\n"
-        "  \"sockets\": 4,\n"
-        "  \"hw_threads\": %u,\n"
-        "  \"events\": %llu,\n"
-        "  \"end_us\": %.3f,\n"
-        "  \"stream_hash\": \"%016llx\",\n"
-        "  \"epochs\": %llu,\n"
-        "  \"serial_events_per_sec\": %.0f,\n"
-        "  \"t2_events_per_sec\": %.0f,\n"
-        "  \"t4_events_per_sec\": %.0f,\n"
-        "  \"speedup_2\": %.3f,\n"
-        "  \"speedup_4\": %.3f,\n"
-        "  \"note\": \"speedups are self-relative wall-clock and "
-        "only meaningful when hw_threads >= 4; events/end_us/"
-        "stream_hash are simulated quantities, identical on every "
-        "host and thread count\"\n"
-        "}\n",
-        m.hwThreads, static_cast<unsigned long long>(m.events),
-        toUs(m.endTick),
-        static_cast<unsigned long long>(m.streamHash),
-        static_cast<unsigned long long>(m.epochs), m.rate1, m.rate2,
-        m.rate4, m.speedup2, m.speedup4);
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-/** Pull `"key": "value"` out of a JSON blob (flat, known keys). */
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    auto q1 = text.find('"', at + 1);
-    if (q1 == std::string::npos)
-        return false;
-    auto q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos)
-        return false;
-    out = text.substr(q1 + 1, q2 - q1 - 1);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_parallel: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    int failures = 0;
-
-    // Simulated fingerprint: exact equality, any host.
-    {
-        char hash[32];
-        std::snprintf(hash, sizeof(hash), "%016llx",
-                      static_cast<unsigned long long>(m.streamHash));
-        std::string want;
-        if (jsonString(text, "stream_hash", want)) {
-            const bool ok = want == hash;
-            std::printf("%-22s %16s  committed %16s  %s\n",
-                        "stream_hash", hash, want.c_str(),
-                        ok ? "ok" : "DIVERGED");
-            failures += ok ? 0 : 1;
-        }
-        double want_events = 0;
-        if (jsonNumber(text, "events", want_events)) {
-            const bool ok = static_cast<double>(m.events) ==
-                            want_events;
-            std::printf("%-22s %16llu  committed %16.0f  %s\n",
-                        "events",
-                        static_cast<unsigned long long>(m.events),
-                        want_events, ok ? "ok" : "DIVERGED");
-            failures += ok ? 0 : 1;
-        }
-    }
-
-    // Host throughput: committed-value regression gate.
-    double want_rate = 0;
-    if (jsonNumber(text, "serial_events_per_sec", want_rate) &&
-        want_rate > 0) {
-        const double floor = want_rate * (1.0 - tol);
-        const bool ok = m.rate1 >= floor;
-        std::printf("%-22s %16.0f  committed %16.0f  %s\n",
-                    "serial_events_per_sec", m.rate1, want_rate,
-                    ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-
+    const double speedup4 = r1.secs / r4.secs;
+    gate.add(Gate::Info, "sockets", 4);
+    gate.add(Gate::Info, "hw_threads", hw_threads);
+    gate.add(Gate::Exact, "events", ev);
+    gate.add(Gate::Exact, "end_us", toUs(r1.endTick), 3);
+    gate.add(Gate::Exact, "stream_hash", hex64(r1.streamHash));
+    gate.add(Gate::Info, "epochs", r4.epochs);
+    gate.add(Gate::Floor, "serial_events_per_sec", ev / r1.secs);
+    gate.add(Gate::Info, "t2_events_per_sec", ev / r2.secs);
+    gate.add(Gate::Info, "t4_events_per_sec", ev / r4.secs);
+    gate.add(Gate::Info, "speedup_2", r1.secs / r2.secs, 3);
+    gate.add(Gate::Info, "speedup_4", speedup4, 3);
+    gate.add(Gate::Info, "note",
+             "speedups are self-relative wall-clock and only "
+             "meaningful when hw_threads >= 4; events/end_us/"
+             "stream_hash are simulated quantities, identical on "
+             "every host and thread count");
     // Parallel payoff: only meaningful with the cores to show it.
-    if (m.hwThreads >= 4) {
-        const double wantSpeedup = 2.5;
-        const bool ok = m.speedup4 >= wantSpeedup;
-        std::printf("%-22s %16.3f  required  %16.3f  %s\n",
-                    "speedup_4", m.speedup4, wantSpeedup,
-                    ok ? "ok" : "TOO SLOW");
-        failures += ok ? 0 : 1;
-    } else {
-        std::printf("speedup_4              %16.3f  (not gated: "
-                    "host has %u hardware thread(s))\n",
-                    m.speedup4, m.hwThreads);
-    }
-    return failures ? 1 : 0;
+    if (hw_threads >= 4)
+        gate.require("speedup_4 " + fmt(speedup4, 3) + " >= 2.5",
+                     speedup4 >= 2.5);
+    else if (gate.checking())
+        std::fprintf(stderr,
+                     "speedup_4 not gated: host has %u hardware "
+                     "thread(s)\n",
+                     hw_threads);
 }
 
 } // namespace
@@ -393,17 +256,12 @@ main(int argc, char **argv)
 {
     using namespace dsasim::bench;
     Params p;
-    std::string json_path, check_path;
-    double tol = 0.20;
+    Gate gate("parallel", 0.20);
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-        else if (a.rfind("--n=", 0) == 0)
+        if (gate.parseArg(a))
+            continue;
+        if (a.rfind("--n=", 0) == 0)
             p.descriptors =
                 static_cast<int>(std::strtol(a.c_str() + 4,
                                              nullptr, 0));
@@ -415,23 +273,11 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: bench_parallel [--n=DESC] "
                          "[--trials=T] [--json=PATH] "
-                         "[--check=PATH [--tol=F]]\n");
+                         "[--check=PATH]\n");
             return 2;
         }
     }
 
-    Metrics m = measure(p);
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_parallel: fopen");
-            return 2;
-        }
-        emit(f, m);
-        std::fclose(f);
-    }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    measure(p, gate);
+    return gate.finish();
 }

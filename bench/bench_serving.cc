@@ -22,24 +22,23 @@
  *
  * Each arm runs at 1 and 4 worker threads; the simulated fingerprint
  * (events, end_us, stream_hash) must be bit-identical across thread
- * counts even mid-overload — asserted on every run. --check compares
- * fingerprints and counters exactly against the committed JSON,
- * rate/latency metrics within --tol, and enforces the robustness
- * invariants (zero hangs, degradation actually engaged, retries
- * bounded, qos arm protects the victim tail).
+ * counts even mid-overload — asserted on every run.
  *
  * Usage:
- *   bench_serving [--n=REQ/TENANT] [--tenants=N] [--json=PATH]
- *                 [--check=PATH [--tol=0.25]]
+ *   bench_serving [--n=REQ/TENANT] [--tenants=N] [--seed=S]
+ *                 [--json=PATH] [--check=PATH]
+ *
+ * Prints the metrics as a JSON object and --json writes it to PATH.
+ * --check compares against a committed JSON (the Gate in common.hh):
+ * fingerprints, counters and end_us exactly, latencies and goodput
+ * within a 25% band, and enforces the robustness invariants (zero
+ * hangs, degradation actually engaged, retries bounded, qos arm
+ * protects the victim tail). Every gated value is simulated.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +54,9 @@ namespace dsasim::bench
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
+/// Band for simulated latency and goodput, and the slack the qos arm's
+/// victim p99 may have over the no-qos arm's.
+constexpr double kTolerance = 0.25;
 
 constexpr const char *kDefaultMix =
     "poisson:rate=1200,weight=14,bytes=2048;"
@@ -247,8 +248,7 @@ runArm(const Params &p, bool qos, unsigned threads)
 
     const auto t0 = Clock::now();
     cl.run(threads);
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    const double secs = secondsSince(t0);
 
     ArmResult r;
     r.secs = secs;
@@ -302,15 +302,6 @@ runArm(const Params &p, bool qos, unsigned threads)
     return r;
 }
 
-struct Metrics
-{
-    unsigned hwThreads = 0;
-    unsigned tenants = 0;
-    ArmResult noqos;
-    ArmResult qos;
-    double rate1 = 0; ///< serial events/sec (no-qos arm)
-};
-
 /** Run one arm at 1 and 4 threads; the fingerprints must agree. */
 ArmResult
 runArmChecked(const Params &p, bool qos)
@@ -334,236 +325,81 @@ runArmChecked(const Params &p, bool qos)
     return r1;
 }
 
-Metrics
-measure(const Params &p)
-{
-    Metrics m;
-    m.hwThreads =
-        std::max(1u, std::thread::hardware_concurrency());
-    m.tenants = p.tenants;
-    m.noqos = runArmChecked(p, false);
-    m.qos = runArmChecked(p, true);
-    m.rate1 =
-        static_cast<double>(m.noqos.events) / m.noqos.secs;
-    return m;
-}
-
 void
-emitArm(std::FILE *f, const char *prefix, const ArmResult &r)
+declareArm(Gate &gate, const std::string &arm, const ArmResult &r)
 {
-    std::fprintf(
-        f,
-        "  \"%s_stream_hash\": \"%016llx\",\n"
-        "  \"%s_events\": %llu,\n"
-        "  \"%s_end_us\": %.3f,\n"
-        "  \"%s_arrivals\": %llu,\n"
-        "  \"%s_completed\": %llu,\n"
-        "  \"%s_hw_ok\": %llu,\n"
-        "  \"%s_fallbacks\": %llu,\n"
-        "  \"%s_dropped\": %llu,\n"
-        "  \"%s_retries\": %llu,\n"
-        "  \"%s_give_ups\": %llu,\n"
-        "  \"%s_shed_breaker\": %llu,\n"
-        "  \"%s_breaker_opens\": %llu,\n"
-        "  \"%s_breaker_closes\": %llu,\n"
-        "  \"%s_admission_throttled\": %llu,\n"
-        "  \"%s_admission_busy\": %llu,\n"
-        "  \"%s_p50_us\": %.3f,\n"
-        "  \"%s_p99_us\": %.3f,\n"
-        "  \"%s_p999_us\": %.3f,\n"
-        "  \"%s_victim_p99_us\": %.3f,\n"
-        "  \"%s_aggressor_p99_us\": %.3f,\n"
-        "  \"%s_goodput_mbps\": %.1f,\n",
-        prefix, static_cast<unsigned long long>(r.streamHash),
-        prefix, static_cast<unsigned long long>(r.events),
-        prefix, toUs(r.endTick),
-        prefix, static_cast<unsigned long long>(r.total.arrivals),
-        prefix,
-        static_cast<unsigned long long>(r.total.completed()),
-        prefix, static_cast<unsigned long long>(r.total.hwOk),
-        prefix, static_cast<unsigned long long>(r.total.fallbacks),
-        prefix, static_cast<unsigned long long>(r.total.dropped),
-        prefix, static_cast<unsigned long long>(r.total.retries),
-        prefix, static_cast<unsigned long long>(r.total.giveUps),
-        prefix,
-        static_cast<unsigned long long>(r.total.shedBreaker),
-        prefix, static_cast<unsigned long long>(r.breakerOpens),
-        prefix, static_cast<unsigned long long>(r.breakerCloses),
-        prefix,
-        static_cast<unsigned long long>(r.admissionThrottled),
-        prefix, static_cast<unsigned long long>(r.admissionBusy),
-        prefix, r.p50, prefix, r.p99, prefix, r.p999,
-        prefix, r.victimP99, prefix, r.aggressorP99,
-        prefix, r.goodputMBps);
+    auto key = [&](const char *name) { return arm + "_" + name; };
+    gate.add(Gate::Exact, key("stream_hash"), hex64(r.streamHash));
+    gate.add(Gate::Exact, key("events"), r.events);
+    gate.add(Gate::Exact, key("end_us"), toUs(r.endTick), 3);
+    gate.add(Gate::Exact, key("arrivals"), r.total.arrivals);
+    gate.add(Gate::Exact, key("completed"), r.total.completed());
+    gate.add(Gate::Exact, key("hw_ok"), r.total.hwOk);
+    gate.add(Gate::Exact, key("fallbacks"), r.total.fallbacks);
+    gate.add(Gate::Exact, key("dropped"), r.total.dropped);
+    gate.add(Gate::Exact, key("retries"), r.total.retries);
+    gate.add(Gate::Exact, key("give_ups"), r.total.giveUps);
+    gate.add(Gate::Exact, key("shed_breaker"), r.total.shedBreaker);
+    gate.add(Gate::Exact, key("breaker_opens"), r.breakerOpens);
+    gate.add(Gate::Exact, key("breaker_closes"), r.breakerCloses);
+    gate.add(Gate::Exact, key("admission_throttled"), r.admissionThrottled);
+    gate.add(Gate::Exact, key("admission_busy"), r.admissionBusy);
+    gate.add(Gate::Band, key("p50_us"), r.p50, 3);
+    gate.add(Gate::Band, key("p99_us"), r.p99, 3);
+    gate.add(Gate::Band, key("p999_us"), r.p999, 3);
+    gate.add(Gate::Band, key("victim_p99_us"), r.victimP99, 3);
+    gate.add(Gate::Band, key("aggressor_p99_us"), r.aggressorP99, 3);
+    gate.add(Gate::Band, key("goodput_mbps"), r.goodputMBps, 1);
 }
 
+/** Robustness invariants, independent of the committed file. */
 void
-emit(std::FILE *f, const Metrics &m)
+requireInvariants(Gate &gate, const Params &p, const ArmResult &noqos,
+                  const ArmResult &qos)
 {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"serving\",\n"
-                 "  \"sockets\": 2,\n"
-                 "  \"tenants\": %u,\n"
-                 "  \"hw_threads\": %u,\n",
-                 m.tenants, m.hwThreads);
-    emitArm(f, "noqos", m.noqos);
-    emitArm(f, "qos", m.qos);
-    std::fprintf(
-        f,
-        "  \"serial_events_per_sec\": %.0f,\n"
-        "  \"note\": \"all *_stream_hash/*_events/counters are "
-        "simulated quantities, bit-identical for any "
-        "DSASIM_PARTITIONS (asserted at 1 vs 4 threads every run); "
-        "latency/goodput are simulated too but gated with --tol "
-        "for cross-compiler slack; serial_events_per_sec is host "
-        "wall-clock\"\n"
-        "}\n",
-        m.rate1);
-}
-
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    auto q1 = text.find('"', at + 1);
-    if (q1 == std::string::npos)
-        return false;
-    auto q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos)
-        return false;
-    out = text.substr(q1 + 1, q2 - q1 - 1);
-    return true;
-}
-
-int
-checkArm(const std::string &text, const char *prefix,
-         const ArmResult &r, double tol)
-{
-    int failures = 0;
-    auto exact = [&](const char *key, std::uint64_t got) {
-        double want = 0;
-        const std::string full = std::string(prefix) + "_" + key;
-        if (!jsonNumber(text, full, want))
-            return;
-        const bool ok = static_cast<double>(got) == want;
-        std::printf("%-28s %16llu  committed %16.0f  %s\n",
-                    full.c_str(),
-                    static_cast<unsigned long long>(got), want,
-                    ok ? "ok" : "DIVERGED");
-        failures += ok ? 0 : 1;
-    };
-    auto banded = [&](const char *key, double got) {
-        double want = 0;
-        const std::string full = std::string(prefix) + "_" + key;
-        if (!jsonNumber(text, full, want) || want <= 0)
-            return;
-        const bool ok = got >= want * (1.0 - tol) &&
-                        got <= want * (1.0 + tol);
-        std::printf("%-28s %16.3f  committed %16.3f  %s\n",
-                    full.c_str(), got, want,
-                    ok ? "ok" : "OUT OF BAND");
-        failures += ok ? 0 : 1;
-    };
-
-    char hash[32];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  static_cast<unsigned long long>(r.streamHash));
-    std::string want;
-    if (jsonString(text, std::string(prefix) + "_stream_hash",
-                   want)) {
-        const bool ok = want == hash;
-        std::printf("%-28s %16s  committed %16s  %s\n",
-                    (std::string(prefix) + "_stream_hash").c_str(),
-                    hash, want.c_str(), ok ? "ok" : "DIVERGED");
-        failures += ok ? 0 : 1;
-    }
-    exact("events", r.events);
-    exact("arrivals", r.total.arrivals);
-    exact("completed", r.total.completed());
-    exact("hw_ok", r.total.hwOk);
-    exact("fallbacks", r.total.fallbacks);
-    exact("dropped", r.total.dropped);
-    exact("retries", r.total.retries);
-    exact("breaker_opens", r.breakerOpens);
-    banded("p99_us", r.p99);
-    banded("victim_p99_us", r.victimP99);
-    banded("goodput_mbps", r.goodputMBps);
-    return failures;
-}
-
-int
-check(const Params &p, const Metrics &m, const std::string &path,
-      double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_serving: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    int failures = 0;
-
-    failures += checkArm(text, "noqos", m.noqos, tol);
-    failures += checkArm(text, "qos", m.qos, tol);
-
-    // Robustness invariants, independent of the committed file.
-    auto invariant = [&](const char *what, bool ok) {
-        std::printf("%-44s %s\n", what, ok ? "ok" : "VIOLATED");
-        failures += ok ? 0 : 1;
-    };
     const std::uint64_t offered =
         static_cast<std::uint64_t>(p.tenants) * p.requests;
-    for (const ArmResult *r : {&m.noqos, &m.qos}) {
-        const bool isQos = r == &m.qos;
-        const char *tag = isQos ? "qos" : "noqos";
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "%s: every arrival terminal (zero hangs)",
-                      tag);
-        invariant(buf, r->total.arrivals == offered &&
-                           r->total.completed() + r->total.dropped ==
-                               offered);
-        std::snprintf(buf, sizeof(buf),
-                      "%s: overload engaged degradation", tag);
-        invariant(buf, r->total.fallbacks > 0 &&
-                           r->total.retries > 0 &&
-                           r->breakerOpens > 0);
-        std::snprintf(buf, sizeof(buf),
-                      "%s: retries bounded by policy", tag);
-        invariant(buf,
-                  r->total.retries <=
-                      r->total.issued *
-                          servingConfig(p).maxRetries);
+    for (const ArmResult *r : {&noqos, &qos}) {
+        const std::string tag = r == &qos ? "qos" : "noqos";
+        gate.require(tag + ": every arrival terminal (zero hangs)",
+                     r->total.arrivals == offered &&
+                         r->total.completed() + r->total.dropped ==
+                             offered);
+        gate.require(tag + ": overload engaged degradation",
+                     r->total.fallbacks > 0 && r->total.retries > 0 &&
+                         r->breakerOpens > 0);
+        gate.require(tag + ": retries bounded by policy",
+                     r->total.retries <=
+                         r->total.issued * servingConfig(p).maxRetries);
     }
-    invariant("qos: admission policy exercised",
-              m.qos.admissionThrottled + m.qos.admissionBusy > 0);
-    invariant("qos: victim p99 no worse than no-qos",
-              m.qos.victimP99 <= m.noqos.victimP99 * (1.0 + tol));
-    return failures ? 1 : 0;
+    gate.require("qos: admission policy exercised",
+                 qos.admissionThrottled + qos.admissionBusy > 0);
+    gate.require("qos: victim p99 no worse than no-qos",
+                 qos.victimP99 <= noqos.victimP99 * (1.0 + kTolerance));
+}
+
+/** Run both arms and declare the metrics and invariants on @p gate. */
+void
+measure(const Params &p, Gate &gate)
+{
+    const ArmResult noqos = runArmChecked(p, false);
+    const ArmResult qos = runArmChecked(p, true);
+    gate.add(Gate::Info, "sockets", 2);
+    gate.add(Gate::Info, "tenants", p.tenants);
+    gate.add(Gate::Info, "hw_threads",
+             std::max(1u, std::thread::hardware_concurrency()));
+    declareArm(gate, "noqos", noqos);
+    declareArm(gate, "qos", qos);
+    gate.add(Gate::Info, "serial_events_per_sec",
+             static_cast<double>(noqos.events) / noqos.secs);
+    gate.add(Gate::Info, "note",
+             "all *_stream_hash/*_events/counters are simulated "
+             "quantities, bit-identical for any DSASIM_PARTITIONS "
+             "(asserted at 1 vs 4 threads every run); latency/goodput "
+             "are simulated too but gated within a 25% band for "
+             "cross-compiler slack; serial_events_per_sec is host "
+             "wall-clock");
+    requireInvariants(gate, p, noqos, qos);
 }
 
 } // namespace
@@ -583,17 +419,12 @@ main(int argc, char **argv)
     if (const char *s = std::getenv("DSASIM_ARRIVALS"); s && *s)
         p.mixSpec = s;
 
-    std::string json_path, check_path;
-    double tol = 0.25;
+    Gate gate("serving", kTolerance);
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-        else if (a.rfind("--n=", 0) == 0)
+        if (gate.parseArg(a))
+            continue;
+        if (a.rfind("--n=", 0) == 0)
             p.requests = std::strtoull(a.c_str() + 4, nullptr, 0);
         else if (a.rfind("--tenants=", 0) == 0)
             p.tenants = static_cast<unsigned>(
@@ -601,11 +432,9 @@ main(int argc, char **argv)
         else if (a.rfind("--seed=", 0) == 0)
             p.seed = std::strtoull(a.c_str() + 7, nullptr, 0);
         else {
-            std::fprintf(
-                stderr,
-                "usage: bench_serving [--n=REQ] [--tenants=N] "
-                "[--seed=S] [--json=PATH] "
-                "[--check=PATH [--tol=F]]\n");
+            std::fprintf(stderr,
+                         "usage: bench_serving [--n=REQ] [--tenants=N] "
+                         "[--seed=S] [--json=PATH] [--check=PATH]\n");
             return 2;
         }
     }
@@ -615,18 +444,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    Metrics m = measure(p);
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_serving: fopen");
-            return 2;
-        }
-        emit(f, m);
-        std::fclose(f);
-    }
-    if (!check_path.empty())
-        return check(p, m, check_path, tol);
-    return 0;
+    measure(p, gate);
+    return gate.finish();
 }

@@ -1,22 +1,28 @@
 /**
  * @file
- * Host-side performance of the simulator itself (google-benchmark):
- * event-queue throughput, cache-model access rate, functional
- * operation speed, and end-to-end simulated-descriptor rate. These
- * numbers bound how much simulated work the figure benches can
- * afford; they are about dsasim, not about DSA.
+ * Host-side performance of the simulator itself: event-queue
+ * throughput, cache-model access rate, functional operation speed,
+ * and end-to-end simulated-descriptor rate. These numbers bound how
+ * much simulated work the figure benches can afford; they are about
+ * dsasim, not about DSA. Each is the best rate of three timed loops.
  *
- * `bench_simhost --kernel-json[=PATH]` skips google-benchmark and
- * instead runs one mixed event-kernel workload through both the
- * current kernel and an in-binary replica of the original
- * std::function + binary-heap kernel, writing events/sec for both
- * (and the speedup) as JSON to PATH (default BENCH_kernel.json).
+ * Usage:
+ *   bench_simhost [--json=PATH]
+ *   bench_simhost --kernel-json[=PATH]
+ *
+ * The first form prints the rates as a JSON object (--json also
+ * writes it to PATH). --kernel-json instead runs one mixed
+ * event-kernel workload through both the current kernel and an
+ * in-binary replica of the original std::function + binary-heap
+ * kernel, writing events/sec for both (and the speedup) as JSON to
+ * PATH (default BENCH_kernel.json). Exit code 1 means PATH could not
+ * be written, 2 that the two kernels disagreed on the replay.
  */
 
-#include <benchmark/benchmark.h>
-
+#include <atomic>
 #include <chrono>
 #include <coroutine>
+#include <cstdio>
 #include <functional>
 #include <string_view>
 
@@ -29,6 +35,7 @@ namespace
 {
 
 using namespace dsasim;
+using bench::Gate;
 
 /// @name Event-kernel self-benchmark (--kernel-json mode).
 /// @{
@@ -234,26 +241,17 @@ kernelSelfBench(const char *path)
     const double legacy_rate =
         static_cast<double>(legacy.events) / legacy.seconds;
 
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
+    Gate gate("simhost_kernel");
+    gate.add(Gate::Info, "events", cur.events);
+    gate.add(Gate::Info, "final_tick", cur.finalTick);
+    gate.flag("replay_consistent", consistent);
+    gate.add(Gate::Info, "events_per_sec", cur_rate);
+    gate.add(Gate::Info, "legacy_events_per_sec", legacy_rate);
+    gate.add(Gate::Info, "speedup", cur_rate / legacy_rate, 3);
+    if (!gate.write(path)) {
         std::fprintf(stderr, "cannot write %s\n", path);
         return 1;
     }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"simhost_kernel\",\n"
-                 "  \"events\": %llu,\n"
-                 "  \"final_tick\": %llu,\n"
-                 "  \"replay_consistent\": %s,\n"
-                 "  \"events_per_sec\": %.0f,\n"
-                 "  \"legacy_events_per_sec\": %.0f,\n"
-                 "  \"speedup\": %.3f\n"
-                 "}\n",
-                 static_cast<unsigned long long>(cur.events),
-                 static_cast<unsigned long long>(cur.finalTick),
-                 consistent ? "true" : "false",
-                 cur_rate, legacy_rate, cur_rate / legacy_rate);
-    std::fclose(f);
     std::printf("kernel: %.2fM events/s  legacy: %.2fM events/s  "
                 "speedup: %.2fx  (%s -> %s)\n",
                 cur_rate / 1e6, legacy_rate / 1e6,
@@ -265,23 +263,37 @@ kernelSelfBench(const char *path)
 
 /// @}
 
-void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Simulation sim;
-        int sink = 0;
-        for (int i = 0; i < 10000; ++i)
-            sim.scheduleAt(static_cast<Tick>(i), [&sink] { ++sink; });
-        sim.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_EventQueue);
+/// @name Host-rate loops (default mode).
+/// @{
 
+/// Each loop stores its result here so it is not optimized away.
+std::atomic<std::uint64_t> sink{0};
+
+template <typename T>
 void
-BM_CacheAccess(benchmark::State &state)
+keep(T v)
+{
+    sink.store(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
+}
+
+/** Scheduled callbacks per host second through a fresh Simulation. */
+double
+eventQueueRate()
+{
+    const int n = 10000;
+    return bench::bestRate(n, [] {
+        Simulation sim;
+        int fired = 0;
+        for (int i = 0; i < n; ++i)
+            sim.scheduleAt(static_cast<Tick>(i), [&fired] { ++fired; });
+        sim.run();
+        keep(fired);
+    });
+}
+
+/** Random CPU-side line accesses per host second on an 8 MiB LLC. */
+double
+cacheAccessRate()
 {
     CacheModel::Config cfg;
     cfg.sizeBytes = 8 << 20;
@@ -289,75 +301,90 @@ BM_CacheAccess(benchmark::State &state)
     cfg.ddioWays = 2;
     CacheModel c(cfg);
     Rng rng(1);
-    for (auto _ : state) {
-        Addr a = rng.range(0, (64 << 20) / 64 - 1) * 64;
-        benchmark::DoNotOptimize(c.cpuAccess(a, 1, false).hit);
-    }
-    state.SetItemsProcessed(state.iterations());
+    const int n = 100000;
+    return bench::bestRate(n, [&] {
+        for (int i = 0; i < n; ++i) {
+            Addr a = rng.range(0, (64 << 20) / 64 - 1) * 64;
+            keep(c.cpuAccess(a, 1, false).hit);
+        }
+    });
 }
-BENCHMARK(BM_CacheAccess);
 
-void
-BM_Crc32c(benchmark::State &state)
+/** CRC32C GB/s over a @p bytes buffer. */
+double
+crc32cGbps(std::size_t bytes)
 {
-    std::vector<std::uint8_t> buf(
-        static_cast<std::size_t>(state.range(0)), 0x5a);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(crc32cFull(buf.data(), buf.size()));
-    state.SetBytesProcessed(state.iterations() * state.range(0));
+    std::vector<std::uint8_t> buf(bytes, 0x5a);
+    return bench::bestRate(static_cast<double>(bytes), [&] {
+               keep(crc32cFull(buf.data(), buf.size()));
+           }) /
+           1e9;
 }
-BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
 
-void
-BM_DeltaCreate(benchmark::State &state)
+/** Delta-record creation GB/s over 64 KiB with one diff per 512 B. */
+double
+deltaCreateGbps()
 {
     std::vector<std::uint8_t> a(65536, 1), b(65536, 1);
     for (std::size_t i = 0; i < b.size(); i += 512)
         b[i] = 2;
-    for (auto _ : state) {
-        auto r = deltaCreate(a.data(), b.data(), a.size(),
-                             2 * a.size());
-        benchmark::DoNotOptimize(r.record.size());
-    }
-    state.SetBytesProcessed(state.iterations() * 65536);
+    return bench::bestRate(static_cast<double>(a.size()), [&] {
+               auto r = deltaCreate(a.data(), b.data(), a.size(),
+                                    2 * a.size());
+               keep(r.record.size());
+           }) /
+           1e9;
 }
-BENCHMARK(BM_DeltaCreate);
 
-void
-BM_SimulatedDescriptor(benchmark::State &state)
+/**
+ * Simulated synchronous 4 KiB copies per host second, end to end
+ * through the executor and device; rig construction is not timed.
+ */
+double
+simulatedDescriptorRate()
 {
-    // End-to-end: how many simulated sync 4KB copies per host second.
     const std::uint64_t n = 4096;
-    for (auto _ : state) {
-        state.PauseTiming();
+    const int iters = 64;
+    double best = 0;
+    for (int trial = 0; trial < 3; ++trial) {
         bench::Rig rig{bench::Rig::Options{}};
-        Addr src = rig.as->alloc(n * 64);
-        Addr dst = rig.as->alloc(n * 64);
-        state.ResumeTiming();
+        Addr src = rig.as->alloc(n * iters);
+        Addr dst = rig.as->alloc(n * iters);
+        const auto t0 = bench::Clock::now();
         bench::Measure m = bench::syncHw(
-            rig, dml::Executor::memMove(*rig.as, dst, src, n), 64,
+            rig, dml::Executor::memMove(*rig.as, dst, src, n), iters,
             false);
-        benchmark::DoNotOptimize(m.gbps);
+        keep(m.gbps);
+        best = std::max(best, iters / bench::secondsSince(t0));
     }
-    state.SetItemsProcessed(state.iterations() * 64);
+    return best;
 }
-BENCHMARK(BM_SimulatedDescriptor)->Unit(benchmark::kMillisecond);
+
+/// @}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    Gate gate("simhost");
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "--kernel-json")
             return kernelSelfBench("BENCH_kernel.json");
         if (arg.rfind("--kernel-json=", 0) == 0)
             return kernelSelfBench(argv[i] + 14);
+        if (!gate.parseArg(arg)) {
+            std::fprintf(stderr, "usage: bench_simhost [--json=PATH] | "
+                                 "--kernel-json[=PATH]\n");
+            return 2;
+        }
     }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    gate.add(Gate::Info, "event_queue_events_per_sec", eventQueueRate());
+    gate.add(Gate::Info, "cache_accesses_per_sec", cacheAccessRate());
+    gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
+    gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
+    gate.add(Gate::Info, "delta_create_gbps", deltaCreateGbps(), 3);
+    gate.add(Gate::Info, "sim_desc_per_sec", simulatedDescriptorRate());
+    return gate.finish();
 }

@@ -17,9 +17,10 @@
  * not how many warm-ups the host can overlap.
  *
  * Usage: bench_snapshot [--json=PATH]
+ *
+ * Prints the timings as a JSON object; --json also writes it to PATH.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,8 +32,6 @@ namespace dsasim::bench
 {
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
 
 const std::vector<int> depths = {1, 2, 4, 8, 16, 32};
 
@@ -68,8 +67,7 @@ timeArm(const char *snapshot_env, std::vector<std::string> &out,
     for (int t = 0; t < trials; ++t) {
         auto t0 = Clock::now();
         auto r = depthSweep();
-        double el =
-            std::chrono::duration<double>(Clock::now() - t0).count();
+        double el = secondsSince(t0);
         if (el < best)
             best = el;
         if (t == 0)
@@ -87,11 +85,12 @@ main(int argc, char **argv)
     using namespace dsasim;
     using namespace dsasim::bench;
 
-    std::string json_path;
+    Gate gate("snapshot");
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
+        if (!gate.parseArg(argv[i])) {
+            std::fprintf(stderr, "usage: bench_snapshot [--json=PATH]\n");
+            return 2;
+        }
     }
 
     // Serialize the sweep: the speedup below is work saved per
@@ -122,24 +121,9 @@ main(int argc, char **argv)
                 cold_secs, depths.size(), snap_secs, depths.size(),
                 speedup);
 
-    const char *json_fmt = "{\n"
-                           "  \"benchmark\": \"snapshot\",\n"
-                           "  \"points\": %zu,\n"
-                           "  \"cold_secs\": %.3f,\n"
-                           "  \"snapshot_secs\": %.3f,\n"
-                           "  \"speedup\": %.2f\n"
-                           "}\n";
-    std::printf(json_fmt, depths.size(), cold_secs, snap_secs,
-                speedup);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_snapshot: fopen");
-            return 2;
-        }
-        std::fprintf(f, json_fmt, depths.size(), cold_secs,
-                     snap_secs, speedup);
-        std::fclose(f);
-    }
-    return 0;
+    gate.add(Gate::Info, "points", depths.size());
+    gate.add(Gate::Info, "cold_secs", cold_secs, 3);
+    gate.add(Gate::Info, "snapshot_secs", snap_secs, 3);
+    gate.add(Gate::Info, "speedup", speedup, 2);
+    return gate.finish();
 }

@@ -18,10 +18,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -133,6 +136,290 @@ fmt(double v, int prec = 2)
     std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
     return buf;
 }
+/// @}
+
+/// @name Self-benchmark plumbing: host timing and the JSON gate.
+/// @{
+using Clock = std::chrono::steady_clock;
+
+/** Host seconds elapsed since @p t0. */
+inline double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * Best-of-@p trials rate of @p fn, which does @p units of work per
+ * call: one untimed warm-up call, then each trial calls @p fn until
+ * @p min_secs have passed. Best-of damps scheduler noise on shared
+ * hosts; peak sustained rate is the stable capability number.
+ */
+template <typename Fn>
+double
+bestRate(double units, Fn &&fn, double min_secs = 0.25, int trials = 3)
+{
+    fn();
+    double best = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+        std::uint64_t calls = 0;
+        const auto t0 = Clock::now();
+        double el = 0;
+        do {
+            fn();
+            ++calls;
+            el = secondsSince(t0);
+        } while (el < min_secs);
+        best = std::max(best, units * static_cast<double>(calls) / el);
+    }
+    return best;
+}
+
+/** A 64-bit stream hash as the 16-digit hex text the gates store. */
+inline std::string
+hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/**
+ * The --json/--check gate shared by the self-benchmarks. A bench
+ * declares each metric once — kind, key, value, print precision — in
+ * the order it is written. The kinds:
+ *
+ *   Info   written, never checked (host facts, notes);
+ *   Floor  fails below committed x (1 - tol): host rates;
+ *   Band   fails outside committed x (1 +- tol): simulated values
+ *          given slack for compiler and libm differences;
+ *   Exact  fails on any difference: counts, stream hashes and
+ *          simulated times, compared as written.
+ *
+ * require(label, ok) adds an invariant that reads no committed value.
+ *
+ * finish() prints the metrics as one flat JSON object on stdout and
+ * to --json=PATH. With --check=PATH it loads a committed object and
+ * prints one verdict line per checked key the file holds — Floor and
+ * Band keys committed as <= 0 are skipped too — then one per
+ * invariant. Exit code: 0 all ok, 1 any failure, 2 a file that cannot
+ * be read or written.
+ */
+class Gate
+{
+  public:
+    enum Kind { Info, Floor, Band, Exact };
+
+    struct Verdict
+    {
+        std::string key; ///< metric key, or invariant label
+        bool ok;
+        std::string word; ///< "ok" or the failing kind's word
+    };
+
+    explicit Gate(std::string benchmark, double tolerance = 0)
+        : name("bench_" + benchmark), tol(tolerance)
+    {
+        add(Info, "benchmark", benchmark);
+    }
+
+    /** Take --json=PATH or --check=PATH; false for any other arg. */
+    bool
+    parseArg(std::string_view arg)
+    {
+        if (arg.rfind("--json=", 0) == 0)
+            jsonPath = arg.substr(7);
+        else if (arg.rfind("--check=", 0) == 0)
+            checkPath = arg.substr(8);
+        else
+            return false;
+        return true;
+    }
+
+    bool checking() const { return !checkPath.empty(); }
+
+    /** A number written with @p prec decimals (0 for counts). */
+    void
+    add(Kind kind, std::string key, double v, int prec = 0)
+    {
+        metrics.push_back({kind, std::move(key), fmt(v, prec), v});
+    }
+
+    /** A string (a stream hash, a note), written quoted. */
+    void
+    add(Kind kind, std::string key, const std::string &text)
+    {
+        metrics.push_back({kind, std::move(key), quote(text), 0});
+    }
+
+    /** A bare JSON true/false, never checked. */
+    void
+    flag(std::string key, bool b)
+    {
+        metrics.push_back({Info, std::move(key), b ? "true" : "false", 0});
+    }
+
+    void
+    require(std::string label, bool ok)
+    {
+        invariants.push_back(
+            {std::move(label), ok, ok ? "ok" : "VIOLATED"});
+    }
+
+    /** The metrics as a flat JSON object, in declaration order. */
+    std::string
+    json() const
+    {
+        std::string out = "{\n";
+        for (std::size_t i = 0; i < metrics.size(); ++i) {
+            out += "  " + quote(metrics[i].key) + ": " +
+                   metrics[i].text +
+                   (i + 1 < metrics.size() ? ",\n" : "\n");
+        }
+        return out + "}\n";
+    }
+
+    /** Write json() to @p path; false when it cannot be written. */
+    bool
+    write(const std::string &path) const
+    {
+        std::ofstream out(path);
+        out << json();
+        return static_cast<bool>(out.flush());
+    }
+
+    /**
+     * Print and return the verdicts against the committed JSON text
+     * @p committed: one per checked metric it holds, then one per
+     * invariant.
+     */
+    std::vector<Verdict>
+    check(const std::string &committed) const
+    {
+        std::vector<Verdict> out;
+        for (const Metric &m : metrics) {
+            std::string want;
+            if (m.kind == Info || !lookup(committed, m.key, want))
+                continue;
+            const double w = std::strtod(want.c_str(), nullptr);
+            bool ok = true;
+            const char *word = "DIVERGED";
+            switch (m.kind) {
+              case Floor:
+                if (w <= 0)
+                    continue;
+                ok = m.value >= w * (1.0 - tol);
+                word = "REGRESSED";
+                break;
+              case Band:
+                if (w <= 0)
+                    continue;
+                ok = m.value >= w * (1.0 - tol) &&
+                     m.value <= w * (1.0 + tol);
+                word = "OUT OF BAND";
+                break;
+              default:
+                // Strings compare as text, numbers by value.
+                ok = m.text.front() == '"' || want.front() == '"'
+                         ? m.text == want
+                         : std::strtod(m.text.c_str(), nullptr) == w;
+                break;
+            }
+            out.push_back({m.key, ok, ok ? "ok" : word});
+            std::printf("%-28s %16s  committed %16s  %s\n",
+                        m.key.c_str(), bare(m.text).c_str(),
+                        bare(want).c_str(), out.back().word.c_str());
+        }
+        for (const Verdict &v : invariants) {
+            out.push_back(v);
+            std::printf("%-44s %s\n", v.key.c_str(), v.word.c_str());
+        }
+        return out;
+    }
+
+    /** Print, write --json, run --check; returns the exit code. */
+    int
+    finish() const
+    {
+        std::fputs(json().c_str(), stdout);
+        if (!jsonPath.empty() && !write(jsonPath)) {
+            std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(),
+                         jsonPath.c_str());
+            return 2;
+        }
+        if (checkPath.empty())
+            return 0;
+        std::ifstream in(checkPath);
+        std::stringstream text;
+        if (!(in && text << in.rdbuf())) {
+            std::fprintf(stderr, "%s: cannot read %s\n", name.c_str(),
+                         checkPath.c_str());
+            return 2;
+        }
+        const auto verdicts = check(text.str());
+        return std::all_of(verdicts.begin(), verdicts.end(),
+                           [](const Verdict &v) { return v.ok; })
+                   ? 0
+                   : 1;
+    }
+
+  private:
+    struct Metric
+    {
+        Kind kind;
+        std::string key;
+        std::string text; ///< the JSON value as written
+        double value;     ///< what floor and band compare
+    };
+
+    static std::string
+    quote(const std::string &s)
+    {
+        return '"' + s + '"';
+    }
+
+    /** @p text without the quotes of a JSON string. */
+    static std::string
+    bare(const std::string &text)
+    {
+        return text.size() >= 2 && text.front() == '"'
+                   ? text.substr(1, text.size() - 2)
+                   : text;
+    }
+
+    /**
+     * The value of `"key": <value>` in a flat JSON object, as written
+     * (a string keeps its quotes); false when the key is absent or
+     * has no value.
+     */
+    static bool
+    lookup(const std::string &text, const std::string &key,
+           std::string &out)
+    {
+        auto at = text.find(quote(key));
+        if (at != std::string::npos)
+            at = text.find_first_not_of(" \t\r\n:",
+                                        at + key.size() + 2);
+        if (at == std::string::npos)
+            return false;
+        auto end = text.find_first_of(",} \t\r\n", at);
+        if (text[at] == '"') {
+            end = text.find('"', at + 1);
+            if (end == std::string::npos)
+                return false;
+            ++end;
+        }
+        out = text.substr(at, end - at); // npos - at: to the end
+        return !out.empty();
+    }
+
+    std::string name;
+    double tol;
+    std::string jsonPath, checkPath;
+    std::vector<Metric> metrics;
+    std::vector<Verdict> invariants;
+};
 /// @}
 
 /**
@@ -257,8 +544,8 @@ class Rig
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < o.devices; ++i) {
-            Platform::configureBasic(plat.dsa(i), o.wqSize, o.engines,
-                                     o.wqMode);
+            DsaTopology::basic(o.wqSize, o.engines, o.wqMode)
+                .apply(plat.dsa(i));
             devs.push_back(&plat.dsa(i));
         }
         dml::ExecutorConfig ec;
@@ -309,8 +596,8 @@ inline Rig::Rig(const RigSnapshot &snap)
 {
     std::vector<DsaDevice *> devs;
     for (unsigned i = 0; i < opt.devices; ++i) {
-        Platform::configureBasic(plat.dsa(i), opt.wqSize, opt.engines,
-                                 opt.wqMode);
+        DsaTopology::basic(opt.wqSize, opt.engines, opt.wqMode)
+            .apply(plat.dsa(i));
         devs.push_back(&plat.dsa(i));
     }
     // restoreInto re-anchors the simulation clock/sequence and
@@ -386,7 +673,7 @@ syncSwLoop(Rig &rig, WorkDescriptor d, int iters, bool flush,
 
 inline SimTask
 asyncHwLoop(Rig &rig, std::vector<WorkDescriptor> ring, int total,
-            int depth, Measure &out)
+            int depth, bool flush_per_pass, Measure &out)
 {
     Core &core = rig.plat.core(0);
     Semaphore window(rig.sim, static_cast<std::uint64_t>(depth));
@@ -412,7 +699,7 @@ asyncHwLoop(Rig &rig, std::vector<WorkDescriptor> ring, int total,
             ring[static_cast<std::size_t>(i) % ring.size()];
         // Refresh coldness once per pass over the ring, mirroring
         // the paper's per-iteration flushes.
-        if (i > 0 &&
+        if (flush_per_pass && i > 0 &&
             static_cast<std::size_t>(i) % ring.size() == 0)
             rig.plat.mem().cache().invalidateAll();
         co_await window.acquire();
@@ -458,16 +745,19 @@ syncSw(Rig &rig, const WorkDescriptor &d, int iters = 0,
 
 /**
  * Async throughput at @p depth outstanding descriptors, cycling over
- * @p ring distinct descriptors (so data stays cold pass to pass).
+ * @p ring distinct descriptors. The cache is flushed once per pass so
+ * data stays cold, unless @p flush_per_pass is false (lines then stay
+ * resident and the walk takes its hit path).
  */
 inline Measure
 asyncHw(Rig &rig, std::vector<WorkDescriptor> ring, int total = 0,
-        int depth = 32)
+        int depth = 32, bool flush_per_pass = true)
 {
     Measure out;
     if (total == 0 && !ring.empty())
         total = itersFor(ring.front().size, 320);
-    detail::asyncHwLoop(rig, std::move(ring), total, depth, out);
+    detail::asyncHwLoop(rig, std::move(ring), total, depth,
+                        flush_per_pass, out);
     rig.sim.run();
     return out;
 }

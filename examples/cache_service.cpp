@@ -61,8 +61,8 @@ main()
         // One shared WQ per DSA instance (ENQCMD from any thread).
         std::vector<DsaDevice *> devs;
         for (std::size_t d = 0; d < plat.dsaCount(); ++d) {
-            Platform::configureBasic(plat.dsa(d), 16, 1,
-                                     WorkQueue::Mode::Shared);
+            DsaTopology::basic(16, 1, WorkQueue::Mode::Shared)
+                .apply(plat.dsa(d));
             devs.push_back(&plat.dsa(d));
         }
         dml::ExecutorConfig ec;

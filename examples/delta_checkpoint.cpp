@@ -143,7 +143,7 @@ main()
 {
     Simulation sim;
     Platform plat(sim, PlatformConfig::spr());
-    Platform::configureBasic(plat.dsa(0), 32, 2);
+    DsaTopology::basic(32, 2).apply(plat.dsa(0));
     AddressSpace &as = plat.mem().createSpace();
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;

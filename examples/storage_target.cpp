@@ -36,8 +36,7 @@ main()
         Simulation sim;
         Platform plat(sim, PlatformConfig::spr());
         AddressSpace &as = plat.mem().createSpace();
-        Platform::configureBasic(plat.dsa(0), 32, 2,
-                                 WorkQueue::Mode::Shared);
+        DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         dml::Executor exec(sim, plat.mem(), plat.kernels(),

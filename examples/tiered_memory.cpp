@@ -84,7 +84,7 @@ main()
         for (bool dsa : {false, true}) {
             Simulation sim;
             Platform plat(sim, PlatformConfig::spr());
-            Platform::configureBasic(plat.dsa(0));
+            DsaTopology::basic().apply(plat.dsa(0));
             AddressSpace &as = plat.mem().createSpace();
             dml::ExecutorConfig ec;
             ec.path = dml::Path::Hardware;

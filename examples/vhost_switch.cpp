@@ -30,7 +30,7 @@ runMode(bool use_dsa, std::uint32_t pkt_bytes)
     Platform plat(sim, PlatformConfig::spr());
     AddressSpace &as = plat.mem().createSpace();
 
-    Platform::configureBasic(plat.dsa(0), 32, /*engines=*/2);
+    DsaTopology::basic(32, /*engines=*/2).apply(plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(sim, plat.mem(), plat.kernels(),

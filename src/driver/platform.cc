@@ -219,19 +219,6 @@ Platform::setFaultInjector(std::unique_ptr<FaultInjector> fi)
 }
 
 void
-Platform::configureBasic(DsaDevice &dev, unsigned wq_size,
-                         unsigned engines, WorkQueue::Mode mode)
-{
-    DsaTopology::basic(wq_size, engines, mode).apply(dev);
-}
-
-void
-Platform::configureFull(DsaDevice &dev)
-{
-    DsaTopology::full().apply(dev);
-}
-
-void
 Platform::dumpStats(std::FILE *out) const
 {
     std::fprintf(out, "---------- dsasim stats @ %.3f us ----------\n",

@@ -127,19 +127,6 @@ class Platform
     std::string drainHint();
 
     /**
-     * @deprecated Thin wrapper over
-     * DsaTopology::basic(wq_size, engines, mode).apply(dev); prefer
-     * PlatformConfig::dsaTopology or DsaTopology directly.
-     */
-    static void configureBasic(DsaDevice &dev, unsigned wq_size = 32,
-                               unsigned engines = 1,
-                               WorkQueue::Mode mode =
-                                   WorkQueue::Mode::Dedicated);
-
-    /** @deprecated Thin wrapper over DsaTopology::full().apply(dev). */
-    static void configureFull(DsaDevice &dev);
-
-    /**
      * Dump a gem5-style end-of-run statistics summary: per-core
      * cycle accounts, per-device engine/traffic counters, and
      * memory-link utilization.

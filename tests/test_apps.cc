@@ -27,7 +27,7 @@ struct AppBench : Bench
 {
     explicit AppBench(unsigned engines = 2)
     {
-        Platform::configureBasic(plat.dsa(0), 32, engines);
+        DsaTopology::basic(32, engines).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

@@ -27,7 +27,7 @@ struct CalBench : Bench
 {
     CalBench()
     {
-        Platform::configureBasic(plat.dsa(0));
+        DsaTopology::basic().apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

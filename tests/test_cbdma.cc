@@ -171,7 +171,7 @@ TEST(Cbdma, SlowerThanDsaOnSameWork)
     Tick dsa_elapsed = 0;
     {
         Bench b;
-        Platform::configureBasic(b.plat.dsa(0));
+        DsaTopology::basic().apply(b.plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),

@@ -24,7 +24,7 @@ struct DmlBench : Bench
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < devices; ++i) {
-            Platform::configureBasic(plat.dsa(i));
+            DsaTopology::basic().apply(plat.dsa(i));
             devs.push_back(&plat.dsa(i));
         }
         exec = std::make_unique<dml::Executor>(
@@ -175,7 +175,7 @@ TEST(Dml, DwqCreditsBackpressure)
     // Reconfigure: device 0 already configured with wq 32 by ctor;
     // use a second bench instead.
     Bench b2(test::smallSpr());
-    Platform::configureBasic(b2.plat.dsa(0), /*wq_size=*/4);
+    DsaTopology::basic(/*wq_size=*/4).apply(b2.plat.dsa(0));
     dml::Executor exec(b2.sim, b2.plat.mem(), b2.plat.kernels(),
                        {&b2.plat.dsa(0)}, ec);
     const int jobs = 16;

@@ -48,7 +48,7 @@ TEST(Platform, IcxPresetMatchesTable2)
 TEST(Platform, ConfigureFullBuildsTable2Topology)
 {
     Bench b;
-    Platform::configureFull(b.plat.dsa(0));
+    DsaTopology::full().apply(b.plat.dsa(0));
     DsaDevice &dev = b.plat.dsa(0);
     EXPECT_TRUE(dev.enabled());
     EXPECT_EQ(dev.groupCount(), 4u);
@@ -142,7 +142,7 @@ TEST(Idxd, ReadBufferAllocationValidated)
 TEST(Platform, DumpStatsSummarizesActivity)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0));
+    DsaTopology::basic().apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -178,8 +178,7 @@ TEST(Platform, DumpStatsSummarizesActivity)
 TEST(Submitter, MovdirIsPostedEnqcmdIsNot)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 1,
-                             WorkQueue::Mode::Dedicated);
+    DsaTopology::basic(32, 1, WorkQueue::Mode::Dedicated).apply(b.plat.dsa(0));
     Core &core = b.plat.core(0);
     Submitter sub(core, b.plat.dsa(0).params());
 
@@ -210,8 +209,7 @@ TEST(Submitter, MovdirIsPostedEnqcmdIsNot)
 TEST(Submitter, EnqcmdBlocksForRoundTrip)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 1,
-                             WorkQueue::Mode::Shared);
+    DsaTopology::basic(32, 1, WorkQueue::Mode::Shared).apply(b.plat.dsa(0));
     Core &core = b.plat.core(0);
     Submitter sub(core, b.plat.dsa(0).params());
     Addr buf = b.as->alloc(4096);
@@ -242,7 +240,7 @@ TEST(Submitter, EnqcmdBlocksForRoundTrip)
 TEST(Submitter, UmwaitAccountsWaitTime)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0));
+    DsaTopology::basic().apply(b.plat.dsa(0));
     Core &core = b.plat.core(0);
     Submitter sub(core, b.plat.dsa(0).params());
     const std::uint64_t n = 1 << 20;

@@ -27,7 +27,7 @@ struct DsaBench : Bench
                       WorkQueue::Mode mode =
                           WorkQueue::Mode::Dedicated)
     {
-        Platform::configureBasic(plat.dsa(0), wq_size, engines, mode);
+        DsaTopology::basic(wq_size, engines, mode).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

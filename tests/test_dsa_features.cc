@@ -25,7 +25,7 @@ struct FBench : Bench
 {
     explicit FBench(unsigned wq_size = 32, unsigned engines = 1)
     {
-        Platform::configureBasic(plat.dsa(0), wq_size, engines);
+        DsaTopology::basic(wq_size, engines).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

@@ -21,7 +21,7 @@ struct DtoBench : Bench
 {
     explicit DtoBench(std::uint64_t threshold = 8192)
     {
-        Platform::configureBasic(plat.dsa(0));
+        DsaTopology::basic().apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

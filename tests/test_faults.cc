@@ -39,7 +39,7 @@ struct FaultBench : Bench
     explicit FaultBench(WorkQueue::Mode mode = WorkQueue::Mode::Dedicated,
                         unsigned wq_size = 32, unsigned engines = 2)
     {
-        Platform::configureBasic(plat.dsa(0), wq_size, engines, mode);
+        DsaTopology::basic(wq_size, engines, mode).apply(plat.dsa(0));
     }
 
     void
@@ -103,6 +103,15 @@ struct BoundaryCase
     const char *name;
     Opcode op;
 };
+
+// Print a case by name. gtest's default byte dump would include the
+// string pointer, which ASLR moves on every run, so the test names
+// ctest discovers would differ from one build to the next.
+void
+PrintTo(const BoundaryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class PageBoundary : public ::testing::TestWithParam<BoundaryCase>
 {

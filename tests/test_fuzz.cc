@@ -28,7 +28,7 @@ struct FuzzBench : Bench
 {
     FuzzBench()
     {
-        Platform::configureBasic(plat.dsa(0), 32, 2);
+        DsaTopology::basic(32, 2).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

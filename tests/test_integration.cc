@@ -38,7 +38,7 @@ RunResult
 scenario(std::uint64_t seed)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 2);
+    DsaTopology::basic(32, 2).apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -99,8 +99,7 @@ TEST(Integration, RunsAreDeterministic)
 TEST(Integration, TwoProcessesShareOneSwq)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 2,
-                             WorkQueue::Mode::Shared);
+    DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -153,7 +152,7 @@ TEST(Integration, TwoProcessesShareOneSwq)
 TEST(Integration, PcmBytesMatchSubmittedWork)
 {
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0));
+    DsaTopology::basic().apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -204,7 +203,7 @@ TEST(Integration, PcmBytesMatchSubmittedWork)
 TEST(Integration, FullTable2TopologyMixedLoad)
 {
     Bench b;
-    Platform::configureFull(b.plat.dsa(0)); // 4 groups, 8 WQs, 4 PEs
+    DsaTopology::full().apply(b.plat.dsa(0)); // 4 groups, 8 WQs, 4 PEs
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -285,7 +284,7 @@ TEST(Integration, DeviceBytesNeverExceedLinkCapacityTimesTime)
     // Link conservation: the device's fabric links can never have
     // served more bytes than capacity x elapsed time.
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 4);
+    DsaTopology::basic(32, 4).apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),

@@ -50,7 +50,7 @@ TEST_P(HwSwEquivalence, SameBytesAndMetadata)
 {
     const HwSwCase &c = GetParam();
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0));
+    DsaTopology::basic().apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
@@ -183,7 +183,7 @@ TEST_P(ThroughputBounds, NeverExceedsFabric)
 {
     const std::uint64_t n = GetParam();
     Bench b;
-    Platform::configureBasic(b.plat.dsa(0), 32, 4);
+    DsaTopology::basic(32, 4).apply(b.plat.dsa(0));
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),

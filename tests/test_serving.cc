@@ -237,8 +237,7 @@ struct ServBench : Bench
 {
     ServBench()
     {
-        Platform::configureBasic(plat.dsa(0), 32, 2,
-                                 WorkQueue::Mode::Shared);
+        DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(

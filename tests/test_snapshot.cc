@@ -32,7 +32,7 @@ struct SnapBench : Bench
     SnapBench()
     {
         sim.enableStreamHash(true);
-        Platform::configureBasic(plat.dsa(0), 32, 2);
+        DsaTopology::basic(32, 2).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         ec.watchdogTimeout = fromUs(500);

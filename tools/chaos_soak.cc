@@ -212,7 +212,7 @@ soak(const Options &opt)
     for (auto &node : cfg.mem.nodes)
         node.capacityBytes = 2ull << 30;
     Platform plat(sim, cfg);
-    Platform::configureBasic(plat.dsa(0), 32, 2);
+    DsaTopology::basic(32, 2).apply(plat.dsa(0));
 
     auto fi = FaultInjector::fromSpec(opt.faults, opt.seed);
     plat.setFaultInjector(std::move(fi));
@@ -317,8 +317,7 @@ overloadSoak(const Options &opt)
     for (auto &node : cfg.mem.nodes)
         node.capacityBytes = 2ull << 30;
     Platform plat(sim, cfg);
-    Platform::configureBasic(plat.dsa(0), 32, 2,
-                             WorkQueue::Mode::Shared);
+    DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(plat.dsa(0));
 
     const std::string spec =
         opt.faultsOverridden ? opt.faults : kOverloadFaults;

@@ -154,7 +154,9 @@ DSASIM_STATS="$tsan_tele/tsan-" DSASIM_PARTITIONS=4 \
 rm -rf "$tsan_tele"
 
 echo "== Event-kernel self-benchmark =="
+# Written under the build tree: the committed BENCH_kernel.json stays
+# untouched.
 "$root/build-release/bench/bench_simhost" \
-    --kernel-json="$root/BENCH_kernel.json"
+    --kernel-json="$root/build-release/BENCH_kernel.json"
 
 echo "check.sh: all green"

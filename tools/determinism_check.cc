@@ -189,7 +189,7 @@ runScenario(const Options &opt)
     for (auto &node : cfg.mem.nodes)
         node.capacityBytes = 1ull << 30;
     Platform plat(sim, cfg);
-    Platform::configureBasic(plat.dsa(0), 32, 2);
+    DsaTopology::basic(32, 2).apply(plat.dsa(0));
 
     if (!opt.faults.empty()) {
         plat.setFaultInjector(
@@ -261,7 +261,7 @@ runForkCheck(const Options &opt)
     for (auto &node : cfg.mem.nodes)
         node.capacityBytes = 1ull << 30;
     Platform plat(sim, cfg);
-    Platform::configureBasic(plat.dsa(0), 32, 2);
+    DsaTopology::basic(32, 2).apply(plat.dsa(0));
 
     if (!opt.faults.empty()) {
         plat.setFaultInjector(
