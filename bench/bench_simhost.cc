@@ -1,10 +1,11 @@
 /**
  * @file
  * Host-side performance of the simulator itself: event-queue
- * throughput, cache-model access rate, functional operation speed,
- * and end-to-end simulated-descriptor rate. These numbers bound how
- * much simulated work the figure benches can afford; they are about
- * dsasim, not about DSA. Each is the best rate of three timed loops.
+ * throughput, cache-model access rate, functional operation speed
+ * (with the CRC arms the host selected), and end-to-end
+ * simulated-descriptor rate. These numbers bound how much simulated
+ * work the figure benches can afford; they are about dsasim, not
+ * about DSA. Each is the best rate of three timed loops.
  *
  * Usage:
  *   bench_simhost [--json=PATH]
@@ -29,6 +30,7 @@
 #include "bench/common.hh"
 #include "sim/random.hh"
 #include "ops/crc32.hh"
+#include "ops/crc32_arms.hh"
 #include "ops/delta.hh"
 
 namespace
@@ -321,6 +323,21 @@ crc32cGbps(std::size_t bytes)
            1e9;
 }
 
+/** CRC-16 T10 GB/s over 512 B DIF blocks, one call per block. */
+double
+crc16T10BlockGbps()
+{
+    const std::size_t block = 512, nblocks = 1024;
+    std::vector<std::uint8_t> buf(block * nblocks, 0x5a);
+    return bench::bestRate(static_cast<double>(buf.size()), [&] {
+               std::uint16_t acc = 0;
+               for (std::size_t b = 0; b < nblocks; ++b)
+                   acc ^= crc16T10(buf.data() + b * block, block);
+               keep(acc);
+           }) /
+           1e9;
+}
+
 /** Delta-record creation GB/s over 64 KiB with one diff per 512 B. */
 double
 deltaCreateGbps()
@@ -384,6 +401,11 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "cache_accesses_per_sec", cacheAccessRate());
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
+    gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);
+    gate.add(Gate::Info, "crc16t10_512_gbps", crc16T10BlockGbps(), 3);
+    gate.add(Gate::Info, "crc_arm",
+             std::string("crc32c=") + crc_arms::crc32cSelected().name +
+                 " crc16t10=" + crc_arms::crc16T10Selected().name);
     gate.add(Gate::Info, "delta_create_gbps", deltaCreateGbps(), 3);
     gate.add(Gate::Info, "sim_desc_per_sec", simulatedDescriptorRate());
     return gate.finish();

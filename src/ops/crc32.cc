@@ -4,14 +4,23 @@
 #include <bit>
 #include <cstring>
 
+#include "ops/crc32_arms.hh"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dsasim
 {
 
 namespace
 {
 
+constexpr std::uint32_t crc32cPoly = 0x82f63b78u; // reflected 0x1EDC6F41
+constexpr std::uint32_t crc16Poly = 0x18bb7;      // x^16 + 0x8BB7
+
 /**
- * Slice-by-8 tables for reflected CRC-32C (polynomial 0x1EDC6F41).
+ * Slice-by-8 tables for reflected CRC-32C.
  * t[0] is the classic byte-at-a-time table; t[k][b] is the CRC
  * contribution of byte b advanced through k additional zero bytes,
  * so eight input bytes can be folded with eight independent lookups
@@ -26,11 +35,10 @@ constexpr Crc32cTables
 makeCrc32cTables()
 {
     Crc32cTables T{};
-    constexpr std::uint32_t poly = 0x82f63b78u; // reflected 0x1EDC6F41
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t crc = i;
         for (int bit = 0; bit < 8; ++bit)
-            crc = (crc >> 1) ^ ((crc & 1) ? poly : 0);
+            crc = (crc >> 1) ^ ((crc & 1) ? crc32cPoly : 0);
         T.t[0][i] = crc;
     }
     for (int k = 1; k < 8; ++k)
@@ -43,7 +51,7 @@ makeCrc32cTables()
 constexpr auto crc32cT = makeCrc32cTables();
 
 /**
- * Slice-by-8 tables for the MSB-first T10-DIF CRC-16 (poly 0x8BB7).
+ * Slice-by-8 tables for the MSB-first T10-DIF CRC-16.
  * u[k][b] = the CRC state of byte b advanced through k+1 byte shifts;
  * table linearity over GF(2) lets the running CRC fold into the first
  * two byte lookups.
@@ -76,10 +84,75 @@ makeCrc16Tables()
 
 constexpr auto crc16T = makeCrc16Tables();
 
-} // namespace
+/// @name GF(2) arithmetic modulo the CRC-32C polynomial.
+/// Reflected representation: bit 31 holds the x^0 coefficient.
+/// @{
+
+/** a·b mod P. */
+constexpr std::uint32_t
+mulModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t prod = 0;
+    for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            prod ^= b;
+        b = (b >> 1) ^ ((b & 1) ? crc32cPoly : 0); // b *= x
+    }
+    return prod;
+}
+
+/** x2k[k] = x^(2^k) mod P, by repeated squaring of x. */
+constexpr auto x2k = [] {
+    std::array<std::uint32_t, 67> t{};
+    t[0] = 1u << 30; // x^1
+    for (std::size_t k = 1; k < t.size(); ++k)
+        t[k] = mulModP(t[k - 1], t[k - 1]);
+    return t;
+}();
+
+/** x^(8·n) mod P: the operator that appends n zero bytes. */
+constexpr std::uint32_t
+xPow8n(std::uint64_t n)
+{
+    std::uint32_t p = 1u << 31; // x^0
+    for (std::size_t k = 3; n != 0; n >>= 1, ++k) {
+        if (n & 1)
+            p = mulModP(p, x2k[k]);
+    }
+    return p;
+}
+
+/**
+ * crc32cShift for one fixed length as four byte-indexed tables:
+ * multiplication by a constant is linear in the state's bytes.
+ */
+struct ShiftTable
+{
+    std::uint32_t t[4][256];
+
+    std::uint32_t
+    operator()(std::uint32_t crc) const
+    {
+        return t[0][crc & 0xff] ^ t[1][(crc >> 8) & 0xff] ^
+               t[2][(crc >> 16) & 0xff] ^ t[3][crc >> 24];
+    }
+};
+
+constexpr ShiftTable
+makeShiftTable(std::uint64_t nbytes)
+{
+    const std::uint32_t op = xPow8n(nbytes);
+    ShiftTable s{};
+    for (int k = 0; k < 4; ++k)
+        for (std::uint32_t b = 0; b < 256; ++b)
+            s.t[k][b] = mulModP(op, b << (8 * k));
+    return s;
+}
+
+/// @}
 
 std::uint32_t
-crc32c(const void *data, std::size_t len, std::uint32_t seed)
+crc32cSliceBy8(const void *data, std::size_t len, std::uint32_t seed)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t crc = seed;
@@ -103,7 +176,7 @@ crc32c(const void *data, std::size_t len, std::uint32_t seed)
 }
 
 std::uint16_t
-crc16T10(const void *data, std::size_t len, std::uint16_t seed)
+crc16T10SliceBy8(const void *data, std::size_t len, std::uint16_t seed)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint16_t crc = seed;
@@ -121,6 +194,288 @@ crc16T10(const void *data, std::size_t len, std::uint16_t seed)
             (crc << 8) ^ u[0][((crc >> 8) ^ *p++) & 0xff]);
     }
     return crc;
+}
+
+#if defined(__x86_64__)
+
+/// @name SSE4.2 CRC-32C.
+/// The crc32 instruction has a latency of three cycles and a
+/// throughput of one, so three independent lanes keep it busy. Lane 0
+/// carries the running state, lanes 1 and 2 start from zero, and
+/// linearity, crc(s, A‖B) = crc32cShift(crc(s, A), |B|) ^ crc(0, B),
+/// joins them: crc = shift(shift(c0) ^ c1) ^ c2 with a table for the
+/// one fixed lane length.
+/// @{
+
+constexpr std::size_t longLane = 2048;
+constexpr std::size_t shortLane = 128;
+constexpr ShiftTable shiftLong = makeShiftTable(longLane);
+constexpr ShiftTable shiftShort = makeShiftTable(shortLane);
+
+inline std::uint64_t
+load64(const std::uint8_t *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    return w;
+}
+
+/** Consume whole 3×@p Lane blocks from the front of [p, p+len). */
+template <std::size_t Lane>
+__attribute__((target("sse4.2"))) inline std::uint32_t
+crc32cLanes(const std::uint8_t *&p, std::size_t &len, std::uint32_t crc,
+            const ShiftTable &shift)
+{
+    while (len >= 3 * Lane) {
+        std::uint64_t c0 = crc, c1 = 0, c2 = 0;
+        for (std::size_t i = 0; i < Lane; i += 8) {
+            c0 = _mm_crc32_u64(c0, load64(p + i));
+            c1 = _mm_crc32_u64(c1, load64(p + Lane + i));
+            c2 = _mm_crc32_u64(c2, load64(p + 2 * Lane + i));
+        }
+        crc = shift(shift(static_cast<std::uint32_t>(c0)) ^
+                    static_cast<std::uint32_t>(c1)) ^
+              static_cast<std::uint32_t>(c2);
+        p += 3 * Lane;
+        len -= 3 * Lane;
+    }
+    return crc;
+}
+
+__attribute__((target("sse4.2"))) std::uint32_t
+crc32cSse42(const void *data, std::size_t len, std::uint32_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint32_t crc = seed;
+    while (len > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7) != 0) {
+        crc = _mm_crc32_u8(crc, *p++);
+        --len;
+    }
+    crc = crc32cLanes<longLane>(p, len, crc, shiftLong);
+    crc = crc32cLanes<shortLane>(p, len, crc, shiftShort);
+    std::uint64_t c = crc;
+    for (; len >= 8; p += 8, len -= 8)
+        c = _mm_crc32_u64(c, load64(p));
+    crc = static_cast<std::uint32_t>(c);
+    while (len--)
+        crc = _mm_crc32_u8(crc, *p++);
+    return crc;
+}
+
+/// @}
+
+/// @name PCLMULQDQ CRC-16 T10.
+/// Byte-reversed 16-byte loads put the message's first bit at bit
+/// 127, so a register holds a 128-bit slice of the message
+/// polynomial M in clmul's own bit order. Folding A forward by D bits
+/// keeps it congruent mod P and within 128 bits:
+/// A·x^D ≡ A_hi·(x^(D+64) mod P) + A_lo·(x^D mod P). After the last
+/// fold the accumulator is ≡ the consumed prefix of M, and the table
+/// CRC of its 16 bytes is that prefix's CRC.
+/// @{
+
+/** x^n mod P for the MSB-first CRC-16 (bit i = coefficient of x^i). */
+constexpr std::uint64_t
+xPowMod16(unsigned n)
+{
+    std::uint32_t r = 1;
+    for (unsigned i = 0; i < n; ++i) {
+        r <<= 1;
+        if (r & 0x10000)
+            r ^= crc16Poly;
+    }
+    return r;
+}
+
+struct FoldConsts
+{
+    std::uint64_t hi, lo;
+};
+
+constexpr FoldConsts
+foldBy(unsigned bits)
+{
+    return {xPowMod16(bits + 64), xPowMod16(bits)};
+}
+
+constexpr FoldConsts fold512 = foldBy(512); // four accumulators
+constexpr FoldConsts fold128 = foldBy(128); // one
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i
+byteReverse(__m128i v)
+{
+    return _mm_shuffle_epi8(v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                            9, 10, 11, 12, 13, 14, 15));
+}
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i
+loadReversed(const std::uint8_t *p)
+{
+    return byteReverse(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+}
+
+/** acc·x^D mod P (unreduced, 128-bit) for k = {x^(D+64), x^D}. */
+__attribute__((target("pclmul,ssse3"))) inline __m128i
+fold(__m128i acc, __m128i k)
+{
+    return _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x11),
+                         _mm_clmulepi64_si128(acc, k, 0x00));
+}
+
+__attribute__((target("pclmul,ssse3"))) std::uint16_t
+crc16T10Pclmul(const void *data, std::size_t len, std::uint16_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    if (len < 64)
+        return crc16T10SliceBy8(p, len, seed);
+
+    const __m128i k512 = _mm_set_epi64x(
+        static_cast<long long>(fold512.hi),
+        static_cast<long long>(fold512.lo));
+    const __m128i k128 = _mm_set_epi64x(
+        static_cast<long long>(fold128.hi),
+        static_cast<long long>(fold128.lo));
+
+    // The seed enters as the top 16 bits of the first block, exactly
+    // as the table arm XORs it into the first two bytes.
+    __m128i x0 = _mm_xor_si128(
+        loadReversed(p), _mm_slli_si128(_mm_cvtsi32_si128(seed), 14));
+    __m128i x1 = loadReversed(p + 16);
+    __m128i x2 = loadReversed(p + 32);
+    __m128i x3 = loadReversed(p + 48);
+    p += 64;
+    len -= 64;
+    for (; len >= 64; p += 64, len -= 64) {
+        x0 = _mm_xor_si128(fold(x0, k512), loadReversed(p));
+        x1 = _mm_xor_si128(fold(x1, k512), loadReversed(p + 16));
+        x2 = _mm_xor_si128(fold(x2, k512), loadReversed(p + 32));
+        x3 = _mm_xor_si128(fold(x3, k512), loadReversed(p + 48));
+    }
+    __m128i acc = _mm_xor_si128(fold(x0, k128), x1);
+    acc = _mm_xor_si128(fold(acc, k128), x2);
+    acc = _mm_xor_si128(fold(acc, k128), x3);
+    for (; len >= 16; p += 16, len -= 16)
+        acc = _mm_xor_si128(fold(acc, k128), loadReversed(p));
+
+    alignas(16) std::uint8_t last[16];
+    _mm_store_si128(reinterpret_cast<__m128i *>(last), byteReverse(acc));
+    return crc16T10SliceBy8(p, len, crc16T10SliceBy8(last, 16, 0));
+}
+
+/// @}
+
+#endif // __x86_64__
+
+using crc_arms::Arm;
+using crc_arms::Crc16Fn;
+using crc_arms::Crc32cFn;
+
+/**
+ * The arms and the selected entry points, fixed on first use from
+ * cpuid. Function-local, so a call from another translation unit's
+ * static initializer still sees it built.
+ */
+struct Dispatch
+{
+#if defined(__x86_64__)
+    std::array<Arm<Crc32cFn>, 2> crc32c;
+    std::array<Arm<Crc16Fn>, 2> crc16;
+#else
+    std::array<Arm<Crc32cFn>, 1> crc32c;
+    std::array<Arm<Crc16Fn>, 1> crc16;
+#endif
+    std::size_t crc32cSel = 0;
+    std::size_t crc16Sel = 0;
+};
+
+template <typename A>
+std::size_t
+lastAvailable(const A &arms)
+{
+    std::size_t sel = 0;
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+        if (arms[i].available)
+            sel = i;
+    }
+    return sel;
+}
+
+const Dispatch &
+dispatch()
+{
+    static const Dispatch d = [] {
+#if defined(__x86_64__)
+        // cpuid may not be cached yet if this runs during static
+        // initialization, before libgcc's own constructor.
+        __builtin_cpu_init();
+        const bool sse42 = __builtin_cpu_supports("sse4.2");
+        const bool clmul = __builtin_cpu_supports("pclmul") &&
+                           __builtin_cpu_supports("ssse3");
+        Dispatch r{{{{"slice-by-8", true, crc32cSliceBy8},
+                     {"sse4.2", sse42, crc32cSse42}}},
+                   {{{"slice-by-8", true, crc16T10SliceBy8},
+                     {"pclmul", clmul, crc16T10Pclmul}}}};
+#else
+        Dispatch r{{{{"slice-by-8", true, crc32cSliceBy8}}},
+                   {{{"slice-by-8", true, crc16T10SliceBy8}}}};
+#endif
+        r.crc32cSel = lastAvailable(r.crc32c);
+        r.crc16Sel = lastAvailable(r.crc16);
+        return r;
+    }();
+    return d;
+}
+
+} // namespace
+
+namespace crc_arms
+{
+
+std::span<const Arm<Crc32cFn>>
+crc32cArms()
+{
+    return dispatch().crc32c;
+}
+
+std::span<const Arm<Crc16Fn>>
+crc16T10Arms()
+{
+    return dispatch().crc16;
+}
+
+const Arm<Crc32cFn> &
+crc32cSelected()
+{
+    const Dispatch &d = dispatch();
+    return d.crc32c[d.crc32cSel];
+}
+
+const Arm<Crc16Fn> &
+crc16T10Selected()
+{
+    const Dispatch &d = dispatch();
+    return d.crc16[d.crc16Sel];
+}
+
+} // namespace crc_arms
+
+std::uint32_t
+crc32c(const void *data, std::size_t len, std::uint32_t seed)
+{
+    return crc_arms::crc32cSelected().fn(data, len, seed);
+}
+
+std::uint16_t
+crc16T10(const void *data, std::size_t len, std::uint16_t seed)
+{
+    return crc_arms::crc16T10Selected().fn(data, len, seed);
+}
+
+std::uint32_t
+crc32cShift(std::uint32_t state, std::uint64_t nbytes)
+{
+    return mulModP(xPow8n(nbytes), state);
 }
 
 std::uint32_t

@@ -1,9 +1,17 @@
 /**
  * @file
  * CRC-32C (Castagnoli) — the checksum DSA's CRC Generation operation
- * and ISA-L's crc32_iscsi compute. Slice-by-8 table lookup with
- * word-at-a-time loads; bit-at-a-time reference implementations are
- * kept for cross-checking in the tests.
+ * and ISA-L's crc32_iscsi compute — and the CRC-16 T10-DIF guard tag.
+ *
+ * crc32c() and crc16T10() run the fastest implementation ("arm") the
+ * host supports, picked once from cpuid: on x86-64, SSE4.2 crc32
+ * over three interleaved lanes for CRC-32C and PCLMULQDQ folding for
+ * CRC-16 T10; everywhere else, and on hosts without those
+ * instructions, portable slice-by-8 tables. Every arm returns the
+ * same bits, so the choice never reaches a simulated result. The
+ * bit-at-a-time reference implementations are kept for
+ * cross-checking in the tests; ops/crc32_arms.hh exposes each arm to
+ * tests and bench_simhost.
  */
 
 #ifndef DSASIM_OPS_CRC32_HH
@@ -42,6 +50,13 @@ crc32cFull(const void *data, std::size_t len)
 }
 
 /**
+ * Advance a running crc32c state over @p nbytes zero bytes without
+ * reading any: state·x^(8·nbytes) mod P, in O(log nbytes).
+ * crc32cShift(s, n) == crc32c(zeros, n, s) exactly.
+ */
+std::uint32_t crc32cShift(std::uint32_t state, std::uint64_t nbytes);
+
+/**
  * CRC-16 T10-DIF (poly 0x8BB7, MSB-first, zero init) — the guard tag
  * of the Data Integrity Field operations.
  */
@@ -50,8 +65,8 @@ std::uint16_t crc16T10(const void *data, std::size_t len,
 
 /**
  * Bit-at-a-time reference implementations, straight from the
- * polynomial definitions. Slow; exist so tests can verify the
- * slice-by-8 fast paths against an independent formulation.
+ * polynomial definitions. Slow; exist so tests can verify every
+ * fast arm against an independent formulation.
  */
 std::uint32_t crc32cBitwise(const void *data, std::size_t len,
                             std::uint32_t seed);

@@ -12,23 +12,12 @@ namespace dsasim
 namespace
 {
 
-/** Zero source for never-written (sparse) spans. */
+/** Zero source for comparing never-written (sparse) spans. */
 constexpr std::uint64_t zeroBytes = 1ull << 16;
 alignas(64) const std::uint8_t kZeros[zeroBytes] = {};
 
 using Span = AddressSpace::Span;
 using ConstSpan = AddressSpace::ConstSpan;
-
-std::uint32_t
-zeroCrc(std::uint32_t crc, std::uint64_t len)
-{
-    while (len > 0) {
-        std::uint64_t run = std::min(len, zeroBytes);
-        crc = crc32c(kZeros, run, crc);
-        len -= run;
-    }
-    return crc;
-}
 
 /** Offset of the first differing byte, or @p n when equal. */
 std::uint64_t
@@ -71,7 +60,7 @@ spanCrc(const AddressSpace &as, Addr src, std::uint64_t len,
         std::uint32_t crc)
 {
     as.forEachConstSpan(src, len, "read", [&](ConstSpan s) {
-        crc = s.ptr ? crc32c(s.ptr, s.len, crc) : zeroCrc(crc, s.len);
+        crc = s.ptr ? crc32c(s.ptr, s.len, crc) : crc32cShift(crc, s.len);
     });
     return crc;
 }
@@ -89,7 +78,7 @@ spanCopyCrc(AddressSpace &as, Addr dst, Addr src, std::uint64_t len,
             crc = crc32c(s.ptr, s.len, crc);
             as.write(dst + off, s.ptr, s.len);
         } else {
-            crc = zeroCrc(crc, s.len);
+            crc = crc32cShift(crc, s.len);
             as.fill(dst + off, 0, s.len);
         }
         off += s.len;

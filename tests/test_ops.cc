@@ -2,16 +2,22 @@
  * @file
  * Unit tests for the data-transform primitives: CRC-32C, CRC-16 T10,
  * delta records, and DIF operations — including known-answer vectors
- * so the functional layer matches what real ISA-L / DSA compute.
+ * so the functional layer matches what real ISA-L / DSA compute, and
+ * a differential fuzz of every CRC arm against the bitwise reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstring>
+#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "ops/crc32.hh"
+#include "ops/crc32_arms.hh"
 #include "ops/delta.hh"
 #include "ops/dif.hh"
 #include "sim/random.hh"
@@ -54,90 +60,359 @@ TEST(Crc32c, ChainingMatchesOneShot)
     EXPECT_EQ(crc32cFinish(state), whole);
 }
 
+TEST(Crc32c, ShiftEqualsZeroBytes)
+{
+    // The closed-form operator is exactly the CRC of n zero bytes.
+    Rng rng(15);
+    std::vector<std::uint8_t> zeros(1 << 16, 0);
+    for (std::size_t n : {0, 1, 7, 8, 9, 255, 256, 4096, 65535, 65536}) {
+        const std::uint32_t s = rng.next32();
+        EXPECT_EQ(crc32cShift(s, n), crc32cBitwise(zeros.data(), n, s))
+            << "n=" << n;
+    }
+}
+
 TEST(Crc16T10, KnownVector)
 {
     // T10-DIF CRC of 32 zero bytes is 0 (by polynomial structure).
     std::vector<std::uint8_t> zeros(32, 0);
     EXPECT_EQ(crc16T10(zeros.data(), zeros.size()), 0u);
-    // Sanity: differs for different content and is stable.
+    // The catalogued CRC-16/T10-DIF check value.
     const char *msg = "123456789";
-    std::uint16_t c = crc16T10(msg, 9);
-    EXPECT_EQ(crc16T10(msg, 9), c);
-    EXPECT_NE(crc16T10("123456788", 9), c);
+    EXPECT_EQ(crc16T10(msg, 9), 0xd0dbu);
+    EXPECT_EQ(crc16T10Bitwise(msg, 9), 0xd0dbu);
+}
+
+/** 4 KiB of Rng(2024) bytes: long enough for every lane and fold. */
+std::vector<std::uint8_t>
+goldenBuffer()
+{
+    Rng rng(2024);
+    std::vector<std::uint8_t> buf(4096);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next32());
+    return buf;
+}
+
+/*
+ * Fixed answers for a buffer that reaches the hardware arms' lane and
+ * fold loops, so those paths are pinned independently of the bitwise
+ * reference.
+ */
+TEST(Crc32c, GoldenSeededBuffer)
+{
+    const auto buf = goldenBuffer();
+    constexpr std::uint32_t want = 0x448a31d8u;
+    EXPECT_EQ(crc32cFull(buf.data(), buf.size()), want);
+    EXPECT_EQ(crc32cFinish(crc32cBitwise(buf.data(), buf.size(),
+                                         crc32cInit)),
+              want);
+    for (const auto &arm : crc_arms::crc32cArms()) {
+        if (arm.available) {
+            EXPECT_EQ(crc32cFinish(arm.fn(buf.data(), buf.size(),
+                                          crc32cInit)),
+                      want)
+                << arm.name;
+        }
+    }
+}
+
+TEST(Crc16T10, GoldenSeededBuffer)
+{
+    const auto buf = goldenBuffer();
+    constexpr std::uint16_t want = 0xb94e;
+    EXPECT_EQ(crc16T10(buf.data(), buf.size()), want);
+    EXPECT_EQ(crc16T10Bitwise(buf.data(), buf.size()), want);
+    for (const auto &arm : crc_arms::crc16T10Arms()) {
+        if (arm.available) {
+            EXPECT_EQ(arm.fn(buf.data(), buf.size(), 0), want)
+                << arm.name;
+        }
+    }
 }
 
 /**
- * The slice-by-8 fast paths must agree with the bit-at-a-time
- * reference at every length around the 8-byte word boundary, for any
- * base-pointer alignment, and when chained mid-word.
+ * One CRC arm under test. Both polynomials go behind one 32-bit
+ * signature (the CRC-16 seed and result in the low half) so every
+ * differential test below runs unchanged over every arm.
  */
-TEST(CrcSliceBy8, MatchesBitwiseAcrossLengths)
+struct ArmCase
 {
-    Rng rng(11);
-    std::vector<std::uint8_t> data(256);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next32());
-    for (std::size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 200}) {
-        EXPECT_EQ(crc32c(data.data(), len, crc32cInit),
-                  crc32cBitwise(data.data(), len, crc32cInit))
-            << "crc32c len=" << len;
-        EXPECT_EQ(crc16T10(data.data(), len),
-                  crc16T10Bitwise(data.data(), len))
-            << "crc16 len=" << len;
+    using Fn = std::function<std::uint32_t(const void *, std::size_t,
+                                           std::uint32_t)>;
+    std::string name;
+    bool available;
+    Fn fn;
+    Fn ref;
+    std::uint32_t seedMask;
+};
+
+void
+PrintTo(const ArmCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** "crc16t10" + "slice-by-8" -> "crc16t10_slice_by_8". */
+std::string
+armCaseName(const char *crc, const char *arm)
+{
+    std::string n = std::string(crc) + "_" + arm;
+    for (char &ch : n) {
+        if (!std::isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    }
+    return n;
+}
+
+std::vector<ArmCase>
+crc32cCases()
+{
+    std::vector<ArmCase> out;
+    for (const auto &arm : crc_arms::crc32cArms())
+        out.push_back({armCaseName("crc32c", arm.name), arm.available,
+                       arm.fn, crc32cBitwise, 0xffffffffu});
+    return out;
+}
+
+std::vector<ArmCase>
+crc16Cases()
+{
+    std::vector<ArmCase> out;
+    for (const auto &arm : crc_arms::crc16T10Arms()) {
+        out.push_back(
+            {armCaseName("crc16t10", arm.name), arm.available,
+             [fn = arm.fn](const void *p, std::size_t n,
+                           std::uint32_t s) -> std::uint32_t {
+                 return fn(p, n, static_cast<std::uint16_t>(s));
+             },
+             [](const void *p, std::size_t n,
+                std::uint32_t s) -> std::uint32_t {
+                 return crc16T10Bitwise(p, n,
+                                        static_cast<std::uint16_t>(s));
+             },
+             0xffffu});
+    }
+    return out;
+}
+
+std::vector<ArmCase>
+allCases()
+{
+    std::vector<ArmCase> out = crc32cCases();
+    for (auto &c : crc16Cases())
+        out.push_back(std::move(c));
+    return out;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<ArmCase> &info)
+{
+    return info.param.name;
+}
+
+constexpr std::size_t maxLen = 1 << 20;
+
+/** 1 MiB + 64 B of random bytes, shared by every differential test. */
+const std::vector<std::uint8_t> &
+fuzzBuffer()
+{
+    static const std::vector<std::uint8_t> buf = [] {
+        Rng rng(16);
+        std::vector<std::uint8_t> b(maxLen + 64);
+        for (auto &x : b)
+            x = static_cast<std::uint8_t>(rng.next32());
+        return b;
+    }();
+    return buf;
+}
+
+/** Every arm, each checked against the bit-at-a-time reference. */
+class CrcArms : public ::testing::TestWithParam<ArmCase>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!GetParam().available)
+            GTEST_SKIP() << GetParam().name << " not supported here";
+    }
+};
+
+/**
+ * 0-200 bytes exhaustively, then every length within 16 bytes of a
+ * word, fold, lane or block boundary up to 1 MiB, at several base
+ * offsets. References come from one incremental bitwise pass.
+ */
+TEST_P(CrcArms, MatchesBitwiseAcrossLengths)
+{
+    const ArmCase &arm = GetParam();
+    std::vector<std::size_t> lens;
+    for (std::size_t n = 0; n <= 200; ++n)
+        lens.push_back(n);
+    for (std::size_t b : {8u, 16u, 64u, 128u, 384u, 512u, 768u, 2048u,
+                          4096u, 6144u, 6528u, 12288u, 65536u}) {
+        for (std::size_t n = b - 16; n <= b + 16; ++n)
+            lens.push_back(n);
+    }
+    for (std::size_t n = maxLen - 16; n <= maxLen; ++n)
+        lens.push_back(n);
+    std::sort(lens.begin(), lens.end());
+    lens.erase(std::unique(lens.begin(), lens.end()), lens.end());
+
+    Rng rng(17);
+    const auto &buf = fuzzBuffer();
+    for (std::size_t off : {0u, 1u, 3u, 7u, 8u, 13u, 63u}) {
+        const std::uint8_t *p = buf.data() + off;
+        const std::uint32_t seed = rng.next32() & arm.seedMask;
+        std::uint32_t ref = seed;
+        std::size_t done = 0;
+        for (std::size_t n : lens) {
+            ref = arm.ref(p + done, n - done, ref);
+            done = n;
+            ASSERT_EQ(arm.fn(p, n, seed), ref)
+                << arm.name << " len=" << n << " off=" << off;
+        }
     }
 }
 
-TEST(CrcSliceBy8, MatchesBitwiseUnalignedBase)
+TEST_P(CrcArms, MatchesBitwiseRandomOffsetsAndSeeds)
 {
-    Rng rng(12);
-    std::vector<std::uint8_t> data(512 + 8);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next32());
-    for (std::size_t shift = 0; shift < 8; ++shift) {
-        const std::uint8_t *p = data.data() + shift;
-        EXPECT_EQ(crc32c(p, 509, crc32cInit),
-                  crc32cBitwise(p, 509, crc32cInit))
-            << "crc32c base+" << shift;
-        EXPECT_EQ(crc16T10(p, 509), crc16T10Bitwise(p, 509))
-            << "crc16 base+" << shift;
+    const ArmCase &arm = GetParam();
+    Rng rng(18);
+    const auto &buf = fuzzBuffer();
+    for (int i = 0; i < 300; ++i) {
+        const std::size_t off = rng.below(64);
+        const std::uint32_t cap =
+            i % 30 == 0 ? maxLen : (i % 3 == 0 ? 1 << 14 : 1 << 10);
+        const std::size_t len = rng.below(cap + 1);
+        const std::uint32_t seed = rng.next32() & arm.seedMask;
+        ASSERT_EQ(arm.fn(buf.data() + off, len, seed),
+                  arm.ref(buf.data() + off, len, seed))
+            << arm.name << " len=" << len << " off=" << off;
     }
 }
 
-TEST(CrcSliceBy8, MatchesBitwiseRandomLengthsAndSeeds)
+/**
+ * A resumed operation (partial completion) continues from the
+ * returned state: chaining at random cut points must equal the
+ * one-shot result.
+ */
+TEST_P(CrcArms, ChainingSplitsAtRandomCuts)
 {
-    Rng rng(13);
-    std::vector<std::uint8_t> data(4096);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next32());
-    for (int i = 0; i < 50; ++i) {
-        std::size_t off = rng.below(64);
-        std::size_t len = rng.below(2048);
-        std::uint32_t seed32 = rng.next32();
-        std::uint16_t seed16 = static_cast<std::uint16_t>(rng.next32());
-        EXPECT_EQ(crc32c(data.data() + off, len, seed32),
-                  crc32cBitwise(data.data() + off, len, seed32));
-        EXPECT_EQ(crc16T10(data.data() + off, len, seed16),
-                  crc16T10Bitwise(data.data() + off, len, seed16));
+    const ArmCase &arm = GetParam();
+    Rng rng(19);
+    const auto &buf = fuzzBuffer();
+    for (int i = 0; i < 100; ++i) {
+        const std::size_t off = rng.below(64);
+        const std::size_t len =
+            rng.below(i % 10 == 0 ? maxLen : 1 << 15) + 1;
+        const std::uint32_t seed = rng.next32() & arm.seedMask;
+        std::vector<std::size_t> cuts = {0, len};
+        for (std::uint32_t c = rng.below(4) + 1; c > 0; --c)
+            cuts.push_back(rng.below(static_cast<std::uint32_t>(len)));
+        std::sort(cuts.begin(), cuts.end());
+
+        const std::uint8_t *p = buf.data() + off;
+        std::uint32_t state = seed;
+        for (std::size_t k = 1; k < cuts.size(); ++k)
+            state = arm.fn(p + cuts[k - 1], cuts[k] - cuts[k - 1], state);
+        ASSERT_EQ(state, arm.ref(p, len, seed))
+            << arm.name << " len=" << len << " off=" << off;
     }
 }
 
-TEST(CrcSliceBy8, ChainingSplitsMidWord)
+INSTANTIATE_TEST_SUITE_P(AllArms, CrcArms, ::testing::ValuesIn(allCases()),
+                         caseName);
+
+/**
+ * The DIF kernels over every block size, with each CRC-16 arm's guard
+ * checked against the stored tuple, and an insert / check / update
+ * that resumes mid-range advancing the reference tag exactly as the
+ * one-shot call does.
+ */
+class CrcArmsDif : public CrcArms
+{};
+
+TEST_P(CrcArmsDif, GuardsAcrossResumedBlockRanges)
 {
-    Rng rng(14);
-    std::vector<std::uint8_t> data(333);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next32());
-    // Split the buffer at an odd point: continuing from the returned
-    // state must equal the one-shot result for both polynomials.
-    for (std::size_t cut : {1u, 5u, 8u, 13u, 332u}) {
-        std::uint32_t s32 = crc32c(data.data(), cut, crc32cInit);
-        s32 = crc32c(data.data() + cut, data.size() - cut, s32);
-        EXPECT_EQ(s32, crc32cBitwise(data.data(), data.size(),
-                                     crc32cInit));
-        std::uint16_t s16 = crc16T10(data.data(), cut);
-        s16 = crc16T10(data.data() + cut, data.size() - cut, s16);
-        EXPECT_EQ(s16, crc16T10Bitwise(data.data(), data.size()));
+    const ArmCase &arm = GetParam();
+    Rng rng(20);
+    for (std::size_t block : {512u, 520u, 4096u, 4104u}) {
+        const std::size_t nblocks = 6, pblock = block + difTupleBytes;
+        std::vector<std::uint8_t> data(block * nblocks);
+        for (auto &b : data)
+            b = static_cast<std::uint8_t>(rng.next32());
+        const std::uint16_t app = 0x1234, app2 = 0x4321;
+        const std::uint32_t ref = 1000, ref2 = 77;
+
+        std::vector<std::uint8_t> whole(pblock * nblocks);
+        difInsert(data.data(), whole.data(), block, nblocks, app, ref);
+        for (std::size_t b = 0; b < nblocks; ++b) {
+            const std::uint8_t *blk = whole.data() + b * pblock;
+            const DifTuple t = difLoad(blk + block);
+            EXPECT_EQ(t.guard, arm.fn(blk, block, 0))
+                << arm.name << " block=" << block << " #" << b;
+            EXPECT_EQ(t.guard, crc16T10Bitwise(blk, block));
+            EXPECT_EQ(t.refTag, ref + b);
+        }
+
+        const std::size_t k = 1 + rng.below(nblocks - 1);
+        std::vector<std::uint8_t> resumed(whole.size());
+        difInsert(data.data(), resumed.data(), block, k, app, ref);
+        difInsert(data.data() + k * block, resumed.data() + k * pblock,
+                  block, nblocks - k, app,
+                  ref + static_cast<std::uint32_t>(k));
+        EXPECT_EQ(resumed, whole) << "block=" << block << " k=" << k;
+
+        const std::uint8_t *tail = whole.data() + k * pblock;
+        EXPECT_TRUE(difCheck(tail, block, nblocks - k, app,
+                             ref + static_cast<std::uint32_t>(k))
+                        .ok);
+        EXPECT_FALSE(difCheck(tail, block, nblocks - k, app, ref).ok);
+
+        std::vector<std::uint8_t> updated(whole.size()),
+            updatedResumed(whole.size());
+        ASSERT_TRUE(difUpdate(whole.data(), updated.data(), block,
+                              nblocks, app, ref, app2, ref2)
+                        .ok);
+        ASSERT_TRUE(difUpdate(whole.data(), updatedResumed.data(), block,
+                              k, app, ref, app2, ref2)
+                        .ok);
+        ASSERT_TRUE(difUpdate(tail, updatedResumed.data() + k * pblock,
+                              block, nblocks - k, app,
+                              ref + static_cast<std::uint32_t>(k), app2,
+                              ref2 + static_cast<std::uint32_t>(k))
+                        .ok);
+        EXPECT_EQ(updatedResumed, updated) << "block=" << block;
+        EXPECT_TRUE(
+            difCheck(updated.data(), block, nblocks, app2, ref2).ok);
     }
+}
+
+INSTANTIATE_TEST_SUITE_P(Crc16Arms, CrcArmsDif,
+                         ::testing::ValuesIn(crc16Cases()), caseName);
+
+/**
+ * A silent fall-back to slice-by-8 would keep every test above green
+ * and lose the whole speed-up; pin the selection to the host's
+ * instructions.
+ */
+TEST(CrcDispatch, PicksHardwareWhenPresent)
+{
+    std::string want32 = "slice-by-8", want16 = "slice-by-8";
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2"))
+        want32 = "sse4.2";
+    if (__builtin_cpu_supports("pclmul") &&
+        __builtin_cpu_supports("ssse3"))
+        want16 = "pclmul";
+#endif
+    EXPECT_EQ(crc_arms::crc32cSelected().name, want32);
+    EXPECT_EQ(crc_arms::crc16T10Selected().name, want16);
+    EXPECT_TRUE(crc_arms::crc32cSelected().available);
+    EXPECT_TRUE(crc_arms::crc16T10Selected().available);
 }
 
 TEST(Delta, RoundTripRandomMutations)

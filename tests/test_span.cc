@@ -15,6 +15,8 @@
 #include "mem/address_space.hh"
 #include "mem/mem_system.hh"
 #include "mem/page_table.hh"
+#include "ops/crc32.hh"
+#include "ops/span_kernels.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -331,6 +333,42 @@ TEST(Span, ContiguousWithinAndAcrossChunks)
         total += s.len;
     }
     EXPECT_EQ(total, 8ull << 20);
+}
+
+/**
+ * Never-written ranges take the closed-form CRC (crc32cShift) instead
+ * of hashing zeroes; it must equal the bitwise CRC of a zero buffer
+ * for any seed and length, and mix exactly with written spans.
+ */
+TEST(Span, SparseCrcEqualsZeroBufferCrc)
+{
+    SpanBench b;
+    const std::uint64_t maxLen = 4 << 20;
+    const Addr src = b.as.alloc(maxLen);
+    const Addr dst = b.as.alloc(maxLen);
+    const std::vector<std::uint8_t> zeros(maxLen, 0);
+    Rng rng(31);
+    const std::uint64_t lens[] = {0,     1,     4095, 65536,
+                                  65537, (1 << 21) + 3, maxLen};
+    for (std::uint64_t len : lens) {
+        const std::uint32_t seed = rng.next32();
+        const std::uint32_t want =
+            crc32cBitwise(zeros.data(), len, seed);
+        EXPECT_EQ(spanCrc(b.as, src, len, seed), want) << "len=" << len;
+        EXPECT_EQ(spanCopyCrc(b.as, dst, src, len, seed), want)
+            << "len=" << len;
+    }
+    std::vector<std::uint8_t> back(maxLen, 0xff);
+    b.as.read(dst, back.data(), maxLen);
+    EXPECT_EQ(back, zeros);
+
+    // A written island inside the sparse range.
+    std::vector<std::uint8_t> img(maxLen, 0);
+    for (std::uint64_t i = 0; i < 300; ++i)
+        img[(1 << 20) + 7 + i] = static_cast<std::uint8_t>(rng.next32());
+    b.as.write(src + (1 << 20) + 7, img.data() + (1 << 20) + 7, 300);
+    EXPECT_EQ(spanCrc(b.as, src, maxLen, crc32cInit),
+              crc32cBitwise(img.data(), maxLen, crc32cInit));
 }
 
 } // namespace
