@@ -1,7 +1,8 @@
 /**
  * @file
  * Host-side performance of the simulator itself: event-queue
- * throughput, cache-model access rate, functional operation speed
+ * throughput, cache-model access rate, LLC directory build and
+ * snapshot-restore time, functional operation speed
  * (with the CRC arms the host selected), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
  * work the figure benches can afford; they are about dsasim, not
@@ -312,6 +313,31 @@ cacheAccessRate()
     });
 }
 
+/** Host ms to construct and destroy one SPR 105 MB LLC directory. */
+double
+llcBuildMs()
+{
+    return 1e3 / bench::bestRate(1, [] {
+               CacheModel c{CacheModel::Config{}};
+               keep(c.numSets());
+           });
+}
+
+/** Host ms to restore a 10%-occupied snapshot of the SPR LLC. */
+double
+llcRestoreMs()
+{
+    CacheModel c{CacheModel::Config{}};
+    const std::uint64_t lines = c.sizeBytes() / 64 / 10;
+    for (std::uint64_t i = 0; i < lines; ++i)
+        c.cpuAccess(i * 64, static_cast<int>(i % 8), i % 2 == 0);
+    const CacheModel::State st = c.saveState();
+    return 1e3 / bench::bestRate(1, [&] {
+               c.restoreState(st);
+               keep(c.totalOccupancyBytes());
+           });
+}
+
 /** CRC32C GB/s over a @p bytes buffer. */
 double
 crc32cGbps(std::size_t bytes)
@@ -399,6 +425,8 @@ main(int argc, char **argv)
     }
     gate.add(Gate::Info, "event_queue_events_per_sec", eventQueueRate());
     gate.add(Gate::Info, "cache_accesses_per_sec", cacheAccessRate());
+    gate.add(Gate::Info, "llc_build_ms", llcBuildMs(), 3);
+    gate.add(Gate::Info, "llc_restore_ms", llcRestoreMs(), 3);
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
     gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);

@@ -1,6 +1,5 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <string_view>
@@ -39,40 +38,32 @@ CacheModel::CacheModel(const Config &cfg)
     std::uint64_t line_count = cfg.sizeBytes / cacheLineSize;
     sets = static_cast<unsigned>(line_count / cfg.ways);
     fatal_if(sets == 0, "LLC too small for %u ways", cfg.ways);
-    lines.resize(static_cast<std::size_t>(sets) * cfg.ways);
+    // Left unwritten: a way is read only while its mask bit is set.
+    dir = std::make_unique_for_overwrite<Way[]>(
+        static_cast<std::size_t>(sets) * cfg.ways);
     setMeta.resize(sets);
 }
 
-CacheModel::Line *
-CacheModel::find(Addr pa)
+std::uint64_t
+CacheModel::nextUse()
 {
-    std::uint64_t tag = tagOf(pa);
-    Line *set = &lines[setIndex(pa) * config.ways];
-    for (unsigned w = 0; w < config.ways; ++w) {
-        if (lineValid(set[w]) && set[w].tag == tag)
-            return &set[w];
-    }
-    return nullptr;
+    panic_if(useClock + 1 >= kUseLimit,
+             "LLC use clock exhausted its %u-bit way field",
+             64 - kOwnerBits);
+    return ++useClock;
 }
 
-const CacheModel::Line *
-CacheModel::findConst(Addr pa) const
+unsigned
+CacheModel::findWay(std::size_t set, std::uint64_t mask,
+                    std::uint64_t tag) const
 {
-    std::uint64_t tag = tagOf(pa);
-    const Line *set = &lines[setIndex(pa) * config.ways];
-    for (unsigned w = 0; w < config.ways; ++w) {
-        if (lineValid(set[w]) && set[w].tag == tag)
-            return &set[w];
+    const Way *s = &dir[set * config.ways];
+    for (std::uint64_t m = mask; m; m &= m - 1) {
+        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
+        if (wayTag(s[w]) == tag)
+            return w;
     }
-    return nullptr;
-}
-
-CacheModel::Line &
-CacheModel::victim(Addr pa, unsigned way_lo, unsigned way_hi)
-{
-    std::size_t set = static_cast<std::size_t>(setIndex(pa));
-    return victimInSet(&lines[set * config.ways], maskFor(set),
-                       way_lo, way_hi);
+    return kNoWay;
 }
 
 /**
@@ -82,88 +73,84 @@ CacheModel::victim(Addr pa, unsigned way_lo, unsigned way_hi)
  * the device-churned partition. With no free way, evict the LRU line
  * (use-clock values are unique, so the minimum is unambiguous).
  */
-CacheModel::Line &
-CacheModel::victimInSet(Line *set, std::uint64_t mask,
-                        unsigned way_lo, unsigned way_hi)
+unsigned
+CacheModel::victimInSet(std::size_t set, std::uint64_t mask,
+                        unsigned way_lo, unsigned way_hi) const
 {
     const std::uint64_t hi_mask =
         way_hi >= 64 ? ~0ull : (1ull << way_hi) - 1;
     const std::uint64_t range = hi_mask & ~((1ull << way_lo) - 1);
-    if (std::uint64_t free = ~mask & range) {
-        unsigned w = 63 - static_cast<unsigned>(
-            std::countl_zero(free));
-        // Stale-epoch reclaim goes through dropLine so the occupancy
-        // gauges and presence mask can never drift out of sync with
-        // the directory.
-        dropLine(set[w]);
-        return set[w];
-    }
-    Line *best = &set[way_lo];
+    if (std::uint64_t free = ~mask & range)
+        return 63 - static_cast<unsigned>(std::countl_zero(free));
+    const Way *s = &dir[set * config.ways];
+    unsigned best = way_lo;
     for (unsigned i = way_lo + 1; i < way_hi; ++i) {
-        if (set[i].lastUse < best->lastUse)
-            best = &set[i];
+        if (s[i].useOwner < s[best].useOwner)
+            best = i;
     }
-    return *best;
+    return best;
+}
+
+std::uint64_t &
+CacheModel::ownerCount(int owner)
+{
+    panic_if(owner < 0 || static_cast<std::uint64_t>(owner) > kOwnerMask,
+             "LLC owner %d outside the %u-bit way field", owner,
+             kOwnerBits);
+    const auto o = static_cast<std::size_t>(owner);
+    if (o >= ownerLines.size())
+        ownerLines.resize(o + 1);
+    return ownerLines[o];
 }
 
 void
-CacheModel::dropLine(Line &line)
+CacheModel::uncountOwner(int owner)
 {
-    if (!line.valid)
-        return;
-    // A raw-valid line from a pre-invalidateAll epoch was already
-    // removed from the gauges (and its set mask) by the epoch bump;
-    // only clear the valid bit so the way reads as free.
-    const bool counted = line.epoch == flushEpoch;
-    line.valid = false;
-    if (!counted)
-        return;
-    const std::size_t idx =
-        static_cast<std::size_t>(&line - lines.data());
-    maskFor(idx / config.ways) &=
-        ~(1ull << (idx % config.ways));
+    std::uint64_t &n = ownerLines[static_cast<std::size_t>(owner)];
+    panic_if(n == 0, "owner occupancy underflow (owner=%d)", owner);
+    --n;
+}
+
+void
+CacheModel::dropWay(std::size_t set, unsigned way)
+{
+    maskFor(set) &= ~(1ull << way);
     --validLines;
-    auto it = ownerLines.find(line.owner);
-    panic_if(it == ownerLines.end() || it->second == 0,
-             "owner occupancy underflow (owner=%d)", line.owner);
-    --it->second;
+    uncountOwner(wayOwner(wayAt(set, way)));
 }
 
 void
-CacheModel::installLine(Line &line, Addr pa, int owner, bool dirty,
-                        AccessResult &result)
+CacheModel::installWay(std::size_t set, unsigned way, std::uint64_t tag,
+                       int owner, bool dirty, AccessResult &result)
 {
-    if (line.valid) {
-        result.evictedOther = line.owner != owner;
-        result.evictedDirty = line.dirty;
-        result.evictedPa = line.tag << 6;
-        dropLine(line);
+    Way &w = wayAt(set, way);
+    if (maskOf(set) & (1ull << way)) {
+        result.evictedOther = wayOwner(w) != owner;
+        result.evictedDirty = wayDirty(w);
+        result.evictedPa = wayTag(w) << 6;
+        dropWay(set, way);
     }
-    line.valid = true;
-    line.epoch = flushEpoch;
-    line.dirty = dirty;
-    line.tag = tagOf(pa);
-    line.owner = owner;
-    line.lastUse = ++useClock;
-    const std::size_t idx =
-        static_cast<std::size_t>(&line - lines.data());
-    maskFor(idx / config.ways) |= 1ull << (idx % config.ways);
+    ++ownerCount(owner);
+    w.tagDirty = tag | (dirty ? kDirtyBit : 0);
+    w.useOwner = nextUse() << kOwnerBits |
+                 static_cast<std::uint64_t>(owner);
+    maskFor(set) |= 1ull << way;
     ++validLines;
-    ++ownerLines[owner];
     result.allocated = true;
 }
 
 void
-CacheModel::retagOwner(Line &l, int owner)
+CacheModel::retagOwner(std::size_t set, unsigned way, int owner)
 {
     // Occupancy follows the most recent toucher, as CMT's RMID
     // accounting effectively does for shared lines.
-    if (l.owner != owner) {
-        auto it = ownerLines.find(l.owner);
-        if (it != ownerLines.end() && it->second > 0)
-            --it->second;
-        l.owner = owner;
-        ++ownerLines[owner];
+    Way &w = wayAt(set, way);
+    const int old = wayOwner(w);
+    if (old != owner) {
+        ++ownerCount(owner);
+        uncountOwner(old);
+        w.useOwner = (w.useOwner & ~kOwnerMask) |
+                     static_cast<std::uint64_t>(owner);
     }
 }
 
@@ -171,16 +158,22 @@ CacheModel::AccessResult
 CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
 {
     AccessResult result;
-    if (Line *l = find(pa)) {
+    const std::size_t set = setIndex(pa);
+    const std::uint64_t mask = maskOf(set);
+    const unsigned way = findWay(set, mask, tagOf(pa));
+    if (way != kNoWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
-        l->dirty = l->dirty || is_write;
-        retagOwner(*l, owner);
+        Way &w = wayAt(set, way);
+        touchWay(w);
+        if (is_write)
+            w.tagDirty |= kDirtyBit;
+        retagOwner(set, way, owner);
         return result;
     }
     missBytesTally += cacheLineSize;
-    installLine(victim(pa, 0, config.ways), pa, owner, is_write, result);
+    installWay(set, victimInSet(set, mask, 0, config.ways), tagOf(pa),
+               owner, is_write, result);
     if (result.evictedDirty)
         writebackBytesTally += cacheLineSize;
     return result;
@@ -190,10 +183,12 @@ CacheModel::AccessResult
 CacheModel::deviceRead(Addr pa)
 {
     AccessResult result;
-    if (Line *l = find(pa)) {
+    const std::size_t set = setIndex(pa);
+    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
+    if (way != kNoWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
+        touchWay(wayAt(set, way));
     } else {
         missBytesTally += cacheLineSize;
     }
@@ -204,25 +199,29 @@ CacheModel::AccessResult
 CacheModel::deviceWrite(Addr pa, int owner, bool alloc_hint)
 {
     AccessResult result;
+    const std::size_t set = setIndex(pa);
+    const std::uint64_t mask = maskOf(set);
+    const unsigned way = findWay(set, mask, tagOf(pa));
     if (!alloc_hint) {
         // Non-allocating write: update memory, invalidate any copy.
-        if (Line *l = find(pa)) {
-            dropLine(*l);
-        }
+        if (way != kNoWay)
+            dropWay(set, way);
         return result;
     }
-    if (Line *l = find(pa)) {
+    if (way != kNoWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
-        l->dirty = true;
-        retagOwner(*l, owner);
+        Way &w = wayAt(set, way);
+        touchWay(w);
+        w.tagDirty |= kDirtyBit;
+        retagOwner(set, way, owner);
         return result;
     }
     // DDIO-style allocating write: restricted to the DDIO ways.
     missBytesTally += cacheLineSize;
     unsigned hi = config.ddioWays > 0 ? config.ddioWays : config.ways;
-    installLine(victim(pa, 0, hi), pa, owner, true, result);
+    installWay(set, victimInSet(set, mask, 0, hi), tagOf(pa), owner,
+               true, result);
     if (result.evictedDirty)
         writebackBytesTally += cacheLineSize;
     return result;
@@ -248,20 +247,13 @@ CacheModel::probeSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        bool hit = false;
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    l.lastUse = ++useClock;
-                    hit = true;
-                    break;
-                }
-            }
+        const unsigned way = findWay(set, maskOf(set), tag);
+        if (way != kNoWay) {
+            touchWay(wayAt(set, way));
+            r.hitBytes += cacheLineSize;
+        } else {
+            r.missBytes += cacheLineSize;
         }
-        (hit ? r.hitBytes : r.missBytes) += cacheLineSize;
         if (++set == sets)
             set = 0;
     }
@@ -297,26 +289,19 @@ CacheModel::fillSpan(Addr pa, std::uint64_t size, int owner)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        Line *s = &lines[set * config.ways];
-        Line *hit = nullptr;
-        for (std::uint64_t m = mask; m; m &= m - 1) {
-            Line &l = s[std::countr_zero(m)];
-            if (l.tag == tag) {
-                hit = &l;
-                break;
-            }
-        }
-        if (hit) {
+        const std::uint64_t mask = maskOf(set);
+        const unsigned way = findWay(set, mask, tag);
+        if (way != kNoWay) {
             r.hitBytes += cacheLineSize;
-            hit->lastUse = ++useClock;
-            hit->dirty = true;
-            retagOwner(*hit, owner);
+            Way &w = wayAt(set, way);
+            touchWay(w);
+            w.tagDirty |= kDirtyBit;
+            retagOwner(set, way, owner);
         } else {
             r.missBytes += cacheLineSize;
             AccessResult res;
-            installLine(victimInSet(s, mask, 0, hi), tag << 6, owner,
-                        true, res);
+            installWay(set, victimInSet(set, mask, 0, hi), tag, owner,
+                       true, res);
             if (res.evictedDirty) {
                 r.writebackBytes += cacheLineSize;
                 r.lastEvictedPa = res.evictedPa;
@@ -347,17 +332,9 @@ CacheModel::evictSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    dropLine(l);
-                    break;
-                }
-            }
-        }
+        const unsigned way = findWay(set, maskOf(set), tag);
+        if (way != kNoWay)
+            dropWay(set, way);
         if (++set == sets)
             set = 0;
     }
@@ -382,18 +359,11 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    if (l.dirty)
-                        r.writebackBytes += cacheLineSize;
-                    dropLine(l);
-                    break;
-                }
-            }
+        const unsigned way = findWay(set, maskOf(set), tag);
+        if (way != kNoWay) {
+            if (wayDirty(wayAt(set, way)))
+                r.writebackBytes += cacheLineSize;
+            dropWay(set, way);
         }
         if (++set == sets)
             set = 0;
@@ -405,27 +375,31 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
 bool
 CacheModel::probe(Addr pa) const
 {
-    return findConst(pa) != nullptr;
+    const std::size_t set = setIndex(pa);
+    return findWay(set, maskOf(set), tagOf(pa)) != kNoWay;
 }
 
 void
 CacheModel::invalidate(Addr pa)
 {
-    if (Line *l = find(pa))
-        dropLine(*l);
+    const std::size_t set = setIndex(pa);
+    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
+    if (way != kNoWay)
+        dropWay(set, way);
 }
 
 bool
 CacheModel::flushLine(Addr pa)
 {
-    if (Line *l = find(pa)) {
-        bool was_dirty = l->dirty;
-        if (was_dirty)
-            writebackBytesTally += cacheLineSize;
-        dropLine(*l);
-        return was_dirty;
-    }
-    return false;
+    const std::size_t set = setIndex(pa);
+    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
+    if (way == kNoWay)
+        return false;
+    const bool was_dirty = wayDirty(wayAt(set, way));
+    if (was_dirty)
+        writebackBytesTally += cacheLineSize;
+    dropWay(set, way);
+    return was_dirty;
 }
 
 void
@@ -437,8 +411,7 @@ CacheModel::flushRange(Addr addr, std::uint64_t size)
 void
 CacheModel::invalidateAll()
 {
-    // Epoch bump: every line's epoch — and every set's presence
-    // mask — goes stale in O(1).
+    // Epoch bump: every set's presence mask goes stale in O(1).
     ++flushEpoch;
     validLines = 0;
     ownerLines.clear();
@@ -453,9 +426,16 @@ CacheModel::saveState() const
     st.missBytes = missBytesTally;
     st.writebackBytes = writebackBytesTally;
     st.validLines.reserve(validLines);
-    for (std::uint64_t i = 0; i < lines.size(); ++i) {
-        if (lineValid(lines[i]))
-            st.validLines.emplace_back(i, lines[i]);
+    for (std::size_t set = 0; set < sets; ++set) {
+        for (std::uint64_t m = maskOf(set); m; m &= m - 1) {
+            const unsigned way =
+                static_cast<unsigned>(std::countr_zero(m));
+            const Way &w = dir[set * config.ways + way];
+            st.validLines.emplace_back(
+                set * config.ways + way,
+                Line{wayTag(w), w.useOwner >> kOwnerBits, wayOwner(w),
+                     wayDirty(w)});
+        }
     }
     return st;
 }
@@ -463,26 +443,31 @@ CacheModel::saveState() const
 void
 CacheModel::restoreState(const State &st)
 {
-    std::fill(lines.begin(), lines.end(), Line{});
-    std::fill(setMeta.begin(), setMeta.end(), SetMeta{});
+    panic_if(st.useClock >= kUseLimit,
+             "CacheModel::restoreState: use clock %llu exceeds the "
+             "way field",
+             static_cast<unsigned long long>(st.useClock));
+    // A new epoch empties every set without touching it; each
+    // restored way rewrites its set's mask under that epoch.
+    ++flushEpoch;
     ownerLines.clear();
-    flushEpoch = 0;
     useClock = st.useClock;
     hitBytesTally = st.hitBytes;
     missBytesTally = st.missBytes;
     writebackBytesTally = st.writebackBytes;
     validLines = st.validLines.size();
+    const std::uint64_t capacity =
+        static_cast<std::uint64_t>(sets) * config.ways;
     for (const auto &[idx, saved] : st.validLines) {
-        panic_if(idx >= lines.size(),
+        panic_if(idx >= capacity,
                  "CacheModel::restoreState: line index %llu out of "
                  "range — geometry mismatch with snapshot",
                  static_cast<unsigned long long>(idx));
-        Line &l = lines[idx];
-        l = saved;
-        l.epoch = flushEpoch;
-        setMeta[idx / config.ways].mask |=
-            1ull << (idx % config.ways);
-        ++ownerLines[l.owner];
+        ++ownerCount(saved.owner);
+        dir[idx] = Way{saved.tag | (saved.dirty ? kDirtyBit : 0),
+                       saved.lastUse << kOwnerBits |
+                           static_cast<std::uint64_t>(saved.owner)};
+        maskFor(idx / config.ways) |= 1ull << (idx % config.ways);
     }
 }
 

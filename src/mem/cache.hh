@@ -30,7 +30,7 @@
 #define DSASIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "mem/types.hh"
@@ -161,10 +161,10 @@ class CacheModel
     std::uint64_t
     occupancyBytes(int owner) const
     {
-        auto it = ownerLines.find(owner);
-        return it == ownerLines.end()
-            ? 0
-            : it->second * cacheLineSize;
+        const auto o = static_cast<std::size_t>(owner);
+        return owner >= 0 && o < ownerLines.size()
+            ? ownerLines[o] * cacheLineSize
+            : 0;
     }
 
     /** Bytes currently valid across all owners. */
@@ -197,24 +197,23 @@ class CacheModel
     }
     /// @}
 
-    /** Directory line; public only for Checkpointable::State. */
+    /** A present line as a snapshot records it (Checkpointable::State). */
     struct Line
     {
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        std::uint64_t epoch = 0;
         int owner = 0;
-        bool valid = false;
         bool dirty = false;
     };
 
     /**
-     * Checkpointable (sim/checkpoint.hh): the currently-valid lines,
-     * stored sparsely as (way index, line) pairs — O(occupied), not
-     * O(capacity) — plus the LRU use clock they are ordered by.
-     * Epoch-stale lines restore as free ways, which victim() treats
-     * identically to stale-epoch lines, so replacement decisions are
-     * unchanged. Occupancy accounting is rebuilt from the lines.
+     * Checkpointable (sim/checkpoint.hh): the present lines, stored
+     * sparsely as (way index, line) pairs in ascending way order —
+     * O(occupied), not O(capacity) — plus the LRU use clock they are
+     * ordered by. A way absent from the snapshot restores as free,
+     * exactly as it reads when its presence-mask bit is clear, so
+     * replacement decisions are unchanged. Occupancy accounting is
+     * rebuilt from the lines.
      */
     struct State
     {
@@ -226,18 +225,40 @@ class CacheModel
     };
 
     State saveState() const;
+
+    /** O(occupied): ways outside the snapshot are never written. */
     void restoreState(const State &st);
 
   private:
+    /**
+     * One directory way, 16 bytes: `tag | dirty << 63` and
+     * `lastUse << 16 | owner`. The storage is never zeroed: a way is
+     * read only while its presence-mask bit is set, and installWay()
+     * and restoreState() write it before setting the bit. Use-clock
+     * values are unique, so comparing whole second words picks the
+     * LRU way.
+     */
+    struct Way
+    {
+        std::uint64_t tagDirty;
+        std::uint64_t useOwner;
+    };
+
+    static constexpr std::uint64_t kDirtyBit = 1ull << 63;
+    static constexpr unsigned kOwnerBits = 16;
+    static constexpr std::uint64_t kOwnerMask = (1ull << kOwnerBits) - 1;
+    /** First use-clock value that no longer packs above the owner. */
+    static constexpr std::uint64_t kUseLimit = 1ull << (64 - kOwnerBits);
+    /** findWay() result when the tag is not present. */
+    static constexpr unsigned kNoWay = ~0u;
 
     /**
-     * Per-set presence bitmask (bit w <=> lineValid(set line w)),
-     * versioned by the same flush epoch as the lines so
-     * invalidateAll() stays O(1). A stale-epoch mask means the set
-     * holds no valid lines (any install refreshes the mask first),
-     * so normalization just zeroes it. The masks let the span walk
-     * visit only the occupied ways of a set — and skip empty sets
-     * with one load — instead of scanning all ways per line.
+     * Per-set presence bitmask — the only truth about which ways hold
+     * a line (bit w set <=> way w is present) — versioned by a flush
+     * epoch so invalidateAll() and restoreState() never touch the
+     * sets they empty. A stale-epoch mask means the set holds no
+     * lines. The masks let every walk visit only the occupied ways
+     * of a set and skip empty sets with one load.
      */
     struct SetMeta
     {
@@ -245,11 +266,12 @@ class CacheModel
         std::uint64_t epoch = 0;
     };
 
-    /** Valid under the current flush epoch (invalidateAll is O(1)). */
-    bool
-    lineValid(const Line &l) const
+    /** The set's presence mask under the current epoch. */
+    std::uint64_t
+    maskOf(std::size_t set) const
     {
-        return l.valid && l.epoch == flushEpoch;
+        const SetMeta &m = setMeta[set];
+        return m.epoch == flushEpoch ? m.mask : 0;
     }
 
     /** The set's presence mask, normalized to the current epoch. */
@@ -264,28 +286,64 @@ class CacheModel
         return m.mask;
     }
 
-    Line *find(Addr pa);
-    const Line *findConst(Addr pa) const;
-    /** Pick the LRU way in [way_lo, way_hi) of the set holding pa. */
-    Line &victim(Addr pa, unsigned way_lo, unsigned way_hi);
-    /** Same choice as victim(), given the set base and its mask. */
-    Line &victimInSet(Line *set, std::uint64_t mask, unsigned way_lo,
-                      unsigned way_hi);
-    void installLine(Line &line, Addr pa, int owner, bool dirty,
-                     AccessResult &result);
-    void dropLine(Line &line);
-    /** Move a hit line's occupancy to its most recent toucher. */
-    void retagOwner(Line &l, int owner);
+    Way &
+    wayAt(std::size_t set, unsigned way)
+    {
+        return dir[set * config.ways + way];
+    }
 
-    std::uint64_t setIndex(Addr pa) const { return (pa >> 6) % sets; }
+    static std::uint64_t
+    wayTag(const Way &w)
+    {
+        return w.tagDirty & ~kDirtyBit;
+    }
+
+    static bool wayDirty(const Way &w) { return w.tagDirty & kDirtyBit; }
+
+    static int
+    wayOwner(const Way &w)
+    {
+        return static_cast<int>(w.useOwner & kOwnerMask);
+    }
+
+    /** The next LRU clock value, checked against the packing limit. */
+    std::uint64_t nextUse();
+
+    /** LRU-touch a present way, keeping its owner. */
+    void
+    touchWay(Way &w)
+    {
+        w.useOwner = nextUse() << kOwnerBits | (w.useOwner & kOwnerMask);
+    }
+
+    /** The present way of @p set holding @p tag, else kNoWay. */
+    unsigned findWay(std::size_t set, std::uint64_t mask,
+                     std::uint64_t tag) const;
+    /** Pick the way in [way_lo, way_hi) to install into. */
+    unsigned victimInSet(std::size_t set, std::uint64_t mask,
+                         unsigned way_lo, unsigned way_hi) const;
+    void installWay(std::size_t set, unsigned way, std::uint64_t tag,
+                    int owner, bool dirty, AccessResult &result);
+    void dropWay(std::size_t set, unsigned way);
+    /** Move a hit way's occupancy to its most recent toucher. */
+    void retagOwner(std::size_t set, unsigned way, int owner);
+
+    std::uint64_t &ownerCount(int owner);
+    void uncountOwner(int owner);
+
+    std::size_t
+    setIndex(Addr pa) const
+    {
+        return static_cast<std::size_t>((pa >> 6) % sets);
+    }
     std::uint64_t tagOf(Addr pa) const { return pa >> 6; }
 
     Config config;
     unsigned sets;
     AcctMode mode;
-    std::vector<Line> lines; // sets * ways, row-major by set
+    std::unique_ptr<Way[]> dir; // sets * ways, row-major by set
     std::vector<SetMeta> setMeta;
-    std::unordered_map<int, std::uint64_t> ownerLines;
+    std::vector<std::uint64_t> ownerLines; // present lines by owner
     std::uint64_t validLines = 0;
     std::uint64_t useClock = 0;
     std::uint64_t flushEpoch = 0;

@@ -6,12 +6,15 @@
  * occupancy gauges and returned aggregates — to the line-at-a-time
  * oracle kept behind `DSASIM_CACHE_ACCT=line`. Also covers the
  * closed-form per-set span geometry (set wrap, start-offset
- * corrections) and the stale-epoch victim reclaim gauge regression.
+ * corrections), the stale-epoch victim reclaim gauge regression,
+ * O(occupied) restore into a churned model, and the way-packing
+ * guards.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -71,8 +74,18 @@ expectSameState(const CacheModel &a, const CacheModel &b)
         EXPECT_EQ(la.dirty, lb.dirty);
     }
     EXPECT_EQ(a.totalOccupancyBytes(), b.totalOccupancyBytes());
-    for (int owner = 0; owner < 8; ++owner)
-        EXPECT_EQ(a.occupancyBytes(owner), b.occupancyBytes(owner));
+    // Core ids and the device owners (1000 + device id).
+    for (int owner = 0; owner < 1100; ++owner)
+        EXPECT_EQ(a.occupancyBytes(owner), b.occupancyBytes(owner))
+            << "owner " << owner;
+}
+
+/** Owners the fuzz draws: cores 0-3 and devices 1000-1001. */
+int
+drawOwner(Rng &rng)
+{
+    int v = static_cast<int>(rng.range(0, 6));
+    return v < 4 ? v : 1000 + (v - 4);
 }
 
 TEST(CacheAcct, DefaultModeIsBatched)
@@ -171,9 +184,9 @@ TEST(CacheAcct, EvictSpanDropsDirtyLinesSilently)
     }
 }
 
-// Satellite regression: victim()'s stale-epoch free-way reclaim must
-// route through dropLine so validLines/ownerLines can never drift
-// across invalidateAll epochs.
+// A way outside the current epoch's presence mask is free, whatever
+// it held before invalidateAll: installing there is not an eviction,
+// and the occupancy gauges stay exact across epochs.
 TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
 {
     for (Acct mode : {Acct::Batched, Acct::Line}) {
@@ -188,7 +201,8 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
         c.invalidateAll();
         ASSERT_EQ(c.totalOccupancyBytes(), 0u);
         ASSERT_EQ(c.occupancyBytes(7), 0u);
-        // Every install now reclaims a raw-valid stale way.
+        // Every install now lands in a way that held a line before
+        // the epoch bump.
         for (unsigned s = 0; s < 8; ++s) {
             auto res = c.deviceWrite(s * cacheLineSize, 3, true);
             EXPECT_TRUE(res.allocated);
@@ -201,7 +215,7 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
         EXPECT_EQ(c.occupancyBytes(3),
                   8 * std::uint64_t{cacheLineSize});
         EXPECT_EQ(c.occupancyBytes(7), 0u);
-        // CPU path reclaims stale ways too; then real LRU evictions
+        // CPU path reuses pre-epoch ways too; then real LRU evictions
         // at full occupancy keep the gauges balanced.
         for (unsigned s = 0; s < 8; ++s)
             for (unsigned w = 0; w < 6; ++w)
@@ -211,10 +225,150 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
                   8 * 4 * std::uint64_t{cacheLineSize});
         EXPECT_EQ(c.occupancyBytes(5) + c.occupancyBytes(3),
                   c.totalOccupancyBytes());
-        // Stale lines never appear in a checkpoint.
-        for (const auto &[idx, line] : c.saveState().validLines)
-            EXPECT_TRUE(line.valid);
+        // Stale lines never appear in a checkpoint: it holds exactly
+        // the counted lines, each present in its own set.
+        CacheModel::State st = c.saveState();
+        EXPECT_EQ(st.validLines.size() * cacheLineSize,
+                  c.totalOccupancyBytes());
+        for (const auto &[idx, line] : st.validLines) {
+            EXPECT_EQ(idx / c.numWays(), line.tag % c.numSets());
+            EXPECT_TRUE(c.probe(line.tag * cacheLineSize));
+        }
     }
+}
+
+/**
+ * Drive @p c with a seeded mix of CPU, DDIO, probe and flush ops and
+ * return every op's outcome, so two models can be compared op by op.
+ */
+std::vector<std::uint64_t>
+driveOps(CacheModel &c, std::uint32_t seed, std::uint64_t window)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> out;
+    for (int op = 0; op < 3000; ++op) {
+        Addr pa = rng.range(0, window);
+        int owner = drawOwner(rng);
+        switch (rng.range(0, 4)) {
+          case 0: {
+            auto r = c.cpuAccess(lineAlignDown(pa), owner, true);
+            out.insert(out.end(), {r.hit, r.evictedDirty,
+                                   r.evictedOther, r.evictedPa});
+            break;
+          }
+          case 1: {
+            auto r = c.fillSpan(pa, 5 * cacheLineSize, owner);
+            out.insert(out.end(), {r.hitBytes, r.writebackBytes,
+                                   r.lastEvictedPa});
+            break;
+          }
+          case 2:
+            out.push_back(c.probeSpan(pa, 9 * cacheLineSize).hitBytes);
+            break;
+          case 3:
+            out.push_back(c.flushLine(lineAlignDown(pa)));
+            break;
+        }
+    }
+    return out;
+}
+
+// restoreState empties the directory with an epoch bump and writes
+// only the snapshot's ways, so restoring into a model churned across
+// several invalidateAll epochs must behave exactly like restoring
+// into a fresh one — and like the model the snapshot was taken from —
+// for every later op, not just the snapshot.
+TEST(CacheAcct, RestoreIntoChurnedModelMatchesFresh)
+{
+    const CacheModel::Config cfg = smallCfg(32, 15, 2);
+    CacheModel source(cfg), churned(cfg), fresh(cfg);
+    const std::uint64_t window = 3 * cfg.sizeBytes;
+    Rng rng(11);
+    // Roughly 10% occupancy in the snapshot, owners of both kinds.
+    for (int i = 0; i < 48; ++i)
+        source.cpuAccess(lineAlignDown(rng.range(0, window)),
+                         drawOwner(rng), rng.range(0, 2) == 0);
+    source.fillSpan(rng.range(0, window), 8 * cacheLineSize, 1000);
+    const CacheModel::State snap = source.saveState();
+    ASSERT_FALSE(snap.validLines.empty());
+
+    for (int epoch = 0; epoch < 4; ++epoch) {
+        for (int i = 0; i < 600; ++i)
+            churned.cpuAccess(lineAlignDown(rng.range(0, window)),
+                              drawOwner(rng), true);
+        churned.fillSpan(rng.range(0, window), 40 * cacheLineSize,
+                         1001);
+        churned.invalidateAll();
+    }
+    for (int i = 0; i < 600; ++i)
+        churned.cpuAccess(lineAlignDown(rng.range(0, window)),
+                          drawOwner(rng), true);
+
+    churned.restoreState(snap);
+    fresh.restoreState(snap);
+    expectSameState(churned, fresh);
+    expectSameState(churned, source);
+
+    const auto want = driveOps(source, 5, window);
+    EXPECT_EQ(driveOps(churned, 5, window), want);
+    EXPECT_EQ(driveOps(fresh, 5, window), want);
+    expectSameState(churned, source);
+    expectSameState(fresh, source);
+}
+
+// Victims are the least recently used way, whoever owns it: the owner
+// bits packed below the use clock never reorder the LRU scan.
+TEST(CacheAcct, LruVictimIgnoresOwnerBits)
+{
+    CacheModel c(smallCfg(1, 4, 0));
+    const Addr a = 0, b = 64, cc = 128, d = 192;
+    c.cpuAccess(a, 0xffff);
+    c.cpuAccess(b, 0);
+    c.cpuAccess(cc, 0);
+    c.cpuAccess(d, 7);
+    EXPECT_TRUE(c.cpuAccess(a, 3).hit); // CPU touch, new owner
+    EXPECT_TRUE(c.deviceRead(b).hit);   // device touch, owner kept
+    auto r = c.cpuAccess(256, 0, true);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(c.probe(cc));
+    r = c.cpuAccess(320, 0xffff);
+    EXPECT_EQ(r.evictedOther, true);
+    EXPECT_FALSE(c.probe(d));
+    EXPECT_TRUE(c.probe(a));
+    EXPECT_TRUE(c.probe(b));
+    // The dirty line installed above is now the LRU after a, b.
+    c.cpuAccess(a, 1);
+    c.cpuAccess(b, 1);
+    r = c.cpuAccess(384, 1);
+    EXPECT_TRUE(r.evictedDirty);
+    EXPECT_EQ(r.evictedPa, 256u);
+}
+
+// The two packing limits of a 16-byte way: owners live in 16 bits,
+// LRU clock values in the 48 above them.
+TEST(CacheAcctDeathTest, OwnerOutsideWayFieldIsFatal)
+{
+    CacheModel c(smallCfg(8, 4, 2));
+    c.cpuAccess(0, 0xffff); // the largest owner that packs
+    EXPECT_DEATH(c.cpuAccess(cacheLineSize, 0x10000), "owner");
+    EXPECT_DEATH(c.cpuAccess(cacheLineSize, -1), "owner");
+    EXPECT_DEATH(c.fillSpan(cacheLineSize, cacheLineSize, 0x10000),
+                 "owner");
+    // A hit retags the line to its new owner: same guard.
+    EXPECT_DEATH(c.cpuAccess(0, 0x10000), "owner");
+}
+
+TEST(CacheAcctDeathTest, UseClockAtPackingLimitIsFatal)
+{
+    CacheModel c(smallCfg(8, 4, 2));
+    CacheModel::State st;
+    st.useClock = (1ull << 48) - 2;
+    c.restoreState(st);
+    c.cpuAccess(0, 1); // takes the last clock value that packs
+    EXPECT_DEATH(c.cpuAccess(0, 1), "use clock");
+    EXPECT_DEATH(c.deviceRead(0), "use clock");
+    st.useClock = 1ull << 48;
+    EXPECT_DEATH(c.restoreState(st), "use clock");
 }
 
 // The oracle contract: randomized span/scalar op sequences leave the
@@ -241,10 +395,28 @@ differentialFuzz(std::uint32_t seed, CacheModel::Config cfg)
         EXPECT_EQ(a.lastEvictedPa, b.lastEvictedPa);
     };
 
+    // Fixed mid-sequence schedule: a snapshot taken at op 1000 is
+    // restored at op 3000, after an invalidateAll epoch (op 2000) and
+    // a round trip (op 2500), so restore lands in a churned model.
+    std::optional<CacheModel::State> snapBatched, snapOracle;
     for (int op = 0; op < 4000; ++op) {
+        if (op == 1000) {
+            snapBatched = batched.saveState();
+            snapOracle = oracle.saveState();
+        } else if (op == 2000) {
+            batched.invalidateAll();
+            oracle.invalidateAll();
+        } else if (op == 2500) {
+            batched.restoreState(batched.saveState());
+            oracle.restoreState(oracle.saveState());
+        } else if (op == 3000) {
+            batched.restoreState(*snapBatched);
+            oracle.restoreState(*snapOracle);
+            expectSameState(batched, oracle);
+        }
         Addr pa = rng.range(0, window);
         std::uint64_t size = rng.range(1, max_span);
-        int owner = static_cast<int>(rng.range(0, 4));
+        int owner = drawOwner(rng);
         switch (rng.range(0, 10)) {
           case 0:
           case 1: {
