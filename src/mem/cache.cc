@@ -1,32 +1,13 @@
 #include "mem/cache.hh"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 
 #include "sim/logging.hh"
 
 namespace dsasim
 {
-namespace
-{
 
-CacheModel::AcctMode
-acctModeFromEnv()
-{
-    const char *v = std::getenv("DSASIM_CACHE_ACCT");
-    if (!v || v[0] == '\0' || std::string_view(v) == "batched")
-        return CacheModel::AcctMode::Batched;
-    fatal_if(std::string_view(v) != "line",
-             "DSASIM_CACHE_ACCT must be 'batched' or 'line' (got "
-             "'%s')", v);
-    return CacheModel::AcctMode::Line;
-}
-
-} // namespace
-
-CacheModel::CacheModel(const Config &cfg)
-    : config(cfg), mode(acctModeFromEnv())
+CacheModel::CacheModel(const Config &cfg) : config(cfg)
 {
     fatal_if(cfg.ways == 0, "LLC must have at least one way");
     fatal_if(cfg.ways > 64,
@@ -125,7 +106,6 @@ CacheModel::installWay(std::size_t set, unsigned way, std::uint64_t tag,
 {
     Way &w = wayAt(set, way);
     if (maskOf(set) & (1ull << way)) {
-        result.evictedOther = wayOwner(w) != owner;
         result.evictedDirty = wayDirty(w);
         result.evictedPa = wayTag(w) << 6;
         dropWay(set, way);
@@ -136,7 +116,6 @@ CacheModel::installWay(std::size_t set, unsigned way, std::uint64_t tag,
                  static_cast<std::uint64_t>(owner);
     maskFor(set) |= 1ull << way;
     ++validLines;
-    result.allocated = true;
 }
 
 void
@@ -179,70 +158,12 @@ CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
     return result;
 }
 
-CacheModel::AccessResult
-CacheModel::deviceRead(Addr pa)
-{
-    AccessResult result;
-    const std::size_t set = setIndex(pa);
-    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
-    if (way != kNoWay) {
-        result.hit = true;
-        hitBytesTally += cacheLineSize;
-        touchWay(wayAt(set, way));
-    } else {
-        missBytesTally += cacheLineSize;
-    }
-    return result;
-}
-
-CacheModel::AccessResult
-CacheModel::deviceWrite(Addr pa, int owner, bool alloc_hint)
-{
-    AccessResult result;
-    const std::size_t set = setIndex(pa);
-    const std::uint64_t mask = maskOf(set);
-    const unsigned way = findWay(set, mask, tagOf(pa));
-    if (!alloc_hint) {
-        // Non-allocating write: update memory, invalidate any copy.
-        if (way != kNoWay)
-            dropWay(set, way);
-        return result;
-    }
-    if (way != kNoWay) {
-        result.hit = true;
-        hitBytesTally += cacheLineSize;
-        Way &w = wayAt(set, way);
-        touchWay(w);
-        w.tagDirty |= kDirtyBit;
-        retagOwner(set, way, owner);
-        return result;
-    }
-    // DDIO-style allocating write: restricted to the DDIO ways.
-    missBytesTally += cacheLineSize;
-    unsigned hi = config.ddioWays > 0 ? config.ddioWays : config.ways;
-    installWay(set, victimInSet(set, mask, 0, hi), tagOf(pa), owner,
-               true, result);
-    if (result.evictedDirty)
-        writebackBytesTally += cacheLineSize;
-    return result;
-}
-
 CacheModel::SpanResult
 CacheModel::probeSpan(Addr pa, std::uint64_t size)
 {
     SpanResult r;
     if (size == 0)
         return r;
-    if (mode == AcctMode::Line) {
-        for (Addr a = lineAlignDown(pa); a < lineAlignUp(pa + size);
-             a += cacheLineSize) {
-            if (deviceRead(a).hit)
-                r.hitBytes += cacheLineSize;
-            else
-                r.missBytes += cacheLineSize;
-        }
-        return r;
-    }
     const std::uint64_t n = linesCovered(pa, size);
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
@@ -268,21 +189,6 @@ CacheModel::fillSpan(Addr pa, std::uint64_t size, int owner)
     SpanResult r;
     if (size == 0)
         return r;
-    if (mode == AcctMode::Line) {
-        for (Addr a = lineAlignDown(pa); a < lineAlignUp(pa + size);
-             a += cacheLineSize) {
-            AccessResult res = deviceWrite(a, owner, true);
-            if (res.hit)
-                r.hitBytes += cacheLineSize;
-            else
-                r.missBytes += cacheLineSize;
-            if (res.evictedDirty) {
-                r.writebackBytes += cacheLineSize;
-                r.lastEvictedPa = res.evictedPa;
-            }
-        }
-        return r;
-    }
     const unsigned hi =
         config.ddioWays > 0 ? config.ddioWays : config.ways;
     const std::uint64_t n = linesCovered(pa, size);
@@ -322,12 +228,6 @@ CacheModel::evictSpan(Addr pa, std::uint64_t size)
     SpanResult r;
     if (size == 0)
         return r;
-    if (mode == AcctMode::Line) {
-        for (Addr a = lineAlignDown(pa); a < lineAlignUp(pa + size);
-             a += cacheLineSize)
-            invalidate(a);
-        return r;
-    }
     const std::uint64_t n = linesCovered(pa, size);
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
@@ -347,14 +247,6 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
     SpanResult r;
     if (size == 0)
         return r;
-    if (mode == AcctMode::Line) {
-        for (Addr a = lineAlignDown(pa); a < lineAlignUp(pa + size);
-             a += cacheLineSize) {
-            if (flushLine(a))
-                r.writebackBytes += cacheLineSize;
-        }
-        return r;
-    }
     const std::uint64_t n = linesCovered(pa, size);
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
@@ -386,26 +278,6 @@ CacheModel::invalidate(Addr pa)
     const unsigned way = findWay(set, maskOf(set), tagOf(pa));
     if (way != kNoWay)
         dropWay(set, way);
-}
-
-bool
-CacheModel::flushLine(Addr pa)
-{
-    const std::size_t set = setIndex(pa);
-    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
-    if (way == kNoWay)
-        return false;
-    const bool was_dirty = wayDirty(wayAt(set, way));
-    if (was_dirty)
-        writebackBytesTally += cacheLineSize;
-    dropWay(set, way);
-    return was_dirty;
-}
-
-void
-CacheModel::flushRange(Addr addr, std::uint64_t size)
-{
-    evictSpan(addr, size);
 }
 
 void

@@ -14,16 +14,15 @@
  * This single rule produces both the cache-pollution immunity
  * (Fig. 12/13) and the "leaky DMA" throughput cliff (Fig. 10).
  *
- * Device-side streaming traffic uses the span API (probeSpan /
- * fillSpan / evictSpan / flushSpan): one call covers every line a
- * physically contiguous run touches and returns aggregate byte
- * counts, so the engine timing walk charges per chunk instead of per
- * line. The batched implementation is tick-equivalent by
- * construction to the line-at-a-time scalar ops — it walks the same
- * lines in the same (ascending-address) order, makes the identical
- * victim choice per set, and assigns the same LRU clock values — and
- * the scalar loop stays alive behind `DSASIM_CACHE_ACCT=line` as the
- * oracle a differential harness checks it against (DESIGN.md §13).
+ * Device-side traffic uses the span API (probeSpan / fillSpan /
+ * evictSpan / flushSpan): one call covers every line a physically
+ * contiguous run touches, in ascending address order, and returns
+ * aggregate byte counts, so the engine timing walk charges per chunk
+ * instead of per line. CPU demand accesses stay line-granular
+ * (cpuAccess). The test-only ReferenceCache (tests/reference_cache.hh)
+ * is an independent, naive implementation of the same rules; a
+ * differential fuzz pins this model against it state for state
+ * (DESIGN.md §13).
  */
 
 #ifndef DSASIM_MEM_CACHE_HH
@@ -53,9 +52,6 @@ class CacheModel
     struct AccessResult
     {
         bool hit = false;
-        bool allocated = false;
-        /** A valid line belonging to another owner was evicted. */
-        bool evictedOther = false;
         /**
          * The evicted victim was dirty: the caller owes a writeback
          * to memory (the "leaky DMA" traffic of Fig. 10).
@@ -67,8 +63,7 @@ class CacheModel
 
     /**
      * Aggregate outcome of a span operation over the lines covering
-     * [pa, pa+size) — exactly the sums the engine walk used to
-     * accumulate line by line.
+     * [pa, pa+size).
      */
     struct SpanResult
     {
@@ -82,23 +77,11 @@ class CacheModel
         Addr lastEvictedPa = 0;
     };
 
-    /**
-     * Accounting implementation. Batched is the default; Line keeps
-     * the original line-at-a-time loops as the equivalence oracle.
-     * Selected at construction from `DSASIM_CACHE_ACCT`
-     * (unset/"batched" -> Batched, "line" -> Line) and overridable
-     * per instance for differential tests.
-     */
-    enum class AcctMode { Batched, Line };
-
     explicit CacheModel(const Config &cfg);
 
     unsigned numWays() const { return config.ways; }
     unsigned numSets() const { return sets; }
     std::uint64_t sizeBytes() const { return config.sizeBytes; }
-
-    AcctMode acctMode() const { return mode; }
-    void setAcctMode(AcctMode m) { mode = m; }
 
     /**
      * CPU load/store. Allocates on miss (any way). @p owner feeds the
@@ -106,36 +89,34 @@ class CacheModel
      */
     AccessResult cpuAccess(Addr pa, int owner, bool is_write = false);
 
-    /** Device read: hits are served from LLC; misses do not allocate. */
-    AccessResult deviceRead(Addr pa);
-
-    /**
-     * Device write. With @p alloc_hint (cache-control flag = 1) the
-     * line allocates within the DDIO ways; otherwise any present copy
-     * is invalidated and the write targets memory.
-     */
-    AccessResult deviceWrite(Addr pa, int owner, bool alloc_hint);
-
     /// @name Span operations (device-side streaming, DESIGN.md §13).
-    /// Each covers every line overlapping [pa, pa+size) in ascending
-    /// address order and is state-identical to the matching scalar
-    /// op applied per line.
+    /// Each visits every line overlapping [pa, pa+size) once, in
+    /// ascending address order; a zero size touches nothing.
     /// @{
 
-    /** Device read classification: deviceRead() per line. */
+    /**
+     * Device read: each present line is a hit and is LRU-touched
+     * (owner kept); absent lines are misses and never allocate.
+     */
     SpanResult probeSpan(Addr pa, std::uint64_t size);
 
-    /** DDIO allocating write: deviceWrite(alloc_hint=true) per line. */
+    /**
+     * DDIO allocating write (cache-control flag = 1): a present line
+     * is LRU-touched, marked dirty and moves to @p owner; an absent
+     * line installs dirty within the first `ddioWays` ways of its set
+     * (any way when ddioWays == 0). Dirty victims are reported in
+     * writebackBytes / lastEvictedPa.
+     */
     SpanResult fillSpan(Addr pa, std::uint64_t size, int owner);
 
     /**
-     * Non-allocating device write: invalidates any present copies
-     * (deviceWrite(alloc_hint=false) per line). Dropped dirty copies
-     * are not reported — the device write itself updates memory.
+     * Non-allocating device write: invalidates any present copies.
+     * Dropped dirty copies are not reported — the device write
+     * itself updates memory.
      */
     SpanResult evictSpan(Addr pa, std::uint64_t size);
 
-    /** clflush: flushLine() per line, dirty bytes in writebackBytes. */
+    /** clflush: drops present lines, dirty bytes in writebackBytes. */
     SpanResult flushSpan(Addr pa, std::uint64_t size);
     /// @}
 
@@ -144,15 +125,6 @@ class CacheModel
 
     /** Invalidate the line holding @p pa, if present. */
     void invalidate(Addr pa);
-
-    /**
-     * clflush-style invalidate: returns true when the line was
-     * present *and dirty* (the caller owes a memory writeback).
-     */
-    bool flushLine(Addr pa);
-
-    /** Invalidate every line overlapping [addr, addr+size). */
-    void flushRange(Addr addr, std::uint64_t size);
 
     /** Drop every valid line (test scaffolding between iterations). */
     void invalidateAll();
@@ -183,10 +155,9 @@ class CacheModel
     }
 
     /// @name Cumulative traffic tallies (telemetry, DESIGN.md §15).
-    /// Identical in Batched and Line accounting modes: scalar ops
-    /// tally themselves, batched span bodies tally their aggregate
-    /// result (the Line-mode span loops route through the scalar
-    /// ops). MemSystem exposes these as llc.* registry counters.
+    /// cpuAccess, probeSpan and fillSpan count hit and miss bytes;
+    /// dirty victims and dirty flushed lines count writeback bytes.
+    /// MemSystem exposes these as llc.* registry counters.
     /// @{
     std::uint64_t hitBytesTotal() const { return hitBytesTally; }
     std::uint64_t missBytesTotal() const { return missBytesTally; }
@@ -322,6 +293,7 @@ class CacheModel
     /** Pick the way in [way_lo, way_hi) to install into. */
     unsigned victimInSet(std::size_t set, std::uint64_t mask,
                          unsigned way_lo, unsigned way_hi) const;
+    /** Install @p tag into @p way, reporting a dirty victim. */
     void installWay(std::size_t set, unsigned way, std::uint64_t tag,
                     int owner, bool dirty, AccessResult &result);
     void dropWay(std::size_t set, unsigned way);
@@ -340,7 +312,6 @@ class CacheModel
 
     Config config;
     unsigned sets;
-    AcctMode mode;
     std::unique_ptr<Way[]> dir; // sets * ways, row-major by set
     std::vector<SetMeta> setMeta;
     std::vector<std::uint64_t> ownerLines; // present lines by owner

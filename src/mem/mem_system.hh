@@ -8,13 +8,11 @@
  * devices route all functional data movement and all bandwidth /
  * latency accounting through this class.
  *
- * Cache accounting granularity: device-side bulk traffic should go
- * through the CacheModel span operations (probeSpan / fillSpan /
- * evictSpan / flushSpan, DESIGN.md §13) rather than per-line scalar
- * calls — the span walk is closed-form over the sets a run touches
- * and is tick-identical to the line-at-a-time oracle kept behind
- * DSASIM_CACHE_ACCT=line. Per-line scalar access stays correct (the
- * CPU-side pointer-chase probes depend on it) but is the slow path.
+ * Cache accounting granularity: device-side traffic goes through the
+ * CacheModel span operations (probeSpan / fillSpan / evictSpan /
+ * flushSpan, DESIGN.md §13), one call per physically contiguous run.
+ * CPU demand accesses stay line-granular (cpuAccess): the CPU-side
+ * pointer-chase probes age the LRU stack one access at a time.
  */
 
 #ifndef DSASIM_MEM_MEM_SYSTEM_HH

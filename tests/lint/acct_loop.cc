@@ -1,6 +1,6 @@
 // Fixture: acct-loop rule. Note-level, so the exit stays 0 even
 // with a live diagnostic. Linted as if at src/apps/acct_loop.cc --
-// inside src/, outside the mem/cache.* exemption.
+// inside src/, where the rule applies.
 
 using Addr = unsigned long long;
 constexpr Addr cacheLineSize = 64;

@@ -1,31 +1,31 @@
 /**
  * @file
- * Differential tests for the batched span-granular cache accounting
- * (DESIGN.md §13): the batched implementation must be
- * state-identical — per-line directory contents, LRU clock values,
- * occupancy gauges and returned aggregates — to the line-at-a-time
- * oracle kept behind `DSASIM_CACHE_ACCT=line`. Also covers the
- * closed-form per-set span geometry (set wrap, start-offset
- * corrections), the stale-epoch victim reclaim gauge regression,
- * O(occupied) restore into a churned model, and the way-packing
- * guards.
+ * Differential tests for the span-granular cache accounting
+ * (DESIGN.md §13): CacheModel must be state-identical — per-line
+ * directory contents, LRU clock values, occupancy gauges, traffic
+ * tallies and returned aggregates — to ReferenceCache
+ * (tests/reference_cache.hh), a naive model that shares nothing with
+ * it but Config and State. Fuzzed at three small geometries and at
+ * the platform's own SPR directory. Also covers the closed-form
+ * per-set span geometry (set wrap, start-offset corrections), the
+ * stale-epoch victim reclaim gauge regression, O(occupied) restore
+ * into a churned model, and the way-packing guards.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "sim/random.hh"
+#include "tests/reference_cache.hh"
 
 namespace dsasim
 {
 namespace
 {
-
-using Acct = CacheModel::AcctMode;
 
 CacheModel::Config
 smallCfg(unsigned sets, unsigned ways, unsigned ddio)
@@ -57,12 +57,17 @@ residentPerSet(const CacheModel &c)
     return per;
 }
 
+/** @p b is another CacheModel or the ReferenceCache. */
+template <class Model>
 void
-expectSameState(const CacheModel &a, const CacheModel &b)
+expectSameState(const CacheModel &a, const Model &b)
 {
     CacheModel::State sa = a.saveState();
     CacheModel::State sb = b.saveState();
     ASSERT_EQ(sa.useClock, sb.useClock);
+    EXPECT_EQ(sa.hitBytes, sb.hitBytes);
+    EXPECT_EQ(sa.missBytes, sb.missBytes);
+    EXPECT_EQ(sa.writebackBytes, sb.writebackBytes);
     ASSERT_EQ(sa.validLines.size(), sb.validLines.size());
     for (std::size_t i = 0; i < sa.validLines.size(); ++i) {
         const auto &[ia, la] = sa.validLines[i];
@@ -88,14 +93,6 @@ drawOwner(Rng &rng)
     return v < 4 ? v : 1000 + (v - 4);
 }
 
-TEST(CacheAcct, DefaultModeIsBatched)
-{
-    if (std::getenv("DSASIM_CACHE_ACCT"))
-        GTEST_SKIP() << "mode pinned by environment";
-    CacheModel c(smallCfg(64, 4, 2));
-    EXPECT_EQ(c.acctMode(), Acct::Batched);
-}
-
 // Span geometry: a contiguous span touches each set floor(n/sets) or
 // ceil(n/sets) times, offset from the starting set. ways are sized so
 // every touched line installs, making per-set occupancy the count.
@@ -115,7 +112,6 @@ TEST(CacheAcct, SpanSetDistributionGolden)
     };
     for (const Case &tc : cases) {
         CacheModel c(smallCfg(sets, ways, 0));
-        c.setAcctMode(Acct::Batched);
         Addr pa = tc.start_line * cacheLineSize;
         CacheModel::SpanResult r =
             c.fillSpan(pa, tc.n * cacheLineSize, 1);
@@ -138,50 +134,42 @@ TEST(CacheAcct, SpanSetDistributionGolden)
 // partial head/tail lines count exactly once.
 TEST(CacheAcct, StartOffsetCorrection)
 {
-    for (Acct mode : {Acct::Batched, Acct::Line}) {
-        CacheModel c(smallCfg(64, 4, 2));
-        c.setAcctMode(mode);
-        // Bytes [100, 130) straddle lines 1 and 2.
-        CacheModel::SpanResult r = c.probeSpan(100, 30);
-        EXPECT_EQ(r.missBytes, 2 * cacheLineSize);
-        EXPECT_EQ(r.hitBytes, 0u);
-        // One byte, mid-line: exactly one line.
-        r = c.fillSpan(999, 1, 0);
-        EXPECT_EQ(r.missBytes, 1 * cacheLineSize);
-        EXPECT_TRUE(c.probe(lineAlignDown(999)));
-        // Aligned end: no phantom tail line.
-        r = c.probeSpan(0, 2 * cacheLineSize);
-        EXPECT_EQ(r.hitBytes + r.missBytes, 2 * cacheLineSize);
-    }
+    CacheModel c(smallCfg(64, 4, 2));
+    // Bytes [100, 130) straddle lines 1 and 2.
+    CacheModel::SpanResult r = c.probeSpan(100, 30);
+    EXPECT_EQ(r.missBytes, 2 * cacheLineSize);
+    EXPECT_EQ(r.hitBytes, 0u);
+    // One byte, mid-line: exactly one line.
+    r = c.fillSpan(999, 1, 0);
+    EXPECT_EQ(r.missBytes, 1 * cacheLineSize);
+    EXPECT_TRUE(c.probe(lineAlignDown(999)));
+    // Aligned end: no phantom tail line.
+    r = c.probeSpan(0, 2 * cacheLineSize);
+    EXPECT_EQ(r.hitBytes + r.missBytes, 2 * cacheLineSize);
 }
 
 TEST(CacheAcct, FlushSpanReportsDirtyWritebacks)
 {
-    for (Acct mode : {Acct::Batched, Acct::Line}) {
-        CacheModel c(smallCfg(64, 4, 2));
-        c.setAcctMode(mode);
-        c.fillSpan(0, 10 * cacheLineSize, 1); // dirty DDIO fills
-        CacheModel::SpanResult r = c.flushSpan(0, 10 * cacheLineSize);
-        EXPECT_EQ(r.writebackBytes, 10 * cacheLineSize);
-        EXPECT_EQ(c.totalOccupancyBytes(), 0u);
-        // Second flush: nothing present, nothing owed.
-        r = c.flushSpan(0, 10 * cacheLineSize);
-        EXPECT_EQ(r.writebackBytes, 0u);
-    }
+    CacheModel c(smallCfg(64, 4, 2));
+    c.fillSpan(0, 10 * cacheLineSize, 1); // dirty DDIO fills
+    CacheModel::SpanResult r = c.flushSpan(0, 10 * cacheLineSize);
+    EXPECT_EQ(r.writebackBytes, 10 * cacheLineSize);
+    EXPECT_EQ(c.totalOccupancyBytes(), 0u);
+    // Second flush: nothing present, nothing owed.
+    r = c.flushSpan(0, 10 * cacheLineSize);
+    EXPECT_EQ(r.writebackBytes, 0u);
 }
 
 TEST(CacheAcct, EvictSpanDropsDirtyLinesSilently)
 {
-    for (Acct mode : {Acct::Batched, Acct::Line}) {
-        CacheModel c(smallCfg(64, 4, 2));
-        c.setAcctMode(mode);
-        c.fillSpan(0, 6 * cacheLineSize, 1);
-        CacheModel::SpanResult r = c.evictSpan(0, 6 * cacheLineSize);
-        // The device write updates memory itself: dropped dirty
-        // copies owe no writeback (matches deviceWrite !alloc_hint).
-        EXPECT_EQ(r.writebackBytes, 0u);
-        EXPECT_EQ(c.totalOccupancyBytes(), 0u);
-    }
+    CacheModel c(smallCfg(64, 4, 2));
+    c.fillSpan(0, 6 * cacheLineSize, 1);
+    CacheModel::SpanResult r = c.evictSpan(0, 6 * cacheLineSize);
+    // The device write updates memory itself: dropped dirty copies
+    // owe no writeback.
+    EXPECT_EQ(r.writebackBytes, 0u);
+    EXPECT_EQ(c.totalOccupancyBytes(), 0u);
+    EXPECT_EQ(c.writebackBytesTotal(), 0u);
 }
 
 // A way outside the current epoch's presence mask is free, whatever
@@ -189,51 +177,44 @@ TEST(CacheAcct, EvictSpanDropsDirtyLinesSilently)
 // and the occupancy gauges stay exact across epochs.
 TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
 {
-    for (Acct mode : {Acct::Batched, Acct::Line}) {
-        CacheModel c(smallCfg(8, 4, 2));
-        c.setAcctMode(mode);
-        // Fill every way of every set with dirty CPU lines.
-        for (unsigned s = 0; s < 8; ++s)
-            for (unsigned w = 0; w < 4; ++w)
-                c.cpuAccess((s + w * 8ull) * cacheLineSize, 7, true);
-        ASSERT_EQ(c.totalOccupancyBytes(),
-                  8 * 4 * std::uint64_t{cacheLineSize});
-        c.invalidateAll();
-        ASSERT_EQ(c.totalOccupancyBytes(), 0u);
-        ASSERT_EQ(c.occupancyBytes(7), 0u);
-        // Every install now lands in a way that held a line before
-        // the epoch bump.
-        for (unsigned s = 0; s < 8; ++s) {
-            auto res = c.deviceWrite(s * cacheLineSize, 3, true);
-            EXPECT_TRUE(res.allocated);
-            // The stale victim is free space, not an eviction.
-            EXPECT_FALSE(res.evictedDirty);
-            EXPECT_FALSE(res.evictedOther);
-        }
-        EXPECT_EQ(c.totalOccupancyBytes(),
-                  8 * std::uint64_t{cacheLineSize});
-        EXPECT_EQ(c.occupancyBytes(3),
-                  8 * std::uint64_t{cacheLineSize});
-        EXPECT_EQ(c.occupancyBytes(7), 0u);
-        // CPU path reuses pre-epoch ways too; then real LRU evictions
-        // at full occupancy keep the gauges balanced.
-        for (unsigned s = 0; s < 8; ++s)
-            for (unsigned w = 0; w < 6; ++w)
-                c.cpuAccess((s + (w + 1) * 8ull) * cacheLineSize, 5,
-                            true);
-        EXPECT_EQ(c.totalOccupancyBytes(),
-                  8 * 4 * std::uint64_t{cacheLineSize});
-        EXPECT_EQ(c.occupancyBytes(5) + c.occupancyBytes(3),
-                  c.totalOccupancyBytes());
-        // Stale lines never appear in a checkpoint: it holds exactly
-        // the counted lines, each present in its own set.
-        CacheModel::State st = c.saveState();
-        EXPECT_EQ(st.validLines.size() * cacheLineSize,
-                  c.totalOccupancyBytes());
-        for (const auto &[idx, line] : st.validLines) {
-            EXPECT_EQ(idx / c.numWays(), line.tag % c.numSets());
-            EXPECT_TRUE(c.probe(line.tag * cacheLineSize));
-        }
+    CacheModel c(smallCfg(8, 4, 2));
+    // Fill every way of every set with dirty CPU lines.
+    for (unsigned s = 0; s < 8; ++s)
+        for (unsigned w = 0; w < 4; ++w)
+            c.cpuAccess((s + w * 8ull) * cacheLineSize, 7, true);
+    ASSERT_EQ(c.totalOccupancyBytes(),
+              8 * 4 * std::uint64_t{cacheLineSize});
+    c.invalidateAll();
+    ASSERT_EQ(c.totalOccupancyBytes(), 0u);
+    ASSERT_EQ(c.occupancyBytes(7), 0u);
+    // Every install now lands in a way that held a line before the
+    // epoch bump.
+    for (unsigned s = 0; s < 8; ++s) {
+        auto res = c.fillSpan(s * cacheLineSize, cacheLineSize, 3);
+        EXPECT_EQ(res.missBytes, cacheLineSize);
+        // The stale victim is free space, not an eviction.
+        EXPECT_EQ(res.writebackBytes, 0u);
+    }
+    EXPECT_EQ(c.totalOccupancyBytes(), 8 * std::uint64_t{cacheLineSize});
+    EXPECT_EQ(c.occupancyBytes(3), 8 * std::uint64_t{cacheLineSize});
+    EXPECT_EQ(c.occupancyBytes(7), 0u);
+    // CPU path reuses pre-epoch ways too; then real LRU evictions at
+    // full occupancy keep the gauges balanced.
+    for (unsigned s = 0; s < 8; ++s)
+        for (unsigned w = 0; w < 6; ++w)
+            c.cpuAccess((s + (w + 1) * 8ull) * cacheLineSize, 5, true);
+    EXPECT_EQ(c.totalOccupancyBytes(),
+              8 * 4 * std::uint64_t{cacheLineSize});
+    EXPECT_EQ(c.occupancyBytes(5) + c.occupancyBytes(3),
+              c.totalOccupancyBytes());
+    // Stale lines never appear in a checkpoint: it holds exactly the
+    // counted lines, each present in its own set.
+    CacheModel::State st = c.saveState();
+    EXPECT_EQ(st.validLines.size() * cacheLineSize,
+              c.totalOccupancyBytes());
+    for (const auto &[idx, line] : st.validLines) {
+        EXPECT_EQ(idx / c.numWays(), line.tag % c.numSets());
+        EXPECT_TRUE(c.probe(line.tag * cacheLineSize));
     }
 }
 
@@ -252,8 +233,7 @@ driveOps(CacheModel &c, std::uint32_t seed, std::uint64_t window)
         switch (rng.range(0, 4)) {
           case 0: {
             auto r = c.cpuAccess(lineAlignDown(pa), owner, true);
-            out.insert(out.end(), {r.hit, r.evictedDirty,
-                                   r.evictedOther, r.evictedPa});
+            out.insert(out.end(), {r.hit, r.evictedDirty, r.evictedPa});
             break;
           }
           case 1: {
@@ -266,7 +246,9 @@ driveOps(CacheModel &c, std::uint32_t seed, std::uint64_t window)
             out.push_back(c.probeSpan(pa, 9 * cacheLineSize).hitBytes);
             break;
           case 3:
-            out.push_back(c.flushLine(lineAlignDown(pa)));
+            out.push_back(
+                c.flushSpan(lineAlignDown(pa), cacheLineSize)
+                    .writebackBytes);
             break;
         }
     }
@@ -327,12 +309,13 @@ TEST(CacheAcct, LruVictimIgnoresOwnerBits)
     c.cpuAccess(cc, 0);
     c.cpuAccess(d, 7);
     EXPECT_TRUE(c.cpuAccess(a, 3).hit); // CPU touch, new owner
-    EXPECT_TRUE(c.deviceRead(b).hit);   // device touch, owner kept
+    // Device touch, owner kept.
+    EXPECT_EQ(c.probeSpan(b, cacheLineSize).hitBytes, cacheLineSize);
     auto r = c.cpuAccess(256, 0, true);
     EXPECT_FALSE(r.hit);
     EXPECT_FALSE(c.probe(cc));
     r = c.cpuAccess(320, 0xffff);
-    EXPECT_EQ(r.evictedOther, true);
+    EXPECT_EQ(c.occupancyBytes(7), 0u); // d, owner 7's only line
     EXPECT_FALSE(c.probe(d));
     EXPECT_TRUE(c.probe(a));
     EXPECT_TRUE(c.probe(b));
@@ -366,131 +349,195 @@ TEST(CacheAcctDeathTest, UseClockAtPackingLimitIsFatal)
     c.restoreState(st);
     c.cpuAccess(0, 1); // takes the last clock value that packs
     EXPECT_DEATH(c.cpuAccess(0, 1), "use clock");
-    EXPECT_DEATH(c.deviceRead(0), "use clock");
+    EXPECT_DEATH(c.probeSpan(0, cacheLineSize), "use clock");
     st.useClock = 1ull << 48;
     EXPECT_DEATH(c.restoreState(st), "use clock");
 }
 
-// The oracle contract: randomized span/scalar op sequences leave the
-// batched and line-mode models in byte-identical states and return
-// identical aggregates.
+/**
+ * A CacheModel and a ReferenceCache of one geometry, driven op for op:
+ * every op's result is compared on the spot, and check() compares the
+ * whole state.
+ */
+class Lockstep
+{
+  public:
+    explicit Lockstep(const CacheModel::Config &cfg)
+        : model(cfg), ref(cfg)
+    {
+    }
+
+    std::uint64_t numSets() const { return model.numSets(); }
+
+    void
+    probeSpan(Addr pa, std::uint64_t size)
+    {
+        same(model.probeSpan(pa, size), ref.probeSpan(pa, size));
+    }
+
+    void
+    fillSpan(Addr pa, std::uint64_t size, int owner)
+    {
+        same(model.fillSpan(pa, size, owner),
+             ref.fillSpan(pa, size, owner));
+    }
+
+    void
+    evictSpan(Addr pa, std::uint64_t size)
+    {
+        same(model.evictSpan(pa, size), ref.evictSpan(pa, size));
+    }
+
+    void
+    flushSpan(Addr pa, std::uint64_t size)
+    {
+        same(model.flushSpan(pa, size), ref.flushSpan(pa, size));
+    }
+
+    void
+    cpuAccess(Addr pa, int owner, bool is_write)
+    {
+        auto a = model.cpuAccess(pa, owner, is_write);
+        auto b = ref.cpuAccess(pa, owner, is_write);
+        EXPECT_EQ(a.hit, b.hit);
+        EXPECT_EQ(a.evictedDirty, b.evictedDirty);
+        EXPECT_EQ(a.evictedPa, b.evictedPa);
+    }
+
+    void
+    invalidate(Addr pa)
+    {
+        model.invalidate(pa);
+        ref.invalidate(pa);
+    }
+
+    void probe(Addr pa) { EXPECT_EQ(model.probe(pa), ref.probe(pa)); }
+
+    void
+    invalidateAll()
+    {
+        model.invalidateAll();
+        ref.invalidateAll();
+    }
+
+    /** Each side restores its own snapshot. */
+    void
+    roundTrip()
+    {
+        model.restoreState(model.saveState());
+        ref.restoreState(ref.saveState());
+    }
+
+    /** Each side restores the other's snapshot. */
+    void
+    restoreCrossed(const CacheModel::State &from_model,
+                   const CacheModel::State &from_ref)
+    {
+        model.restoreState(from_ref);
+        ref.restoreState(from_model);
+    }
+
+    void check() { expectSameState(model, ref); }
+
+    CacheModel model;
+    ReferenceCache ref;
+
+  private:
+    static void
+    same(const CacheModel::SpanResult &a, const CacheModel::SpanResult &b)
+    {
+        EXPECT_EQ(a.hitBytes, b.hitBytes);
+        EXPECT_EQ(a.missBytes, b.missBytes);
+        EXPECT_EQ(a.writebackBytes, b.writebackBytes);
+        EXPECT_EQ(a.lastEvictedPa, b.lastEvictedPa);
+    }
+};
+
+// The oracle contract: randomized span and scalar op sequences leave
+// CacheModel and ReferenceCache in identical states and return
+// identical results.
 void
 differentialFuzz(std::uint32_t seed, CacheModel::Config cfg)
 {
-    CacheModel batched(cfg), oracle(cfg);
-    batched.setAcctMode(Acct::Batched);
-    oracle.setAcctMode(Acct::Line);
+    Lockstep m(cfg);
     Rng rng(seed);
-    const std::uint64_t sets = batched.numSets();
+    const std::uint64_t sets = m.numSets();
     // A PA window ~2x the cache forces conflicts and LRU churn;
     // spans up to ~3 revolutions exercise the set wrap.
     const std::uint64_t window = 2 * cfg.sizeBytes;
     const std::uint64_t max_span = 3 * sets * cacheLineSize;
 
-    auto expectSameResult = [](const CacheModel::SpanResult &a,
-                               const CacheModel::SpanResult &b) {
-        EXPECT_EQ(a.hitBytes, b.hitBytes);
-        EXPECT_EQ(a.missBytes, b.missBytes);
-        EXPECT_EQ(a.writebackBytes, b.writebackBytes);
-        EXPECT_EQ(a.lastEvictedPa, b.lastEvictedPa);
-    };
-
     // Fixed mid-sequence schedule: a snapshot taken at op 1000 is
-    // restored at op 3000, after an invalidateAll epoch (op 2000) and
-    // a round trip (op 2500), so restore lands in a churned model.
-    std::optional<CacheModel::State> snapBatched, snapOracle;
+    // restored crosswise at op 3000, after an invalidateAll epoch
+    // (op 2000) and a round trip (op 2500), so restore lands in a
+    // churned model.
+    std::optional<CacheModel::State> snapModel, snapRef;
     for (int op = 0; op < 4000; ++op) {
         if (op == 1000) {
-            snapBatched = batched.saveState();
-            snapOracle = oracle.saveState();
+            snapModel = m.model.saveState();
+            snapRef = m.ref.saveState();
         } else if (op == 2000) {
-            batched.invalidateAll();
-            oracle.invalidateAll();
+            m.invalidateAll();
         } else if (op == 2500) {
-            batched.restoreState(batched.saveState());
-            oracle.restoreState(oracle.saveState());
+            m.roundTrip();
         } else if (op == 3000) {
-            batched.restoreState(*snapBatched);
-            oracle.restoreState(*snapOracle);
-            expectSameState(batched, oracle);
+            m.restoreCrossed(*snapModel, *snapRef);
+            m.check();
         }
         Addr pa = rng.range(0, window);
         std::uint64_t size = rng.range(1, max_span);
         int owner = drawOwner(rng);
         switch (rng.range(0, 10)) {
           case 0:
-          case 1: {
-            expectSameResult(batched.probeSpan(pa, size),
-                             oracle.probeSpan(pa, size));
+          case 1:
+            m.probeSpan(pa, size);
             break;
-          }
           case 2:
-          case 3: {
-            expectSameResult(batched.fillSpan(pa, size, owner),
-                             oracle.fillSpan(pa, size, owner));
+          case 3:
+            m.fillSpan(pa, size, owner);
             break;
-          }
-          case 4: {
-            expectSameResult(batched.evictSpan(pa, size),
-                             oracle.evictSpan(pa, size));
+          case 4:
+            m.evictSpan(pa, size);
             break;
-          }
-          case 5: {
-            expectSameResult(batched.flushSpan(pa, size),
-                             oracle.flushSpan(pa, size));
+          case 5:
+            m.flushSpan(pa, size);
             break;
-          }
-          case 6: {
-            Addr line = lineAlignDown(pa);
-            bool wr = rng.range(0, 2) == 0;
-            auto ra = batched.cpuAccess(line, owner, wr);
-            auto rb = oracle.cpuAccess(line, owner, wr);
-            EXPECT_EQ(ra.hit, rb.hit);
-            EXPECT_EQ(ra.evictedDirty, rb.evictedDirty);
-            EXPECT_EQ(ra.evictedPa, rb.evictedPa);
+          case 6:
+            m.cpuAccess(lineAlignDown(pa), owner, rng.range(0, 2) == 0);
             break;
-          }
-          case 7: {
-            Addr line = lineAlignDown(pa);
-            bool hint = rng.range(0, 2) == 0;
-            auto ra = batched.deviceWrite(line, owner, hint);
-            auto rb = oracle.deviceWrite(line, owner, hint);
-            EXPECT_EQ(ra.hit, rb.hit);
-            EXPECT_EQ(ra.evictedDirty, rb.evictedDirty);
+          case 7:
+            // One-line device traffic, as a 64 B descriptor makes.
+            if (rng.range(0, 2) == 0)
+                m.fillSpan(lineAlignDown(pa), cacheLineSize, owner);
+            else
+                m.evictSpan(lineAlignDown(pa), cacheLineSize);
             break;
-          }
-          case 8: {
-            if (rng.range(0, 8) == 0) {
-                batched.invalidateAll();
-                oracle.invalidateAll();
-            } else {
-                EXPECT_EQ(batched.deviceRead(lineAlignDown(pa)).hit,
-                          oracle.deviceRead(lineAlignDown(pa)).hit);
-            }
+          case 8:
+            if (rng.range(0, 8) == 0)
+                m.invalidateAll();
+            else if (rng.range(0, 2) == 0)
+                m.invalidate(pa);
+            else
+                m.probeSpan(pa, cacheLineSize);
             break;
-          }
-          case 9: {
+          case 9:
             // Checkpoint round-trip mid-stream: masks and gauges
             // must rebuild identically.
-            if (rng.range(0, 16) == 0) {
-                batched.restoreState(batched.saveState());
-                oracle.restoreState(oracle.saveState());
-            } else {
-                EXPECT_EQ(batched.probe(lineAlignDown(pa)),
-                          oracle.probe(lineAlignDown(pa)));
-            }
+            if (rng.range(0, 16) == 0)
+                m.roundTrip();
+            else
+                m.probe(pa);
             break;
-          }
         }
         if (op % 50 == 0)
-            expectSameState(batched, oracle);
+            m.check();
         if (::testing::Test::HasFailure()) {
             ADD_FAILURE() << "diverged at op " << op << " seed "
                           << seed;
             return;
         }
     }
-    expectSameState(batched, oracle);
+    m.check();
 }
 
 TEST(CacheAcct, DifferentialFuzzSprShape)
@@ -509,6 +556,101 @@ TEST(CacheAcct, DifferentialFuzzTinySets)
 {
     // Tiny set count: nearly every span wraps multiple times.
     differentialFuzz(3, smallCfg(8, 4, 2));
+}
+
+// The platform's own directory — the default Config: 105 MB, 15
+// ways, 2 DDIO ways, a set count (114688) that is not a power of two
+// — under the traffic tools/determinism_check offloads: two 1 MiB
+// buffers; memMove, fill, CRC and compare descriptors of 64 B-64 KiB
+// at unaligned offsets, each issued whole or walked as the engine
+// does in 4 KiB page segments; partial completions cut at a 4 KiB
+// boundary; CPU fallbacks and cache flushes. The buffers sit one
+// set revolution apart, so they share sets, and the first straddles
+// the set wrap. The LLC starts warm: every set the buffers map to
+// holds 14 older CPU lines, so fills and CPU accesses evict by LRU.
+TEST(CacheAcct, ReferenceFuzzSprDirectory)
+{
+    const CacheModel::Config cfg;
+    Lockstep m(cfg);
+    const std::uint64_t rev = m.numSets() * cacheLineSize; // 7 MiB
+    const std::uint64_t span = 1 << 20;
+    const Addr src = 3 * rev - span / 2;
+    const Addr dst = src + rev;
+    Rng rng(21);
+    for (std::uint64_t k = 2; k < 16; ++k)
+        for (std::uint64_t off = 0; off < span; off += cacheLineSize)
+            m.cpuAccess(src + k * rev + off, static_cast<int>(k % 2),
+                        k % 3 == 0);
+    m.check();
+
+    // One stream of a descriptor, issued as the engine walk would.
+    auto stream = [&](Addr pa, std::uint64_t n, bool write, bool cc) {
+        const bool paged = rng.range(0, 2) == 0;
+        for (Addr end = pa + n; pa < end;) {
+            const Addr page_end = (pa / 4096 + 1) * 4096;
+            const std::uint64_t seg =
+                paged ? std::min<Addr>(end, page_end) - pa : end - pa;
+            if (!write)
+                m.probeSpan(pa, seg);
+            else if (cc)
+                m.fillSpan(pa, seg, 1000);
+            else
+                m.evictSpan(pa, seg);
+            pa += seg;
+        }
+    };
+    for (int op = 0; op < 1200; ++op) {
+        std::uint64_t n = rng.range(64, 64 << 10);
+        const Addr so = src + rng.range(0, span - n);
+        const Addr dof = dst + rng.range(0, span - n);
+        if (rng.range(0, 10) == 0) {
+            // A partial completion stops at a page boundary.
+            const Addr cut = (dof + rng.range(1, n) + 4095) / 4096 * 4096;
+            n = std::min<std::uint64_t>(n, cut - dof);
+        }
+        const bool cc = rng.range(0, 4) != 0;
+        switch (rng.range(0, 7)) {
+          case 0: // memMove
+            stream(so, n, false, cc);
+            stream(dof, n, true, cc);
+            break;
+          case 1: // fill
+            stream(dof, n, true, cc);
+            break;
+          case 2: // crc32
+            stream(so, n, false, cc);
+            break;
+          case 3: // compare
+            stream(so, n, false, cc);
+            stream(dof, n, false, cc);
+            break;
+          case 4: // CPU fallback of a memMove
+            for (Addr a = 0; a < n; a += cacheLineSize) {
+                m.cpuAccess(lineAlignDown(so + a), 0, false);
+                m.cpuAccess(lineAlignDown(dof + a), 0, true);
+            }
+            break;
+          case 5: // cache flush
+            m.flushSpan(dof, n);
+            break;
+          case 6:
+            if (rng.range(0, 50) == 0)
+                m.roundTrip();
+            else
+                m.probe(so);
+            break;
+        }
+        if (op % 100 == 0)
+            m.check();
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "diverged at op " << op;
+            return;
+        }
+    }
+    m.check();
+    m.invalidateAll();
+    m.fillSpan(src, span, 1000);
+    m.check();
 }
 
 } // namespace

@@ -157,7 +157,7 @@ TEST(Cache, HitAfterMiss)
     CacheModel c(cfg);
     auto r1 = c.cpuAccess(0x1000, 1);
     EXPECT_FALSE(r1.hit);
-    EXPECT_TRUE(r1.allocated);
+    EXPECT_TRUE(c.probe(0x1000)); // the miss allocated
     auto r2 = c.cpuAccess(0x1000, 1);
     EXPECT_TRUE(r2.hit);
     EXPECT_EQ(c.occupancyBytes(1), cacheLineSize);
@@ -170,12 +170,16 @@ TEST(Cache, DeviceReadNeverAllocates)
     cfg.ways = 4;
     cfg.ddioWays = 1;
     CacheModel c(cfg);
-    EXPECT_FALSE(c.deviceRead(0x2000).hit);
-    EXPECT_FALSE(c.deviceRead(0x2000).hit); // still a miss
+    EXPECT_EQ(c.probeSpan(0x2000, cacheLineSize).missBytes,
+              cacheLineSize);
+    // Still a miss.
+    EXPECT_EQ(c.probeSpan(0x2000, cacheLineSize).missBytes,
+              cacheLineSize);
     EXPECT_EQ(c.totalOccupancyBytes(), 0u);
     // But device reads do hit CPU-installed lines.
     c.cpuAccess(0x2000, 1);
-    EXPECT_TRUE(c.deviceRead(0x2000).hit);
+    EXPECT_EQ(c.probeSpan(0x2000, cacheLineSize).hitBytes,
+              cacheLineSize);
 }
 
 TEST(Cache, DeviceWriteConfinedToDdioWays)
@@ -188,7 +192,7 @@ TEST(Cache, DeviceWriteConfinedToDdioWays)
     // Stream device writes over 4x the DDIO capacity.
     std::uint64_t ddio = c.ddioCapacityBytes();
     for (Addr a = 0; a < 4 * ddio; a += cacheLineSize)
-        c.deviceWrite(a, 42, true);
+        c.fillSpan(a, cacheLineSize, 42);
     // Occupancy can never exceed the DDIO partition.
     EXPECT_LE(c.occupancyBytes(42), ddio);
     EXPECT_GT(c.occupancyBytes(42), 0u);
@@ -203,7 +207,7 @@ TEST(Cache, DeviceWriteWithoutHintInvalidates)
     CacheModel c(cfg);
     c.cpuAccess(0x3000, 1);
     EXPECT_TRUE(c.probe(0x3000));
-    c.deviceWrite(0x3000, 42, false);
+    c.evictSpan(0x3000, cacheLineSize);
     EXPECT_FALSE(c.probe(0x3000));
     EXPECT_EQ(c.occupancyBytes(42), 0u);
 }
@@ -218,12 +222,13 @@ TEST(Cache, DirtyEvictionReported)
     unsigned sets = c.numSets();
     // Fill one set's DDIO way with a dirty device line...
     Addr first = 0;
-    c.deviceWrite(first, 1, true);
+    c.fillSpan(first, cacheLineSize, 1);
     // ...then force another device write mapping to the same set.
     Addr conflict = static_cast<Addr>(sets) * cacheLineSize;
-    auto r = c.deviceWrite(conflict, 1, true);
-    EXPECT_TRUE(r.evictedDirty);
-    EXPECT_EQ(r.evictedPa, first);
+    auto r = c.fillSpan(conflict, cacheLineSize, 1);
+    EXPECT_EQ(r.writebackBytes, cacheLineSize);
+    EXPECT_EQ(r.lastEvictedPa, first);
+    EXPECT_EQ(c.writebackBytesTotal(), cacheLineSize);
 }
 
 TEST(Cache, FlushLineReportsDirty)
@@ -233,11 +238,15 @@ TEST(Cache, FlushLineReportsDirty)
     cfg.ways = 4;
     cfg.ddioWays = 1;
     CacheModel c(cfg);
+    auto flush = [&](Addr pa) {
+        return c.flushSpan(pa, cacheLineSize).writebackBytes;
+    };
     c.cpuAccess(0x4000, 1, /*is_write=*/true);
-    EXPECT_TRUE(c.flushLine(0x4000));  // dirty
-    EXPECT_FALSE(c.flushLine(0x4000)); // gone
+    EXPECT_EQ(flush(0x4000), cacheLineSize); // dirty
+    EXPECT_EQ(flush(0x4000), 0u);            // gone
     c.cpuAccess(0x5000, 1, /*is_write=*/false);
-    EXPECT_FALSE(c.flushLine(0x5000)); // clean
+    EXPECT_EQ(flush(0x5000), 0u); // clean
+    EXPECT_FALSE(c.probe(0x5000));
 }
 
 TEST(Cache, OccupancyFollowsOwner)
@@ -363,7 +372,7 @@ TEST(Cache, FlushRangeDropsEveryLine)
     for (Addr a = 0x1000; a < 0x3000; a += cacheLineSize)
         c.cpuAccess(a, 1, true);
     EXPECT_GT(c.occupancyBytes(1), 0u);
-    c.flushRange(0x1000, 0x2000);
+    c.evictSpan(0x1000, 0x2000);
     EXPECT_EQ(c.occupancyBytes(1), 0u);
     EXPECT_FALSE(c.probe(0x1040));
 }

@@ -302,7 +302,7 @@ TEST_P(DdioConfinement, DeviceOccupancyBounded)
             c.cpuAccess(a, 2, true);
             break;
           default:
-            c.deviceWrite(a + (64ull << 20), 99, true);
+            c.fillSpan(a + (64ull << 20), cacheLineSize, 99);
             break;
         }
         if (i % 10000 == 0) {

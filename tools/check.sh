@@ -66,13 +66,6 @@ echo "== Partition determinism (1 thread vs 4, DESIGN.md §11) =="
 "$root/build-release/tools/determinism_check" --fork --partitions=4 \
     --n=600 --seed=1
 
-echo "== Cache-accounting equivalence (batched vs line oracle) =="
-"$root/build-release/tools/determinism_check" --acct --n=2000 \
-    --seed=1
-"$root/build-release/tools/determinism_check" --acct --n=2000 \
-    --seed=1 \
-    --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
-
 echo "== Engine timing-walk gate (BENCH_engine.json, DESIGN.md §13) =="
 "$root/build-release/bench/bench_engine" \
     --check="$root/BENCH_engine.json"

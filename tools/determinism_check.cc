@@ -48,12 +48,6 @@
  * bit-identical mid-overload. Composes with --faults (per-socket
  * injectors, e.g. pasid=-scoped rules).
  *
- * With --acct the harness guards the cache-accounting contract
- * (DESIGN.md §13): the same mix with batched span accounting and
- * with the line-at-a-time oracle (DSASIM_CACHE_ACCT=line) must
- * fingerprint identically — span operations are tick-equivalent to
- * their per-line expansions.
- *
  * With --telemetry the harness guards the observer contract of the
  * stats subsystem (DESIGN.md §15): the same run with sampling off,
  * at a 1 ns period, and at the default 1 us period must produce
@@ -62,7 +56,7 @@
  *
  * Usage: determinism_check [--n=2000] [--seed=42] [--faults=SPEC]
  *                          [--fork] [--partitions=K] [--serving]
- *                          [--acct] [--telemetry]
+ *                          [--telemetry]
  */
 
 #include <algorithm>
@@ -94,7 +88,6 @@ struct Options
     bool fork = false;  ///< cold-vs-forked instead of run-vs-rerun
     unsigned partitions = 0; ///< >0: 1-thread vs K-thread cluster
     bool serving = false; ///< serving-stack scenario (DESIGN.md §12)
-    bool acct = false; ///< batched vs line cache accounting (§13)
     bool telemetry = false; ///< sampling on/off/period purity (§15)
 };
 
@@ -683,41 +676,6 @@ runServingScenario(const Options &opt, unsigned threads)
 }
 
 /**
- * Accounting-equivalence guard (--acct): the standard descriptor mix
- * run with batched span accounting and rerun with the line-at-a-time
- * oracle (`DSASIM_CACHE_ACCT=line`) must produce identical
- * fingerprints — the tick-equivalence contract of DESIGN.md §13,
- * checked end to end through the engine timing walk. Composes with
- * --faults (partial completions replay different span shapes).
- */
-int
-runAcctCheck(const Options &opt)
-{
-    setenv("DSASIM_CACHE_ACCT", "batched", 1);
-    Fingerprint batched = runScenario(opt);
-    print("batched", batched);
-    setenv("DSASIM_CACHE_ACCT", "line", 1);
-    Fingerprint line = runScenario(opt);
-    print("line   ", line);
-    unsetenv("DSASIM_CACHE_ACCT");
-
-    if (!(batched == line)) {
-        std::fprintf(stderr,
-                     "FAIL: batched span accounting diverged from "
-                     "the line-at-a-time oracle — a span operation "
-                     "is not tick-equivalent to its per-line "
-                     "expansion (DESIGN.md §13)\n");
-        return 1;
-    }
-    std::printf("determinism_check --acct: PASS (%llu descriptors, "
-                "seed %llu%s)\n",
-                static_cast<unsigned long long>(opt.n),
-                static_cast<unsigned long long>(opt.seed),
-                opt.faults.empty() ? "" : ", faulted");
-    return 0;
-}
-
-/**
  * Telemetry-purity guard (--telemetry): the sample hook must be a
  * pure observer. The same scenario runs with sampling off, with
  * DSASIM_STATS at a 1 ns period (a sample opportunity at every
@@ -812,15 +770,13 @@ main(int argc, char **argv)
             opt.fork = true;
         else if (a == "--serving")
             opt.serving = true;
-        else if (a == "--acct")
-            opt.acct = true;
         else if (a == "--telemetry")
             opt.telemetry = true;
         else {
             std::fprintf(stderr,
                          "usage: determinism_check [--n=N] "
                          "[--seed=S] [--faults=SPEC] [--fork] "
-                         "[--partitions=K] [--serving] [--acct] "
+                         "[--partitions=K] [--serving] "
                          "[--telemetry]\n");
             return 2;
         }
@@ -828,8 +784,6 @@ main(int argc, char **argv)
 
     if (opt.telemetry)
         return runTelemetryCheck(opt);
-    if (opt.acct)
-        return runAcctCheck(opt);
     if (opt.serving)
         return runServingCheck(opt);
     if (opt.partitions > 0)

@@ -1221,13 +1221,10 @@ class Linter
         }
         if (lp.find("sim/traffic") != std::string::npos)
             checkTenantRng(f);
-        // Advisory only: mem/cache.* is the sanctioned home of
-        // line-granular walks (it implements the span API and keeps
-        // the line-mode oracle); anywhere else in src/ a new
-        // `+= cacheLineSize` loop is probably re-growing an O(lines)
-        // walk the batched span API replaced (DESIGN.md §13).
-        if (lp.find("src/") != std::string::npos &&
-            lp.find("mem/cache.") == std::string::npos)
+        // Advisory only: anywhere in src/ a new `+= cacheLineSize`
+        // loop is probably re-growing an O(lines) walk the span API
+        // replaced (DESIGN.md §13).
+        if (lp.find("src/") != std::string::npos)
             checkAcctLoop(f);
         checkBannedFn(f);
         checkVolatile(f);
@@ -1530,9 +1527,9 @@ class Linter
     void
     checkAcctLoop(ScannedFile &f)
     {
-        // `for (...; ...; a += cacheLineSize)` headers outside
-        // mem/cache.*: almost always a per-line cache-accounting
-        // walk that the batched span API made O(sets-touched).
+        // `for (...; ...; a += cacheLineSize)` headers in src/:
+        // almost always a per-line cache-accounting walk that the
+        // span API made O(sets-touched).
         // Note-level — legitimate uses exist (per-victim occupy()
         // rounding) and carry a simlint:allow(acct-loop).
         for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
@@ -1552,8 +1549,8 @@ class Linter
                            f.tokens[j + 2].text == "cacheLineSize") {
                     const Token &t = f.tokens[j];
                     report(f, t.line, t.col, "acct-loop",
-                           "per-line '+= cacheLineSize' loop outside "
-                           "mem/cache.*",
+                           "per-line '+= cacheLineSize' loop in "
+                           "simulator code",
                            "batch through the CacheModel span API "
                            "(probeSpan/fillSpan/evictSpan/flushSpan, "
                            "DESIGN.md §13); if per-call occupy() "
@@ -2311,7 +2308,7 @@ const char *kRuleHelp =
     "anywhere\n"
     "  volatile-sync    'volatile' used anywhere\n"
     "  acct-loop        (note-level) '+= cacheLineSize' for-loops "
-    "outside mem/cache.*\n"
+    "in src/\n"
     "  include-hygiene  DSASIM_<PATH>_HH guards; no \"../\" "
     "includes\n"
     "  layer-hygiene    include graph respects sim < mem < ops < "
