@@ -218,57 +218,4 @@ Platform::setFaultInjector(std::unique_ptr<FaultInjector> fi)
     memSys->iommu().setFaultInjector(p);
 }
 
-void
-Platform::dumpStats(std::FILE *out) const
-{
-    std::fprintf(out, "---------- dsasim stats @ %.3f us ----------\n",
-                 toUs(simulation.now()));
-    for (const auto &c : cores_) {
-        if (c->busyTicks() == 0 && c->umwaitTicks() == 0 &&
-            c->spinTicks() == 0)
-            continue;
-        std::fprintf(out,
-                     "core%-3d busy %10.2f us  umwait %10.2f us  "
-                     "spin %8.2f us\n",
-                     c->id(), toUs(c->busyTicks()),
-                     toUs(c->umwaitTicks()), toUs(c->spinTicks()));
-    }
-    for (const auto &d : dsas_) {
-        if (!d->enabled())
-            continue;
-        std::fprintf(out,
-                     "dsa%-4d submitted %8llu retried %6llu "
-                     "processed %8llu rd %10.2f MB wr %10.2f MB\n",
-                     d->deviceId(),
-                     static_cast<unsigned long long>(
-                         d->descriptorsSubmitted()),
-                     static_cast<unsigned long long>(
-                         d->descriptorsRetried()),
-                     static_cast<unsigned long long>(
-                         d->descriptorsProcessed()),
-                     static_cast<double>(
-                         d->fabricRead().bytesServed()) /
-                         1e6,
-                     static_cast<double>(
-                         d->fabricWrite().bytesServed()) /
-                         1e6);
-    }
-    for (std::size_t i = 0; i < memSys->nodeCount(); ++i) {
-        const MemNode &n = memSys->node(static_cast<int>(i));
-        std::fprintf(out,
-                     "node%-3zu (%s) rd %10.2f MB (%4.1f%% busy)  "
-                     "wr %10.2f MB (%4.1f%% busy)\n",
-                     i, memKindName(n.config.kind),
-                     static_cast<double>(n.readLink.bytesServed()) /
-                         1e6,
-                     100.0 * n.readLink.utilization(),
-                     static_cast<double>(n.writeLink.bytesServed()) /
-                         1e6,
-                     100.0 * n.writeLink.utilization());
-    }
-    std::fprintf(out, "events executed: %llu\n",
-                 static_cast<unsigned long long>(
-                     simulation.eventsExecuted()));
-}
-
 } // namespace dsasim

@@ -126,13 +126,6 @@ class Platform
      */
     std::string drainHint();
 
-    /**
-     * Dump a gem5-style end-of-run statistics summary: per-core
-     * cycle accounts, per-device engine/traffic counters, and
-     * memory-link utilization.
-     */
-    void dumpStats(std::FILE *out) const;
-
   private:
     Simulation &simulation;
     PlatformConfig config;

@@ -138,43 +138,6 @@ TEST(Idxd, ReadBufferAllocationValidated)
     EXPECT_EQ(dev.group(0).readBuffers, 64u);
 }
 
-
-TEST(Platform, DumpStatsSummarizesActivity)
-{
-    Bench b;
-    DsaTopology::basic().apply(b.plat.dsa(0));
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
-                       {&b.plat.dsa(0)}, ec);
-    Addr src = b.as->alloc(64 << 10);
-    Addr dst = b.as->alloc(64 << 10);
-    struct Drv
-    {
-        static SimTask
-        go(Bench &bb, dml::Executor &ex, Addr s, Addr d)
-        {
-            dml::OpResult r;
-            co_await ex.executeHardware(
-                bb.plat.core(0),
-                dml::Executor::memMove(*bb.as, d, s, 64 << 10), r);
-        }
-    };
-    Drv::go(b, exec, src, dst);
-    b.sim.run();
-
-    char buf[8192] = {};
-    std::FILE *mem = fmemopen(buf, sizeof(buf), "w");
-    ASSERT_NE(mem, nullptr);
-    b.plat.dumpStats(mem);
-    std::fclose(mem);
-    std::string out(buf);
-    EXPECT_NE(out.find("core0"), std::string::npos);
-    EXPECT_NE(out.find("dsa0"), std::string::npos);
-    EXPECT_NE(out.find("DRAM-local"), std::string::npos);
-    EXPECT_NE(out.find("events executed"), std::string::npos);
-}
-
 TEST(Submitter, MovdirIsPostedEnqcmdIsNot)
 {
     Bench b;

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification sweep: a Release build + test run, the static-
 # analysis gates (simlint, clang-tidy, clang-format when available),
-# an end-to-end determinism check, an ASan/UBSan build + test run,
-# and a TSan build of the thread-pool sweep tests. Run from anywhere;
+# an ASan/UBSan build + test run, and a TSan build of the threaded
+# tests; each of the three builds also runs the determinism_check
+# matrix. Run from anywhere;
 # builds land in build-release/, build-sanitize/ and build-tsan/ next
 # to the sources.
 #
@@ -45,26 +46,8 @@ echo "== Static analysis: clang-tidy + clang-format (if present) =="
 cmake --build "$root/build-release" --target dsasim-tidy
 cmake --build "$root/build-release" --target dsasim-format-check
 
-echo "== Determinism check (event-stream hash, two runs) =="
+echo "== Determinism matrix (tools/determinism_check.cc) =="
 "$root/build-release/tools/determinism_check" --n=2000 --seed=1
-"$root/build-release/tools/determinism_check" --n=2000 --seed=1 \
-    --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
-
-echo "== Snapshot determinism (cold vs forked continuations) =="
-"$root/build-release/tools/determinism_check" --fork --n=2000 \
-    --seed=1
-"$root/build-release/tools/determinism_check" --fork --n=2000 \
-    --seed=1 \
-    --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
-
-echo "== Partition determinism (1 thread vs 4, DESIGN.md §11) =="
-"$root/build-release/tools/determinism_check" --partitions=4 \
-    --n=600 --seed=1
-"$root/build-release/tools/determinism_check" --partitions=4 \
-    --n=600 --seed=1 \
-    --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
-"$root/build-release/tools/determinism_check" --fork --partitions=4 \
-    --n=600 --seed=1
 
 echo "== Engine timing-walk gate (BENCH_engine.json, DESIGN.md §13) =="
 "$root/build-release/bench/bench_engine" \
@@ -78,21 +61,10 @@ echo "== Serving SLO gate (BENCH_serving.json, DESIGN.md §12) =="
 "$root/build-release/bench/bench_serving" \
     --check="$root/BENCH_serving.json"
 
-echo "== Overload soak + serving determinism (1 thread vs 4) =="
+echo "== Overload soak =="
 "$root/build-release/tools/chaos_soak" --overload --n=3000 --seed=1
-"$root/build-release/tools/determinism_check" --serving \
-    --partitions=4 --n=512 --seed=1
-"$root/build-release/tools/determinism_check" --serving \
-    --partitions=4 --n=512 --seed=1 \
-    --faults='page-fault:p=0.05,pasid=3;wq-reject:p=0.01'
 
-echo "== Telemetry observer gates (DESIGN.md §15) =="
-# Sampling off / 1 ns / 1 us must fingerprint identically.
-"$root/build-release/tools/determinism_check" --telemetry --n=2000 \
-    --seed=1
-"$root/build-release/tools/determinism_check" --telemetry --n=2000 \
-    --seed=1 \
-    --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
+echo "== Telemetry exporters (DESIGN.md §15) =="
 # Exporter end-to-end: arm the sampler, render the CSV with
 # statsdump, and sanity-check the Prometheus snapshot covers the
 # component families.
@@ -120,15 +92,16 @@ DSASIM_STATS="$tele_dir/bench-" \
     --check="$root/BENCH_engine.json"
 rm -rf "$tele_dir"
 
-echo "== ASan/UBSan build + tests =="
+echo "== ASan/UBSan build + tests + determinism matrix =="
 # Leak checking stays off: SimTask coroutines are fire-and-forget by
 # design (sim/task.hh), so tearing a platform down mid-run abandons
 # the suspended frames. Heap misuse and UB are still fatal.
 export ASAN_OPTIONS="detect_leaks=0${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 run build-sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDSASIM_SANITIZE=address,undefined
+"$root/build-sanitize/tools/determinism_check" --n=2000 --seed=1
 
-echo "== TSan build + sweep/partition tests =="
+echo "== TSan build + threaded tests + determinism matrix =="
 cmake -B "$root/build-tsan" -S "$root" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDSASIM_SANITIZE=thread >/dev/null
@@ -136,15 +109,7 @@ cmake --build "$root/build-tsan" -j "$(nproc)" \
     --target test_sweep test_partition determinism_check
 "$root/build-tsan/tests/test_sweep"
 DSASIM_PARTITIONS=4 "$root/build-tsan/tests/test_partition"
-"$root/build-tsan/tools/determinism_check" --partitions=4 --n=400 \
-    --seed=1
-# Per-socket samplers under the threaded epoch runner: each domain's
-# sampler observes its own registry from its worker thread.
-tsan_tele=$(mktemp -d)
-DSASIM_STATS="$tsan_tele/tsan-" DSASIM_PARTITIONS=4 \
-    "$root/build-tsan/tools/determinism_check" --partitions=4 \
-    --n=400 --seed=1
-rm -rf "$tsan_tele"
+"$root/build-tsan/tools/determinism_check" --n=2000 --seed=1
 
 echo "== Event-kernel self-benchmark =="
 # Written under the build tree: the committed BENCH_kernel.json stays

@@ -1,69 +1,40 @@
 /**
  * @file
- * determinism_check — end-to-end guard for the invariant simlint
- * enforces statically (DESIGN.md §9): a scenario simulated twice must
- * execute the exact same event stream.
+ * determinism_check — the end-to-end determinism contracts as one
+ * matrix. simlint enforces the invariant statically (DESIGN.md §9);
+ * this tool proves it on live runs.
  *
- * The harness builds a platform, drives a deterministic mix of
- * offloaded operations (memMove/fill/crc32/compare across transfer
- * sizes, with occasional page evictions to exercise the fault/resume
- * path), and records three fingerprints per run:
+ * Each row is a scenario run several ways (its arms), and every arm
+ * must print the same fingerprint as the first: the event-stream hash
+ * (FNV-1a over the (tick, seq) of every executed event), a hash of
+ * every terminal completion record, the executed-event count and the
+ * end tick. Every row runs twice: clean, and under its workload's
+ * fixed fault spec.
  *
- *   - the kernel's event-stream hash: FNV-1a over the (tick, seq) of
- *     every executed event (Simulation::enableStreamHash);
- *   - a completion hash over every descriptor's terminal record
- *     (status, bytesCompleted, crc, result, latency);
- *   - the final virtual time and executed-event count.
+ *   row           guards (DESIGN.md section)
+ *   mix           replay; the stats sampler is a pure observer (§9, §15)
+ *   mix/fork      Snapshot::fork reproduces a quiesced platform (§10)
+ *   cluster       4-socket event order ignores the thread count (§11)
+ *   cluster/fork  ClusterSnapshot continues, restores and rewinds (§11)
+ *   serving       the overload ladder ignores the thread count (§12)
  *
- * It then re-runs the identical scenario from scratch and fails
- * loudly if any fingerprint differs. Wall-clock reads, host entropy,
- * unordered-container iteration or address-dependent ordering in sim
- * code all show up here as a hash mismatch.
+ * Sampled arms export into a private mkdtemp directory under $TMPDIR,
+ * removed before exit. A failure names its row, column and arm. Exit
+ * 0 when every arm matches, 1 on a mismatch, 2 on a usage or temp-dir
+ * error.
  *
- * With --fork the harness instead guards the snapshot contract
- * (DESIGN.md §10): it runs the first half of the mix, captures a
- * Snapshot of the quiesced platform, then plays the second half two
- * ways — continuing on the original platform ("cold") and on two
- * independent Snapshot::fork() continuations — and requires all
- * three fingerprints to be identical. A divergence means fork()
- * failed to reproduce some piece of platform state.
- *
- * With --partitions=K the harness guards the partitioning contract
- * (DESIGN.md §11): a 4-socket SocketCluster — per-socket descriptor
- * mixes plus cross-socket RemotePort push/pull traffic over the UPI
- * ring — is simulated once on 1 worker thread and once on K, and the
- * cross-domain fingerprints (combined stream hash, completion hashes
- * folded in socket order, event count, end tick) must match exactly.
- * Composes with --faults (per-socket injectors) and with --fork
- * (a ClusterSnapshot is continued cold, rewound in place, and
- * restored into a freshly built cluster, on differing thread
- * counts).
- *
- * With --serving the harness guards the serving-stack contract
- * (DESIGN.md §12): a 2-socket cluster of open-loop PASID-isolated
- * tenants runs through the full degradation ladder — WQ admission
- * (token buckets + class limits), bounded jittered ENQCMD backoff,
- * circuit breakers, CPU fallback — on 1 worker thread and on K
- * (--partitions, default 4), and the fingerprints must be
- * bit-identical mid-overload. Composes with --faults (per-socket
- * injectors, e.g. pasid=-scoped rules).
- *
- * With --telemetry the harness guards the observer contract of the
- * stats subsystem (DESIGN.md §15): the same run with sampling off,
- * at a 1 ns period, and at the default 1 us period must produce
- * bit-identical fingerprints — the sample hook observes the
- * schedule, it never participates in it.
- *
- * Usage: determinism_check [--n=2000] [--seed=42] [--faults=SPEC]
- *                          [--fork] [--partitions=K] [--serving]
- *                          [--telemetry]
+ * Usage: determinism_check [--n=2000] [--seed=42]
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "dml/dml.hh"
@@ -80,15 +51,26 @@ using namespace dsasim;
 namespace
 {
 
-struct Options
+/** Fault spec of the faulted column for the mix and cluster rows. */
+constexpr const char *kFaults =
+    "page-fault:p=0.05;hang:every=701;wq-reject:p=0.01";
+/** Fault spec of the faulted column for the serving row. */
+constexpr const char *kServingFaults =
+    "page-fault:p=0.05,pasid=3;wq-reject:p=0.01";
+
+constexpr std::uint64_t kSpan = 1 << 20;
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
+/** What every arm of one row x column shares. */
+struct Scenario
 {
-    std::uint64_t n = 2000;
-    std::uint64_t seed = 42;
-    std::string faults; ///< empty = no injection
-    bool fork = false;  ///< cold-vs-forked instead of run-vs-rerun
-    unsigned partitions = 0; ///< >0: 1-thread vs K-thread cluster
-    bool serving = false; ///< serving-stack scenario (DESIGN.md §12)
-    bool telemetry = false; ///< sampling on/off/period purity (§15)
+    std::uint64_t n;
+    std::uint64_t seed;
+    const char *faults; ///< "" in the clean column
+    std::string statsDir;
+
+    /** Seed of the second half in the fork rows. */
+    std::uint64_t seedB() const { return seed ^ 0xb5c0ffeeull; }
 };
 
 struct Fingerprint
@@ -117,32 +99,164 @@ fnv1a(std::uint64_t &h, std::uint64_t v)
     }
 }
 
+/**
+ * One row x column: prints each arm's fingerprint and fails every arm
+ * that differs from the first.
+ */
+struct Arms
+{
+    const char *row;
+    const char *column;
+    std::optional<Fingerprint> ref{};
+    std::string refArm{};
+    unsigned failed = 0;
+
+    void
+    add(const std::string &arm, const Fingerprint &fp)
+    {
+        std::printf("%-12s %-7s %-16s stream=%016llx "
+                    "completions=%016llx events=%llu end=%.3fus\n",
+                    row, column, arm.c_str(),
+                    static_cast<unsigned long long>(fp.streamHash),
+                    static_cast<unsigned long long>(fp.completionHash),
+                    static_cast<unsigned long long>(fp.eventsExecuted),
+                    toUs(fp.endTick));
+        if (!ref) {
+            ref = fp;
+            refArm = arm;
+        } else if (!(fp == *ref)) {
+            fail(arm, "diverged from '" + refArm + "'");
+        }
+    }
+
+    void
+    fail(const std::string &arm, const std::string &why)
+    {
+        std::fflush(stdout);
+        std::fprintf(stderr, "FAIL: row %s, column %s, arm '%s' %s\n",
+                     row, column, arm.c_str(), why.c_str());
+        ++failed;
+    }
+};
+
+std::string
+threadsLabel(unsigned threads)
+{
+    return std::to_string(threads) +
+           (threads == 1 ? " thread" : " threads");
+}
+
+/**
+ * DSASIM_STATS armed, at @p period_ns, for every platform built in
+ * this scope; exports land in the scenario's private directory.
+ */
+struct Sampling
+{
+    Sampling(const Scenario &sc, unsigned period_ns)
+    {
+        setenv("DSASIM_STATS", (sc.statsDir + "/").c_str(), 1);
+        setenv("DSASIM_STATS_PERIOD",
+               std::to_string(period_ns).c_str(), 1);
+    }
+    ~Sampling()
+    {
+        unsetenv("DSASIM_STATS");
+        unsetenv("DSASIM_STATS_PERIOD");
+    }
+    Sampling(const Sampling &) = delete;
+    Sampling &operator=(const Sampling &) = delete;
+};
+
+/** The socket every row is built from. */
+PlatformConfig
+socketConfig()
+{
+    PlatformConfig cfg = PlatformConfig::spr();
+    cfg.numCores = 2;
+    cfg.numDsaDevices = 1;
+    // Devices come up configured straight from the config, so a
+    // freshly built platform is a valid snapshot restore target.
+    cfg.dsaTopology = DsaTopology::basic(32, 2);
+    for (auto &node : cfg.mem.nodes)
+        node.capacityBytes = 1ull << 30;
+    return cfg;
+}
+
+std::unique_ptr<dml::Executor>
+executor(Simulation &sim, Platform &p)
+{
+    dml::ExecutorConfig ec;
+    ec.path = dml::Path::Hardware;
+    ec.watchdogTimeout = fromUs(500);
+    return std::make_unique<dml::Executor>(
+        sim, p.mem(), p.kernels(), std::vector<DsaDevice *>{&p.dsa(0)},
+        ec);
+}
+
+/**
+ * One socket's harness: the executor and the two buffers the mix
+ * drives, in the socket's first address space.
+ */
+struct Lane
+{
+    std::unique_ptr<dml::Executor> exec;
+    Addr src = 0;
+    Addr dst = 0;
+};
+
+/**
+ * Set up socket @p s of a fresh scenario: its fault injector, then an
+ * address space whose two buffers hold the same seeded bytes.
+ */
+Lane
+seedLane(Simulation &sim, Platform &p, const Scenario &sc, unsigned s)
+{
+    if (*sc.faults != '\0') {
+        p.setFaultInjector(
+            FaultInjector::fromSpec(sc.faults, sc.seed + s));
+    }
+    AddressSpace &as = p.mem().createSpace();
+    Lane lane{executor(sim, p), as.alloc(kSpan), as.alloc(kSpan)};
+    Rng init(sc.seed ^ kGolden ^ s);
+    std::vector<std::uint8_t> buf(kSpan);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(init.next32());
+    as.write(lane.src, buf.data(), kSpan);
+    as.write(lane.dst, buf.data(), kSpan);
+    return lane;
+}
+
+/**
+ * Drive @p count descriptors of the mix through @p lane, folding each
+ * terminal record into @p completion_hash. With @p remote, a fifth of
+ * the iterations also push or pull over the UPI ring, so link events
+ * race DSA completions in both domains.
+ */
 SimTask
-driver(Platform &plat, dml::Executor &exec, AddressSpace &as,
-       std::uint64_t seed, std::uint64_t count, Addr src, Addr dst,
-       std::uint64_t span, std::uint64_t &completion_hash,
+driver(Platform &plat, Lane &lane, std::uint64_t seed,
+       std::uint64_t count, std::uint64_t &completion_hash,
        RemotePort *remote = nullptr)
 {
     Rng rng(seed);
     Core &core = plat.core(0);
+    AddressSpace &as = plat.mem().space(1);
+    const Addr src = lane.src;
+    const Addr dst = lane.dst;
     for (std::uint64_t i = 0; i < count; ++i) {
         if (!plat.dsa(0).enabled())
             plat.dsa(0).enable();
         if (remote && rng.chance(0.2)) {
-            // Cross-socket traffic over the UPI ring, interleaved
-            // with the local descriptor mix so link events race
-            // against DSA completions in both domains.
             if (rng.chance(0.3))
                 co_await remote->pull(rng.range(1 << 10, 1 << 14));
             else
                 co_await remote->push(rng.range(1 << 10, 1 << 16));
         }
         std::uint64_t n = rng.range(64, 64 << 10);
-        std::uint64_t so = rng.range(0, span - n);
-        std::uint64_t dof = rng.range(0, span - n);
+        std::uint64_t so = rng.range(0, kSpan - n);
+        std::uint64_t dof = rng.range(0, kSpan - n);
         unsigned kind = static_cast<unsigned>(rng.below(4));
         if (rng.chance(0.05))
-            as.evictPage(src + rng.below(span / 4096) * 4096);
+            as.evictPage(src + rng.below(kSpan / 4096) * 4096);
 
         WorkDescriptor d;
         switch (kind) {
@@ -162,7 +276,7 @@ driver(Platform &plat, dml::Executor &exec, AddressSpace &as,
         d.flags &= ~descflags::blockOnFault;
 
         dml::OpResult r;
-        co_await exec.executeRecover(core, d, r);
+        co_await lane.exec->executeRecover(core, d, r);
         fnv1a(completion_hash, static_cast<std::uint64_t>(r.status));
         fnv1a(completion_hash, r.bytesCompleted);
         fnv1a(completion_hash, r.crc);
@@ -171,46 +285,13 @@ driver(Platform &plat, dml::Executor &exec, AddressSpace &as,
     }
 }
 
+/** Run @p count descriptors of the mix on one socket to completion. */
 Fingerprint
-runScenario(const Options &opt)
+runMix(Simulation &sim, Platform &p, Lane &lane, std::uint64_t seed,
+       std::uint64_t count)
 {
-    Simulation sim;
-    sim.enableStreamHash(true);
-    PlatformConfig cfg = PlatformConfig::spr();
-    cfg.numCores = 2;
-    cfg.numDsaDevices = 1;
-    for (auto &node : cfg.mem.nodes)
-        node.capacityBytes = 1ull << 30;
-    Platform plat(sim, cfg);
-    DsaTopology::basic(32, 2).apply(plat.dsa(0));
-
-    if (!opt.faults.empty()) {
-        plat.setFaultInjector(
-            FaultInjector::fromSpec(opt.faults, opt.seed));
-    }
-
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    ec.watchdogTimeout = fromUs(500);
-    dml::Executor exec(sim, plat.mem(), plat.kernels(),
-                       std::vector<DsaDevice *>{&plat.dsa(0)}, ec);
-
-    AddressSpace &as = plat.mem().createSpace();
-    const std::uint64_t span = 1 << 20;
-    Addr src = as.alloc(span);
-    Addr dst = as.alloc(span);
-    {
-        Rng init(opt.seed ^ 0x9e3779b97f4a7c15ull);
-        std::vector<std::uint8_t> buf(span);
-        for (auto &b : buf)
-            b = static_cast<std::uint8_t>(init.next32());
-        as.write(src, buf.data(), span);
-        as.write(dst, buf.data(), span);
-    }
-
     Fingerprint fp;
-    driver(plat, exec, as, opt.seed, opt.n, src, dst, span,
-           fp.completionHash);
+    driver(p, lane, seed, count, fp.completionHash);
     sim.run();
     fp.streamHash = sim.streamHash();
     fp.eventsExecuted = sim.eventsExecuted();
@@ -218,214 +299,102 @@ runScenario(const Options &opt)
     return fp;
 }
 
-void
-print(const char *label, const Fingerprint &fp)
+/** The one-socket mix scenario. */
+struct MixRig
 {
-    std::printf("%s: stream=%016llx completions=%016llx "
-                "events=%llu end=%.3fus\n",
-                label,
-                static_cast<unsigned long long>(fp.streamHash),
-                static_cast<unsigned long long>(fp.completionHash),
-                static_cast<unsigned long long>(fp.eventsExecuted),
-                toUs(fp.endTick));
-}
-
-/**
- * Snapshot-contract guard (--fork): run half the mix, capture a
- * Snapshot of the quiesced platform, then play the second half three
- * ways — continuing cold on the source platform and on two
- * independent Snapshot::fork() continuations (the second forked
- * *after* the first fork and the cold run have both mutated their
- * copies, exercising copy-on-write isolation). All three
- * fingerprints must be identical.
- */
-int
-runForkCheck(const Options &opt)
-{
-    const std::uint64_t n_a = opt.n / 2;
-    const std::uint64_t n_b = opt.n - n_a;
-    const std::uint64_t seed_b = opt.seed ^ 0xb5c0ffeeull;
-
     Simulation sim;
-    sim.enableStreamHash(true);
-    PlatformConfig cfg = PlatformConfig::spr();
-    cfg.numCores = 2;
-    cfg.numDsaDevices = 1;
-    for (auto &node : cfg.mem.nodes)
-        node.capacityBytes = 1ull << 30;
-    Platform plat(sim, cfg);
-    DsaTopology::basic(32, 2).apply(plat.dsa(0));
+    Platform plat;
+    Lane lane;
 
-    if (!opt.faults.empty()) {
-        plat.setFaultInjector(
-            FaultInjector::fromSpec(opt.faults, opt.seed));
-    }
-
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    ec.watchdogTimeout = fromUs(500);
-    dml::Executor exec(sim, plat.mem(), plat.kernels(),
-                       std::vector<DsaDevice *>{&plat.dsa(0)}, ec);
-
-    AddressSpace &as = plat.mem().createSpace();
-    const std::uint64_t span = 1 << 20;
-    Addr src = as.alloc(span);
-    Addr dst = as.alloc(span);
+    explicit MixRig(const Scenario &sc) : plat(sim, socketConfig())
     {
-        Rng init(opt.seed ^ 0x9e3779b97f4a7c15ull);
-        std::vector<std::uint8_t> buf(span);
-        for (auto &b : buf)
-            b = static_cast<std::uint8_t>(init.next32());
-        as.write(src, buf.data(), span);
-        as.write(dst, buf.data(), span);
+        sim.enableStreamHash(true);
+        lane = seedLane(sim, plat, sc, 0);
     }
 
-    // Phase A, then checkpoint the drained platform.
-    std::uint64_t hash_a = 0;
-    driver(plat, exec, as, opt.seed, n_a, src, dst, span, hash_a);
-    sim.run();
-    Snapshot snap = Snapshot::capture(plat);
-    dml::Executor::State exec_state = exec.saveState();
-
-    auto phaseB = [&](Simulation &s, Platform &p, dml::Executor &e,
-                      AddressSpace &space) {
-        Fingerprint fp;
-        driver(p, e, space, seed_b, n_b, src, dst, span,
-               fp.completionHash);
-        s.run();
-        fp.streamHash = s.streamHash();
-        fp.eventsExecuted = s.eventsExecuted();
-        fp.endTick = s.now();
-        return fp;
-    };
-    auto forkArm = [&]() {
-        auto f = snap.fork();
-        dml::Executor fe(f->sim, f->plat().mem(),
-                         f->plat().kernels(),
-                         std::vector<DsaDevice *>{&f->plat().dsa(0)},
-                         ec);
-        fe.restoreState(exec_state);
-        return phaseB(f->sim, f->plat(), fe,
-                      f->plat().mem().space(1));
-    };
-
-    Fingerprint fork1 = forkArm();
-    Fingerprint cold = phaseB(sim, plat, exec, as);
-    Fingerprint fork2 = forkArm();
-    print("cold  ", cold);
-    print("fork 1", fork1);
-    print("fork 2", fork2);
-
-    if (!(cold == fork1) || !(cold == fork2)) {
-        std::fprintf(stderr,
-                     "FAIL: a forked continuation diverged from the "
-                     "cold run — Snapshot::fork() did not reproduce "
-                     "the captured platform state\n");
-        return 1;
+    Fingerprint
+    run(std::uint64_t seed, std::uint64_t count)
+    {
+        return runMix(sim, plat, lane, seed, count);
     }
-    std::printf("determinism_check --fork: PASS (%llu+%llu "
-                "descriptors, seed %llu)\n",
-                static_cast<unsigned long long>(n_a),
-                static_cast<unsigned long long>(n_b),
-                static_cast<unsigned long long>(opt.seed));
-    return 0;
-}
+};
 
-/**
- * A 4-socket SocketCluster plus the per-socket harness state
- * (executor, address space, buffers) the partition checks drive.
- * The cluster shape is fixed; --partitions only picks how many
- * worker threads execute it.
- */
+/** The 4-socket cluster scenario, one lane per socket. */
 struct ClusterRig
 {
-    static constexpr std::uint64_t span = 1 << 20;
+    /** A drained cluster plus the executors' host-side state. */
+    struct Checkpoint
+    {
+        SocketCluster::ClusterSnapshot cluster;
+        std::vector<dml::Executor::State> execs;
+    };
 
     SocketCluster cl;
-    std::vector<std::unique_ptr<dml::Executor>> execs;
-    std::vector<Addr> src, dst;
+    std::vector<Lane> lanes;
 
     static ClusterConfig
     clusterConfig()
     {
         ClusterConfig cc;
         cc.sockets = 4;
-        cc.socket = PlatformConfig::spr();
-        cc.socket.numCores = 2;
-        cc.socket.numDsaDevices = 1;
-        // Devices come up configured straight from the config so a
-        // freshly built cluster is a valid Snapshot restore target.
-        cc.socket.dsaTopology = DsaTopology::basic(32, 2);
-        for (auto &node : cc.socket.mem.nodes)
-            node.capacityBytes = 1ull << 30;
+        cc.socket = socketConfig();
         return cc;
     }
 
+    explicit ClusterRig(const Scenario &sc) : cl(clusterConfig())
+    {
+        cl.enableStreamHash(true);
+        for (unsigned s = 0; s < cl.socketCount(); ++s)
+            lanes.push_back(seedLane(cl.domainSim(s), cl.plat(s), sc, s));
+    }
+
     /**
-     * @p restore_target builds only the bare cluster: spaces,
-     * buffers, injectors and executor state all arrive with the
-     * ClusterSnapshot (restore() installs the captured injectors,
-     * RNG position included).
+     * A freshly built cluster restored to @p cp: spaces, buffers and
+     * injectors (RNG positions included) all arrive with the
+     * snapshot; only the buffer addresses come from @p from.
      */
-    explicit ClusterRig(const Options &opt, bool restore_target = false)
+    ClusterRig(const ClusterRig &from, const Checkpoint &cp)
         : cl(clusterConfig())
     {
         cl.enableStreamHash(true);
-        if (restore_target)
-            return;
         for (unsigned s = 0; s < cl.socketCount(); ++s) {
-            Platform &p = cl.plat(s);
-            if (!opt.faults.empty()) {
-                p.setFaultInjector(
-                    FaultInjector::fromSpec(opt.faults,
-                                            opt.seed + s));
-            }
-            AddressSpace &as = p.mem().createSpace();
-            src.push_back(as.alloc(span));
-            dst.push_back(as.alloc(span));
-            Rng init(opt.seed ^ 0x9e3779b97f4a7c15ull ^ s);
-            std::vector<std::uint8_t> buf(span);
-            for (auto &b : buf)
-                b = static_cast<std::uint8_t>(init.next32());
-            as.write(src[s], buf.data(), span);
-            as.write(dst[s], buf.data(), span);
+            lanes.push_back({executor(cl.domainSim(s), cl.plat(s)),
+                             from.lanes[s].src, from.lanes[s].dst});
         }
-        buildExecutors();
+        restore(cp);
+    }
+
+    Checkpoint
+    capture()
+    {
+        Checkpoint cp{cl.capture(), {}};
+        for (const Lane &lane : lanes)
+            cp.execs.push_back(lane.exec->saveState());
+        return cp;
     }
 
     void
-    buildExecutors()
+    restore(const Checkpoint &cp)
     {
-        execs.clear();
-        for (unsigned s = 0; s < cl.socketCount(); ++s) {
-            Platform &p = cl.plat(s);
-            dml::ExecutorConfig ec;
-            ec.path = dml::Path::Hardware;
-            ec.watchdogTimeout = fromUs(500);
-            execs.push_back(std::make_unique<dml::Executor>(
-                cl.domainSim(s), p.mem(), p.kernels(),
-                std::vector<DsaDevice *>{&p.dsa(0)}, ec));
-        }
+        cl.restore(cp.cluster);
+        for (unsigned s = 0; s < cl.socketCount(); ++s)
+            lanes[s].exec->restoreState(cp.execs[s]);
     }
 
     /**
      * Drive @p per_socket descriptors on every socket (each with its
-     * own seed lane and a RemotePort to its ring neighbor) and run
-     * the cluster on @p threads workers. The fingerprint folds the
-     * per-socket completion hashes in socket order on top of the
-     * cross-domain stream hash.
+     * own seed lane and a RemotePort to its ring neighbor) on
+     * @p threads workers. Per-socket completion hashes fold in socket
+     * order on top of the cross-domain stream hash.
      */
     Fingerprint
-    phase(std::uint64_t seed, std::uint64_t per_socket,
-          unsigned threads)
+    run(std::uint64_t seed, std::uint64_t per_socket, unsigned threads)
     {
         const unsigned n = cl.socketCount();
         std::vector<std::uint64_t> chash(n, 0);
         for (unsigned s = 0; s < n; ++s) {
-            driver(cl.plat(s), *execs[s], cl.plat(s).mem().space(1),
-                   seed ^ (s * 0x9e3779b97f4a7c15ull), per_socket,
-                   src[s], dst[s], span, chash[s],
-                   &cl.port(s, (s + 1) % n));
+            driver(cl.plat(s), lanes[s], seed ^ (s * kGolden),
+                   per_socket, chash[s], &cl.port(s, (s + 1) % n));
         }
         cl.run(threads);
         Fingerprint fp;
@@ -439,136 +408,25 @@ struct ClusterRig
 };
 
 /**
- * Partitioning-contract guard: the identical 4-socket scenario on 1
- * worker thread and on K must produce identical fingerprints.
+ * 64 open-loop PASID-isolated tenants on two sockets, through WQ
+ * admission, jittered ENQCMD backoff, breakers and CPU fallback, on
+ * @p threads workers. Per-socket terminal counters fold over the
+ * stream hash, so one retry or shed decided differently shows. Empty
+ * when a socket left requests unaccounted (a hang).
  */
-int
-runPartitionCheck(const Options &opt)
-{
-    const std::uint64_t per =
-        std::max<std::uint64_t>(1, opt.n / 4);
-    auto once = [&](unsigned threads) {
-        ClusterRig rig(opt);
-        return rig.phase(opt.seed, per, threads);
-    };
-    Fingerprint serial = once(1);
-    print("1 thread ", serial);
-    Fingerprint par = once(opt.partitions);
-    char label[32];
-    std::snprintf(label, sizeof(label), "%u threads",
-                  opt.partitions);
-    print(label, par);
-
-    if (!(serial == par)) {
-        std::fprintf(stderr,
-                     "FAIL: the %u-thread run diverged from the "
-                     "serial run — cross-domain event order leaked "
-                     "the worker-thread count\n",
-                     opt.partitions);
-        return 1;
-    }
-    std::printf("determinism_check --partitions=%u: PASS (4 sockets "
-                "x %llu descriptors, seed %llu)\n",
-                opt.partitions,
-                static_cast<unsigned long long>(per),
-                static_cast<unsigned long long>(opt.seed));
-    return 0;
-}
-
-/**
- * Partition + snapshot guard (--fork --partitions=K): run phase A on
- * K threads, capture a ClusterSnapshot of the drained cluster, then
- * play phase B three ways — restored into a freshly built cluster
- * (K threads), continued cold on the source cluster (1 thread), and
- * rewound in place on the source cluster (K threads). All three
- * fingerprints must match.
- */
-int
-runPartitionForkCheck(const Options &opt)
-{
-    const std::uint64_t per = std::max<std::uint64_t>(1, opt.n / 4);
-    const std::uint64_t per_a = per / 2;
-    const std::uint64_t per_b = per - per_a;
-    const std::uint64_t seed_b = opt.seed ^ 0xb5c0ffeeull;
-
-    ClusterRig rig(opt);
-    rig.phase(opt.seed, per_a, opt.partitions);
-    SocketCluster::ClusterSnapshot snap = rig.cl.capture();
-    std::vector<dml::Executor::State> est;
-    for (auto &e : rig.execs)
-        est.push_back(e->saveState());
-
-    auto rewind = [&](ClusterRig &r) {
-        r.cl.restore(snap);
-        for (unsigned s = 0; s < r.cl.socketCount(); ++s)
-            r.execs[s]->restoreState(est[s]);
-    };
-
-    // Restore into a brand-new cluster built from the same config
-    // (exercising snapshot portability across cluster instances),
-    // and run phase B on K threads.
-    ClusterRig fresh(opt, /*restore_target=*/true);
-    fresh.cl.restore(snap);
-    fresh.src = rig.src;
-    fresh.dst = rig.dst;
-    fresh.buildExecutors();
-    for (unsigned s = 0; s < fresh.cl.socketCount(); ++s)
-        fresh.execs[s]->restoreState(est[s]);
-    Fingerprint restored = fresh.phase(seed_b, per_b,
-                                       opt.partitions);
-
-    // Cold continuation of the source cluster, serially.
-    Fingerprint cold = rig.phase(seed_b, per_b, 1);
-
-    // Rewind the source cluster in place and replay on K threads.
-    rewind(rig);
-    Fingerprint rewound = rig.phase(seed_b, per_b, opt.partitions);
-
-    print("cold    ", cold);
-    print("restored", restored);
-    print("rewound ", rewound);
-
-    if (!(cold == restored) || !(cold == rewound)) {
-        std::fprintf(stderr,
-                     "FAIL: a snapshot continuation diverged — "
-                     "ClusterSnapshot did not reproduce the captured "
-                     "cluster state, or delivery order leaked the "
-                     "thread count\n");
-        return 1;
-    }
-    std::printf("determinism_check --fork --partitions=%u: PASS "
-                "(4 sockets x %llu+%llu descriptors, seed %llu)\n",
-                opt.partitions,
-                static_cast<unsigned long long>(per_a),
-                static_cast<unsigned long long>(per_b),
-                static_cast<unsigned long long>(opt.seed));
-    return 0;
-}
-
-/**
- * Serving-stack guard (--serving): the full overload degradation
- * ladder — open-loop tenants, WQ admission, jittered backoff,
- * breakers, CPU fallback — simulated on a 2-socket cluster at 1
- * worker thread and at K. The fingerprint folds the cross-domain
- * stream hash with per-tenant terminal counters, so a single retry
- * or shed decided differently on the K-thread run fails the check.
- */
-Fingerprint
-runServingScenario(const Options &opt, unsigned threads)
+std::optional<Fingerprint>
+runServing(const Scenario &sc, unsigned threads)
 {
     const unsigned tenants = 64;
     const std::uint64_t requests =
-        std::max<std::uint64_t>(1, opt.n / tenants);
+        std::max<std::uint64_t>(1, sc.n / tenants);
 
     ClusterConfig cc;
     cc.sockets = 2;
-    cc.socket = PlatformConfig::spr();
+    cc.socket = socketConfig();
     cc.socket.numCores = 4;
-    cc.socket.numDsaDevices = 1;
     cc.socket.dsaTopology =
         DsaTopology::basic(32, 2, WorkQueue::Mode::Shared);
-    for (auto &node : cc.socket.mem.nodes)
-        node.capacityBytes = 1ull << 30;
     SocketCluster cl(cc);
     cl.enableStreamHash(true);
 
@@ -581,21 +439,21 @@ runServingScenario(const Options &opt, unsigned threads)
     };
     std::vector<Rig> rigs(cl.socketCount());
 
-    dml::ServingConfig sc;
-    sc.maxRetries = 4;
-    sc.backoffBase = fromNs(200);
-    sc.backoffCap = fromUs(2);
-    sc.outstandingCap = 12;
-    sc.watchdogTimeout = fromUs(500);
-    sc.breaker.window = 16;
-    sc.breaker.cooldown = fromUs(150);
-    sc.seed = opt.seed;
+    dml::ServingConfig sv;
+    sv.maxRetries = 4;
+    sv.backoffBase = fromNs(200);
+    sv.backoffCap = fromUs(2);
+    sv.outstandingCap = 12;
+    sv.watchdogTimeout = fromUs(500);
+    sv.breaker.window = 16;
+    sv.breaker.cooldown = fromUs(150);
+    sv.seed = sc.seed;
 
     for (unsigned s = 0; s < cl.socketCount(); ++s) {
         Platform &p = cl.plat(s);
-        if (!opt.faults.empty()) {
+        if (*sc.faults != '\0') {
             p.setFaultInjector(
-                FaultInjector::fromSpec(opt.faults, opt.seed + s));
+                FaultInjector::fromSpec(sc.faults, sc.seed + s));
         }
         Rig &rig = rigs[s];
         dml::ExecutorConfig ec;
@@ -604,7 +462,7 @@ runServingScenario(const Options &opt, unsigned threads)
             cl.domainSim(s), p.mem(), p.kernels(),
             std::vector<DsaDevice *>{&p.dsa(0)}, ec);
         rig.node = std::make_unique<dml::ServingNode>(cl.domainSim(s),
-                                                      *rig.exec, sc);
+                                                      *rig.exec, sv);
         WqAdmission::Config ac;
         ac.bucket = {3000, 8};
         rig.admission = std::make_unique<WqAdmission>(ac);
@@ -642,7 +500,7 @@ runServingScenario(const Options &opt, unsigned threads)
         dml::TenantSession &sess = rigs[s].node->addTenant(
             as.pasid(), p.core(t % 4), p.dsa(0), p.dsa(0).wq(0),
             make);
-        rigs[s].node->openLoop(sess, ArrivalStream(opt.seed, t, cls),
+        rigs[s].node->openLoop(sess, ArrivalStream(sc.seed, t, cls),
                                requests, *rigs[s].done);
     }
     cl.run(threads);
@@ -654,12 +512,12 @@ runServingScenario(const Options &opt, unsigned threads)
     for (unsigned s = 0; s < cl.socketCount(); ++s) {
         if (!rigs[s].done->done()) {
             std::fprintf(stderr,
-                         "FAIL: serving scenario hung on socket %u "
-                         "(%llu request(s) unaccounted)\n",
+                         "serving: socket %u hung with %llu "
+                         "request(s) unaccounted\n",
                          s,
                          static_cast<unsigned long long>(
                              rigs[s].done->pending()));
-            std::exit(1);
+            return std::nullopt;
         }
         const dml::TenantStats total = rigs[s].node->aggregate();
         fnv1a(fp.completionHash, total.completed());
@@ -676,137 +534,204 @@ runServingScenario(const Options &opt, unsigned threads)
 }
 
 /**
- * Telemetry-purity guard (--telemetry): the sample hook must be a
- * pure observer. The same scenario runs with sampling off, with
- * DSASIM_STATS at a 1 ns period (a sample opportunity at every
- * event), and at the default 1 us period; all three fingerprints
- * must be bit-identical (DESIGN.md §15). Composes with --faults.
+ * One socket: run, rerun, and sampled at a 1 ns period (a sample
+ * opportunity at every event) and at the default 1 us. A rerun
+ * mismatch means host time, entropy, iteration order or addresses
+ * leaked in; a sampled one, that the sample hook scheduled an event,
+ * consumed a sequence number or mutated simulated state.
  */
-int
-runTelemetryCheck(const Options &opt)
+void
+mixRow(const Scenario &sc, Arms &arms)
 {
-    unsetenv("DSASIM_STATS");
-    Fingerprint off = runScenario(opt);
-    print("stats off   ", off);
-
-    setenv("DSASIM_STATS", "determinism-telemetry-", 1);
-    setenv("DSASIM_STATS_PERIOD", "1", 1);
-    Fingerprint fine = runScenario(opt);
-    print("period 1ns  ", fine);
-
-    setenv("DSASIM_STATS_PERIOD", "1000", 1);
-    Fingerprint coarse = runScenario(opt);
-    print("period 1us  ", coarse);
-
-    unsetenv("DSASIM_STATS");
-    unsetenv("DSASIM_STATS_PERIOD");
-
-    if (!(off == fine) || !(off == coarse)) {
-        std::fprintf(stderr,
-                     "FAIL: telemetry sampling perturbed the event "
-                     "stream — the sample hook scheduled an event, "
-                     "consumed a sequence number, or mutated "
-                     "simulated state (DESIGN.md §15)\n");
-        return 1;
+    arms.add("run", MixRig(sc).run(sc.seed, sc.n));
+    arms.add("rerun", MixRig(sc).run(sc.seed, sc.n));
+    {
+        Sampling on(sc, 1);
+        arms.add("sampled 1 ns", MixRig(sc).run(sc.seed, sc.n));
     }
-    std::printf("determinism_check --telemetry: PASS (%llu "
-                "descriptors, seed %llu%s)\n",
-                static_cast<unsigned long long>(opt.n),
-                static_cast<unsigned long long>(opt.seed),
-                opt.faults.empty() ? "" : ", faulted");
-    return 0;
+    Sampling on(sc, 1000);
+    arms.add("sampled 1 us", MixRig(sc).run(sc.seed, sc.n));
 }
 
-int
-runServingCheck(const Options &opt)
+/**
+ * Half the mix, a Snapshot of the quiesced platform, then the second
+ * half continued cold and on two Snapshot::fork() copies. Fork 2 is
+ * taken after fork 1 and the cold run have both written their copies
+ * (copy-on-write isolation).
+ */
+void
+mixForkRow(const Scenario &sc, Arms &arms)
 {
-    const unsigned k = opt.partitions ? opt.partitions : 4;
-    Fingerprint serial = runServingScenario(opt, 1);
-    print("1 thread ", serial);
-    Fingerprint par = runServingScenario(opt, k);
-    char label[32];
-    std::snprintf(label, sizeof(label), "%u threads", k);
-    print(label, par);
+    const std::uint64_t n_a = sc.n / 2;
+    const std::uint64_t n_b = sc.n - n_a;
+    MixRig rig(sc);
+    rig.run(sc.seed, n_a);
+    const Snapshot snap = Snapshot::capture(rig.plat);
+    const dml::Executor::State exec_state = rig.lane.exec->saveState();
 
-    if (!(serial == par)) {
-        std::fprintf(stderr,
-                     "FAIL: the %u-thread serving run diverged from "
-                     "the serial run — an admission, backoff, or "
-                     "breaker decision leaked the worker-thread "
-                     "count\n",
-                     k);
-        return 1;
-    }
-    std::printf("determinism_check --serving --partitions=%u: PASS "
-                "(64 tenants, seed %llu)\n",
-                k, static_cast<unsigned long long>(opt.seed));
-    return 0;
+    auto forked = [&] {
+        auto f = snap.fork();
+        Lane lane{executor(f->sim, f->plat()), rig.lane.src,
+                  rig.lane.dst};
+        lane.exec->restoreState(exec_state);
+        return runMix(f->sim, f->plat(), lane, sc.seedB(), n_b);
+    };
+    const Fingerprint fork1 = forked();
+    arms.add("cold", rig.run(sc.seedB(), n_b));
+    arms.add("fork 1", fork1);
+    arms.add("fork 2", forked());
 }
+
+/**
+ * The 4-socket cluster on 1, 2 and 4 worker threads, and on 4 with
+ * every socket's sampler armed at 1 us.
+ */
+void
+clusterRow(const Scenario &sc, Arms &arms)
+{
+    const std::uint64_t per = std::max<std::uint64_t>(1, sc.n / 4);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        arms.add(threadsLabel(threads),
+                 ClusterRig(sc).run(sc.seed, per, threads));
+    }
+    Sampling on(sc, 1000);
+    arms.add("4 threads, 1 us", ClusterRig(sc).run(sc.seed, per, 4));
+}
+
+/**
+ * Half the cluster mix on 4 threads and a ClusterSnapshot, then the
+ * second half continued cold on 1 thread, restored into a freshly
+ * built cluster and rewound in place, on 4 threads each.
+ */
+void
+clusterForkRow(const Scenario &sc, Arms &arms)
+{
+    const std::uint64_t per = std::max<std::uint64_t>(1, sc.n / 4);
+    const std::uint64_t per_a = per / 2;
+    const std::uint64_t per_b = per - per_a;
+    ClusterRig rig(sc);
+    rig.run(sc.seed, per_a, 4);
+    const ClusterRig::Checkpoint cp = rig.capture();
+
+    const Fingerprint restored =
+        ClusterRig(rig, cp).run(sc.seedB(), per_b, 4);
+    arms.add("cold", rig.run(sc.seedB(), per_b, 1));
+    arms.add("restored", restored);
+    rig.restore(cp);
+    arms.add("rewound", rig.run(sc.seedB(), per_b, 4));
+}
+
+void
+servingRow(const Scenario &sc, Arms &arms)
+{
+    for (unsigned threads : {1u, 4u}) {
+        if (std::optional<Fingerprint> fp = runServing(sc, threads))
+            arms.add(threadsLabel(threads), *fp);
+        else
+            arms.fail(threadsLabel(threads), "hung");
+    }
+}
+
+struct Row
+{
+    const char *name;
+    const char *faults; ///< the faulted column's spec
+    void (*run)(const Scenario &, Arms &);
+};
+
+/** The contract table; the file comment says what each row guards. */
+const Row kRows[] = {
+    {"mix", kFaults, mixRow},
+    {"mix/fork", kFaults, mixForkRow},
+    {"cluster", kFaults, clusterRow},
+    {"cluster/fork", kFaults, clusterForkRow},
+    {"serving", kServingFaults, servingRow},
+};
+
+/** Parse "<key><unsigned>" into @p out; false if @p arg is not that. */
+bool
+parseFlag(const char *arg, const char *key, std::uint64_t &out)
+{
+    const std::size_t klen = std::strlen(key);
+    if (std::strncmp(arg, key, klen) != 0 || arg[klen] == '\0')
+        return false;
+    char *end = nullptr;
+    out = std::strtoull(arg + klen, &end, 0);
+    return *end == '\0';
+}
+
+/** A private mkdtemp directory, removed with its contents. */
+struct TempDir
+{
+    std::string path;
+
+    TempDir()
+    {
+        std::error_code ec;
+        std::string tpl =
+            (std::filesystem::temp_directory_path(ec) /
+             "determinism_check.XXXXXX")
+                .string();
+        if (!ec && mkdtemp(tpl.data()) != nullptr)
+            path = tpl;
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Options opt;
+    std::uint64_t n = 2000;
+    std::uint64_t seed = 42;
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *key) -> const char * {
-            std::size_t klen = std::strlen(key);
-            if (a.compare(0, klen, key) == 0)
-                return a.c_str() + klen;
-            return nullptr;
-        };
-        if (const char *v1 = val("--n="))
-            opt.n = std::strtoull(v1, nullptr, 0);
-        else if (const char *v2 = val("--seed="))
-            opt.seed = std::strtoull(v2, nullptr, 0);
-        else if (const char *v3 = val("--faults="))
-            opt.faults = v3;
-        else if (const char *v4 = val("--partitions="))
-            opt.partitions =
-                static_cast<unsigned>(std::strtoul(v4, nullptr, 0));
-        else if (a == "--fork")
-            opt.fork = true;
-        else if (a == "--serving")
-            opt.serving = true;
-        else if (a == "--telemetry")
-            opt.telemetry = true;
-        else {
+        if (!parseFlag(argv[i], "--n=", n) &&
+            !parseFlag(argv[i], "--seed=", seed)) {
             std::fprintf(stderr,
-                         "usage: determinism_check [--n=N] "
-                         "[--seed=S] [--faults=SPEC] [--fork] "
-                         "[--partitions=K] [--serving] "
-                         "[--telemetry]\n");
+                         "usage: determinism_check [--n=N] [--seed=S]\n");
             return 2;
         }
     }
 
-    if (opt.telemetry)
-        return runTelemetryCheck(opt);
-    if (opt.serving)
-        return runServingCheck(opt);
-    if (opt.partitions > 0)
-        return opt.fork ? runPartitionForkCheck(opt)
-                        : runPartitionCheck(opt);
-    if (opt.fork)
-        return runForkCheck(opt);
+    // The unsampled arms must run with the sampler off whatever the
+    // caller's environment says.
+    unsetenv("DSASIM_STATS");
+    unsetenv("DSASIM_STATS_PERIOD");
+    const TempDir stats;
+    if (stats.path.empty()) {
+        std::perror("determinism_check: mkdtemp");
+        return 2;
+    }
 
-    Fingerprint first = runScenario(opt);
-    print("run 1", first);
-    Fingerprint second = runScenario(opt);
-    print("run 2", second);
-
-    if (!(first == second)) {
+    unsigned failed = 0;
+    for (const Row &row : kRows) {
+        for (const char *faults : {"", row.faults}) {
+            const Scenario sc{n, seed, faults, stats.path};
+            Arms arms{row.name, *faults ? "faulted" : "clean"};
+            row.run(sc, arms);
+            failed += arms.failed;
+        }
+    }
+    std::fflush(stdout);
+    if (failed > 0) {
         std::fprintf(stderr,
-                     "FAIL: event streams diverged — the simulator "
-                     "consumed non-deterministic input (host time, "
-                     "entropy, iteration order, or addresses)\n");
+                     "determinism_check: FAIL (%u arm(s) failed; "
+                     "n %llu, seed %llu)\n",
+                     failed, static_cast<unsigned long long>(n),
+                     static_cast<unsigned long long>(seed));
         return 1;
     }
-    std::printf("determinism_check: PASS (%llu descriptors, seed "
-                "%llu)\n",
-                static_cast<unsigned long long>(opt.n),
-                static_cast<unsigned long long>(opt.seed));
+    std::printf("determinism_check: PASS (%zu rows x 2 columns, n "
+                "%llu, seed %llu)\n",
+                std::size(kRows), static_cast<unsigned long long>(n),
+                static_cast<unsigned long long>(seed));
     return 0;
 }
