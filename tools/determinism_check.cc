@@ -12,7 +12,8 @@
  * fixed fault spec.
  *
  *   row           guards (DESIGN.md section)
- *   mix           replay; the stats sampler is a pure observer (§9, §15)
+ *   mix           replay: host state never leaks into the run (§9)
+ *   mix/sampled   the stats sampler is a pure observer (§15)
  *   mix/fork      Snapshot::fork reproduces a quiesced platform (§10)
  *   cluster       4-socket event order ignores the thread count (§11)
  *   cluster/fork  ClusterSnapshot continues, restores and rewinds (§11)
@@ -23,7 +24,10 @@
  * 0 when every arm matches, 1 on a mismatch, 2 on a usage or temp-dir
  * error.
  *
- * Usage: determinism_check [--n=2000] [--seed=42]
+ * Usage: determinism_check [--n=2000] [--seed=42] [--cell=ROW:COLUMN]
+ *
+ * --cell runs one row x column (e.g. --cell=mix/fork:faulted) instead
+ * of the whole matrix, so ctest can run the cells as separate cases.
  */
 
 #include <algorithm>
@@ -534,17 +538,26 @@ runServing(const Scenario &sc, unsigned threads)
 }
 
 /**
- * One socket: run, rerun, and sampled at a 1 ns period (a sample
- * opportunity at every event) and at the default 1 us. A rerun
- * mismatch means host time, entropy, iteration order or addresses
- * leaked in; a sampled one, that the sample hook scheduled an event,
- * consumed a sequence number or mutated simulated state.
+ * One socket, run twice. A mismatch means host time, entropy,
+ * iteration order or addresses leaked in.
  */
 void
 mixRow(const Scenario &sc, Arms &arms)
 {
     arms.add("run", MixRig(sc).run(sc.seed, sc.n));
     arms.add("rerun", MixRig(sc).run(sc.seed, sc.n));
+}
+
+/**
+ * One socket with the sampler off, at a 1 ns period (a sample
+ * opportunity at every event) and at the default 1 us. A mismatch
+ * means the sample hook scheduled an event, consumed a sequence
+ * number or mutated simulated state.
+ */
+void
+mixSampledRow(const Scenario &sc, Arms &arms)
+{
+    arms.add("off", MixRig(sc).run(sc.seed, sc.n));
     {
         Sampling on(sc, 1);
         arms.add("sampled 1 ns", MixRig(sc).run(sc.seed, sc.n));
@@ -642,6 +655,7 @@ struct Row
 /** The contract table; the file comment says what each row guards. */
 const Row kRows[] = {
     {"mix", kFaults, mixRow},
+    {"mix/sampled", kFaults, mixSampledRow},
     {"mix/fork", kFaults, mixForkRow},
     {"cluster", kFaults, clusterRow},
     {"cluster/fork", kFaults, clusterForkRow},
@@ -685,6 +699,14 @@ struct TempDir
     TempDir &operator=(const TempDir &) = delete;
 };
 
+int
+usage()
+{
+    std::fprintf(stderr, "usage: determinism_check [--n=N] [--seed=S] "
+                         "[--cell=ROW:COLUMN]\n");
+    return 2;
+}
+
 } // namespace
 
 int
@@ -692,13 +714,13 @@ main(int argc, char **argv)
 {
     std::uint64_t n = 2000;
     std::uint64_t seed = 42;
+    std::string cell; ///< "" runs every cell
     for (int i = 1; i < argc; ++i) {
-        if (!parseFlag(argv[i], "--n=", n) &&
-            !parseFlag(argv[i], "--seed=", seed)) {
-            std::fprintf(stderr,
-                         "usage: determinism_check [--n=N] [--seed=S]\n");
-            return 2;
-        }
+        if (std::strncmp(argv[i], "--cell=", 7) == 0)
+            cell = argv[i] + 7;
+        else if (!parseFlag(argv[i], "--n=", n) &&
+                 !parseFlag(argv[i], "--seed=", seed))
+            return usage();
     }
 
     // The unsampled arms must run with the sampler off whatever the
@@ -712,14 +734,22 @@ main(int argc, char **argv)
     }
 
     unsigned failed = 0;
+    unsigned cells = 0;
     for (const Row &row : kRows) {
         for (const char *faults : {"", row.faults}) {
+            const char *column = *faults ? "faulted" : "clean";
+            if (!cell.empty() &&
+                cell != std::string(row.name) + ":" + column)
+                continue;
             const Scenario sc{n, seed, faults, stats.path};
-            Arms arms{row.name, *faults ? "faulted" : "clean"};
+            Arms arms{row.name, column};
             row.run(sc, arms);
             failed += arms.failed;
+            ++cells;
         }
     }
+    if (cells == 0)
+        return usage(); // --cell named no row x column
     std::fflush(stdout);
     if (failed > 0) {
         std::fprintf(stderr,
@@ -729,9 +759,9 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(seed));
         return 1;
     }
-    std::printf("determinism_check: PASS (%zu rows x 2 columns, n "
-                "%llu, seed %llu)\n",
-                std::size(kRows), static_cast<unsigned long long>(n),
+    std::printf("determinism_check: PASS (%u cell(s), n %llu, seed "
+                "%llu)\n",
+                cells, static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(seed));
     return 0;
 }
