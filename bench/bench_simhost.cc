@@ -2,7 +2,8 @@
  * @file
  * Host-side performance of the simulator itself: event-queue
  * throughput, cache-model access rate, LLC directory build and
- * snapshot-restore time, functional operation speed
+ * snapshot-restore time, per-line LLC walk cost (CPU stream, random
+ * CPU access, device probe span), functional operation speed
  * (with the CRC arms the host selected), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
  * work the figure benches can afford; they are about dsasim, not
@@ -21,12 +22,14 @@
  * be written, 2 that the two kernels disagreed on the replay.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <coroutine>
 #include <cstdio>
 #include <functional>
 #include <string_view>
+#include <vector>
 
 #include "bench/common.hh"
 #include "sim/random.hh"
@@ -338,6 +341,91 @@ llcRestoreMs()
            });
 }
 
+/// @name Per-layer LLC walks on the SPR 105 MB directory, pre-filled
+/// with dirty lines so every miss evicts.
+/// @{
+
+CacheModel
+dirtySprLlc()
+{
+    CacheModel c{CacheModel::Config{}};
+    std::vector<Addr> victims;
+    c.cpuAccessSpan(0, c.sizeBytes(), 0, true, victims);
+    return c;
+}
+
+/** A random line of the 32 MiB region at @p base. */
+Addr
+randomLine(Rng &rng, Addr base)
+{
+    return base + rng.range(0, (32 << 20) / 64 - 1) * 64;
+}
+
+/**
+ * Host ns per line of 4 KiB cpuAccessSpan writes streaming over
+ * 32 MiB, each span followed by 8 random reads (cpu-pollution's mix
+ * of copiers and probes); only the span calls are timed.
+ */
+double
+llcStreamNs()
+{
+    CacheModel c = dirtySprLlc();
+    Rng rng(2);
+    std::vector<Addr> victims;
+    const Addr stream = 1ull << 30, probes = 2ull << 30;
+    const std::uint64_t pages = (32 << 20) / 4096;
+    double best = 1e30;
+    for (int trial = 0; trial < 3; ++trial) {
+        double secs = 0;
+        for (std::uint64_t p = 0; p < pages; ++p) {
+            victims.clear();
+            const auto t0 = bench::Clock::now();
+            keep(c.cpuAccessSpan(stream + p * 4096, 4096, 1, true,
+                                 victims)
+                     .hits);
+            secs += bench::secondsSince(t0);
+            for (int i = 0; i < 8; ++i)
+                keep(c.cpuAccess(randomLine(rng, probes), 2, false).hit);
+        }
+        best = std::min(best, secs * 1e9 / (pages * 64.0));
+    }
+    return best;
+}
+
+/** Host ns per random cpuAccess read over 32 MiB. */
+double
+llcRandomNs()
+{
+    CacheModel c = dirtySprLlc();
+    Rng rng(3);
+    const Addr base = 3ull << 30;
+    const int n = 100000;
+    return 1e9 / bench::bestRate(n, [&] {
+               for (int i = 0; i < n; ++i)
+                   keep(c.cpuAccess(randomLine(rng, base), 2, false).hit);
+           });
+}
+
+/**
+ * Host ns per line of probeSpan over a 1 MiB DDIO-filled buffer in
+ * 4 KiB segments, one page in eight evicted (mostly resident).
+ */
+double
+llcProbeSpanNs()
+{
+    CacheModel c = dirtySprLlc();
+    const Addr base = 4ull << 30;
+    const std::uint64_t bytes = 1 << 20;
+    c.fillSpan(base, bytes, 1000);
+    for (Addr p = 0; p < bytes; p += 8 * 4096)
+        c.evictSpan(base + p, 4096);
+    return 1e9 / bench::bestRate(bytes / 64.0, [&] {
+               for (Addr p = 0; p < bytes; p += 4096)
+                   keep(c.probeSpan(base + p, 4096).hitBytes);
+           });
+}
+/// @}
+
 /** CRC32C GB/s over a @p bytes buffer. */
 double
 crc32cGbps(std::size_t bytes)
@@ -427,6 +515,9 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "cache_accesses_per_sec", cacheAccessRate());
     gate.add(Gate::Info, "llc_build_ms", llcBuildMs(), 3);
     gate.add(Gate::Info, "llc_restore_ms", llcRestoreMs(), 3);
+    gate.add(Gate::Info, "llc_stream_ns", llcStreamNs(), 2);
+    gate.add(Gate::Info, "llc_random_ns", llcRandomNs(), 2);
+    gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
     gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);

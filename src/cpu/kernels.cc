@@ -89,43 +89,43 @@ SwKernels::touchRange(Core &core, AddressSpace &as, Addr va,
         Level lvl = levelOf(core, node_id);
         MemNode &node = mem.node(node_id);
 
-        Addr line_end = lineAlignUp(pa + run);
+        const std::uint64_t lines = linesCovered(pa, run);
         std::uint64_t miss_read_bytes = 0;
         std::uint64_t wb_bytes_local = 0;
-        // Stays line-at-a-time: each dirty victim's writeback is
-        // charged to that victim's node with its own occupy() call,
-        // whose duration rounds per call — batching would change
-        // ticks (DESIGN.md §13 explains the rounding constraint).
-        for (Addr a = lineAlignDown(pa); a < line_end;
-             a += cacheLineSize) { // simlint:allow(acct-loop)
-            if (is_write && !allocate) {
-                // Non-temporal store: bypass and invalidate.
-                llc.invalidate(a);
-                rc.coreTicks += p.writeNtLine;
-                wb_bytes_local += cacheLineSize;
-                continue;
-            }
-            auto res = llc.cpuAccess(a, owner, is_write);
-            if (res.hit) {
-                rc.coreTicks += is_write ? p.writeLlcHit
-                                         : p.readLlcHit;
-            } else {
+        if (is_write && !allocate) {
+            // Non-temporal stores: bypass and invalidate.
+            llc.evictSpan(pa, run);
+            rc.coreTicks += lines * p.writeNtLine;
+            wb_bytes_local += lines * cacheLineSize;
+        } else {
+            // One span call; touchRange never suspends, so charging
+            // each dirty victim's writeback afterwards, in line order
+            // and with its own occupy(), is tick-identical to the
+            // per-line loop (DESIGN.md §13).
+            victims.clear();
+            const CacheModel::CpuSpanResult res =
+                llc.cpuAccessSpan(pa, run, owner, is_write, victims);
+            rc.coreTicks += res.hits * (is_write ? p.writeLlcHit
+                                                 : p.readLlcHit);
+            if (res.misses > 0) {
                 rc.anyMiss = true;
-                rc.coreTicks += is_write ? writeLineCost(core, lvl)
-                                         : readLineCost(core, lvl);
+                rc.coreTicks += res.misses *
+                                (is_write ? writeLineCost(core, lvl)
+                                          : readLineCost(core, lvl));
                 if (is_write) {
                     // Write-allocate: the RFO reads the line, the
                     // dirty copy is written back later.
-                    miss_read_bytes += static_cast<std::uint64_t>(
-                        cacheLineSize * p.rfoReadFactor);
-                    wb_bytes_local += cacheLineSize;
+                    miss_read_bytes += res.misses *
+                                       static_cast<std::uint64_t>(
+                                           cacheLineSize *
+                                           p.rfoReadFactor);
+                    wb_bytes_local += res.misses * cacheLineSize;
                 } else {
-                    miss_read_bytes += cacheLineSize;
+                    miss_read_bytes += res.misses * cacheLineSize;
                 }
             }
-            if (res.evictedDirty) {
-                int victim_node = MemSystem::paNode(res.evictedPa);
-                Tick end = mem.node(victim_node)
+            for (Addr victim : victims) {
+                Tick end = mem.node(MemSystem::paNode(victim))
                                .writeLink.occupy(cacheLineSize);
                 rc.linkEnd = std::max(rc.linkEnd, end);
             }

@@ -15,6 +15,7 @@
 #define DSASIM_CPU_KERNELS_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "mem/address_space.hh"
@@ -138,6 +139,8 @@ class SwKernels
                   std::initializer_list<RangeCost> ranges);
 
     MemSystem &mem;
+    /** touchRange's dirty victims of one page run (reused buffer). */
+    std::vector<Addr> victims;
 };
 
 } // namespace dsasim

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -7,11 +8,85 @@
 namespace dsasim
 {
 
+namespace
+{
+
+constexpr std::uint64_t kNibbleLow = 0x1111111111111111ull;
+constexpr std::uint64_t kByteLow = 0x0101010101010101ull;
+constexpr std::uint64_t kByteLow7 = 0x7f7f7f7f7f7f7f7full;
+
+/** Prefetch stride: a host cache line, not a simulated one. */
+constexpr std::size_t kHostLine = 64;
+
+/** The order word of a set that just came alive: way i at position i. */
+constexpr std::uint64_t kIdentityOrder = 0xfedcba9876543210ull;
+
+/** The fingerprint byte of a way that holds no line. */
+constexpr std::uint64_t kNoFingerprint = 0xff;
+
+/** Store @p fp as byte @p way of @p fps. */
+void
+setFingerprint(std::uint64_t (&fps)[2], unsigned way, std::uint64_t fp)
+{
+    const unsigned shift = (way & 7) * 8;
+    std::uint64_t &word = fps[way >> 3];
+    word = (word & ~(0xffull << shift)) | fp << shift;
+}
+
+/**
+ * Bit 8k + 7 set where byte k of @p word equals every byte of
+ * @p splat: exact, since no carry crosses a byte.
+ */
+std::uint64_t
+matchBytes(std::uint64_t word, std::uint64_t splat)
+{
+    const std::uint64_t x = word ^ splat;
+    return ~(((x & kByteLow7) + kByteLow7) | x) & ~kByteLow7;
+}
+
+/** @p order with way @p way moved to the MRU end (position 15). */
+std::uint64_t
+promote(std::uint64_t order, unsigned way)
+{
+    // The order is a permutation, so exactly one nibble of x is zero.
+    const std::uint64_t x = order ^ kNibbleLow * way;
+    const std::uint64_t nonzero = (x | x >> 1 | x >> 2 | x >> 3) &
+                                  kNibbleLow;
+    const unsigned shift =
+        static_cast<unsigned>(std::countr_zero(~nonzero & kNibbleLow));
+    const std::uint64_t below = order & ((1ull << shift) - 1);
+    const std::uint64_t above = order >> 4 >> shift;
+    return below | above << shift | std::uint64_t{way} << 60;
+}
+
+/**
+ * The way at the lowest position of @p order whose index lies in
+ * [lo, hi), hi <= 16. Even and odd nibbles are compared in separate
+ * byte lanes: bit 7 of `v + 0x80 - k` is set iff v >= k.
+ */
+unsigned
+lruInRange(std::uint64_t order, unsigned lo, unsigned hi)
+{
+    auto in_range = [&](std::uint64_t v) {
+        const std::uint64_t ge_lo = v + kByteLow * (0x80 - lo);
+        const std::uint64_t ge_hi = v + kByteLow * (0x80 - hi);
+        return ge_lo & ~ge_hi & ~kByteLow7;
+    };
+    constexpr std::uint64_t nibbles = 0x0f0f0f0f0f0f0f0full;
+    // Position i's flag lands on bit 4i + 3.
+    const std::uint64_t flags = in_range(order & nibbles) >> 4 |
+                                in_range(order >> 4 & nibbles);
+    return static_cast<unsigned>(
+        order >> (std::countr_zero(flags) - 3) & 0xf);
+}
+
+} // namespace
+
 CacheModel::CacheModel(const Config &cfg) : config(cfg)
 {
     fatal_if(cfg.ways == 0, "LLC must have at least one way");
-    fatal_if(cfg.ways > 64,
-             "LLC ways (%u) exceed the 64-bit set presence mask",
+    fatal_if(cfg.ways > 16,
+             "LLC ways (%u) exceed the 16 a set header orders",
              cfg.ways);
     fatal_if(cfg.ddioWays > cfg.ways,
              "DDIO ways (%u) exceed total ways (%u)",
@@ -19,10 +94,12 @@ CacheModel::CacheModel(const Config &cfg) : config(cfg)
     std::uint64_t line_count = cfg.sizeBytes / cacheLineSize;
     sets = static_cast<unsigned>(line_count / cfg.ways);
     fatal_if(sets == 0, "LLC too small for %u ways", cfg.ways);
-    // Left unwritten: a way is read only while its mask bit is set.
+    // Left unwritten: a header is read only while its live bit is
+    // set, a way only while its mask bit is set.
+    heads = std::make_unique_for_overwrite<SetHeader[]>(sets);
     dir = std::make_unique_for_overwrite<Way[]>(
         static_cast<std::size_t>(sets) * cfg.ways);
-    setMeta.resize(sets);
+    live.resize((sets + 63) / 64);
 }
 
 std::uint64_t
@@ -34,15 +111,105 @@ CacheModel::nextUse()
     return ++useClock;
 }
 
-unsigned
-CacheModel::findWay(std::size_t set, std::uint64_t mask,
-                    std::uint64_t tag) const
+CacheModel::SetHeader &
+CacheModel::liveHeader(std::size_t set)
 {
-    const Way *s = &dir[set * config.ways];
-    for (std::uint64_t m = mask; m; m &= m - 1) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        if (wayTag(s[w]) == tag)
-            return w;
+    SetHeader &h = heads[set];
+    std::uint64_t &word = live[set >> 6];
+    const std::uint64_t bit = 1ull << (set & 63);
+    if (!(word & bit)) {
+        word |= bit;
+        h = SetHeader{{~0ull, ~0ull}, kIdentityOrder, 0};
+    }
+    return h;
+}
+
+void
+CacheModel::prefetchSet(std::size_t set) const
+{
+    __builtin_prefetch(&heads[set]);
+    const auto *row =
+        reinterpret_cast<const unsigned char *>(&dir[set * config.ways]);
+    // One demand load first, kept by the empty asm: on hosts that
+    // drop a software prefetch whose page misses the TLB (AMD EPYC,
+    // measured), it brings the page in, and the prefetches of the rest
+    // of the row then land. The byte's value is never used.
+    const unsigned char first = *row;
+    asm("" : : "r"(first));
+    const std::size_t bytes = config.ways * sizeof(Way);
+    for (std::size_t off = kHostLine; off < bytes; off += kHostLine)
+        __builtin_prefetch(row + off);
+    __builtin_prefetch(row + bytes - 1);
+}
+
+template <class Fn>
+void
+CacheModel::walk(Addr pa, std::uint64_t size, Fn &&fn)
+{
+    if (size == 0)
+        return;
+    const std::uint64_t n = linesCovered(pa, size);
+    std::uint64_t tag = tagOf(pa);
+    std::size_t set = static_cast<std::size_t>(tag % sets);
+    std::size_t ahead = (set + kLookahead) % sets;
+    for (std::uint64_t i = 0; i < n; ++i, ++tag) {
+        if (isLive(ahead))
+            prefetchSet(ahead);
+        fn(set, tag);
+        if (++set == sets)
+            set = 0;
+        if (++ahead == sets)
+            ahead = 0;
+    }
+}
+
+template <class Fn>
+std::uint64_t
+CacheModel::walkLive(Addr pa, std::uint64_t size, Fn &&fn)
+{
+    if (size == 0)
+        return 0;
+    std::uint64_t n = linesCovered(pa, size);
+    std::uint64_t tag = tagOf(pa);
+    std::size_t set = static_cast<std::size_t>(tag % sets);
+    std::uint64_t skipped = 0;
+    while (n > 0) {
+        // The sets of one bitset word, up to the wrap.
+        const unsigned bit = set & 63;
+        const std::uint64_t len = std::min<std::uint64_t>(
+            {n, 64 - bit, sets - set});
+        const std::uint64_t want = len == 64 ? ~0ull : (1ull << len) - 1;
+        std::uint64_t hits = live[set >> 6] >> bit & want;
+        skipped += len - static_cast<std::uint64_t>(std::popcount(hits));
+        for (; hits; hits &= hits - 1) {
+            const unsigned k = static_cast<unsigned>(std::countr_zero(hits));
+            fn(heads[set + k], set + k, tag + k);
+        }
+        n -= len;
+        tag += len;
+        set += len;
+        if (set == sets)
+            set = 0;
+    }
+    return skipped;
+}
+
+unsigned
+CacheModel::findIn(const SetHeader &h, std::size_t set,
+                   std::uint64_t tag) const
+{
+    // Absent ways hold kNoFingerprint, which no tag maps to, so the
+    // matches need no presence mask.
+    const std::uint64_t splat = tagFingerprint(tag) * kByteLow;
+    const Way *row = &dir[set * config.ways];
+    for (unsigned half = 0; half < 2; ++half) {
+        for (std::uint64_t m = matchBytes(h.fp[half], splat); m;
+             m &= m - 1) {
+            const unsigned w =
+                half * 8 + static_cast<unsigned>(std::countr_zero(m)) / 8;
+            if (wayTag(row[w]) == tag)
+                return w;
+        }
     }
     return kNoWay;
 }
@@ -52,24 +219,18 @@ CacheModel::findWay(std::size_t set, std::uint64_t mask,
  * DDIO ways (0..ddioWays) while those are free — avoiding an
  * artificial placement pathology where demand lines keep landing in
  * the device-churned partition. With no free way, evict the LRU line
- * (use-clock values are unique, so the minimum is unambiguous).
+ * of the range: every way in it is present, and the order word lists
+ * present ways by ascending lastUse.
  */
 unsigned
-CacheModel::victimInSet(std::size_t set, std::uint64_t mask,
-                        unsigned way_lo, unsigned way_hi) const
+CacheModel::victimInSet(const SetHeader &h, unsigned way_lo,
+                        unsigned way_hi)
 {
-    const std::uint64_t hi_mask =
-        way_hi >= 64 ? ~0ull : (1ull << way_hi) - 1;
-    const std::uint64_t range = hi_mask & ~((1ull << way_lo) - 1);
-    if (std::uint64_t free = ~mask & range)
+    const std::uint64_t range =
+        ((1ull << way_hi) - 1) & ~((1ull << way_lo) - 1);
+    if (std::uint64_t free = ~h.mask & range)
         return 63 - static_cast<unsigned>(std::countl_zero(free));
-    const Way *s = &dir[set * config.ways];
-    unsigned best = way_lo;
-    for (unsigned i = way_lo + 1; i < way_hi; ++i) {
-        if (s[i].useOwner < s[best].useOwner)
-            best = i;
-    }
-    return best;
+    return lruInRange(h.order, way_lo, way_hi);
 }
 
 std::uint64_t &
@@ -93,29 +254,46 @@ CacheModel::uncountOwner(int owner)
 }
 
 void
+CacheModel::touchWay(std::size_t set, unsigned way)
+{
+    Way &w = wayAt(set, way);
+    w.useOwner = nextUse() << kOwnerBits | (w.useOwner & kOwnerMask);
+    std::uint64_t &order = heads[set].order;
+    if (order >> 60 != way)
+        order = promote(order, way);
+}
+
+void
 CacheModel::dropWay(std::size_t set, unsigned way)
 {
-    maskFor(set) &= ~(1ull << way);
+    SetHeader &h = heads[set];
+    h.mask &= ~(1ull << way);
+    setFingerprint(h.fp, way, kNoFingerprint);
     --validLines;
     uncountOwner(wayOwner(wayAt(set, way)));
 }
 
 void
-CacheModel::installWay(std::size_t set, unsigned way, std::uint64_t tag,
-                       int owner, bool dirty, AccessResult &result)
+CacheModel::installWay(SetHeader &h, std::size_t set, unsigned way,
+                       std::uint64_t tag, int owner, bool dirty,
+                       AccessResult &result)
 {
     Way &w = wayAt(set, way);
-    if (maskOf(set) & (1ull << way)) {
+    const std::uint64_t bit = 1ull << way;
+    if (h.mask & bit) {
         result.evictedDirty = wayDirty(w);
         result.evictedPa = wayTag(w) << 6;
-        dropWay(set, way);
+        uncountOwner(wayOwner(w));
+    } else {
+        h.mask |= bit;
+        ++validLines;
     }
     ++ownerCount(owner);
     w.tagDirty = tag | (dirty ? kDirtyBit : 0);
     w.useOwner = nextUse() << kOwnerBits |
                  static_cast<std::uint64_t>(owner);
-    maskFor(set) |= 1ull << way;
-    ++validLines;
+    setFingerprint(h.fp, way, tagFingerprint(tag));
+    h.order = promote(h.order, way);
 }
 
 void
@@ -134,50 +312,67 @@ CacheModel::retagOwner(std::size_t set, unsigned way, int owner)
 }
 
 CacheModel::AccessResult
-CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
+CacheModel::accessLine(std::size_t set, std::uint64_t tag, int owner,
+                       bool is_write, unsigned way_hi)
 {
     AccessResult result;
-    const std::size_t set = setIndex(pa);
-    const std::uint64_t mask = maskOf(set);
-    const unsigned way = findWay(set, mask, tagOf(pa));
+    SetHeader &h = liveHeader(set);
+    const unsigned way = findIn(h, set, tag);
     if (way != kNoWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        Way &w = wayAt(set, way);
-        touchWay(w);
+        touchWay(set, way);
         if (is_write)
-            w.tagDirty |= kDirtyBit;
+            wayAt(set, way).tagDirty |= kDirtyBit;
         retagOwner(set, way, owner);
         return result;
     }
     missBytesTally += cacheLineSize;
-    installWay(set, victimInSet(set, mask, 0, config.ways), tagOf(pa),
-               owner, is_write, result);
+    installWay(h, set, victimInSet(h, 0, way_hi), tag, owner, is_write,
+               result);
     if (result.evictedDirty)
         writebackBytesTally += cacheLineSize;
     return result;
+}
+
+CacheModel::AccessResult
+CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
+{
+    return accessLine(setIndex(pa), tagOf(pa), owner, is_write,
+                      config.ways);
+}
+
+CacheModel::CpuSpanResult
+CacheModel::cpuAccessSpan(Addr pa, std::uint64_t size, int owner,
+                          bool is_write, std::vector<Addr> &dirty_victims)
+{
+    CpuSpanResult r;
+    walk(pa, size, [&](std::size_t set, std::uint64_t tag) {
+        const AccessResult res =
+            accessLine(set, tag, owner, is_write, config.ways);
+        ++(res.hit ? r.hits : r.misses);
+        if (res.evictedDirty)
+            dirty_victims.push_back(res.evictedPa);
+    });
+    return r;
 }
 
 CacheModel::SpanResult
 CacheModel::probeSpan(Addr pa, std::uint64_t size)
 {
     SpanResult r;
-    if (size == 0)
-        return r;
-    const std::uint64_t n = linesCovered(pa, size);
-    std::uint64_t tag = tagOf(pa);
-    std::size_t set = static_cast<std::size_t>(tag % sets);
-    for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const unsigned way = findWay(set, maskOf(set), tag);
-        if (way != kNoWay) {
-            touchWay(wayAt(set, way));
-            r.hitBytes += cacheLineSize;
-        } else {
-            r.missBytes += cacheLineSize;
-        }
-        if (++set == sets)
-            set = 0;
-    }
+    const std::uint64_t absent = walkLive(
+        pa, size,
+        [&](const SetHeader &h, std::size_t set, std::uint64_t tag) {
+            const unsigned way = findIn(h, set, tag);
+            if (way != kNoWay) {
+                touchWay(set, way);
+                r.hitBytes += cacheLineSize;
+            } else {
+                r.missBytes += cacheLineSize;
+            }
+        });
+    r.missBytes += absent * cacheLineSize;
     hitBytesTally += r.hitBytes;
     missBytesTally += r.missBytes;
     return r;
@@ -187,79 +382,44 @@ CacheModel::SpanResult
 CacheModel::fillSpan(Addr pa, std::uint64_t size, int owner)
 {
     SpanResult r;
-    if (size == 0)
-        return r;
     const unsigned hi =
         config.ddioWays > 0 ? config.ddioWays : config.ways;
-    const std::uint64_t n = linesCovered(pa, size);
-    std::uint64_t tag = tagOf(pa);
-    std::size_t set = static_cast<std::size_t>(tag % sets);
-    for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskOf(set);
-        const unsigned way = findWay(set, mask, tag);
-        if (way != kNoWay) {
-            r.hitBytes += cacheLineSize;
-            Way &w = wayAt(set, way);
-            touchWay(w);
-            w.tagDirty |= kDirtyBit;
-            retagOwner(set, way, owner);
-        } else {
-            r.missBytes += cacheLineSize;
-            AccessResult res;
-            installWay(set, victimInSet(set, mask, 0, hi), tag, owner,
-                       true, res);
-            if (res.evictedDirty) {
-                r.writebackBytes += cacheLineSize;
-                r.lastEvictedPa = res.evictedPa;
-            }
+    walk(pa, size, [&](std::size_t set, std::uint64_t tag) {
+        const AccessResult res = accessLine(set, tag, owner, true, hi);
+        (res.hit ? r.hitBytes : r.missBytes) += cacheLineSize;
+        if (res.evictedDirty) {
+            r.writebackBytes += cacheLineSize;
+            r.lastEvictedPa = res.evictedPa;
         }
-        if (++set == sets)
-            set = 0;
-    }
-    hitBytesTally += r.hitBytes;
-    missBytesTally += r.missBytes;
-    writebackBytesTally += r.writebackBytes;
+    });
     return r;
 }
 
 CacheModel::SpanResult
 CacheModel::evictSpan(Addr pa, std::uint64_t size)
 {
-    SpanResult r;
-    if (size == 0)
-        return r;
-    const std::uint64_t n = linesCovered(pa, size);
-    std::uint64_t tag = tagOf(pa);
-    std::size_t set = static_cast<std::size_t>(tag % sets);
-    for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const unsigned way = findWay(set, maskOf(set), tag);
-        if (way != kNoWay)
-            dropWay(set, way);
-        if (++set == sets)
-            set = 0;
-    }
-    return r;
+    walkLive(pa, size,
+             [&](const SetHeader &h, std::size_t set, std::uint64_t tag) {
+                 const unsigned way = findIn(h, set, tag);
+                 if (way != kNoWay)
+                     dropWay(set, way);
+             });
+    return {};
 }
 
 CacheModel::SpanResult
 CacheModel::flushSpan(Addr pa, std::uint64_t size)
 {
     SpanResult r;
-    if (size == 0)
-        return r;
-    const std::uint64_t n = linesCovered(pa, size);
-    std::uint64_t tag = tagOf(pa);
-    std::size_t set = static_cast<std::size_t>(tag % sets);
-    for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const unsigned way = findWay(set, maskOf(set), tag);
-        if (way != kNoWay) {
-            if (wayDirty(wayAt(set, way)))
-                r.writebackBytes += cacheLineSize;
-            dropWay(set, way);
-        }
-        if (++set == sets)
-            set = 0;
-    }
+    walkLive(pa, size,
+             [&](const SetHeader &h, std::size_t set, std::uint64_t tag) {
+                 const unsigned way = findIn(h, set, tag);
+                 if (way != kNoWay) {
+                     if (wayDirty(wayAt(set, way)))
+                         r.writebackBytes += cacheLineSize;
+                     dropWay(set, way);
+                 }
+             });
     writebackBytesTally += r.writebackBytes;
     return r;
 }
@@ -267,15 +427,14 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
 bool
 CacheModel::probe(Addr pa) const
 {
-    const std::size_t set = setIndex(pa);
-    return findWay(set, maskOf(set), tagOf(pa)) != kNoWay;
+    return findWay(setIndex(pa), tagOf(pa)) != kNoWay;
 }
 
 void
 CacheModel::invalidate(Addr pa)
 {
     const std::size_t set = setIndex(pa);
-    const unsigned way = findWay(set, maskOf(set), tagOf(pa));
+    const unsigned way = findWay(set, tagOf(pa));
     if (way != kNoWay)
         dropWay(set, way);
 }
@@ -283,10 +442,37 @@ CacheModel::invalidate(Addr pa)
 void
 CacheModel::invalidateAll()
 {
-    // Epoch bump: every set's presence mask goes stale in O(1).
-    ++flushEpoch;
+    for (std::uint64_t &word : live)
+        word = 0;
     validLines = 0;
     ownerLines.clear();
+}
+
+void
+CacheModel::rebuildOrder(std::size_t set)
+{
+    // Present ways by ascending (lastUse, way), by insertion (a set
+    // holds at most 16; ways arrive in ascending order, so ties keep
+    // it). Promoting them in that order leaves them on top of the
+    // absent ways.
+    std::uint64_t use[16];
+    unsigned way[16];
+    unsigned n = 0;
+    for (std::uint64_t m = heads[set].mask; m; m &= m - 1) {
+        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t u = wayAt(set, w).useOwner >> kOwnerBits;
+        unsigned i = n++;
+        for (; i > 0 && use[i - 1] > u; --i) {
+            use[i] = use[i - 1];
+            way[i] = way[i - 1];
+        }
+        use[i] = u;
+        way[i] = w;
+    }
+    std::uint64_t order = kIdentityOrder;
+    for (unsigned i = 0; i < n; ++i)
+        order = promote(order, way[i]);
+    heads[set].order = order;
 }
 
 CacheModel::State
@@ -298,15 +484,19 @@ CacheModel::saveState() const
     st.missBytes = missBytesTally;
     st.writebackBytes = writebackBytesTally;
     st.validLines.reserve(validLines);
-    for (std::size_t set = 0; set < sets; ++set) {
-        for (std::uint64_t m = maskOf(set); m; m &= m - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(m));
-            const Way &w = dir[set * config.ways + way];
-            st.validLines.emplace_back(
-                set * config.ways + way,
-                Line{wayTag(w), w.useOwner >> kOwnerBits, wayOwner(w),
-                     wayDirty(w)});
+    for (std::size_t word = 0; word < live.size(); ++word) {
+        for (std::uint64_t b = live[word]; b; b &= b - 1) {
+            const std::size_t set = word * 64 + static_cast<std::size_t>(
+                                                    std::countr_zero(b));
+            for (std::uint64_t m = heads[set].mask; m; m &= m - 1) {
+                const unsigned way =
+                    static_cast<unsigned>(std::countr_zero(m));
+                const Way &w = dir[set * config.ways + way];
+                st.validLines.emplace_back(
+                    set * config.ways + way,
+                    Line{wayTag(w), w.useOwner >> kOwnerBits,
+                         wayOwner(w), wayDirty(w)});
+            }
         }
     }
     return st;
@@ -319,9 +509,10 @@ CacheModel::restoreState(const State &st)
              "CacheModel::restoreState: use clock %llu exceeds the "
              "way field",
              static_cast<unsigned long long>(st.useClock));
-    // A new epoch empties every set without touching it; each
-    // restored way rewrites its set's mask under that epoch.
-    ++flushEpoch;
+    // Clearing the live bitset empties every set without touching
+    // it; each restored way brings its set back to life.
+    for (std::uint64_t &word : live)
+        word = 0;
     ownerLines.clear();
     useClock = st.useClock;
     hitBytesTally = st.hitBytes;
@@ -330,16 +521,29 @@ CacheModel::restoreState(const State &st)
     validLines = st.validLines.size();
     const std::uint64_t capacity =
         static_cast<std::uint64_t>(sets) * config.ways;
-    for (const auto &[idx, saved] : st.validLines) {
-        panic_if(idx >= capacity,
-                 "CacheModel::restoreState: line index %llu out of "
-                 "range — geometry mismatch with snapshot",
-                 static_cast<unsigned long long>(idx));
-        ++ownerCount(saved.owner);
-        dir[idx] = Way{saved.tag | (saved.dirty ? kDirtyBit : 0),
-                       saved.lastUse << kOwnerBits |
-                           static_cast<std::uint64_t>(saved.owner)};
-        maskFor(idx / config.ways) |= 1ull << (idx % config.ways);
+    const auto &lines = st.validLines;
+    for (std::size_t i = 0; i < lines.size();) {
+        // One set's entries (ascending way order in a snapshot), then
+        // its order word, while its ways are still hot.
+        const std::uint64_t set = lines[i].first / config.ways;
+        for (; i < lines.size() && lines[i].first / config.ways == set;
+             ++i) {
+            const auto &[idx, saved] = lines[i];
+            panic_if(idx >= capacity,
+                     "CacheModel::restoreState: line index %llu out of "
+                     "range — geometry mismatch with snapshot",
+                     static_cast<unsigned long long>(idx));
+            ++ownerCount(saved.owner);
+            dir[idx] = Way{saved.tag | (saved.dirty ? kDirtyBit : 0),
+                           saved.lastUse << kOwnerBits |
+                               static_cast<std::uint64_t>(saved.owner)};
+            const unsigned way = static_cast<unsigned>(idx % config.ways);
+            SetHeader &h = liveHeader(set);
+            h.mask |= 1ull << way;
+            setFingerprint(h.fp, way, tagFingerprint(saved.tag));
+        }
+        // A set listed again later is simply rebuilt again.
+        rebuildOrder(set);
     }
 }
 

@@ -18,9 +18,11 @@
  * evictSpan / flushSpan): one call covers every line a physically
  * contiguous run touches, in ascending address order, and returns
  * aggregate byte counts, so the engine timing walk charges per chunk
- * instead of per line. CPU demand accesses stay line-granular
- * (cpuAccess). The test-only ReferenceCache (tests/reference_cache.hh)
- * is an independent, naive implementation of the same rules; a
+ * instead of per line. CPU kernels walk a page run with one
+ * cpuAccessSpan call, which returns hit/miss counts and the dirty
+ * victims in line order; random CPU accesses use cpuAccess. The
+ * test-only ReferenceCache (tests/reference_cache.hh) is an
+ * independent, naive implementation of the same rules; a
  * differential fuzz pins this model against it state for state
  * (DESIGN.md §13).
  */
@@ -79,6 +81,18 @@ class CacheModel
 
     explicit CacheModel(const Config &cfg);
 
+    /**
+     * The 8-bit fingerprint a set header keeps of @p tag: the top
+     * byte of a multiplicative hash of the full tag. Public so tests
+     * can build colliding tags.
+     */
+    static std::uint64_t
+    tagFingerprint(std::uint64_t tag)
+    {
+        const std::uint64_t fp = tag * 0x9e3779b97f4a7c15ull >> 56;
+        return fp == 0xff ? 0xfe : fp; // 0xff marks an absent way
+    }
+
     unsigned numWays() const { return config.ways; }
     unsigned numSets() const { return sets; }
     std::uint64_t sizeBytes() const { return config.sizeBytes; }
@@ -88,6 +102,23 @@ class CacheModel
      * occupancy accounting; stores mark the line dirty.
      */
     AccessResult cpuAccess(Addr pa, int owner, bool is_write = false);
+
+    /** Outcome counts of a cpuAccessSpan. */
+    struct CpuSpanResult
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+    };
+
+    /**
+     * cpuAccess applied to every line overlapping [pa, pa+size), in
+     * ascending address order (a zero size touches nothing). The PA
+     * of each dirty victim is appended to @p dirty_victims in line
+     * order; the state and tallies are those of the per-line loop.
+     */
+    CpuSpanResult cpuAccessSpan(Addr pa, std::uint64_t size, int owner,
+                                bool is_write,
+                                std::vector<Addr> &dirty_victims);
 
     /// @name Span operations (device-side streaming, DESIGN.md §13).
     /// Each visits every line overlapping [pa, pa+size) once, in
@@ -183,8 +214,8 @@ class CacheModel
      * O(occupied), not O(capacity) — plus the LRU use clock they are
      * ordered by. A way absent from the snapshot restores as free,
      * exactly as it reads when its presence-mask bit is clear, so
-     * replacement decisions are unchanged. Occupancy accounting is
-     * rebuilt from the lines.
+     * replacement decisions are unchanged. Occupancy accounting and
+     * each set's LRU order are rebuilt from the lines.
      */
     struct State
     {
@@ -197,7 +228,10 @@ class CacheModel
 
     State saveState() const;
 
-    /** O(occupied): ways outside the snapshot are never written. */
+    /**
+     * O(occupied) plus O(sets / 64) to clear the live bitset: ways
+     * and headers outside the snapshot are never written.
+     */
     void restoreState(const State &st);
 
   private:
@@ -205,15 +239,41 @@ class CacheModel
      * One directory way, 16 bytes: `tag | dirty << 63` and
      * `lastUse << 16 | owner`. The storage is never zeroed: a way is
      * read only while its presence-mask bit is set, and installWay()
-     * and restoreState() write it before setting the bit. Use-clock
-     * values are unique, so comparing whole second words picks the
-     * LRU way.
+     * and restoreState() write it before setting the bit. This cold
+     * array is read only to confirm a fingerprint match, to evict a
+     * victim and by saveState().
      */
     struct Way
     {
         std::uint64_t tagDirty;
         std::uint64_t useOwner;
     };
+
+    /**
+     * The hot half of a set, 32 bytes (two per host cache line):
+     *   - fp: byte w is way w's 8-bit tag fingerprint, or 0xff
+     *     (which no tag maps to) while the way is absent. It only
+     *     filters; every match is confirmed against the full tag;
+     *   - order: a permutation of the 16 way indices, nibble i being
+     *     the way at LRU position i (0 = least recent). Present ways
+     *     appear in ascending lastUse order; an absent way's nibble
+     *     is wherever it was dropped, and moves to the MRU end when
+     *     the way is installed again;
+     *   - mask: presence, bit w set <=> way w holds a line — the only
+     *     presence truth.
+     * A header is valid only while its set's bit in `live` is set;
+     * the storage is never zeroed, and a set comes alive empty on its
+     * first install.
+     */
+    struct alignas(32) SetHeader
+    {
+        std::uint64_t fp[2];
+        std::uint64_t order;
+        std::uint64_t mask;
+    };
+
+    /** How far ahead of the current set a walk prefetches. */
+    static constexpr std::size_t kLookahead = 16;
 
     static constexpr std::uint64_t kDirtyBit = 1ull << 63;
     static constexpr unsigned kOwnerBits = 16;
@@ -223,39 +283,14 @@ class CacheModel
     /** findWay() result when the tag is not present. */
     static constexpr unsigned kNoWay = ~0u;
 
-    /**
-     * Per-set presence bitmask — the only truth about which ways hold
-     * a line (bit w set <=> way w is present) — versioned by a flush
-     * epoch so invalidateAll() and restoreState() never touch the
-     * sets they empty. A stale-epoch mask means the set holds no
-     * lines. The masks let every walk visit only the occupied ways
-     * of a set and skip empty sets with one load.
-     */
-    struct SetMeta
+    bool
+    isLive(std::size_t set) const
     {
-        std::uint64_t mask = 0;
-        std::uint64_t epoch = 0;
-    };
-
-    /** The set's presence mask under the current epoch. */
-    std::uint64_t
-    maskOf(std::size_t set) const
-    {
-        const SetMeta &m = setMeta[set];
-        return m.epoch == flushEpoch ? m.mask : 0;
+        return live[set >> 6] >> (set & 63) & 1;
     }
 
-    /** The set's presence mask, normalized to the current epoch. */
-    std::uint64_t &
-    maskFor(std::size_t set)
-    {
-        SetMeta &m = setMeta[set];
-        if (m.epoch != flushEpoch) {
-            m.mask = 0;
-            m.epoch = flushEpoch;
-        }
-        return m.mask;
-    }
+    /** The set's header, brought to life empty if it was not live. */
+    SetHeader &liveHeader(std::size_t set);
 
     Way &
     wayAt(std::size_t set, unsigned way)
@@ -281,24 +316,61 @@ class CacheModel
     std::uint64_t nextUse();
 
     /** LRU-touch a present way, keeping its owner. */
-    void
-    touchWay(Way &w)
-    {
-        w.useOwner = nextUse() << kOwnerBits | (w.useOwner & kOwnerMask);
-    }
+    void touchWay(std::size_t set, unsigned way);
 
-    /** The present way of @p set holding @p tag, else kNoWay. */
-    unsigned findWay(std::size_t set, std::uint64_t mask,
-                     std::uint64_t tag) const;
-    /** Pick the way in [way_lo, way_hi) to install into. */
-    unsigned victimInSet(std::size_t set, std::uint64_t mask,
-                         unsigned way_lo, unsigned way_hi) const;
-    /** Install @p tag into @p way, reporting a dirty victim. */
-    void installWay(std::size_t set, unsigned way, std::uint64_t tag,
-                    int owner, bool dirty, AccessResult &result);
+    /** The present way of live set @p set holding @p tag, else kNoWay. */
+    unsigned findIn(const SetHeader &h, std::size_t set,
+                    std::uint64_t tag) const;
+    /** As findIn, for any set. */
+    unsigned
+    findWay(std::size_t set, std::uint64_t tag) const
+    {
+        return isLive(set) ? findIn(heads[set], set, tag) : kNoWay;
+    }
+    /** Pick the way in [way_lo, way_hi) of a live set to install into. */
+    static unsigned victimInSet(const SetHeader &h, unsigned way_lo,
+                                unsigned way_hi);
+    /** Install @p tag into @p way of live set @p set, reporting a
+     *  dirty victim. */
+    void installWay(SetHeader &h, std::size_t set, unsigned way,
+                    std::uint64_t tag, int owner, bool dirty,
+                    AccessResult &result);
     void dropWay(std::size_t set, unsigned way);
     /** Move a hit way's occupancy to its most recent toucher. */
     void retagOwner(std::size_t set, unsigned way, int owner);
+    /**
+     * A hit, or an install into ways [0, @p way_hi) of @p set, of the
+     * line @p tag, with its tallies: cpuAccess and one line of
+     * fillSpan.
+     */
+    AccessResult accessLine(std::size_t set, std::uint64_t tag, int owner,
+                            bool is_write, unsigned way_hi);
+    /** Rebuild a live set's order word from its ways' lastUse. */
+    void rebuildOrder(std::size_t set);
+
+    /**
+     * Host-only hint, no simulated effect: start loading the header
+     * and the way row of @p set.
+     */
+    void prefetchSet(std::size_t set) const;
+
+    /**
+     * Visit each line of [pa, pa+size) as fn(set, tag), lowest
+     * address first, prefetching the set kLookahead ahead when it is
+     * live (installing into a set that is not reads nothing).
+     */
+    template <class Fn> void walk(Addr pa, std::uint64_t size, Fn &&fn);
+
+    /**
+     * Visit the lines of [pa, pa+size) whose set is live as
+     * fn(header, set, tag), lowest address first, and return how many
+     * lines were skipped. For ops that never change which sets are
+     * live: a line of a set that is not live is absent, so probing,
+     * evicting or flushing it changes nothing, and 64 such sets cost
+     * one bitset word.
+     */
+    template <class Fn>
+    std::uint64_t walkLive(Addr pa, std::uint64_t size, Fn &&fn);
 
     std::uint64_t &ownerCount(int owner);
     void uncountOwner(int owner);
@@ -312,12 +384,12 @@ class CacheModel
 
     Config config;
     unsigned sets;
-    std::unique_ptr<Way[]> dir; // sets * ways, row-major by set
-    std::vector<SetMeta> setMeta;
+    std::unique_ptr<SetHeader[]> heads;    // one per set, never zeroed
+    std::unique_ptr<Way[]> dir;            // sets * ways, row-major by set
+    std::vector<std::uint64_t> live;       // bit s: heads[s] is valid
     std::vector<std::uint64_t> ownerLines; // present lines by owner
     std::uint64_t validLines = 0;
     std::uint64_t useClock = 0;
-    std::uint64_t flushEpoch = 0;
     std::uint64_t hitBytesTally = 0;
     std::uint64_t missBytesTally = 0;
     std::uint64_t writebackBytesTally = 0;

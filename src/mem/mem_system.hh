@@ -11,8 +11,9 @@
  * Cache accounting granularity: device-side traffic goes through the
  * CacheModel span operations (probeSpan / fillSpan / evictSpan /
  * flushSpan, DESIGN.md §13), one call per physically contiguous run.
- * CPU demand accesses stay line-granular (cpuAccess): the CPU-side
- * pointer-chase probes age the LRU stack one access at a time.
+ * CPU kernels walk each page run with one cpuAccessSpan call; the
+ * CPU-side pointer-chase probes stay line-granular (cpuAccess) and age
+ * the LRU stack one access at a time.
  */
 
 #ifndef DSASIM_MEM_MEM_SYSTEM_HH

@@ -30,30 +30,51 @@ PageTable::map(Addr va_base, Addr pa_base, std::uint64_t size)
     // (and with it any outstanding find() pointers).
     lastIdx = noCache;
     prevIdx = noCache;
+    const bool append = next == table.end();
     table.insert(next, Mapping{va_base, pa_base, size, true});
+    if (append)
+        extendRuns(table.size() - 1);
+    else
+        rebuildRuns();
+}
+
+void
+PageTable::extendRuns(std::size_t idx)
+{
+    const Mapping &m = table[idx];
+    if (!runs.empty() && runs.back().vaEnd == m.vaBase &&
+        runs.back().pageSize == m.size)
+        runs.back().vaEnd += m.size;
+    else
+        runs.push_back({m.vaBase, m.vaBase + m.size, m.size, idx});
+}
+
+void
+PageTable::rebuildRuns()
+{
+    runs.clear();
+    for (std::size_t i = 0; i < table.size(); ++i)
+        extendRuns(i);
 }
 
 const PageTable::Mapping *
 PageTable::findSlow(Addr va) const
 {
-    // Branch-light binary search for the last mapping with
-    // vaBase <= va (upper_bound, then step back).
-    const Mapping *base = table.data();
-    std::size_t len = table.size();
-    while (len > 0) {
-        std::size_t half = len / 2;
-        const bool below = base[half].vaBase <= va;
-        base = below ? base + half + 1 : base;
-        len = below ? len - half - 1 : half;
-    }
-    if (base == table.data())
+    // The last run with vaBase <= va, if it reaches va.
+    const Run *first = runs.data();
+    const Run *after = std::upper_bound(
+        first, first + runs.size(), va,
+        [](Addr v, const Run &r) { return v < r.vaBase; });
+    if (after == first)
         return nullptr;
-    const Mapping &m = *(base - 1);
-    if (va - m.vaBase >= m.size)
+    const Run &r = after[-1];
+    if (va >= r.vaEnd)
         return nullptr;
+    const std::size_t idx =
+        r.first + static_cast<std::size_t>((va - r.vaBase) / r.pageSize);
     prevIdx = lastIdx;
-    lastIdx = static_cast<std::size_t>(&m - table.data());
-    return &m;
+    lastIdx = idx;
+    return &table[idx];
 }
 
 Addr

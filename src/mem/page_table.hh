@@ -4,15 +4,17 @@
  * either 4 KiB or 2 MiB granularity, with a present bit so tests can
  * exercise the device page-fault path (DSA block-on-fault semantics).
  *
- * Storage is a sorted vector of non-overlapping mappings searched
- * with a branch-light binary search, fronted by a two-entry
- * last-mapping cache (copies alternate between a source and a
- * destination mapping) with sequential-next probes (streams walk
- * pages in order): the functional data path translates every page
- * it touches, and nearly all of those lookups resolve in a couple
- * of compares. find() returns a pointer into the table so the
- * present bit is always read fresh; the pointer (and the cache) is
- * invalidated by the next map() call.
+ * Storage is a sorted vector of non-overlapping mappings, fronted by
+ * a two-entry last-mapping cache (copies alternate between a source
+ * and a destination mapping) with sequential-next probes (streams
+ * walk pages in order): the functional data path translates every
+ * page it touches, and nearly all of those lookups resolve in a
+ * couple of compares. A miss (a random probe) searches the run
+ * index instead of the table: the maximal runs of same-size,
+ * VA-adjacent mappings, one per allocation region, so the mapping
+ * is one short search plus one divide away. find() returns a pointer
+ * into the table so the present bit is always read fresh; the
+ * pointer (and the cache) is invalidated by the next map() call.
  */
 
 #ifndef DSASIM_MEM_PAGE_TABLE_HH
@@ -117,16 +119,37 @@ class PageTable
         table = st.table;
         lastIdx = noCache;
         prevIdx = noCache;
+        rebuildRuns();
     }
 
   private:
     static constexpr std::size_t noCache = ~std::size_t{0};
 
-    /** Cache-miss path: binary search, then refresh the cache. */
+    /**
+     * Mappings table[first, first + (vaEnd - vaBase) / pageSize), each
+     * pageSize bytes and each starting where the previous one ends.
+     */
+    struct Run
+    {
+        Addr vaBase = 0;
+        Addr vaEnd = 0;
+        std::uint64_t pageSize = 0;
+        std::size_t first = 0;
+    };
+
+    /** Cache-miss path: search the runs, then refresh the cache. */
     const Mapping *findSlow(Addr va) const;
+
+    /** Add table[idx], the last mapping so far, to the runs. */
+    void extendRuns(std::size_t idx);
+    /** Recompute every run from the table. */
+    void rebuildRuns();
 
     // Sorted by vaBase; mappings never overlap.
     std::vector<Mapping> table;
+    // Maximal runs covering the table in order; kept current by
+    // map() and restoreState(), never by a lookup.
+    std::vector<Run> runs;
     // Two most recently found mappings (noCache when cold).
     mutable std::size_t lastIdx = noCache;
     mutable std::size_t prevIdx = noCache;

@@ -107,6 +107,21 @@ class ReferenceCache
     bool probe(Addr pa) { return find(pa) != nullptr; }
     /// @}
 
+    /** cpuAccess on every line covering [pa, pa+size), lowest first. */
+    CacheModel::CpuSpanResult
+    cpuAccessSpan(Addr pa, std::uint64_t size, int owner, bool is_write,
+                  std::vector<Addr> &dirty_victims)
+    {
+        CacheModel::CpuSpanResult r;
+        for (Addr a : linesOf(pa, size)) {
+            const Access res = cpuAccess(a, owner, is_write);
+            ++(res.hit ? r.hits : r.misses);
+            if (res.evictedDirty)
+                dirty_victims.push_back(res.evictedPa);
+        }
+        return r;
+    }
+
     /// @name Span ops: the scalar op applied to every line covering
     /// [pa, pa+size), lowest address first.
     /// @{

@@ -5,11 +5,13 @@
  * directory contents, LRU clock values, occupancy gauges, traffic
  * tallies and returned aggregates — to ReferenceCache
  * (tests/reference_cache.hh), a naive model that shares nothing with
- * it but Config and State. Fuzzed at three small geometries and at
- * the platform's own SPR directory. Also covers the closed-form
+ * it but Config and State. Fuzzed at four small geometries (one of
+ * them 16 ways, the most a set header orders) and at the platform's
+ * own SPR directory, CPU spans included. Also covers the closed-form
  * per-set span geometry (set wrap, start-offset corrections), the
- * stale-epoch victim reclaim gauge regression, O(occupied) restore
- * into a churned model, and the way-packing guards.
+ * victim reclaim gauges after invalidateAll, O(occupied) restore into
+ * a churned model, fingerprint collisions, the LRU order a restore
+ * rebuilds, and the way-packing guards.
  */
 
 #include <gtest/gtest.h>
@@ -172,9 +174,9 @@ TEST(CacheAcct, EvictSpanDropsDirtyLinesSilently)
     EXPECT_EQ(c.writebackBytesTotal(), 0u);
 }
 
-// A way outside the current epoch's presence mask is free, whatever
-// it held before invalidateAll: installing there is not an eviction,
-// and the occupancy gauges stay exact across epochs.
+// After invalidateAll every way is free, whatever it held before:
+// installing there is not an eviction, and the occupancy gauges stay
+// exact.
 TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
 {
     CacheModel c(smallCfg(8, 4, 2));
@@ -187,8 +189,8 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
     c.invalidateAll();
     ASSERT_EQ(c.totalOccupancyBytes(), 0u);
     ASSERT_EQ(c.occupancyBytes(7), 0u);
-    // Every install now lands in a way that held a line before the
-    // epoch bump.
+    // Every install now lands in a way that held a line before
+    // invalidateAll.
     for (unsigned s = 0; s < 8; ++s) {
         auto res = c.fillSpan(s * cacheLineSize, cacheLineSize, 3);
         EXPECT_EQ(res.missBytes, cacheLineSize);
@@ -198,7 +200,7 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
     EXPECT_EQ(c.totalOccupancyBytes(), 8 * std::uint64_t{cacheLineSize});
     EXPECT_EQ(c.occupancyBytes(3), 8 * std::uint64_t{cacheLineSize});
     EXPECT_EQ(c.occupancyBytes(7), 0u);
-    // CPU path reuses pre-epoch ways too; then real LRU evictions at
+    // CPU path reuses those ways too; then real LRU evictions at
     // full occupancy keep the gauges balanced.
     for (unsigned s = 0; s < 8; ++s)
         for (unsigned w = 0; w < 6; ++w)
@@ -255,9 +257,9 @@ driveOps(CacheModel &c, std::uint32_t seed, std::uint64_t window)
     return out;
 }
 
-// restoreState empties the directory with an epoch bump and writes
-// only the snapshot's ways, so restoring into a model churned across
-// several invalidateAll epochs must behave exactly like restoring
+// restoreState empties the directory by clearing the live bitset and
+// writes only the snapshot's ways, so restoring into a model churned
+// across several invalidateAll rounds must behave exactly like restoring
 // into a fresh one — and like the model the snapshot was taken from —
 // for every later op, not just the snapshot.
 TEST(CacheAcct, RestoreIntoChurnedModelMatchesFresh)
@@ -341,6 +343,14 @@ TEST(CacheAcctDeathTest, OwnerOutsideWayFieldIsFatal)
     EXPECT_DEATH(c.cpuAccess(0, 0x10000), "owner");
 }
 
+// A set header orders at most 16 ways (one nibble each).
+TEST(CacheAcctDeathTest, WaysBeyondSetHeaderAreFatal)
+{
+    EXPECT_DEATH(CacheModel(smallCfg(8, 17, 2)), "16");
+    CacheModel c(smallCfg(8, 16, 16));
+    EXPECT_EQ(c.numWays(), 16u);
+}
+
 TEST(CacheAcctDeathTest, UseClockAtPackingLimitIsFatal)
 {
     CacheModel c(smallCfg(8, 4, 2));
@@ -405,6 +415,17 @@ class Lockstep
     }
 
     void
+    cpuAccessSpan(Addr pa, std::uint64_t size, int owner, bool is_write)
+    {
+        std::vector<Addr> va, vb;
+        auto a = model.cpuAccessSpan(pa, size, owner, is_write, va);
+        auto b = ref.cpuAccessSpan(pa, size, owner, is_write, vb);
+        EXPECT_EQ(a.hits, b.hits);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(va, vb);
+    }
+
+    void
     invalidate(Addr pa)
     {
         model.invalidate(pa);
@@ -452,6 +473,92 @@ class Lockstep
         EXPECT_EQ(a.lastEvictedPa, b.lastEvictedPa);
     }
 };
+
+/** Two distinct tags of set @p set with equal fingerprints. */
+std::pair<std::uint64_t, std::uint64_t>
+collidingTags(std::uint64_t sets, std::uint64_t set)
+{
+    std::vector<std::uint64_t> first(256, 0);
+    for (std::uint64_t tag = set + sets;; tag += sets) {
+        std::uint64_t &seen = first[CacheModel::tagFingerprint(tag)];
+        if (seen != 0)
+            return {seen, tag};
+        seen = tag;
+    }
+}
+
+// A fingerprint only filters: with two colliding tags in one set, a
+// hit resolves to the way holding the full tag, and a lookup of the
+// absent one is a miss, not a false hit.
+TEST(CacheAcct, FingerprintCollisionConfirmsFullTag)
+{
+    const CacheModel::Config cfg = smallCfg(4, 15, 2);
+    Lockstep m(cfg);
+    const auto [t1, t2] = collidingTags(m.numSets(), 3);
+    ASSERT_EQ(CacheModel::tagFingerprint(t1),
+              CacheModel::tagFingerprint(t2));
+    ASSERT_NE(t1, t2);
+    m.cpuAccess(t1 * cacheLineSize, 1, true);
+    EXPECT_FALSE(m.model.probe(t2 * cacheLineSize));
+    m.probeSpan(t2 * cacheLineSize, cacheLineSize); // a miss on both
+    m.invalidate(t2 * cacheLineSize);               // drops nothing
+    EXPECT_TRUE(m.model.probe(t1 * cacheLineSize));
+    // Both present, in different ways: each hit finds its own.
+    m.cpuAccess(t2 * cacheLineSize, 2, false);
+    m.cpuAccess(t1 * cacheLineSize, 3, false);
+    m.fillSpan(t2 * cacheLineSize, cacheLineSize, 1000);
+    m.check();
+    EXPECT_EQ(m.model.occupancyBytes(3), cacheLineSize);
+    EXPECT_EQ(m.model.occupancyBytes(1000), cacheLineSize);
+    m.flushSpan(t1 * cacheLineSize, cacheLineSize);
+    EXPECT_FALSE(m.model.probe(t1 * cacheLineSize));
+    EXPECT_TRUE(m.model.probe(t2 * cacheLineSize));
+    m.check();
+}
+
+// restoreState rebuilds each set's LRU order from lastUse alone: a
+// full set restored with shuffled lastUse values into a churned model
+// evicts its ways in ascending lastUse order, in and out of the DDIO
+// range.
+TEST(CacheAcct, RestoreRebuildsLruOrderFromLastUse)
+{
+    const CacheModel::Config cfg = smallCfg(8, 15, 2);
+    CacheModel c(cfg);
+    Rng rng(4);
+    for (int i = 0; i < 400; ++i)
+        c.cpuAccess(lineAlignDown(rng.range(0, 4 * cfg.sizeBytes)),
+                    drawOwner(rng), true);
+    const std::uint64_t set = 5, sets = c.numSets();
+    const std::uint64_t use[15] = {90, 14, 77, 3, 58, 41, 66, 25,
+                                   12, 99, 8,  50, 33, 71, 19};
+    CacheModel::State st;
+    st.useClock = 100;
+    for (unsigned w = 0; w < 15; ++w)
+        st.validLines.push_back(
+            {set * 15 + w,
+             {set + (w + 1) * sets, use[w], 1, w % 2 == 0}});
+    c.restoreState(st);
+    // The DDIO ways 0 and 1 hold lastUse 90 and 14: a fill evicts 1.
+    auto f = c.fillSpan((set + 100 * sets) * cacheLineSize, cacheLineSize,
+                        1000);
+    EXPECT_EQ(f.lastEvictedPa, 0u); // way 1 was clean
+    EXPECT_FALSE(c.probe((set + 2 * sets) * cacheLineSize));
+    // CPU misses then take the rest, least recently used first.
+    std::vector<std::pair<std::uint64_t, unsigned>> order;
+    for (unsigned w = 0; w < 15; ++w)
+        if (w != 1)
+            order.push_back({use[w], w});
+    std::sort(order.begin(), order.end());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const unsigned w = order[i].second;
+        c.cpuAccess((set + (200 + i) * sets) * cacheLineSize, 2, false);
+        EXPECT_FALSE(c.probe((set + (w + 1) * sets) * cacheLineSize))
+            << "eviction " << i << " expected way " << w;
+        for (std::size_t j = i + 1; j < order.size(); ++j)
+            EXPECT_TRUE(c.probe(
+                (set + (order[j].second + 1) * sets) * cacheLineSize));
+    }
+}
 
 // The oracle contract: randomized span and scalar op sequences leave
 // CacheModel and ReferenceCache in identical states and return
@@ -503,7 +610,10 @@ differentialFuzz(std::uint32_t seed, CacheModel::Config cfg)
             m.flushSpan(pa, size);
             break;
           case 6:
-            m.cpuAccess(lineAlignDown(pa), owner, rng.range(0, 2) == 0);
+            if (rng.range(0, 2) == 0)
+                m.cpuAccess(lineAlignDown(pa), owner, rng.range(0, 2) == 0);
+            else
+                m.cpuAccessSpan(pa, size, owner, rng.range(0, 2) == 0);
             break;
           case 7:
             // One-line device traffic, as a 64 B descriptor makes.
@@ -556,6 +666,12 @@ TEST(CacheAcct, DifferentialFuzzTinySets)
 {
     // Tiny set count: nearly every span wraps multiple times.
     differentialFuzz(3, smallCfg(8, 4, 2));
+}
+
+TEST(CacheAcct, DifferentialFuzz16Ways)
+{
+    // Every nibble of the order word names a real way.
+    differentialFuzz(4, smallCfg(40, 16, 3));
 }
 
 // The platform's own directory — the default Config: 105 MB, 15
@@ -625,9 +741,23 @@ TEST(CacheAcct, ReferenceFuzzSprDirectory)
             stream(dof, n, false, cc);
             break;
           case 4: // CPU fallback of a memMove
-            for (Addr a = 0; a < n; a += cacheLineSize) {
-                m.cpuAccess(lineAlignDown(so + a), 0, false);
-                m.cpuAccess(lineAlignDown(dof + a), 0, true);
+            if (rng.range(0, 2) == 0) {
+                for (Addr a = 0; a < n; a += cacheLineSize) {
+                    m.cpuAccess(lineAlignDown(so + a), 0, false);
+                    m.cpuAccess(lineAlignDown(dof + a), 0, true);
+                }
+            } else {
+                // As SwKernels::touchRange walks it: the source, then
+                // the destination, one span per 4 KiB page run.
+                for (const auto &[from, write] :
+                     {std::pair{so, false}, std::pair{dof, true}}) {
+                    for (Addr a = from, end = from + n; a < end;) {
+                        const Addr page_end = (a / 4096 + 1) * 4096;
+                        const Addr run = std::min<Addr>(end, page_end) - a;
+                        m.cpuAccessSpan(a, run, 0, write);
+                        a += run;
+                    }
+                }
             }
             break;
           case 5: // cache flush

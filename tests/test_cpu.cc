@@ -285,6 +285,40 @@ TEST(CpuKernels, CacheFlushEvicts)
     EXPECT_FALSE(b.plat.mem().cache().probe(pa));
 }
 
+// touchRange charges one span call per page run and then one
+// occupy(64) per dirty victim, on the victim's own node, in line
+// order. Pinned against the per-line loop it replaced: one 4 KiB copy
+// over an LLC full of dirty lines homed on two nodes.
+TEST(CpuKernels, MemcpyOverDirtyFullLlcGolden)
+{
+    Bench b;
+    CacheModel &llc = b.plat.mem().cache();
+    const std::uint64_t half = llc.sizeBytes();
+    const Addr local = b.as->alloc(half, MemKind::DramLocal);
+    const Addr remote = b.as->alloc(half, MemKind::DramRemote);
+    auto &k = b.plat.kernels();
+    k.memsetOp(b.plat.core(1), *b.as, local, 0x5a, half, false);
+    k.memsetOp(b.plat.core(1), *b.as, remote, 0xa5, half, false);
+    ASSERT_EQ(llc.totalOccupancyBytes(),
+              std::uint64_t{llc.numSets()} * llc.numWays() * 64);
+    // Drain the fills' link backlog so the copy's charges stand alone.
+    LinkResource &wl0 = b.plat.mem().node(0).writeLink;
+    LinkResource &wl1 = b.plat.mem().node(1).writeLink;
+    const Tick t0 = std::max(wl0.nextFree(), wl1.nextFree());
+    b.sim.runUntil(t0);
+    ASSERT_EQ(b.sim.now(), t0);
+    const Addr src = b.as->alloc(4096);
+    const Addr dst = b.as->alloc(4096);
+    b.randomize(src, 4096);
+    const std::uint64_t wb0 = llc.writebackBytesTotal();
+    auto r = k.memcpyOp(b.plat.core(0), *b.as, dst, src, 4096);
+    EXPECT_TRUE(b.as->equal(src, dst, 4096));
+    EXPECT_EQ(r.duration, 660200u);
+    EXPECT_EQ(llc.writebackBytesTotal() - wb0, 8192u);
+    EXPECT_EQ(wl0.nextFree() - t0, 43116u);
+    EXPECT_EQ(wl1.nextFree() - t0, 86272u);
+}
+
 TEST(CpuKernels, CrcSlowerThanPlainRead)
 {
     Bench b;

@@ -18,6 +18,7 @@
 #include "mem/phys_mem.hh"
 #include "mem/tlb.hh"
 #include "sim/random.hh"
+#include "sim/random.hh"
 
 namespace dsasim
 {
@@ -109,6 +110,77 @@ TEST(PageTable, PresentBit)
     EXPECT_FALSE(m->present);
     pt.setPresent(0x10000, true);
     EXPECT_TRUE(pt.lookup(0x10000)->present);
+}
+
+// find() against a linear scan of every mapping: random lookups
+// (mostly past the last-mapping cache, so through the run index) over
+// 4 KiB and 2 MiB runs inserted in shuffled order, with guard gaps,
+// runs of different page sizes back to back, and present bits
+// flipped along the way; then again after a snapshot round trip.
+TEST(PageTable, RunIndexMatchesLinearScan)
+{
+    struct Ref
+    {
+        Addr va, pa;
+        std::uint64_t size;
+        bool present;
+    };
+    std::vector<Ref> ref;
+    Rng rng(17);
+    Addr va = 1ull << 32;
+    Addr pa = 0;
+    for (int region = 0; region < 24; ++region) {
+        const std::uint64_t page = rng.range(0, 3) == 0 ? 2ull << 20 : 4096;
+        va = (va + page - 1) / page * page;
+        const int pages = static_cast<int>(rng.range(1, 40));
+        for (int i = 0; i < pages; ++i, va += page, pa += page)
+            ref.push_back({va, pa, page, true});
+        // A guard gap, or none: then the next run starts right here,
+        // possibly with the other page size.
+        if (rng.range(0, 3) != 0)
+            va += page * rng.range(1, 3);
+    }
+    std::vector<std::size_t> order(ref.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    // Half in order (appends), the rest shuffled (mid-table inserts).
+    for (std::size_t i = order.size() - 1; i > order.size() / 2; --i)
+        std::swap(order[i],
+                  order[order.size() / 2 + rng.range(0, i - order.size() / 2)]);
+    PageTable pt;
+    for (std::size_t i : order)
+        pt.map(ref[i].va, ref[i].pa, ref[i].size);
+    ASSERT_EQ(pt.mappingCount(), ref.size());
+
+    auto check = [&](const PageTable &t) {
+        const Addr lo = ref.front().va - (4 << 20);
+        const Addr hi = ref.back().va + (4 << 20);
+        for (int i = 0; i < 20000; ++i) {
+            const Addr v = lo + rng.range(0, hi - lo);
+            const Ref *want = nullptr;
+            for (const Ref &r : ref)
+                if (v >= r.va && v < r.va + r.size)
+                    want = &r;
+            const PageTable::Mapping *got = t.find(v);
+            ASSERT_EQ(got != nullptr, want != nullptr) << std::hex << v;
+            if (!want)
+                continue;
+            EXPECT_EQ(got->vaBase, want->va);
+            EXPECT_EQ(got->paBase, want->pa);
+            EXPECT_EQ(got->size, want->size);
+            EXPECT_EQ(got->present, want->present);
+        }
+    };
+    check(pt);
+    for (int i = 0; i < 50; ++i) {
+        Ref &r = ref[rng.range(0, ref.size() - 1)];
+        r.present = !r.present;
+        pt.setPresent(r.va + rng.range(0, r.size - 1), r.present);
+    }
+    check(pt);
+    PageTable copy;
+    copy.restoreState(pt.saveState());
+    check(copy);
 }
 
 TEST(PageTableDeathTest, OverlapPanics)
