@@ -31,19 +31,15 @@ struct Placement
 void
 warmRange(Rig &rig, Addr va, std::uint64_t len, int owner)
 {
-    Addr cursor = va;
-    std::uint64_t left = len;
-    while (left > 0) {
-        auto m = rig.as->pageTable().lookup(cursor);
-        std::uint64_t run =
-            std::min(left, m->vaBase + m->size - cursor);
-        Addr pa = m->paBase + (cursor - m->vaBase);
-        for (Addr a = lineAlignDown(pa); a < lineAlignUp(pa + run);
-             a += cacheLineSize)
-            rig.plat.mem().cache().cpuAccess(a, owner);
-        cursor += run;
-        left -= run;
-    }
+    const std::optional<Addr> unmapped = rig.as->pageTable().walk(
+        va, len, [&](const PageTable::PageRun &pg) {
+            for (Addr a = lineAlignDown(pg.pa);
+                 a < lineAlignUp(pg.pa + pg.len); a += cacheLineSize)
+                rig.plat.mem().cache().cpuAccess(a, owner);
+            return true;
+        });
+    panic_if(unmapped, "warm of unmapped va=0x%llx",
+             static_cast<unsigned long long>(*unmapped));
 }
 
 SimTask

@@ -240,7 +240,7 @@ measure(const Params &p, Gate &gate)
     // Parallel payoff: only meaningful with the cores to show it.
     if (hw_threads >= 4)
         gate.require("speedup_4 " + fmt(speedup4, 3) + " >= 2.5",
-                     speedup4 >= 2.5);
+                     speedup4 >= 2.5, "speedup_4");
     else if (gate.checking())
         std::fprintf(stderr,
                      "speedup_4 not gated: host has %u hardware "

@@ -3,7 +3,8 @@
  * Host-side performance of the simulator itself: event-queue
  * throughput, cache-model access rate, LLC directory build and
  * snapshot-restore time, per-line LLC walk cost (CPU stream, random
- * CPU access, device probe span), functional operation speed
+ * CPU access, device probe span), translation cost (random lookups
+ * over many regions, one large alloc), functional operation speed
  * (with the CRC arms the host selected), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
  * work the figure benches can afford; they are about dsasim, not
@@ -426,6 +427,68 @@ llcProbeSpanNs()
 }
 /// @}
 
+/// @name Translation: page-table lookups and mapping set-up.
+/// @{
+
+/** A memory system with one 2 GiB local DRAM node and a 1 MiB LLC. */
+MemSystemConfig
+xlateMemConfig()
+{
+    MemSystemConfig cfg;
+    MemNodeConfig local;
+    local.kind = MemKind::DramLocal;
+    local.capacityBytes = 2ull << 30;
+    cfg.nodes = {local};
+    cfg.llc.sizeBytes = 1 << 20;
+    cfg.llc.ways = 8;
+    cfg.llc.ddioWays = 2;
+    return cfg;
+}
+
+/**
+ * Host ns per translate() at a random VA of 1344 16 KiB regions in
+ * one space, as many as offload-ring's 448 slots x 3 allocations.
+ */
+double
+xlateRandomNs()
+{
+    Simulation sim;
+    MemSystem ms(sim, xlateMemConfig());
+    AddressSpace &as = ms.createSpace();
+    const std::uint32_t region = 16 << 10;
+    std::vector<Addr> bases(1344);
+    for (Addr &b : bases)
+        b = as.alloc(region);
+    Rng rng(4);
+    std::vector<Addr> vas(1 << 16);
+    for (Addr &va : vas)
+        va = bases[rng.below(static_cast<std::uint32_t>(bases.size()))] +
+             rng.below(region);
+    return 1e9 / bench::bestRate(static_cast<double>(vas.size()), [&] {
+               Addr acc = 0;
+               for (Addr va : vas)
+                   acc ^= as.translate(va);
+               keep(acc);
+           });
+}
+
+/** Host ms for one 1 GiB alloc() of 4 KiB pages in a fresh space. */
+double
+spaceAllocMs()
+{
+    double best = 1e30;
+    for (int trial = 0; trial < 3; ++trial) {
+        Simulation sim;
+        MemSystem ms(sim, xlateMemConfig());
+        AddressSpace &as = ms.createSpace();
+        const auto t0 = bench::Clock::now();
+        keep(as.alloc(1ull << 30));
+        best = std::min(best, bench::secondsSince(t0) * 1e3);
+    }
+    return best;
+}
+/// @}
+
 /** CRC32C GB/s over a @p bytes buffer. */
 double
 crc32cGbps(std::size_t bytes)
@@ -518,6 +581,8 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "llc_stream_ns", llcStreamNs(), 2);
     gate.add(Gate::Info, "llc_random_ns", llcRandomNs(), 2);
     gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);
+    gate.add(Gate::Info, "xlate_random_ns", xlateRandomNs(), 2);
+    gate.add(Gate::Info, "space_alloc_ms", spaceAllocMs(), 6);
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
     gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);

@@ -197,7 +197,9 @@ hex64(std::uint64_t v)
  *   Exact  fails on any difference: counts, stream hashes and
  *          simulated times, compared as written.
  *
- * require(label, ok) adds an invariant that reads no committed value.
+ * require(label, ok) adds an invariant that reads no committed value;
+ * require(label, ok, key) one that is checked only when the committed
+ * file holds key, so an exact-only file skips a wall-clock invariant.
  *
  * finish() prints the metrics as one flat JSON object on stdout and
  * to --json=PATH. With --check=PATH it loads a committed object and
@@ -261,10 +263,11 @@ class Gate
     }
 
     void
-    require(std::string label, bool ok)
+    require(std::string label, bool ok, std::string key = {})
     {
         invariants.push_back(
-            {std::move(label), ok, ok ? "ok" : "VIOLATED"});
+            {{std::move(label), ok, ok ? "ok" : "VIOLATED"},
+             std::move(key)});
     }
 
     /** The metrics as a flat JSON object, in declaration order. */
@@ -331,7 +334,10 @@ class Gate
                         m.key.c_str(), bare(m.text).c_str(),
                         bare(want).c_str(), out.back().word.c_str());
         }
-        for (const Verdict &v : invariants) {
+        for (const auto &[v, key] : invariants) {
+            std::string want;
+            if (!key.empty() && !lookup(committed, key, want))
+                continue;
             out.push_back(v);
             std::printf("%-44s %s\n", v.key.c_str(), v.word.c_str());
         }
@@ -418,7 +424,8 @@ class Gate
     double tol;
     std::string jsonPath, checkPath;
     std::vector<Metric> metrics;
-    std::vector<Verdict> invariants;
+    /// Each invariant's verdict and the committed key it needs, if any.
+    std::vector<std::pair<Verdict, std::string>> invariants;
 };
 /// @}
 

@@ -24,28 +24,23 @@ std::vector<std::pair<Addr, std::uint64_t>>
 CbdmaDevice::pinRange(AddressSpace &as, Addr va, std::uint64_t len)
 {
     std::vector<std::pair<Addr, std::uint64_t>> segs;
-    Addr cursor = va;
-    std::uint64_t remaining = len;
-    while (remaining > 0) {
-        auto m = as.pageTable().lookup(cursor);
-        fatal_if(!m, "CBDMA pin of unmapped va=0x%llx",
-                 static_cast<unsigned long long>(cursor));
-        fatal_if(!m->present,
+    auto pin_page = [&](const PageTable::PageRun &pg) {
+        fatal_if(!pg.present,
                  "CBDMA requires pinned (present) memory; "
                  "va=0x%llx is paged out",
-                 static_cast<unsigned long long>(cursor));
-        std::uint64_t in_page = m->vaBase + m->size - cursor;
-        std::uint64_t run = std::min(remaining, in_page);
-        Addr pa = m->paBase + (cursor - m->vaBase);
+                 static_cast<unsigned long long>(pg.va));
         if (!segs.empty() &&
-            segs.back().first + segs.back().second == pa) {
-            segs.back().second += run; // coalesce contiguous PAs
+            segs.back().first + segs.back().second == pg.pa) {
+            segs.back().second += pg.len; // coalesce contiguous PAs
         } else {
-            segs.emplace_back(pa, run);
+            segs.emplace_back(pg.pa, pg.len);
         }
-        cursor += run;
-        remaining -= run;
-    }
+        return true;
+    };
+    const std::optional<Addr> unmapped =
+        as.pageTable().walk(va, len, pin_page);
+    fatal_if(unmapped, "CBDMA pin of unmapped va=0x%llx",
+             static_cast<unsigned long long>(*unmapped));
     return segs;
 }
 

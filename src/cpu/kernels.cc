@@ -70,19 +70,13 @@ SwKernels::touchRange(Core &core, AddressSpace &as, Addr va,
     const int owner = core.id();
     const int socket = core.agent().socket;
 
-    Addr cursor = va;
-    std::uint64_t remaining = len;
-    while (remaining > 0) {
-        auto m = as.pageTable().lookup(cursor);
-        panic_if(!m, "kernel touch of unmapped va=0x%llx",
-                 static_cast<unsigned long long>(cursor));
-        if (!core.tlb().lookup(as.pasid(), m->vaBase)) {
+    auto touch_page = [&](const PageTable::PageRun &pg) {
+        if (!core.tlb().lookup(as.pasid(), pg.pageVa)) {
             ++rc.tlbWalks;
-            core.tlb().insert(as.pasid(), m->vaBase);
+            core.tlb().insert(as.pasid(), pg.pageVa);
         }
-        std::uint64_t in_page = m->vaBase + m->size - cursor;
-        std::uint64_t run = std::min(remaining, in_page);
-        Addr pa = m->paBase + (cursor - m->vaBase);
+        const std::uint64_t run = pg.len;
+        const Addr pa = pg.pa;
         int node_id = MemSystem::paNode(pa);
         if (rc.nodeId < 0)
             rc.nodeId = node_id;
@@ -140,10 +134,12 @@ SwKernels::touchRange(Core &core, AddressSpace &as, Addr va,
                 end = std::max(end, mem.upiLink().occupy(wb_bytes_local));
             rc.linkEnd = std::max(rc.linkEnd, end);
         }
-
-        cursor += run;
-        remaining -= run;
-    }
+        return true;
+    };
+    const std::optional<Addr> unmapped =
+        as.pageTable().walk(va, len, touch_page);
+    panic_if(unmapped, "kernel touch of unmapped va=0x%llx",
+             static_cast<unsigned long long>(*unmapped));
     return rc;
 }
 
@@ -500,29 +496,24 @@ SwKernels::cacheFlushOp(Core &core, AddressSpace &as, Addr addr,
 {
     const CpuParams &p = core.cpuParams();
     RangeCost rc;
-    Addr cursor = addr;
-    std::uint64_t remaining = n;
-    while (remaining > 0) {
-        auto m = as.pageTable().lookup(cursor);
-        panic_if(!m, "flush of unmapped va=0x%llx",
-                 static_cast<unsigned long long>(cursor));
-        std::uint64_t in_page = m->vaBase + m->size - cursor;
-        std::uint64_t run = std::min(remaining, in_page);
-        Addr pa = m->paBase + (cursor - m->vaBase);
-        int node_id = MemSystem::paNode(pa);
+    auto flush_page = [&](const PageTable::PageRun &pg) {
+        int node_id = MemSystem::paNode(pg.pa);
         if (rc.nodeId < 0)
             rc.nodeId = node_id;
-        rc.coreTicks += static_cast<Tick>(linesCovered(pa, run)) *
+        rc.coreTicks += static_cast<Tick>(linesCovered(pg.pa, pg.len)) *
                         p.flushPerLine;
         std::uint64_t wb_bytes =
-            mem.cache().flushSpan(pa, run).writebackBytes;
+            mem.cache().flushSpan(pg.pa, pg.len).writebackBytes;
         if (wb_bytes > 0) {
             Tick end = mem.node(node_id).writeLink.occupy(wb_bytes);
             rc.linkEnd = std::max(rc.linkEnd, end);
         }
-        cursor += run;
-        remaining -= run;
-    }
+        return true;
+    };
+    const std::optional<Addr> unmapped =
+        as.pageTable().walk(addr, n, flush_page);
+    panic_if(unmapped, "flush of unmapped va=0x%llx",
+             static_cast<unsigned long long>(*unmapped));
     return finish(core, n, 0.0, {rc});
 }
 

@@ -36,13 +36,6 @@ struct Stream
     Addr va = 0;
     std::uint64_t len = 0;
     bool write = false;
-    // Translation used by the last timing-walk step, cached by value
-    // so the walk revalidates with one range check instead of a page
-    // table search per page. Lookups cost no simulated time, so this
-    // cannot change any computed tick.
-    Addr mapVa = 0;
-    Addr mapPa = 0;
-    std::uint64_t mapSize = 0;
 };
 
 constexpr std::size_t scratchChunk = 256 * 1024;
@@ -113,25 +106,12 @@ Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
     Iommu &iommu = dev.mem().iommu();
     Pasid pasid = as.pasid();
 
-    Addr cursor = va;
-    std::uint64_t remaining = len;
-    while (remaining > 0) {
-        const PageTable::Mapping *m = as.pageTable().find(cursor);
-        if (!m) {
-            // Unmapped: an unresolvable fault either way.
-            out.faulted = true;
-            out.faultVa = cursor;
-            out.faultStall += iommu.cfg().pageWalkLatency;
-            return out;
-        }
-        std::uint64_t in_page = m->vaBase + m->size - cursor;
-        std::uint64_t run = std::min(remaining, in_page);
-
-        if (dev.atc().lookup(pasid, m->vaBase) && m->present) {
+    auto xlate_page = [&](const PageTable::PageRun &pg) {
+        if (dev.atc().lookup(pasid, pg.pageVa) && pg.present) {
             out.walkCost += p.atcHitLatency;
         } else {
             atcMissesCtr.inc();
-            auto res = iommu.translate(as.pageTable(), pasid, cursor,
+            auto res = iommu.translate(as.pageTable(), pasid, pg.va,
                                        block_on_fault);
             if (res.faulted) {
                 pageFaultsCtr.inc();
@@ -139,9 +119,9 @@ Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
                     // Not resolved (block-on-fault = 0): partial
                     // completion at this offset.
                     out.faulted = true;
-                    out.faultVa = cursor;
+                    out.faultVa = pg.va;
                     out.faultStall += res.latency;
-                    return out;
+                    return false;
                 }
                 // Resolved by the OS; the PE stalled meanwhile.
                 out.faultStall += res.latency;
@@ -149,11 +129,18 @@ Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
                 // Walks overlap in the PE pipeline.
                 out.walkCost += res.latency / p.walkParallelism;
             }
-            dev.atc().insert(pasid, m->vaBase);
+            dev.atc().insert(pasid, pg.pageVa);
         }
-        out.okBytes += run;
-        cursor += run;
-        remaining -= run;
+        out.okBytes += pg.len;
+        return true;
+    };
+    const std::optional<Addr> unmapped =
+        as.pageTable().walk(va, len, xlate_page);
+    if (unmapped) {
+        // Unmapped: an unresolvable fault either way.
+        out.faulted = true;
+        out.faultVa = *unmapped;
+        out.faultStall += iommu.cfg().pageWalkLatency;
     }
     return out;
 }
@@ -751,27 +738,12 @@ Engine::process(Work w)
                 Addr va = s.va + s_beg;
 
                 // Walk the slice page by page (PAs are contiguous
-                // only within a page). The stream's last translation
-                // is cached by value — revalidated by range, so a
-                // map() elsewhere between co_awaits cannot leave a
-                // dangling pointer here — and a chunk usually stays
-                // within one page, so the search is skipped.
-                std::uint64_t left = slice;
-                Addr cursor = va;
-                while (left > 0) {
-                    if (cursor - s.mapVa >= s.mapSize) {
-                        const PageTable::Mapping *m =
-                            as.pageTable().find(cursor);
-                        panic_if(!m || !m->present,
-                                 "stream touches untranslated page");
-                        s.mapVa = m->vaBase;
-                        s.mapPa = m->paBase;
-                        s.mapSize = m->size;
-                    }
-                    std::uint64_t in_page =
-                        s.mapVa + s.mapSize - cursor;
-                    std::uint64_t seg = std::min(left, in_page);
-                    Addr pa = s.mapPa + (cursor - s.mapVa);
+                // only within a page).
+                auto stream_page = [&](const PageTable::PageRun &pg) {
+                    panic_if(!pg.present,
+                             "stream touches untranslated page");
+                    const Addr pa = pg.pa;
+                    const std::uint64_t seg = pg.len;
                     int nid = MemSystem::paNode(pa);
 
                     if (!s.write) {
@@ -824,9 +796,11 @@ Engine::process(Work w)
                         }
                         bytesWrittenCtr.add(seg);
                     }
-                    cursor += seg;
-                    left -= seg;
-                }
+                    return true;
+                };
+                const std::optional<Addr> unmapped =
+                    as.pageTable().walk(va, slice, stream_page);
+                panic_if(unmapped, "stream touches untranslated page");
             }
             Tick step = std::max(transferTime(run, rate), chunk_walk);
             pace = std::max(pace + step, link_end);

@@ -30,21 +30,14 @@ AddressSpace::alloc(std::uint64_t bytes, MemKind intent,
     int node_id = mem.nodeIdFor(intent, requester_socket);
     MemNode &n = mem.node(node_id);
     Addr pa_off = n.allocPhys(size, page);
-
-    // Map page-by-page so present bits (fault injection) stay
-    // page-granular even though the backing is contiguous.
-    for (std::uint64_t off = 0; off < size; off += page) {
-        pt.map(va_base + off,
-               MemSystem::makePa(node_id, pa_off + off), page);
-    }
-    regions.push_back({va_base, size, page_size, node_id});
+    pt.map(va_base, MemSystem::makePa(node_id, pa_off), size, page);
     return va_base;
 }
 
 AddressSpace::Span
 AddressSpace::spanAt(Addr va, std::uint64_t max_len, const char *what)
 {
-    const PageTable::Mapping *m = pt.find(va);
+    const auto m = pt.lookup(va);
     panic_if(!m, "functional %s of unmapped va=0x%llx", what,
              static_cast<unsigned long long>(va));
     std::uint64_t run = std::min(max_len, m->vaBase + m->size - va);
@@ -55,7 +48,7 @@ AddressSpace::ConstSpan
 AddressSpace::constSpanAt(Addr va, std::uint64_t max_len,
                           const char *what) const
 {
-    const PageTable::Mapping *m = pt.find(va);
+    const auto m = pt.lookup(va);
     panic_if(!m, "functional %s of unmapped va=0x%llx", what,
              static_cast<unsigned long long>(va));
     std::uint64_t run = std::min(max_len, m->vaBase + m->size - va);
@@ -120,7 +113,7 @@ AddressSpace::read(Addr va, void *dst, std::uint64_t len) const
     auto *out = static_cast<std::uint8_t *>(dst);
     // Fast path: the whole range inside one mapping — one page, which
     // never straddles a physical chunk — is a single memcpy.
-    if (const PageTable::Mapping *m = pt.find(va);
+    if (const auto m = pt.lookup(va);
         m && len && va - m->vaBase + len <= m->size) {
         const std::uint8_t *p =
             mem.pageSpanIfResident(m->paBase + (va - m->vaBase), len);
@@ -143,7 +136,7 @@ void
 AddressSpace::write(Addr va, const void *src, std::uint64_t len)
 {
     const auto *in = static_cast<const std::uint8_t *>(src);
-    if (const PageTable::Mapping *m = pt.find(va);
+    if (const auto m = pt.lookup(va);
         m && len && va - m->vaBase + len <= m->size) {
         std::memcpy(mem.pageSpan(m->paBase + (va - m->vaBase), len),
                     in, len);
@@ -158,7 +151,7 @@ AddressSpace::write(Addr va, const void *src, std::uint64_t len)
 void
 AddressSpace::fill(Addr va, std::uint8_t value, std::uint64_t len)
 {
-    if (const PageTable::Mapping *m = pt.find(va);
+    if (const auto m = pt.lookup(va);
         m && len && va - m->vaBase + len <= m->size) {
         std::memset(mem.pageSpan(m->paBase + (va - m->vaBase), len),
                     value, len);
@@ -175,9 +168,9 @@ AddressSpace::copy(Addr dst, Addr src, std::uint64_t len)
         return;
     // Fast path: each range inside one mapping — a single memmove
     // (which also covers every overlap case).
-    if (const PageTable::Mapping *ms = pt.find(src);
+    if (const auto ms = pt.lookup(src);
         ms && src - ms->vaBase + len <= ms->size) {
-        if (const PageTable::Mapping *md = pt.find(dst);
+        if (const auto md = pt.lookup(dst);
             md && dst - md->vaBase + len <= md->size) {
             const std::uint8_t *s = mem.pageSpanIfResident(
                 ms->paBase + (src - ms->vaBase), len);
@@ -262,17 +255,6 @@ AddressSpace::byteAt(Addr va) const
     std::uint8_t v = 0;
     read(va, &v, 1);
     return v;
-}
-
-PageSize
-AddressSpace::pageSizeOf(Addr va) const
-{
-    for (const auto &r : regions) {
-        if (va >= r.vaBase && va < r.vaBase + r.size)
-            return r.pageSize;
-    }
-    panic("pageSizeOf unmapped va=0x%llx",
-          static_cast<unsigned long long>(va));
 }
 
 } // namespace dsasim

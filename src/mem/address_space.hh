@@ -186,42 +186,23 @@ class AddressSpace
     void evictPage(Addr va) { pt.setPresent(va, false); }
     void restorePage(Addr va) { pt.setPresent(va, true); }
 
-    /** Page size used by the region containing @p va. */
-    PageSize pageSizeOf(Addr va) const;
-
-    /** Allocation record; public only for Checkpointable::State. */
-    struct Region
-    {
-        Addr vaBase;
-        std::uint64_t size;
-        PageSize pageSize;
-        int nodeId;
-    };
-
     /**
      * Checkpointable (sim/checkpoint.hh): page table (present bits
-     * included), allocation regions, and the bump-allocator cursor —
-     * a fork that alloc()s more memory must place it at the same VA
-     * the source would have.
+     * included) and the bump-allocator cursor — a fork that alloc()s
+     * more memory must place it at the same VA the source would have.
      */
     struct State
     {
         PageTable::State pt;
-        std::vector<Region> regions;
         Addr allocNext = 0;
     };
 
-    State
-    saveState() const
-    {
-        return State{pt.saveState(), regions, allocNext};
-    }
+    State saveState() const { return State{pt.saveState(), allocNext}; }
 
     void
     restoreState(const State &st)
     {
         pt.restoreState(st.pt);
-        regions = st.regions;
         allocNext = st.allocNext;
     }
 
@@ -235,7 +216,6 @@ class AddressSpace
     MemSystem &mem;
     Pasid id_;
     PageTable pt;
-    std::vector<Region> regions;
     Addr allocNext = 0x100000000ull; // keep low VAs obviously invalid
 };
 

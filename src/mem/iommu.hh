@@ -88,7 +88,6 @@ class Iommu
                 return res;
             res.latency += config.faultServiceLatency;
             pt.setPresent(va, true);
-            m = pt.lookup(va);
         }
         iotlb.insert(pasid, page_base);
         res.ok = true;

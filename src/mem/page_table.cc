@@ -1,86 +1,59 @@
 #include "mem/page_table.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace dsasim
 {
 
 void
-PageTable::map(Addr va_base, Addr pa_base, std::uint64_t size)
+PageTable::map(Addr va_base, Addr pa_base, std::uint64_t size,
+               std::uint64_t page_size)
 {
     panic_if(size == 0, "mapping of zero size at va=0x%llx",
              static_cast<unsigned long long>(va_base));
+    panic_if(page_size == 0 || (page_size & (page_size - 1)) ||
+                 size % page_size,
+             "bad page size 0x%llx at va=0x%llx",
+             static_cast<unsigned long long>(page_size),
+             static_cast<unsigned long long>(va_base));
     auto next = std::lower_bound(
-        table.begin(), table.end(), va_base,
-        [](const Mapping &m, Addr va) { return m.vaBase < va; });
-    if (next != table.end()) {
-        panic_if(va_base + size > next->vaBase,
-                 "overlapping mapping at va=0x%llx",
-                 static_cast<unsigned long long>(va_base));
-    }
-    if (next != table.begin()) {
-        auto prev = std::prev(next);
-        panic_if(prev->vaBase + prev->size > va_base,
-                 "overlapping mapping at va=0x%llx",
-                 static_cast<unsigned long long>(va_base));
-    }
-    // Insertion may shift or reallocate the table; drop the cache
-    // (and with it any outstanding find() pointers).
-    lastIdx = noCache;
-    prevIdx = noCache;
-    const bool append = next == table.end();
-    table.insert(next, Mapping{va_base, pa_base, size, true});
-    if (append)
-        extendRuns(table.size() - 1);
-    else
-        rebuildRuns();
+        regions.begin(), regions.end(), va_base,
+        [](const Region &r, Addr va) { return r.vaBase < va; });
+    panic_if(next != regions.end() && va_base + size > next->vaBase,
+             "overlapping mapping at va=0x%llx",
+             static_cast<unsigned long long>(va_base));
+    panic_if(next != regions.begin() && std::prev(next)->vaEnd > va_base,
+             "overlapping mapping at va=0x%llx",
+             static_cast<unsigned long long>(va_base));
+    // Insertion may shift the regions under the memo's indices.
+    lastIdx = noMemo;
+    prevIdx = noMemo;
+    regions.insert(next, Region{va_base, va_base + size, pa_base,
+                                page_size});
 }
 
-void
-PageTable::extendRuns(std::size_t idx)
+const PageTable::Region *
+PageTable::searchRegion(Addr va) const
 {
-    const Mapping &m = table[idx];
-    if (!runs.empty() && runs.back().vaEnd == m.vaBase &&
-        runs.back().pageSize == m.size)
-        runs.back().vaEnd += m.size;
-    else
-        runs.push_back({m.vaBase, m.vaBase + m.size, m.size, idx});
-}
-
-void
-PageTable::rebuildRuns()
-{
-    runs.clear();
-    for (std::size_t i = 0; i < table.size(); ++i)
-        extendRuns(i);
-}
-
-const PageTable::Mapping *
-PageTable::findSlow(Addr va) const
-{
-    // The last run with vaBase <= va, if it reaches va.
-    const Run *first = runs.data();
-    const Run *after = std::upper_bound(
-        first, first + runs.size(), va,
-        [](Addr v, const Run &r) { return v < r.vaBase; });
-    if (after == first)
+    if (regions.empty())
         return nullptr;
-    const Run &r = after[-1];
-    if (va >= r.vaEnd)
+    // The last region with vaBase <= va (or the first region), if it
+    // holds va. The trip count depends only on the region count, so
+    // a random probe pays no branch mispredicts.
+    const Region *r = regions.data();
+    for (std::size_t n = regions.size(); n > 1; n -= n / 2)
+        r = r[n / 2].vaBase <= va ? r + n / 2 : r;
+    if (va - r->vaBase >= r->vaEnd - r->vaBase)
         return nullptr;
-    const std::size_t idx =
-        r.first + static_cast<std::size_t>((va - r.vaBase) / r.pageSize);
     prevIdx = lastIdx;
-    lastIdx = idx;
-    return &table[idx];
+    lastIdx = static_cast<std::size_t>(r - regions.data());
+    return r;
 }
 
 Addr
 PageTable::translateOrDie(Addr va) const
 {
-    const Mapping *m = find(va);
+    const std::optional<Mapping> m = lookup(va);
     panic_if(!m, "translation of unmapped va=0x%llx",
              static_cast<unsigned long long>(va));
     panic_if(!m->present, "translation of non-present va=0x%llx",
@@ -91,12 +64,24 @@ PageTable::translateOrDie(Addr va) const
 void
 PageTable::setPresent(Addr va, bool present)
 {
-    // find() shares the bounds logic; the present bit is flipped in
-    // place, so cached find() pointers observe it immediately.
-    const Mapping *m = find(va);
+    const std::optional<Mapping> m = lookup(va);
     panic_if(!m, "setPresent on unmapped va=0x%llx",
              static_cast<unsigned long long>(va));
-    const_cast<Mapping *>(m)->present = present;
+    auto it = std::lower_bound(absent.begin(), absent.end(), m->vaBase);
+    const bool listed = it != absent.end() && *it == m->vaBase;
+    if (present && listed)
+        absent.erase(it);
+    else if (!present && !listed)
+        absent.insert(it, m->vaBase);
+}
+
+std::size_t
+PageTable::mappingCount() const
+{
+    std::size_t pages = 0;
+    for (const Region &r : regions)
+        pages += static_cast<std::size_t>((r.vaEnd - r.vaBase) / r.pageSize);
+    return pages;
 }
 
 } // namespace dsasim

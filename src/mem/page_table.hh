@@ -4,22 +4,21 @@
  * either 4 KiB or 2 MiB granularity, with a present bit so tests can
  * exercise the device page-fault path (DSA block-on-fault semantics).
  *
- * Storage is a sorted vector of non-overlapping mappings, fronted by
- * a two-entry last-mapping cache (copies alternate between a source
- * and a destination mapping) with sequential-next probes (streams
- * walk pages in order): the functional data path translates every
- * page it touches, and nearly all of those lookups resolve in a
- * couple of compares. A miss (a random probe) searches the run
- * index instead of the table: the maximal runs of same-size,
- * VA-adjacent mappings, one per allocation region, so the mapping
- * is one short search plus one divide away. find() returns a pointer
- * into the table so the present bit is always read fresh; the
- * pointer (and the cache) is invalidated by the next map() call.
+ * Storage is one record per mapped region — a VA-linear,
+ * PA-contiguous run of same-size pages, which is what one
+ * AddressSpace::alloc() maps — in a sorted vector, plus the sorted
+ * base VAs of the pages whose present bit is clear (empty unless a
+ * page was evicted). Translation stays page-granular: a lookup
+ * derives the page's base, PA and present bit from its region.
+ * Lookups go through a two-entry region memo (copies alternate
+ * between a source and a destination region) and, on a miss, one
+ * branch-free binary search of the regions.
  */
 
 #ifndef DSASIM_MEM_PAGE_TABLE_HH
 #define DSASIM_MEM_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -32,6 +31,7 @@ namespace dsasim
 class PageTable
 {
   public:
+    /** One page's translation, returned by value. */
     struct Mapping
     {
         Addr vaBase = 0;
@@ -40,56 +40,84 @@ class PageTable
         bool present = true;
     };
 
-    /** Install a page mapping. Overlaps are a caller bug. */
-    void map(Addr va_base, Addr pa_base, std::uint64_t size);
-
     /**
-     * O(1)-amortized translation fast path. Returns the mapping
-     * holding @p va or nullptr if unmapped; a mapping with
-     * present == false is returned as-is. The pointer stays valid
-     * until the next map() call (setPresent mutates in place and
-     * does not invalidate it). Inline: this is the innermost hop of
-     * every functional access.
+     * Pages [vaBase, vaEnd) of pageSize bytes each, mapped to the PAs
+     * from paBase on. Public only for Checkpointable::State.
      */
-    const Mapping *
-    find(Addr va) const
+    struct Region
     {
-        const Mapping *t = table.data();
-        const std::size_t n = table.size();
-        // (va - vaBase) underflows to a huge value when va < vaBase,
-        // so one comparison covers both bounds. noCache + 1 wraps to
-        // index 0 — a harmless extra probe while cold.
-        auto probe = [&](std::size_t i) {
-            return i < n && va - t[i].vaBase < t[i].size;
-        };
-        if (probe(lastIdx))
-            return &t[lastIdx];
-        std::size_t hit;
-        if (probe(lastIdx + 1))
-            hit = lastIdx + 1;
-        else if (probe(prevIdx))
-            hit = prevIdx;
-        else if (probe(prevIdx + 1))
-            hit = prevIdx + 1;
-        else
-            return findSlow(va);
-        prevIdx = lastIdx;
-        lastIdx = hit;
-        return &t[hit];
+        Addr vaBase = 0;
+        Addr vaEnd = 0;
+        Addr paBase = 0;
+        std::uint64_t pageSize = 0;
+    };
+
+    /** Map one page of @p size bytes. */
+    void map(Addr va_base, Addr pa_base, std::uint64_t size)
+    {
+        map(va_base, pa_base, size, size);
     }
 
     /**
-     * Translate @p va. Returns nullopt if unmapped. A mapping with
-     * present == false is returned as-is; callers decide whether to
-     * fault or fail.
+     * Map [va_base, va_base + size) to the PAs from @p pa_base on, as
+     * present pages of @p page_size bytes (a power of two dividing
+     * @p size). Overlaps are a caller bug.
+     */
+    void map(Addr va_base, Addr pa_base, std::uint64_t size,
+             std::uint64_t page_size);
+
+    /**
+     * Translate @p va to the page holding it. Returns nullopt if
+     * unmapped. A page with present == false is returned as-is;
+     * callers decide whether to fault or fail. Inline: this is the
+     * innermost hop of every functional access.
      */
     std::optional<Mapping>
     lookup(Addr va) const
     {
-        const Mapping *m = find(va);
-        if (!m)
+        const Region *r = regionOf(va);
+        if (!r)
             return std::nullopt;
-        return *m;
+        const Addr page = va - ((va - r->vaBase) & (r->pageSize - 1));
+        return Mapping{page, r->paBase + (page - r->vaBase), r->pageSize,
+                       isPresent(page)};
+    }
+
+    /** The part of one page a walk covers; see walk(). */
+    struct PageRun
+    {
+        Addr va = 0;       ///< first VA of the run
+        Addr pageVa = 0;   ///< base VA of the page holding it
+        Addr pa = 0;       ///< PA of va
+        std::uint64_t len = 0;
+        bool present = true;
+    };
+
+    /**
+     * Walk [va, va + len) page by page, in VA order: @p fn(const
+     * PageRun &) gets each page's part of the range and returns false
+     * to stop the walk. Returns the first unmapped VA the walk
+     * reached (fn has seen every page before it), or nullopt when it
+     * covered the range or fn stopped it. Each page is looked up
+     * afresh, so fn may flip present bits.
+     */
+    template <typename Fn>
+    std::optional<Addr>
+    walk(Addr va, std::uint64_t len, Fn &&fn) const
+    {
+        while (len > 0) {
+            const std::optional<Mapping> m = lookup(va);
+            if (!m)
+                return va;
+            const std::uint64_t run =
+                std::min(len, m->vaBase + m->size - va);
+            if (!fn(PageRun{va, m->vaBase, m->paBase + (va - m->vaBase),
+                            run, m->present}))
+                return std::nullopt;
+            va += run;
+            len -= run;
+        }
+        return std::nullopt;
     }
 
     /** Functional VA->PA for a mapped, present address. */
@@ -98,61 +126,71 @@ class PageTable
     /** Clear/restore the present bit of the page holding @p va. */
     void setPresent(Addr va, bool present);
 
-    std::size_t mappingCount() const { return table.size(); }
+    /** Number of mapped pages. */
+    std::size_t mappingCount() const;
 
     /**
-     * Checkpointable (sim/checkpoint.hh): the full mapping table,
-     * present bits included (an evicted page stays evicted across a
-     * fork). The MRU probe indices are a pure lookup accelerator and
-     * restore cold — they cannot affect timing or results.
+     * Checkpointable (sim/checkpoint.hh): the regions and the absent
+     * pages (an evicted page stays evicted across a fork). The region
+     * memo is a pure lookup accelerator and restores cold — it cannot
+     * affect timing or results.
      */
     struct State
     {
-        std::vector<Mapping> table;
+        std::vector<Region> regions;
+        std::vector<Addr> absent;
     };
 
-    State saveState() const { return State{table}; }
+    State saveState() const { return State{regions, absent}; }
 
     void
     restoreState(const State &st)
     {
-        table = st.table;
-        lastIdx = noCache;
-        prevIdx = noCache;
-        rebuildRuns();
+        regions = st.regions;
+        absent = st.absent;
+        lastIdx = noMemo;
+        prevIdx = noMemo;
     }
 
   private:
-    static constexpr std::size_t noCache = ~std::size_t{0};
+    static constexpr std::size_t noMemo = ~std::size_t{0};
 
-    /**
-     * Mappings table[first, first + (vaEnd - vaBase) / pageSize), each
-     * pageSize bytes and each starting where the previous one ends.
-     */
-    struct Run
+    /** The region holding @p va, or nullptr; memo first. */
+    const Region *
+    regionOf(Addr va) const
     {
-        Addr vaBase = 0;
-        Addr vaEnd = 0;
-        std::uint64_t pageSize = 0;
-        std::size_t first = 0;
-    };
+        // (va - vaBase) underflows to a huge value when va < vaBase,
+        // so one comparison covers both bounds.
+        auto holds = [&](std::size_t i) {
+            return i < regions.size() &&
+                   va - regions[i].vaBase <
+                       regions[i].vaEnd - regions[i].vaBase;
+        };
+        if (holds(lastIdx))
+            return &regions[lastIdx];
+        if (!holds(prevIdx))
+            return searchRegion(va);
+        std::swap(lastIdx, prevIdx);
+        return &regions[lastIdx];
+    }
 
-    /** Cache-miss path: search the runs, then refresh the cache. */
-    const Mapping *findSlow(Addr va) const;
+    /** Memo miss: binary-search the regions, then refresh the memo. */
+    const Region *searchRegion(Addr va) const;
 
-    /** Add table[idx], the last mapping so far, to the runs. */
-    void extendRuns(std::size_t idx);
-    /** Recompute every run from the table. */
-    void rebuildRuns();
+    bool
+    isPresent(Addr page) const
+    {
+        return absent.empty() ||
+               !std::binary_search(absent.begin(), absent.end(), page);
+    }
 
-    // Sorted by vaBase; mappings never overlap.
-    std::vector<Mapping> table;
-    // Maximal runs covering the table in order; kept current by
-    // map() and restoreState(), never by a lookup.
-    std::vector<Run> runs;
-    // Two most recently found mappings (noCache when cold).
-    mutable std::size_t lastIdx = noCache;
-    mutable std::size_t prevIdx = noCache;
+    // Sorted by vaBase; regions never overlap.
+    std::vector<Region> regions;
+    // Sorted base VAs of the pages whose present bit is clear.
+    std::vector<Addr> absent;
+    // Two most recently used regions (noMemo when cold).
+    mutable std::size_t lastIdx = noMemo;
+    mutable std::size_t prevIdx = noMemo;
 };
 
 } // namespace dsasim

@@ -92,16 +92,8 @@ class TranslationCache
     }
 
     std::size_t size() const { return lru.size(); }
-    std::size_t entryCapacity() const { return capacity; }
     std::uint64_t hits() const { return hitCount; }
     std::uint64_t misses() const { return missCount; }
-
-    void
-    resetStats()
-    {
-        hitCount = 0;
-        missCount = 0;
-    }
 
     /**
      * Checkpointable (sim/checkpoint.hh): entries in exact recency

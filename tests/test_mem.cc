@@ -112,11 +112,12 @@ TEST(PageTable, PresentBit)
     EXPECT_TRUE(pt.lookup(0x10000)->present);
 }
 
-// find() against a linear scan of every mapping: random lookups
-// (mostly past the last-mapping cache, so through the run index) over
-// 4 KiB and 2 MiB runs inserted in shuffled order, with guard gaps,
-// runs of different page sizes back to back, and present bits
-// flipped along the way; then again after a snapshot round trip.
+// lookup() against a linear scan of every page: random lookups
+// (mostly past the region memo, so through the region search) over
+// 4 KiB and 2 MiB runs, with guard gaps, runs of different page sizes
+// back to back, and present bits flipped along the way; then again
+// after a snapshot round trip. Two tables take the same runs: one
+// page by page in shuffled order, one as a whole-run map() per run.
 TEST(PageTable, RunIndexMatchesLinearScan)
 {
     struct Ref
@@ -126,6 +127,7 @@ TEST(PageTable, RunIndexMatchesLinearScan)
         bool present;
     };
     std::vector<Ref> ref;
+    PageTable whole;
     Rng rng(17);
     Addr va = 1ull << 32;
     Addr pa = 0;
@@ -133,6 +135,7 @@ TEST(PageTable, RunIndexMatchesLinearScan)
         const std::uint64_t page = rng.range(0, 3) == 0 ? 2ull << 20 : 4096;
         va = (va + page - 1) / page * page;
         const int pages = static_cast<int>(rng.range(1, 40));
+        whole.map(va, pa, pages * page, page);
         for (int i = 0; i < pages; ++i, va += page, pa += page)
             ref.push_back({va, pa, page, true});
         // A guard gap, or none: then the next run starts right here,
@@ -151,6 +154,7 @@ TEST(PageTable, RunIndexMatchesLinearScan)
     for (std::size_t i : order)
         pt.map(ref[i].va, ref[i].pa, ref[i].size);
     ASSERT_EQ(pt.mappingCount(), ref.size());
+    ASSERT_EQ(whole.mappingCount(), ref.size());
 
     auto check = [&](const PageTable &t) {
         const Addr lo = ref.front().va - (4 << 20);
@@ -161,8 +165,8 @@ TEST(PageTable, RunIndexMatchesLinearScan)
             for (const Ref &r : ref)
                 if (v >= r.va && v < r.va + r.size)
                     want = &r;
-            const PageTable::Mapping *got = t.find(v);
-            ASSERT_EQ(got != nullptr, want != nullptr) << std::hex << v;
+            const auto got = t.lookup(v);
+            ASSERT_EQ(got.has_value(), want != nullptr) << std::hex << v;
             if (!want)
                 continue;
             EXPECT_EQ(got->vaBase, want->va);
@@ -172,15 +176,72 @@ TEST(PageTable, RunIndexMatchesLinearScan)
         }
     };
     check(pt);
+    check(whole);
     for (int i = 0; i < 50; ++i) {
         Ref &r = ref[rng.range(0, ref.size() - 1)];
         r.present = !r.present;
         pt.setPresent(r.va + rng.range(0, r.size - 1), r.present);
+        whole.setPresent(r.va + rng.range(0, r.size - 1), r.present);
     }
     check(pt);
-    PageTable copy;
-    copy.restoreState(pt.saveState());
-    check(copy);
+    check(whole);
+    for (const PageTable *t : {&pt, &whole}) {
+        PageTable copy;
+        copy.restoreState(t->saveState());
+        check(copy);
+    }
+}
+
+// walk() over 4 KiB and 2 MiB regions: unaligned starts and ends, an
+// evicted page reported as not present, a stop at the guard page
+// after a region, and a stop asked for by the callback.
+TEST(PageTable, WalkYieldsPageRuns)
+{
+    Simulation sim;
+    MemSystem ms(sim, smallConfig());
+    AddressSpace &as = ms.createSpace();
+    const PageTable &pt = as.pageTable();
+    std::vector<PageTable::PageRun> runs;
+    auto collect = [&](const PageTable::PageRun &r) {
+        runs.push_back(r);
+        return true;
+    };
+    for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
+        const std::uint64_t page = pageBytes(ps);
+        const Addr a = as.alloc(3 * page, MemKind::DramLocal, ps);
+        const Addr pa = as.translate(a);
+        as.evictPage(a + page + 5);
+
+        runs.clear();
+        EXPECT_FALSE(pt.walk(a + 100, 2 * page, collect).has_value());
+        ASSERT_EQ(runs.size(), 3u);
+        EXPECT_EQ(runs[0].va, a + 100);
+        EXPECT_EQ(runs[0].pageVa, a);
+        EXPECT_EQ(runs[0].pa, pa + 100);
+        EXPECT_EQ(runs[0].len, page - 100);
+        EXPECT_TRUE(runs[0].present);
+        EXPECT_EQ(runs[1].va, a + page);
+        EXPECT_EQ(runs[1].pageVa, a + page);
+        EXPECT_EQ(runs[1].pa, pa + page);
+        EXPECT_EQ(runs[1].len, page);
+        EXPECT_FALSE(runs[1].present);
+        EXPECT_EQ(runs[2].va, a + 2 * page);
+        EXPECT_EQ(runs[2].len, 100u);
+        EXPECT_TRUE(runs[2].present);
+
+        runs.clear();
+        const auto stop = pt.walk(a + 2 * page + 7, page, collect);
+        ASSERT_TRUE(stop.has_value());
+        EXPECT_EQ(*stop, a + 3 * page);
+        ASSERT_EQ(runs.size(), 1u);
+        EXPECT_EQ(runs[0].len, page - 7);
+
+        int calls = 0;
+        EXPECT_FALSE(pt.walk(a, 3 * page, [&](const PageTable::PageRun &) {
+                           return ++calls < 2;
+                       }).has_value());
+        EXPECT_EQ(calls, 2);
+    }
 }
 
 TEST(PageTableDeathTest, OverlapPanics)

@@ -232,8 +232,8 @@ TEST(Span, NonPresentPageStillFunctionallyAccessible)
     b.as.write(va + 5000, &byte, 1);
     EXPECT_EQ(b.as.byteAt(va + 5000), 0x22);
 
-    // Restoring flips the cached mapping in place: the very next
-    // lookup must see it without any explicit invalidation.
+    // Restoring takes effect at once: the very next lookup must see
+    // it without any explicit invalidation.
     b.as.restorePage(va + 4096);
     EXPECT_EQ(b.as.translate(va + 4096),
               b.as.translate(va) + 4096);
@@ -241,27 +241,25 @@ TEST(Span, NonPresentPageStillFunctionallyAccessible)
 
 TEST(Span, PresentBitFlipSeenThroughFindCache)
 {
-    // Regression for the fault-injection path: setPresent mutates in
-    // place, so a pointer cached by find() observes the new bit.
+    // Regression for the fault-injection path: a present-bit flip is
+    // seen by the very next lookup, memo hit or not.
     PageTable pt;
     pt.map(0x1000, 0x10000, 0x1000);
     pt.map(0x2000, 0x20000, 0x1000);
-    const PageTable::Mapping *m = pt.find(0x1000);
-    ASSERT_NE(m, nullptr);
-    EXPECT_TRUE(m->present);
+    ASSERT_TRUE(pt.lookup(0x1000).has_value());
+    EXPECT_TRUE(pt.lookup(0x1000)->present);
     pt.setPresent(0x1000, false);
-    EXPECT_FALSE(m->present);
-    EXPECT_FALSE(pt.find(0x1000)->present);
+    EXPECT_FALSE(pt.lookup(0x1000)->present);
     pt.setPresent(0x1000, true);
-    EXPECT_TRUE(pt.find(0x1000)->present);
+    EXPECT_TRUE(pt.lookup(0x1000)->present);
     // Alternating lookups (the copy src/dst pattern) keep resolving
-    // correctly through the two-entry cache.
+    // correctly through the two-entry memo.
     for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(pt.find(0x1000)->paBase, 0x10000u);
-        EXPECT_EQ(pt.find(0x2000)->paBase, 0x20000u);
+        EXPECT_EQ(pt.lookup(0x1000)->paBase, 0x10000u);
+        EXPECT_EQ(pt.lookup(0x2000)->paBase, 0x20000u);
     }
-    EXPECT_EQ(pt.find(0x0fff), nullptr);
-    EXPECT_EQ(pt.find(0x3000), nullptr);
+    EXPECT_FALSE(pt.lookup(0x0fff).has_value());
+    EXPECT_FALSE(pt.lookup(0x3000).has_value());
 }
 
 class SpanOverlap
