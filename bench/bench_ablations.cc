@@ -183,8 +183,10 @@ cacheHintRun(bool hint, double &consumer_ns, double &llc_hit_rate)
                     hit_n += r.plat.mem().cache().probe(pa) ? 1 : 0;
                 }
                 // Consumer reads the freshly written data.
-                auto k = r.plat.kernels().comparePatternOp(
-                    cons, *r.as, d, 0, len);
+                auto k = r.plat.kernels().run(
+                    cons, *r.as,
+                    dml::Executor::comparePattern(*r.as, d, 0, len),
+                    false);
                 h.add(toNs(k.duration));
                 co_await cons.busyFor(k.duration, "consume");
             }

@@ -134,8 +134,11 @@ prepareBuffers(Rig &rig, const OpSpec &op, Addr &src, Addr &dst,
         // Protect max_size bytes of data at src.
         Core &core = rig.plat.core(2);
         Addr tmp = rig.as->alloc(max_size);
-        rig.plat.kernels().difInsertOp(core, *rig.as, tmp, src, 4096,
-                                       max_size / 4096, 1, 1);
+        rig.plat.kernels().run(
+            core, *rig.as,
+            dml::Executor::difInsert(*rig.as, tmp, src, 4096, max_size,
+                                     1, 1),
+            false);
     }
 }
 
@@ -219,9 +222,11 @@ main()
                     if (std::string(op.name) == "DIF Check") {
                         // Each slot needs valid protected data.
                         Addr tmp = src; // any data source works
-                        rig.plat.kernels().difInsertOp(
-                            rig.plat.core(2), *rig.as, tmp, so, 4096,
-                            s / 4096, 1, 1);
+                        rig.plat.kernels().run(
+                            rig.plat.core(2), *rig.as,
+                            dml::Executor::difInsert(*rig.as, tmp, so,
+                                                     4096, s, 1, 1),
+                            false);
                     }
                     ring.push_back(op.make(rig, so, dk, s));
                 }

@@ -91,8 +91,7 @@ run(unsigned threads, bool use_dsa, int ops_per_thread)
     Scenario sc(o, [&](Rig &rig) {
         Dto::Config dc;
         dc.threshold = use_dsa ? 8192 : ~std::uint64_t(0);
-        dto = std::make_unique<Dto>(*rig.exec, rig.plat.kernels(),
-                                    dc);
+        dto = std::make_unique<Dto>(*rig.exec, dc);
         apps::MiniCache::Config cc;
         cc.capacityBytes = 4ull << 30;
         cache = std::make_unique<apps::MiniCache>(rig.plat, *rig.as,

@@ -66,8 +66,9 @@ main()
 
     // Pre-protect a DIF source region.
     Addr prot = as.alloc(2 * n);
-    rig.plat.kernels().difInsertOp(rig.plat.core(2), as, src, prot,
-                                   512, n / 512, 3, 9);
+    rig.plat.kernels().run(rig.plat.core(2), as,
+                           E::difInsert(as, src, prot, 512, n, 3, 9),
+                           false);
 
     std::vector<Check> checks = {
         {"Move", "Memory Copy", E::memMove(as, dst, src, n)},

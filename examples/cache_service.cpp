@@ -71,7 +71,7 @@ main()
                            ec);
         Dto::Config dc;
         dc.threshold = use_dsa ? 8192 : ~std::uint64_t(0);
-        Dto dto(exec, plat.kernels(), dc);
+        Dto dto(exec, dc);
 
         apps::MiniCache cache(plat, as, dto, {});
 

@@ -101,8 +101,9 @@ NvmeTcpTarget::handleIo(std::uint64_t id, Latch &done)
       case Digest::IsaL: {
         Core &core =
             plat.core(static_cast<std::size_t>(core_idx));
-        auto r = plat.kernels().crc32Op(core, as, buf, config.ioBytes,
-                                        crc32cInit);
+        auto r = plat.kernels().run(
+            core, as, dml::Executor::crc32(as, buf, config.ioBytes),
+            false);
         digest = r.crc;
         co_await core.busyFor(r.duration, "nvmetcp-crc");
         break;
@@ -181,9 +182,12 @@ NvmeTcpTarget::handleWrite(std::uint64_t id, std::uint64_t slot,
         break;
       case Digest::IsaL: {
         Core &core = plat.core(static_cast<std::size_t>(core_idx));
-        auto r = plat.kernels().difInsertOp(
-            core, as, buf, prot, config.difBlock, nblocks, 0,
-            static_cast<std::uint32_t>(slot * nblocks));
+        auto r = plat.kernels().run(
+            core, as,
+            dml::Executor::difInsert(
+                as, buf, prot, config.difBlock, config.ioBytes, 0,
+                static_cast<std::uint32_t>(slot * nblocks)),
+            false);
         co_await core.busyFor(r.duration, "nvmetcp-dif");
         break;
       }

@@ -1,13 +1,8 @@
 #include "cpu/kernels.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
+#include <array>
 
-#include "ops/crc32.hh"
-#include "ops/delta.hh"
-#include "ops/dif.hh"
-#include "ops/span_kernels.hh"
 #include "sim/logging.hh"
 
 namespace dsasim
@@ -16,7 +11,34 @@ namespace dsasim
 namespace
 {
 
-constexpr std::size_t scratchChunk = 256 * 1024;
+/**
+ * The vectorized block a software compare works in: a mismatch stops
+ * it at the end of the block that holds it.
+ */
+constexpr std::uint64_t compareBlockBytes = 4096;
+
+/** Per-byte compute cost of @p op, charged over its first stream. */
+double
+computeNsPerByte(const CpuParams &p, Opcode op)
+{
+    switch (op) {
+      case Opcode::Compare:
+      case Opcode::ComparePattern:
+        return p.cmpNsPerByte;
+      case Opcode::CrcGen:
+      case Opcode::CopyCrc:
+        return p.crcNsPerByte;
+      case Opcode::CreateDelta:
+      case Opcode::ApplyDelta:
+        return p.deltaNsPerByte;
+      case Opcode::DifInsert:
+      case Opcode::DifCheck:
+      case Opcode::DifUpdate:
+        return p.difNsPerByte;
+      default:
+        return 0.0;
+    }
+}
 
 } // namespace
 
@@ -143,356 +165,9 @@ SwKernels::touchRange(Core &core, AddressSpace &as, Addr va,
     return rc;
 }
 
-SwKernels::Result
-SwKernels::finish(Core &core, std::uint64_t bytes, double extra_ns,
-                  std::initializer_list<RangeCost> ranges)
-{
-    const CpuParams &p = core.cpuParams();
-    Result r;
-    r.bytesProcessed = bytes;
-
-    Tick core_time = p.callOverhead + fromNs(extra_ns);
-    Tick link_end = 0;
-    bool first_miss_added = false;
-    for (const RangeCost &rc : ranges) {
-        core_time += rc.coreTicks;
-        core_time += rc.tlbWalks * p.tlbWalk;
-        link_end = std::max(link_end, rc.linkEnd);
-        if (rc.anyMiss && !first_miss_added && rc.nodeId >= 0) {
-            // The leading miss is exposed; later ones pipeline.
-            core_time += mem.readLatencyOf(rc.nodeId,
-                                           core.agent().socket);
-            first_miss_added = true;
-        }
-    }
-
-    Tick now = mem.sim().now();
-    r.duration = core_time;
-    if (link_end > now)
-        r.duration = std::max(r.duration, link_end - now);
-    return r;
-}
-
-SwKernels::Result
-SwKernels::memcpyOp(Core &core, AddressSpace &as, Addr dst, Addr src,
-                    std::uint64_t n)
-{
-    // Functional move, zero-copy on the backing spans; copy() keeps
-    // memmove semantics for overlapping ranges.
-    as.copy(dst, src, n);
-
-    RangeCost rd = touchRange(core, as, src, n, false, true);
-    RangeCost wr = touchRange(core, as, dst, n, true, true);
-    return finish(core, n, 0.0, {rd, wr});
-}
-
-SwKernels::Result
-SwKernels::dualcastOp(Core &core, AddressSpace &as, Addr dst1,
-                      Addr dst2, Addr src, std::uint64_t n)
-{
-    if (!rangesOverlap(src, n, dst1, n) &&
-        !rangesOverlap(src, n, dst2, n) &&
-        !rangesOverlap(dst1, n, dst2, n)) {
-        as.copy(dst1, src, n);
-        as.copy(dst2, src, n);
-    } else {
-        // Aliased ranges: the result depends on chunk order, keep
-        // the legacy forward copy.
-        std::vector<std::uint8_t> buf(
-            std::min<std::uint64_t>(n, scratchChunk));
-        for (std::uint64_t off = 0; off < n; off += scratchChunk) {
-            std::uint64_t run = std::min<std::uint64_t>(scratchChunk,
-                                                        n - off);
-            as.read(src + off, buf.data(), run);
-            as.write(dst1 + off, buf.data(), run);
-            as.write(dst2 + off, buf.data(), run);
-        }
-    }
-
-    RangeCost rd = touchRange(core, as, src, n, false, true);
-    RangeCost w1 = touchRange(core, as, dst1, n, true, true);
-    RangeCost w2 = touchRange(core, as, dst2, n, true, true);
-    return finish(core, n, 0.0, {rd, w1, w2});
-}
-
-SwKernels::Result
-SwKernels::copyCrcOp(Core &core, AddressSpace &as, Addr dst, Addr src,
-                     std::uint64_t n, std::uint32_t seed)
-{
-    std::uint32_t crc = seed;
-    if (!rangesOverlap(src, n, dst, n)) {
-        crc = spanCopyCrc(as, dst, src, n, crc);
-    } else {
-        std::vector<std::uint8_t> buf(
-            std::min<std::uint64_t>(n, scratchChunk));
-        for (std::uint64_t off = 0; off < n; off += scratchChunk) {
-            std::uint64_t run = std::min<std::uint64_t>(scratchChunk,
-                                                        n - off);
-            as.read(src + off, buf.data(), run);
-            crc = crc32c(buf.data(), run, crc);
-            as.write(dst + off, buf.data(), run);
-        }
-    }
-
-    RangeCost rd = touchRange(core, as, src, n, false, true);
-    RangeCost wr = touchRange(core, as, dst, n, true, true);
-    Result r = finish(core, n,
-                      core.cpuParams().crcNsPerByte *
-                          static_cast<double>(n),
-                      {rd, wr});
-    r.crc = crc32cFinish(crc);
-    return r;
-}
-
-SwKernels::Result
-SwKernels::memsetOp(Core &core, AddressSpace &as, Addr dst,
-                    std::uint64_t pattern, std::uint64_t n,
-                    bool nontemporal)
-{
-    // Fills spans in place; byte i gets pattern byte i % 8, same as
-    // the old chunked scratch expansion.
-    spanFillPattern(as, dst, n, pattern, 0, 8);
-
-    RangeCost wr = touchRange(core, as, dst, n, true, !nontemporal);
-    return finish(core, n, 0.0, {wr});
-}
-
-SwKernels::Result
-SwKernels::memsetOp2(Core &core, AddressSpace &as, Addr dst,
-                     std::uint64_t lo, std::uint64_t hi,
-                     unsigned pattern_bytes, std::uint64_t n,
-                     bool nontemporal)
-{
-    if (pattern_bytes <= 8)
-        return memsetOp(core, as, dst, lo, n, nontemporal);
-
-    spanFillPattern(as, dst, n, lo, hi, 16);
-
-    RangeCost wr = touchRange(core, as, dst, n, true, !nontemporal);
-    return finish(core, n, 0.0, {wr});
-}
-
-SwKernels::Result
-SwKernels::memcmpOp(Core &core, AddressSpace &as, Addr a, Addr b,
-                    std::uint64_t n)
-{
-    const std::uint64_t mm = spanCompare(as, a, b, n);
-    Result pre;
-    pre.ok = mm == n;
-    pre.diffOffset = mm;
-
-    // A mismatch exits early: only the compared prefix is streamed
-    // (rounded up to the vectorized block the comparison works in).
-    std::uint64_t eff = pre.ok
-        ? n
-        : std::min<std::uint64_t>(n, (pre.diffOffset / 4096 + 1) *
-                                         4096);
-    RangeCost ra = touchRange(core, as, a, eff, false, true);
-    RangeCost rb = touchRange(core, as, b, eff, false, true);
-    Result r = finish(core, eff,
-                      core.cpuParams().cmpNsPerByte *
-                          static_cast<double>(eff),
-                      {ra, rb});
-    r.ok = pre.ok;
-    r.diffOffset = pre.diffOffset;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::comparePatternOp(Core &core, AddressSpace &as, Addr a,
-                            std::uint64_t pattern, std::uint64_t n)
-{
-    const std::uint64_t mm = spanComparePattern(as, a, n, pattern);
-    Result pre;
-    pre.ok = mm == n;
-    pre.diffOffset = mm;
-
-    std::uint64_t eff = pre.ok
-        ? n
-        : std::min<std::uint64_t>(n, (pre.diffOffset / 4096 + 1) *
-                                         4096);
-    RangeCost ra = touchRange(core, as, a, eff, false, true);
-    Result r = finish(core, eff,
-                      core.cpuParams().cmpNsPerByte *
-                          static_cast<double>(eff),
-                      {ra});
-    r.ok = pre.ok;
-    r.diffOffset = pre.diffOffset;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::deltaCreateOp(Core &core, AddressSpace &as, Addr original,
-                         Addr modified, std::uint64_t n, Addr record,
-                         std::uint64_t max_record_bytes)
-{
-    fatal_if(n > deltaMaxInputBytes,
-             "delta create input too large (%llu bytes)",
-             static_cast<unsigned long long>(n));
-    std::vector<std::uint8_t> orig(n), mod(n);
-    as.read(original, orig.data(), n);
-    as.read(modified, mod.data(), n);
-    DeltaResult dr = deltaCreate(orig.data(), mod.data(), n,
-                                 max_record_bytes);
-    if (!dr.record.empty())
-        as.write(record, dr.record.data(), dr.record.size());
-
-    RangeCost ra = touchRange(core, as, original, n, false, true);
-    RangeCost rb = touchRange(core, as, modified, n, false, true);
-    RangeCost wr = touchRange(core, as, record,
-                              std::max<std::uint64_t>(dr.record.size(),
-                                                      1),
-                              true, true);
-    Result r = finish(core, n,
-                      core.cpuParams().deltaNsPerByte *
-                          static_cast<double>(n),
-                      {ra, rb, wr});
-    r.recordBytes = dr.record.size();
-    r.recordFits = dr.fits;
-    r.ok = dr.mismatchedWords == 0;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::deltaApplyOp(Core &core, AddressSpace &as, Addr dst,
-                        Addr record, std::uint64_t record_bytes,
-                        std::uint64_t n)
-{
-    std::vector<std::uint8_t> buf(n), rec(record_bytes);
-    as.read(dst, buf.data(), n);
-    as.read(record, rec.data(), record_bytes);
-    bool ok = deltaApply(buf.data(), n, rec.data(), record_bytes);
-    if (ok)
-        as.write(dst, buf.data(), n);
-
-    RangeCost rr = touchRange(core, as, record,
-                              std::max<std::uint64_t>(record_bytes, 1),
-                              false, true);
-    RangeCost wr = touchRange(core, as, dst, n, true, true);
-    Result r = finish(core, n,
-                      core.cpuParams().deltaNsPerByte *
-                          static_cast<double>(record_bytes),
-                      {rr, wr});
-    r.ok = ok;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::crc32Op(Core &core, AddressSpace &as, Addr src,
-                   std::uint64_t n, std::uint32_t seed)
-{
-    const std::uint32_t crc = spanCrc(as, src, n, seed);
-
-    RangeCost rd = touchRange(core, as, src, n, false, true);
-    Result r = finish(core, n,
-                      core.cpuParams().crcNsPerByte *
-                          static_cast<double>(n),
-                      {rd});
-    r.crc = crc32cFinish(crc);
-    return r;
-}
-
-SwKernels::Result
-SwKernels::difInsertOp(Core &core, AddressSpace &as, Addr src,
-                       Addr dst, std::uint64_t block_bytes,
-                       std::uint64_t nblocks, std::uint16_t app_tag,
-                       std::uint32_t ref_tag)
-{
-    fatal_if(!difBlockSizeValid(block_bytes),
-             "invalid DIF block size %llu",
-             static_cast<unsigned long long>(block_bytes));
-    std::uint64_t in_len = block_bytes * nblocks;
-    std::uint64_t out_len = (block_bytes + difTupleBytes) * nblocks;
-    std::vector<std::uint8_t> in(in_len), out(out_len);
-    as.read(src, in.data(), in_len);
-    difInsert(in.data(), out.data(), block_bytes, nblocks, app_tag,
-              ref_tag);
-    as.write(dst, out.data(), out_len);
-
-    RangeCost rd = touchRange(core, as, src, in_len, false, true);
-    RangeCost wr = touchRange(core, as, dst, out_len, true, true);
-    return finish(core, in_len,
-                  core.cpuParams().difNsPerByte *
-                      static_cast<double>(in_len),
-                  {rd, wr});
-}
-
-SwKernels::Result
-SwKernels::difCheckOp(Core &core, AddressSpace &as, Addr src,
-                      std::uint64_t block_bytes, std::uint64_t nblocks,
-                      std::uint16_t app_tag, std::uint32_t ref_tag)
-{
-    fatal_if(!difBlockSizeValid(block_bytes),
-             "invalid DIF block size %llu",
-             static_cast<unsigned long long>(block_bytes));
-    std::uint64_t in_len = (block_bytes + difTupleBytes) * nblocks;
-    std::vector<std::uint8_t> in(in_len);
-    as.read(src, in.data(), in_len);
-    DifCheckResult chk = difCheck(in.data(), block_bytes, nblocks,
-                                  app_tag, ref_tag);
-
-    RangeCost rd = touchRange(core, as, src, in_len, false, true);
-    Result r = finish(core, in_len,
-                      core.cpuParams().difNsPerByte *
-                          static_cast<double>(in_len),
-                      {rd});
-    r.ok = chk.ok;
-    r.diffOffset = chk.failedBlock;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::difStripOp(Core &core, AddressSpace &as, Addr src, Addr dst,
-                      std::uint64_t block_bytes, std::uint64_t nblocks)
-{
-    fatal_if(!difBlockSizeValid(block_bytes),
-             "invalid DIF block size %llu",
-             static_cast<unsigned long long>(block_bytes));
-    std::uint64_t in_len = (block_bytes + difTupleBytes) * nblocks;
-    std::uint64_t out_len = block_bytes * nblocks;
-    std::vector<std::uint8_t> in(in_len), out(out_len);
-    as.read(src, in.data(), in_len);
-    difStrip(in.data(), out.data(), block_bytes, nblocks);
-    as.write(dst, out.data(), out_len);
-
-    RangeCost rd = touchRange(core, as, src, in_len, false, true);
-    RangeCost wr = touchRange(core, as, dst, out_len, true, true);
-    return finish(core, in_len, 0.0, {rd, wr});
-}
-
-SwKernels::Result
-SwKernels::difUpdateOp(Core &core, AddressSpace &as, Addr src,
-                       Addr dst, std::uint64_t block_bytes,
-                       std::uint64_t nblocks, std::uint16_t old_app,
-                       std::uint32_t old_ref, std::uint16_t new_app,
-                       std::uint32_t new_ref)
-{
-    fatal_if(!difBlockSizeValid(block_bytes),
-             "invalid DIF block size %llu",
-             static_cast<unsigned long long>(block_bytes));
-    std::uint64_t len = (block_bytes + difTupleBytes) * nblocks;
-    std::vector<std::uint8_t> in(len), out(len);
-    as.read(src, in.data(), len);
-    DifCheckResult chk = difUpdate(in.data(), out.data(), block_bytes,
-                                   nblocks, old_app, old_ref, new_app,
-                                   new_ref);
-    if (chk.ok)
-        as.write(dst, out.data(), len);
-
-    RangeCost rd = touchRange(core, as, src, len, false, true);
-    RangeCost wr = touchRange(core, as, dst, len, true, true);
-    Result r = finish(core, len,
-                      core.cpuParams().difNsPerByte *
-                          static_cast<double>(len),
-                      {rd, wr});
-    r.ok = chk.ok;
-    r.diffOffset = chk.failedBlock;
-    return r;
-}
-
-SwKernels::Result
-SwKernels::cacheFlushOp(Core &core, AddressSpace &as, Addr addr,
-                        std::uint64_t n)
+SwKernels::RangeCost
+SwKernels::flushRange(Core &core, AddressSpace &as, Addr va,
+                      std::uint64_t len)
 {
     const CpuParams &p = core.cpuParams();
     RangeCost rc;
@@ -511,10 +186,88 @@ SwKernels::cacheFlushOp(Core &core, AddressSpace &as, Addr addr,
         return true;
     };
     const std::optional<Addr> unmapped =
-        as.pageTable().walk(addr, n, flush_page);
+        as.pageTable().walk(va, len, flush_page);
     panic_if(unmapped, "flush of unmapped va=0x%llx",
              static_cast<unsigned long long>(*unmapped));
-    return finish(core, n, 0.0, {rc});
+    return rc;
+}
+
+Tick
+SwKernels::finish(Core &core, double extra_ns,
+                  std::span<const RangeCost> ranges)
+{
+    const CpuParams &p = core.cpuParams();
+
+    Tick core_time = p.callOverhead + fromNs(extra_ns);
+    Tick link_end = 0;
+    bool first_miss_added = false;
+    for (const RangeCost &rc : ranges) {
+        core_time += rc.coreTicks;
+        core_time += rc.tlbWalks * p.tlbWalk;
+        link_end = std::max(link_end, rc.linkEnd);
+        if (rc.anyMiss && !first_miss_added && rc.nodeId >= 0) {
+            // The leading miss is exposed; later ones pipeline.
+            core_time += mem.readLatencyOf(rc.nodeId,
+                                           core.agent().socket);
+            first_miss_added = true;
+        }
+    }
+
+    Tick now = mem.sim().now();
+    if (link_end > now)
+        return std::max(core_time, link_end - now);
+    return core_time;
+}
+
+SwKernels::Result
+SwKernels::memcpyOp(Core &core, AddressSpace &as, Addr dst, Addr src,
+                    std::uint64_t n)
+{
+    return run(core, as,
+               OpArgs{.op = Opcode::Memmove, .src = src, .dst = dst,
+                      .size = n},
+               false);
+}
+
+SwKernels::Result
+SwKernels::run(Core &core, AddressSpace &as, const OpArgs &args,
+               bool nontemporal)
+{
+    fatal_if(args.op == Opcode::Nop || args.op == Opcode::Drain ||
+                 args.op == Opcode::Batch,
+             "no software path for opcode %s", opcodeName(args.op));
+    Result r;
+    if (!opArgsValid(args)) {
+        r.status = OpStatus::Unsupported;
+        r.duration = finish(core, 0.0, {});
+        return r;
+    }
+    OpStreams streams = streamsOf(args);
+    static_cast<OpOutcome &>(r) =
+        runOp(as, args, args.size, false, scratch);
+    settleStreams(streams, args, r, compareBlockBytes);
+
+    const double extra_ns = streams.empty()
+        ? 0.0
+        : computeNsPerByte(core.cpuParams(), args.op) *
+              static_cast<double>(streams[0].len);
+    std::array<RangeCost, 3> costs{};
+    if (args.op == Opcode::CacheFlush) {
+        costs[0] = flushRange(core, as, streams[0].va, streams[0].len);
+    } else {
+        // The kernel dereferences a delta record even when it is
+        // empty; the device skips an empty stream.
+        if (args.op == Opcode::ApplyDelta)
+            streams[0].len = std::max<std::uint64_t>(streams[0].len, 1);
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+            const OpStream &s = streams[i];
+            costs[i] = touchRange(core, as, s.va, s.len, s.write,
+                                  !(s.write && nontemporal));
+        }
+    }
+    r.duration = finish(core, extra_ns,
+                        std::span(costs.data(), streams.size()));
+    return r;
 }
 
 } // namespace dsasim

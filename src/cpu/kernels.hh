@@ -5,7 +5,8 @@
  * and DIF, plus delta create/apply, dualcast and cache flush.
  *
  * Every kernel is *functional* (bytes really move through the
- * simulated memory) and *timed*: it walks the touched cache lines
+ * simulated memory, through the data plane the device shares,
+ * ops/data_plane.hh) and *timed*: it walks the touched cache lines
  * through the LLC model (polluting it exactly the way the paper's
  * §4.5 experiment shows), charges the memory links for the traffic it
  * generates, and returns the core-visible duration.
@@ -15,11 +16,13 @@
 #define DSASIM_CPU_KERNELS_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cpu/core.hh"
 #include "mem/address_space.hh"
 #include "mem/mem_system.hh"
+#include "ops/data_plane.hh"
 
 namespace dsasim
 {
@@ -29,85 +32,27 @@ class SwKernels
   public:
     explicit SwKernels(MemSystem &ms) : mem(ms) {}
 
-    struct Result
+    /** The operation's completion metadata and its core time. */
+    struct Result : OpOutcome
     {
         Tick duration = 0;
-        bool ok = true;               ///< comparison/check outcome
-        std::uint32_t crc = 0;        ///< CRC operations
-        std::uint64_t diffOffset = 0; ///< memcmp: first difference
-        std::uint64_t recordBytes = 0;///< delta create: record size
-        bool recordFits = true;       ///< delta create: within max
-        std::uint64_t bytesProcessed = 0;
     };
 
-    /// @name Move operations.
-    /// @{
+    /**
+     * glibc memcpy (memmove semantics for overlapping ranges): a
+     * Memmove through run().
+     */
     Result memcpyOp(Core &core, AddressSpace &as, Addr dst, Addr src,
                     std::uint64_t n);
-    Result dualcastOp(Core &core, AddressSpace &as, Addr dst1,
-                      Addr dst2, Addr src, std::uint64_t n);
-    /** Copy + CRC32-C of the transferred data (DSA Copy with CRC). */
-    Result copyCrcOp(Core &core, AddressSpace &as, Addr dst, Addr src,
-                     std::uint64_t n, std::uint32_t seed);
-    /// @}
 
-    /// @name Fill.
-    /// @{
     /**
-     * Fill with a repeating 8-byte pattern. @p nontemporal selects
-     * NT stores (no allocation, no RFO) versus regular stores.
+     * Run any data operation on @p core (Nop, Batch and Drain are
+     * fatal). Invalid operands complete Unsupported after the call
+     * overhead alone. @p nontemporal selects NT stores (no
+     * allocation, no RFO) for the writes.
      */
-    Result memsetOp(Core &core, AddressSpace &as, Addr dst,
-                    std::uint64_t pattern, std::uint64_t n,
-                    bool nontemporal);
-
-    /** 8- or 16-byte-pattern fill (Table 1's Memory Fill). */
-    Result memsetOp2(Core &core, AddressSpace &as, Addr dst,
-                     std::uint64_t lo, std::uint64_t hi,
-                     unsigned pattern_bytes, std::uint64_t n,
-                     bool nontemporal);
-    /// @}
-
-    /// @name Compare / delta.
-    /// @{
-    Result memcmpOp(Core &core, AddressSpace &as, Addr a, Addr b,
-                    std::uint64_t n);
-    Result comparePatternOp(Core &core, AddressSpace &as, Addr a,
-                            std::uint64_t pattern, std::uint64_t n);
-    Result deltaCreateOp(Core &core, AddressSpace &as, Addr original,
-                         Addr modified, std::uint64_t n, Addr record,
-                         std::uint64_t max_record_bytes);
-    Result deltaApplyOp(Core &core, AddressSpace &as, Addr dst,
-                        Addr record, std::uint64_t record_bytes,
-                        std::uint64_t n);
-    /// @}
-
-    /// @name CRC and DIF.
-    /// @{
-    Result crc32Op(Core &core, AddressSpace &as, Addr src,
-                   std::uint64_t n, std::uint32_t seed);
-    Result difInsertOp(Core &core, AddressSpace &as, Addr src,
-                       Addr dst, std::uint64_t block_bytes,
-                       std::uint64_t nblocks, std::uint16_t app_tag,
-                       std::uint32_t ref_tag);
-    Result difCheckOp(Core &core, AddressSpace &as, Addr src,
-                      std::uint64_t block_bytes, std::uint64_t nblocks,
-                      std::uint16_t app_tag, std::uint32_t ref_tag);
-    Result difStripOp(Core &core, AddressSpace &as, Addr src, Addr dst,
-                      std::uint64_t block_bytes,
-                      std::uint64_t nblocks);
-    Result difUpdateOp(Core &core, AddressSpace &as, Addr src,
-                       Addr dst, std::uint64_t block_bytes,
-                       std::uint64_t nblocks, std::uint16_t old_app,
-                       std::uint32_t old_ref, std::uint16_t new_app,
-                       std::uint32_t new_ref);
-    /// @}
-
-    /// @name Flush.
-    /// @{
-    Result cacheFlushOp(Core &core, AddressSpace &as, Addr addr,
-                        std::uint64_t n);
-    /// @}
+    Result run(Core &core, AddressSpace &as, const OpArgs &args,
+               bool nontemporal);
 
   private:
     /** Data-location classes with distinct per-line costs. */
@@ -134,13 +79,19 @@ class SwKernels
                          std::uint64_t len, bool is_write,
                          bool allocate);
 
+    /** Flush [va, va+len) from the caches, page by page. */
+    RangeCost flushRange(Core &core, AddressSpace &as, Addr va,
+                         std::uint64_t len);
+
     /** Combine call overhead, range costs and compute time. */
-    Result finish(Core &core, std::uint64_t bytes, double extra_ns,
-                  std::initializer_list<RangeCost> ranges);
+    Tick finish(Core &core, double extra_ns,
+                std::span<const RangeCost> ranges);
 
     MemSystem &mem;
     /** touchRange's dirty victims of one page run (reused buffer). */
     std::vector<Addr> victims;
+    /** Staging buffers for run()'s data plane. */
+    OpScratch scratch;
 };
 
 } // namespace dsasim

@@ -1,8 +1,5 @@
 #include "dml/dml.hh"
 
-#include "ops/crc32.hh"
-#include "ops/dif.hh"
-
 #include "sim/logging.hh"
 
 namespace dsasim::dml
@@ -391,64 +388,6 @@ Executor::wait(Core &core, Job &job, OpResult &out)
     out.latency = sim.now() - job.submittedAt;
 }
 
-SwKernels::Result
-Executor::runSoftware(Core &core, const WorkDescriptor &d)
-{
-    AddressSpace &as = mem.space(d.pasid);
-    std::uint64_t nblocks =
-        d.difBlockBytes ? d.size / d.difBlockBytes : 0;
-    switch (d.op) {
-      case Opcode::Memmove:
-        return kernels.memcpyOp(core, as, d.dst, d.src, d.size);
-      case Opcode::Fill:
-        // Cache-control off selects the non-temporal store variant,
-        // keeping the software baseline symmetric with the device's
-        // non-allocating write path (Fig. 2's two fill series).
-        return kernels.memsetOp2(core, as, d.dst, d.pattern,
-                                 d.pattern2, d.patternBytes, d.size,
-                                 !d.wantsCacheControl());
-      case Opcode::Compare:
-        return kernels.memcmpOp(core, as, d.src, d.src2, d.size);
-      case Opcode::ComparePattern:
-        return kernels.comparePatternOp(core, as, d.src, d.pattern,
-                                        d.size);
-      case Opcode::CrcGen:
-        // d.crcSeed (default crc32cInit) lets a recovery remainder
-        // continue a partially computed CRC.
-        return kernels.crc32Op(core, as, d.src, d.size, d.crcSeed);
-      case Opcode::CopyCrc:
-        return kernels.copyCrcOp(core, as, d.dst, d.src, d.size,
-                                 d.crcSeed);
-      case Opcode::Dualcast:
-        return kernels.dualcastOp(core, as, d.dst, d.dst2, d.src,
-                                  d.size);
-      case Opcode::CreateDelta:
-        return kernels.deltaCreateOp(core, as, d.src, d.src2, d.size,
-                                     d.dst, d.maxRecordBytes);
-      case Opcode::ApplyDelta:
-        return kernels.deltaApplyOp(core, as, d.dst, d.src,
-                                    d.recordBytes, d.size);
-      case Opcode::DifInsert:
-        return kernels.difInsertOp(core, as, d.src, d.dst,
-                                   d.difBlockBytes, nblocks, d.appTag,
-                                   d.refTag);
-      case Opcode::DifCheck:
-        return kernels.difCheckOp(core, as, d.src, d.difBlockBytes,
-                                  nblocks, d.appTag, d.refTag);
-      case Opcode::DifStrip:
-        return kernels.difStripOp(core, as, d.src, d.dst,
-                                  d.difBlockBytes, nblocks);
-      case Opcode::DifUpdate:
-        return kernels.difUpdateOp(core, as, d.src, d.dst,
-                                   d.difBlockBytes, nblocks, d.appTag,
-                                   d.refTag, d.newAppTag, d.newRefTag);
-      case Opcode::CacheFlush:
-        return kernels.cacheFlushOp(core, as, d.src, d.size);
-      default:
-        fatal("no software path for opcode %s", opcodeName(d.op));
-    }
-}
-
 CoTask
 Executor::execute(Core &core, const WorkDescriptor &d, OpResult &out)
 {
@@ -475,13 +414,19 @@ Executor::executeSoftware(Core &core, const WorkDescriptor &d,
 {
     Tick t0 = sim.now();
     ++swJobs;
-    SwKernels::Result r = runSoftware(core, d);
+    // Cache-control off selects the non-temporal fill, keeping the
+    // software baseline symmetric with the device's non-allocating
+    // write path (Fig. 2's two fill series).
+    SwKernels::Result r =
+        kernels.run(core, mem.space(d.pasid), d,
+                    d.op == Opcode::Fill && !d.wantsCacheControl());
     co_await core.busyFor(r.duration, "kernel");
-    out.status = CompletionRecord::Status::Success;
-    out.ok = r.ok;
-    out.result = r.ok ? 0 : 1;
+    out.status = r.status;
+    out.ok = r.status == CompletionRecord::Status::Success &&
+             r.result == 0;
+    out.result = r.result;
     out.crc = r.crc;
-    out.bytesCompleted = r.bytesProcessed;
+    out.bytesCompleted = r.bytesCompleted;
     out.recordBytes = r.recordBytes;
     out.recordFits = r.recordFits;
     out.usedHardware = false;
@@ -505,7 +450,6 @@ Executor::advancePastCompleted(WorkDescriptor &d, std::uint64_t n,
     if (n > d.size)
         return false;
     const std::uint64_t blk = d.difBlockBytes;
-    const std::uint64_t tup = difTupleBytes;
     switch (d.op) {
       case Opcode::Memmove:
         d.src += n;
@@ -548,13 +492,10 @@ Executor::advancePastCompleted(WorkDescriptor &d, std::uint64_t n,
         if (blk == 0 || n % blk != 0)
             return false;
         const std::uint64_t blocks = n / blk;
-        const std::uint64_t in_unit =
-            d.op == Opcode::DifInsert ? blk : blk + tup;
-        const std::uint64_t out_unit =
-            d.op == Opcode::DifStrip ? blk : blk + tup;
-        d.src += blocks * in_unit;
+        const DifUnits u = difUnits(d);
+        d.src += blocks * u.in;
         if (d.op != Opcode::DifCheck)
-            d.dst += blocks * out_unit;
+            d.dst += blocks * u.out;
         // Reference tags increment per block; the remainder starts
         // where the completed prefix left off.
         d.refTag += static_cast<std::uint32_t>(blocks);

@@ -311,7 +311,6 @@ class Executor
 
     Target &pickTarget();
     bool shouldOffload(const WorkDescriptor &d) const;
-    SwKernels::Result runSoftware(Core &core, const WorkDescriptor &d);
     static void harvest(const CompletionRecord &cr, OpResult &out);
     SimTask releaseOnDone(CompletionRecord &cr, Semaphore &credits);
     /**

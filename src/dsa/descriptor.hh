@@ -18,8 +18,8 @@
 #include <memory>
 #include <vector>
 
-#include "dsa/opcodes.hh"
 #include "mem/types.hh"
+#include "ops/opcodes.hh"
 #include "sim/sync.hh"
 
 namespace dsasim
@@ -39,20 +39,7 @@ constexpr std::uint32_t requestInterrupt = 1u << 2;
 class CompletionRecord
 {
   public:
-    enum class Status : std::uint8_t
-    {
-        None = 0,     ///< not yet written by the device
-        Success,
-        PageFault,    ///< blocked on fault with block-on-fault = 0
-        Unsupported,  ///< opcode/parameter rejected
-        BatchError,   ///< >= 1 descriptor in the batch failed
-        ReadError,    ///< source read failed (hardware data-path)
-        WriteError,   ///< destination write failed
-        DecodeError,  ///< descriptor decode failed
-        Aborted,      ///< abort/drain/reset or watchdog termination
-        WqOverflow,   ///< MOVDIR64B to a full DWQ (detected drop)
-        QueueFull,    ///< ENQCMD bounded retries exhausted
-    };
+    using Status = OpStatus;
 
     static const char *
     statusName(Status st)
@@ -100,7 +87,11 @@ class CompletionRecord
     }
 
     Status status = Status::None;
-    /** Compare ops: 0 = match, 1 = mismatch. DIF check: block idx. */
+    /**
+     * Compare, delta create and DIF check/update: 0 = match or
+     * check passed, 1 = mismatch or check failed (bytesCompleted
+     * then holds the progress made).
+     */
     std::uint32_t result = 0;
     std::uint32_t crc = 0;
     std::uint64_t bytesCompleted = 0;
@@ -112,9 +103,8 @@ class CompletionRecord
     Trigger done;
 };
 
-struct WorkDescriptor
+struct WorkDescriptor : OpArgs
 {
-    Opcode op = Opcode::Nop;
     /**
      * Default matches the paper's measurement setup (§4.1): cache
      * control disabled (destination writes go to memory), block on
@@ -123,26 +113,6 @@ struct WorkDescriptor
      */
     std::uint32_t flags = descflags::blockOnFault;
     Pasid pasid = 0;
-
-    Addr src = 0;
-    Addr dst = 0;
-    Addr src2 = 0; ///< CreateDelta: modified buffer
-    Addr dst2 = 0; ///< Dualcast: second destination
-    std::uint64_t size = 0;
-
-    std::uint64_t pattern = 0;   ///< Fill / ComparePattern
-    /** Second half of a 16-byte fill pattern (Table 1: 8/16-byte). */
-    std::uint64_t pattern2 = 0;
-    std::uint8_t patternBytes = 8; ///< 8 or 16
-    std::uint32_t crcSeed = 0xffffffffu;
-    std::uint64_t maxRecordBytes = 0; ///< CreateDelta cap
-    std::uint64_t recordBytes = 0;    ///< ApplyDelta record length
-
-    std::uint32_t difBlockBytes = 512;
-    std::uint16_t appTag = 0;
-    std::uint16_t newAppTag = 0;
-    std::uint32_t refTag = 0;
-    std::uint32_t newRefTag = 0;
 
     /** Completion record; must outlive processing. */
     CompletionRecord *completion = nullptr;

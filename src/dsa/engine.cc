@@ -1,15 +1,9 @@
 #include "dsa/engine.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
 
 #include "dsa/device.hh"
 #include "mem/address_space.hh"
-#include "ops/crc32.hh"
-#include "ops/delta.hh"
-#include "ops/dif.hh"
-#include "ops/span_kernels.hh"
 #include "sim/logging.hh"
 
 namespace dsasim
@@ -18,27 +12,11 @@ namespace dsasim
 namespace
 {
 
-/** Outcome of the functional execution of one descriptor. */
-struct FuncOut
+/** What the engine publishes: the operation's outcome and fault. */
+struct FuncOut : OpOutcome
 {
-    CompletionRecord::Status status = CompletionRecord::Status::Success;
-    std::uint32_t result = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t recordBytes = 0;
-    bool recordFits = true;
-    std::uint64_t bytesCompleted = 0;
     Addr faultAddr = 0;
 };
-
-/** One data stream of a descriptor (timing view). */
-struct Stream
-{
-    Addr va = 0;
-    std::uint64_t len = 0;
-    bool write = false;
-};
-
-constexpr std::size_t scratchChunk = 256 * 1024;
 
 } // namespace
 
@@ -270,30 +248,7 @@ Engine::process(Work w)
     }
 
     // ---- Validation ------------------------------------------------
-    bool valid = d.size <= p.maxTransferSize;
-    if (d.op == Opcode::Fill || d.op == Opcode::ComparePattern)
-        valid = valid && (d.patternBytes == 8 || d.patternBytes == 16);
-    std::uint64_t nblocks = 0;
-    switch (d.op) {
-      case Opcode::CreateDelta:
-        valid = valid && d.size % deltaWordBytes == 0 &&
-                d.size <= deltaMaxInputBytes;
-        break;
-      case Opcode::ApplyDelta:
-        valid = valid && d.size % deltaWordBytes == 0 &&
-                d.recordBytes % deltaEntryBytes == 0;
-        break;
-      case Opcode::DifCheck:
-      case Opcode::DifInsert:
-      case Opcode::DifStrip:
-      case Opcode::DifUpdate:
-        valid = valid && difBlockSizeValid(d.difBlockBytes) &&
-                d.size % d.difBlockBytes == 0;
-        nblocks = valid ? d.size / d.difBlockBytes : 0;
-        break;
-      default:
-        break;
-    }
+    const bool valid = d.size <= p.maxTransferSize && opArgsValid(d);
     if (!valid) {
         out.status = CompletionRecord::Status::Unsupported;
         Tick end = finishAt(sim.now());
@@ -332,60 +287,7 @@ Engine::process(Work w)
 
     AddressSpace &as = mem.space(d.pasid);
 
-    // ---- Build the stream list ------------------------------------
-    std::vector<Stream> streams;
-    const std::uint64_t blk = d.difBlockBytes;
-    const std::uint64_t tup = difTupleBytes;
-    switch (d.op) {
-      case Opcode::Memmove:
-      case Opcode::CopyCrc:
-        streams = {{d.src, d.size, false}, {d.dst, d.size, true}};
-        break;
-      case Opcode::Fill:
-        streams = {{d.dst, d.size, true}};
-        break;
-      case Opcode::Compare:
-        streams = {{d.src, d.size, false}, {d.src2, d.size, false}};
-        break;
-      case Opcode::ComparePattern:
-      case Opcode::CrcGen:
-        streams = {{d.src, d.size, false}};
-        break;
-      case Opcode::CreateDelta:
-        streams = {{d.src, d.size, false}, {d.src2, d.size, false}};
-        // Record stream appended after functional execution (its
-        // length is data dependent).
-        break;
-      case Opcode::ApplyDelta:
-        streams = {{d.src, d.recordBytes, false},
-                   {d.dst, d.size, true}};
-        break;
-      case Opcode::Dualcast:
-        streams = {{d.src, d.size, false},
-                   {d.dst, d.size, true},
-                   {d.dst2, d.size, true}};
-        break;
-      case Opcode::DifInsert:
-        streams = {{d.src, nblocks * blk, false},
-                   {d.dst, nblocks * (blk + tup), true}};
-        break;
-      case Opcode::DifCheck:
-        streams = {{d.src, nblocks * (blk + tup), false}};
-        break;
-      case Opcode::DifStrip:
-        streams = {{d.src, nblocks * (blk + tup), false},
-                   {d.dst, nblocks * blk, true}};
-        break;
-      case Opcode::DifUpdate:
-        streams = {{d.src, nblocks * (blk + tup), false},
-                   {d.dst, nblocks * (blk + tup), true}};
-        break;
-      case Opcode::CacheFlush:
-        streams = {{d.src ? d.src : d.dst, d.size, false}};
-        break;
-      default:
-        break;
-    }
+    OpStreams streams = streamsOf(d);
 
     // ---- Translation (ATC -> IOMMU -> page fault path) -------------
     Tick fault_stall = 0;
@@ -393,7 +295,7 @@ Engine::process(Work w)
     bool faulted = false;
     Addr fault_va = 0;
     double ok_fraction = 1.0;
-    for (const Stream &s : streams) {
+    for (const OpStream &s : streams) {
         if (s.len == 0)
             continue;
         auto xo = translateRange(as, s.va, s.len, d.blocksOnFault());
@@ -419,10 +321,9 @@ Engine::process(Work w)
             static_cast<double>(d.size) * ok_fraction);
         // Partial progress stops at a page boundary.
         eff_size &= ~(pageBytes(PageSize::Size4K) - 1);
-        out.status = CompletionRecord::Status::PageFault;
         out.faultAddr = fault_va;
         // Truncate the timing streams to the completed prefix.
-        for (Stream &s : streams) {
+        for (OpStream &s : streams) {
             s.len = d.size ? static_cast<std::uint64_t>(
                                  static_cast<double>(s.len) *
                                  static_cast<double>(eff_size) /
@@ -432,234 +333,12 @@ Engine::process(Work w)
     }
 
     // ---- Functional execution --------------------------------------
-    // (Timed below; data is moved here so results are exact. The
-    // kernels run zero-copy on the spans backing each VA range;
-    // overlap-sensitive cases fall back to the legacy chunk order
-    // through the per-engine staging buffers, because their results
-    // genuinely depend on copy order.)
-    switch (d.op) {
-      case Opcode::Memmove:
-        // copy() has memmove semantics, matching the directional
-        // chunked copy this used to do for overlapping ranges.
-        as.copy(d.dst, d.src, eff_size);
-        out.bytesCompleted = eff_size;
-        break;
-      case Opcode::CopyCrc: {
-        std::uint32_t crc = d.crcSeed;
-        if (!rangesOverlap(d.src, eff_size, d.dst, eff_size)) {
-            crc = spanCopyCrc(as, d.dst, d.src, eff_size, crc);
-        } else {
-            std::uint8_t *buf = ensure(
-                bufA, std::min<std::uint64_t>(eff_size, scratchChunk));
-            for (std::uint64_t off = 0; off < eff_size;
-                 off += scratchChunk) {
-                std::uint64_t run = std::min<std::uint64_t>(
-                    scratchChunk, eff_size - off);
-                as.read(d.src + off, buf, run);
-                crc = crc32c(buf, run, crc);
-                as.write(d.dst + off, buf, run);
-            }
-        }
-        out.crc = crc32cFinish(crc);
-        out.bytesCompleted = eff_size;
-        break;
-      }
-      case Opcode::Dualcast: {
-        const bool aliased =
-            rangesOverlap(d.src, eff_size, d.dst, eff_size) ||
-            rangesOverlap(d.src, eff_size, d.dst2, eff_size) ||
-            rangesOverlap(d.dst, eff_size, d.dst2, eff_size);
-        if (!aliased) {
-            as.copy(d.dst, d.src, eff_size);
-            as.copy(d.dst2, d.src, eff_size);
-        } else {
-            std::uint8_t *buf = ensure(
-                bufA, std::min<std::uint64_t>(eff_size, scratchChunk));
-            for (std::uint64_t off = 0; off < eff_size;
-                 off += scratchChunk) {
-                std::uint64_t run = std::min<std::uint64_t>(
-                    scratchChunk, eff_size - off);
-                as.read(d.src + off, buf, run);
-                as.write(d.dst + off, buf, run);
-                as.write(d.dst2 + off, buf, run);
-            }
-        }
-        out.bytesCompleted = eff_size;
-        break;
-      }
-      case Opcode::Fill:
-        spanFillPattern(as, d.dst, eff_size, d.pattern, d.pattern2,
-                        d.patternBytes);
-        out.bytesCompleted = eff_size;
-        break;
-      case Opcode::CrcGen:
-        out.crc =
-            crc32cFinish(spanCrc(as, d.src, eff_size, d.crcSeed));
-        out.bytesCompleted = eff_size;
-        break;
-      case Opcode::Compare:
-      case Opcode::ComparePattern: {
-        const std::uint64_t mm =
-            d.op == Opcode::Compare
-                ? spanCompare(as, d.src, d.src2, eff_size)
-                : spanComparePattern(as, d.src, eff_size, d.pattern);
-        if (mm < eff_size) {
-            out.result = 1;
-            out.bytesCompleted = mm;
-            // Early exit: only the compared prefix is streamed.
-            eff_size = std::min<std::uint64_t>(
-                eff_size, (mm / p.chunkBytes + 1) * p.chunkBytes);
-            for (Stream &s : streams)
-                s.len = std::min<std::uint64_t>(s.len, eff_size);
-        } else {
-            out.result = 0;
-            out.bytesCompleted = eff_size;
-        }
-        break;
-      }
-      case Opcode::CreateDelta: {
-        const std::uint8_t *orig =
-            as.contiguousConst(d.src, eff_size, "read");
-        if (!orig && eff_size) {
-            as.read(d.src, ensure(bufA, eff_size), eff_size);
-            orig = bufA.data();
-        }
-        const std::uint8_t *mod =
-            as.contiguousConst(d.src2, eff_size, "read");
-        if (!mod && eff_size) {
-            as.read(d.src2, ensure(bufB, eff_size), eff_size);
-            mod = bufB.data();
-        }
-        DeltaResult dr =
-            deltaCreate(orig, mod, eff_size, d.maxRecordBytes);
-        if (!dr.record.empty())
-            as.write(d.dst, dr.record.data(), dr.record.size());
-        out.recordBytes = dr.record.size();
-        out.recordFits = dr.fits;
-        out.result = dr.mismatchedWords == 0 ? 0 : 1;
-        out.bytesCompleted = eff_size;
-        streams.push_back({d.dst, std::max<std::uint64_t>(
-                                      dr.record.size(), 1),
-                           true});
-        break;
-      }
-      case Opcode::ApplyDelta: {
-        const std::uint8_t *rec =
-            as.contiguousConst(d.src, d.recordBytes, "read");
-        if (!rec && d.recordBytes) {
-            as.read(d.src, ensure(bufA, d.recordBytes), d.recordBytes);
-            rec = bufA.data();
-        }
-        // Validated before any write so a malformed record leaves
-        // the destination untouched. On a faulted partial, entries
-        // targeting the unreachable suffix are skipped (not
-        // malformed) so the PageFault status and resumable
-        // bytesCompleted survive.
-        if (!deltaRecordValid(rec, d.recordBytes, eff_size, faulted)) {
-            out.status = CompletionRecord::Status::Unsupported;
-        } else if (eff_size > 0) {
-            if (std::uint8_t *dst =
-                    as.contiguous(d.dst, eff_size, "write")) {
-                deltaApply(dst, eff_size, rec, d.recordBytes, faulted);
-            } else {
-                std::uint8_t *buf = ensure(bufB, eff_size);
-                as.read(d.dst, buf, eff_size);
-                deltaApply(buf, eff_size, rec, d.recordBytes, faulted);
-                as.write(d.dst, buf, eff_size);
-            }
-        }
-        out.bytesCompleted = eff_size;
-        break;
-      }
-      case Opcode::DifInsert:
-      case Opcode::DifCheck:
-      case Opcode::DifStrip:
-      case Opcode::DifUpdate: {
-        std::uint64_t eff_blocks = nblocks;
-        if (faulted)
-            eff_blocks = eff_size / blk;
-        std::uint64_t in_unit =
-            d.op == Opcode::DifInsert ? blk : blk + tup;
-        std::uint64_t out_unit =
-            d.op == Opcode::DifStrip ? blk : blk + tup;
-        const bool has_dst = d.op != Opcode::DifCheck;
-        // Blocks resolve directly into backing unless the source and
-        // destination ranges alias (then later reads must observe
-        // earlier writes in legacy order, which the buffered path
-        // reproduces).
-        const bool aliased = has_dst &&
-            rangesOverlap(d.src, eff_blocks * in_unit, d.dst,
-                          eff_blocks * out_unit);
-        std::uint8_t *in_buf = ensure(bufA, in_unit);
-        std::uint8_t *out_buf = ensure(bufB, out_unit);
-        DifCheckResult chk;
-        for (std::uint64_t b = 0; b < eff_blocks && chk.ok; ++b) {
-            const Addr src_va = d.src + b * in_unit;
-            const Addr dst_va = d.dst + b * out_unit;
-            const std::uint8_t *in = aliased
-                ? nullptr
-                : as.contiguousConst(src_va, in_unit, "read");
-            if (!in) {
-                as.read(src_va, in_buf, in_unit);
-                in = in_buf;
-            }
-            auto tag32 = static_cast<std::uint32_t>(b);
-            switch (d.op) {
-              case Opcode::DifInsert:
-              case Opcode::DifStrip: {
-                std::uint8_t *outp = aliased
-                    ? nullptr
-                    : as.contiguous(dst_va, out_unit, "write");
-                const bool direct = outp != nullptr;
-                if (!direct)
-                    outp = out_buf;
-                if (d.op == Opcode::DifInsert)
-                    difInsert(in, outp, blk, 1, d.appTag,
-                              d.refTag + tag32);
-                else
-                    difStrip(in, outp, blk, 1);
-                if (!direct)
-                    as.write(dst_va, out_buf, out_unit);
-                break;
-              }
-              case Opcode::DifCheck:
-                chk = difCheck(in, blk, 1, d.appTag,
-                               d.refTag + tag32);
-                if (!chk.ok)
-                    chk.failedBlock = b;
-                break;
-              case Opcode::DifUpdate:
-                // Staged: a failed check must leave the block's
-                // destination untouched.
-                chk = difUpdate(in, out_buf, blk, 1, d.appTag,
-                                d.refTag + tag32, d.newAppTag,
-                                d.newRefTag + tag32);
-                if (chk.ok) {
-                    as.write(dst_va, out_buf, out_unit);
-                } else {
-                    chk.failedBlock = b;
-                }
-                break;
-              default:
-                break;
-            }
-        }
-        if (!chk.ok) {
-            out.result = 1;
-            out.bytesCompleted = chk.failedBlock * blk;
-        } else {
-            out.bytesCompleted = eff_blocks * blk;
-        }
-        break;
-      }
-      case Opcode::CacheFlush:
-        // Handled entirely in the timing pass below.
-        out.bytesCompleted = eff_size;
-        break;
-      default:
-        out.status = CompletionRecord::Status::Unsupported;
-        break;
-    }
+    // (Timed below; data is moved here so results are exact.)
+    static_cast<OpOutcome &>(out) =
+        runOp(as, d, eff_size, faulted, scratch);
+    if (faulted && out.status == CompletionRecord::Status::Success)
+        out.status = CompletionRecord::Status::PageFault;
+    settleStreams(streams, d, out, p.chunkBytes);
 
     // ---- Timing: stream the chunks --------------------------------
     const bool llc_hint = d.wantsCacheControl();
@@ -692,13 +371,13 @@ Engine::process(Work w)
     } else {
         // Primary stream length drives the engine pacing.
         std::uint64_t primary = 0;
-        for (const Stream &s : streams)
+        for (const OpStream &s : streams)
             primary = std::max(primary, s.len);
 
         int src_node = 0;
         bool first_is_hit = false;
         bool has_read = false;
-        for (const Stream &s : streams) {
+        for (const OpStream &s : streams) {
             if (!s.write && s.len > 0) {
                 has_read = true;
                 Addr pa = as.translate(s.va);
@@ -726,7 +405,7 @@ Engine::process(Work w)
                       static_cast<double>(primary))
                 : 0;
             Tick link_end = 0;
-            for (Stream &s : streams) {
+            for (const OpStream &s : streams) {
                 if (s.len == 0)
                     continue;
                 // Proportional slice of this stream for the chunk.

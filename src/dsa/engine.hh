@@ -12,9 +12,9 @@
 #define DSASIM_DSA_ENGINE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "dsa/group.hh"
+#include "ops/data_plane.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 
@@ -133,15 +133,6 @@ class Engine
     /** Effective streaming rate given the group's read buffers. */
     double effectiveRate(int src_node) const;
 
-    /** Grow @p buf to at least @p n bytes without re-zeroing. */
-    static std::uint8_t *
-    ensure(std::vector<std::uint8_t> &buf, std::uint64_t n)
-    {
-        if (buf.size() < n)
-            buf.resize(n);
-        return buf.data();
-    }
-
     DsaDevice &dev;
     Group &group;
     const int id;
@@ -155,12 +146,10 @@ class Engine
     stats::Counter &atcMissesCtr;
 
     // Per-engine staging buffers for the few operations that cannot
-    // run zero-copy (overlapping copies, non-contiguous delta/DIF
-    // inputs). run() awaits one process() at a time, so a single set
-    // per engine is safe; grow-only reuse avoids the per-descriptor
-    // allocate-and-zero the old scratch vectors paid.
-    std::vector<std::uint8_t> bufA;
-    std::vector<std::uint8_t> bufB;
+    // run zero-copy (ops/data_plane.hh). run() awaits one process()
+    // at a time, so a single set per engine is safe; grow-only reuse
+    // avoids a per-descriptor allocate-and-zero.
+    OpScratch scratch;
 };
 
 } // namespace dsasim

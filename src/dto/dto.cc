@@ -3,14 +3,12 @@
 namespace dsasim
 {
 
-Dto::Dto(dml::Executor &exec, SwKernels &k, Config cfg)
-    : Dto(exec, k, cfg,
-          exec.simulation().stats().scope("dto") + ".")
+Dto::Dto(dml::Executor &exec, Config cfg)
+    : Dto(exec, cfg, exec.simulation().stats().scope("dto") + ".")
 {}
 
-Dto::Dto(dml::Executor &exec, SwKernels &k, Config cfg,
-         const std::string &scope)
-    : executor(exec), kernels(k), config(cfg),
+Dto::Dto(dml::Executor &exec, Config cfg, const std::string &scope)
+    : executor(exec), config(cfg),
       fallbackPageFaultCtr(exec.simulation().stats().counter(
           scope + "fallback_page_fault",
           "offloads redone on CPU after a partial completion")),

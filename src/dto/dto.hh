@@ -34,10 +34,10 @@ class Dto
         bool cacheControl = true;
     };
 
-    Dto(dml::Executor &exec, SwKernels &k, Config cfg);
+    Dto(dml::Executor &exec, Config cfg);
 
-    Dto(dml::Executor &exec, SwKernels &k)
-        : Dto(exec, k, Config{})
+    explicit Dto(dml::Executor &exec)
+        : Dto(exec, Config{})
     {}
 
     /// @name Intercepted libc entry points.
@@ -95,14 +95,12 @@ class Dto
 
   private:
     /** Delegate binding the cause counters under one dto<N>. scope. */
-    Dto(dml::Executor &exec, SwKernels &k, Config cfg,
-        const std::string &scope);
+    Dto(dml::Executor &exec, Config cfg, const std::string &scope);
 
     CoTask dispatch(Core &core, WorkDescriptor d, std::uint64_t n,
                     int *cmp_result);
 
     dml::Executor &executor;
-    SwKernels &kernels;
     Config config;
 
     // Registry-backed fallback-cause counters (bound in the

@@ -1,14 +1,18 @@
 /**
  * @file
  * DSA operation opcodes (Table 1 of the paper, aligned with the DSA
- * architecture specification's operation set).
+ * architecture specification's operation set), the operands one
+ * operation takes and the status it completes with. The device's
+ * work descriptors and the CPU kernels share these types
+ * (ops/data_plane.hh runs them).
  */
 
-#ifndef DSASIM_DSA_OPCODES_HH
-#define DSASIM_DSA_OPCODES_HH
+#ifndef DSASIM_OPS_OPCODES_HH
+#define DSASIM_OPS_OPCODES_HH
 
 #include <cstdint>
 
+#include "mem/types.hh"
 #include "sim/fault_injector.hh"
 
 namespace dsasim
@@ -60,24 +64,6 @@ opcodeName(Opcode op)
     return "?";
 }
 
-/** True for operations that write no destination data. */
-inline bool
-opcodeReadOnly(Opcode op)
-{
-    switch (op) {
-      case Opcode::Compare:
-      case Opcode::ComparePattern:
-      case Opcode::CrcGen:
-      case Opcode::DifCheck:
-      case Opcode::CacheFlush:
-      case Opcode::Nop:
-      case Opcode::Drain:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /**
  * Static-init registration of the opcode-name table with the
  * sim-layer fault injector (layer-hygiene keeps sim/ from including
@@ -91,6 +77,50 @@ inline const bool faultOpcodeNamesRegistered = [] {
     return true;
 }();
 
+/** Completion status of an operation. */
+enum class OpStatus : std::uint8_t
+{
+    None = 0,     ///< not yet written by the device
+    Success,
+    PageFault,    ///< blocked on fault with block-on-fault = 0
+    Unsupported,  ///< opcode/parameter rejected
+    BatchError,   ///< >= 1 descriptor in the batch failed
+    ReadError,    ///< source read failed (hardware data-path)
+    WriteError,   ///< destination write failed
+    DecodeError,  ///< descriptor decode failed
+    Aborted,      ///< abort/drain/reset or watchdog termination
+    WqOverflow,   ///< MOVDIR64B to a full DWQ (detected drop)
+    QueueFull,    ///< ENQCMD bounded retries exhausted
+};
+
+/** One operation and its operands (virtual addresses). */
+struct OpArgs
+{
+    Opcode op = Opcode::Nop;
+
+    Addr src = 0;
+    Addr dst = 0;
+    Addr src2 = 0; ///< CreateDelta: modified buffer
+    Addr dst2 = 0; ///< Dualcast: second destination
+    std::uint64_t size = 0;
+
+    std::uint64_t pattern = 0;   ///< Fill / ComparePattern
+    /** Second half of a 16-byte fill pattern (Table 1: 8/16-byte). */
+    std::uint64_t pattern2 = 0;
+    std::uint8_t patternBytes = 8; ///< 8 or 16
+    /** CRC32-C state to start from: a resumed remainder continues a
+     *  partially computed CRC. */
+    std::uint32_t crcSeed = 0xffffffffu;
+    std::uint64_t maxRecordBytes = 0; ///< CreateDelta cap
+    std::uint64_t recordBytes = 0;    ///< ApplyDelta record length
+
+    std::uint32_t difBlockBytes = 512;
+    std::uint16_t appTag = 0;
+    std::uint16_t newAppTag = 0;
+    std::uint32_t refTag = 0;
+    std::uint32_t newRefTag = 0;
+};
+
 } // namespace dsasim
 
-#endif // DSASIM_DSA_OPCODES_HH
+#endif // DSASIM_OPS_OPCODES_HH

@@ -65,7 +65,7 @@ const char *faultSiteName(FaultSite site);
  * Opcode-name table for the op= spec key. The sim layer cannot see
  * the device layers (layer-hygiene: sim < dsa), so the layer that
  * owns the opcode enum registers its name table at static-init time
- * (dsa/opcodes.hh) and the injector resolves names through it.
+ * (ops/opcodes.hh) and the injector resolves names through it.
  */
 void setFaultOpcodeNames(const char *(*name)(int), int count);
 const char *faultOpcodeName(int op); ///< nullptr if unregistered

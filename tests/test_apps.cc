@@ -195,7 +195,7 @@ TEST(Vhost, DsaLowersTailLatencyNearTheKnee)
 TEST(MiniCache, GetReturnsWhatSetStored)
 {
     AppBench b;
-    Dto dto(*b.exec, b.plat.kernels());
+    Dto dto(*b.exec);
     apps::MiniCache cache(b.plat, *b.as, dto, {});
     Addr in = b.as->alloc(64 << 10);
     Addr out = b.as->alloc(64 << 10);
@@ -226,7 +226,7 @@ TEST(MiniCache, GetReturnsWhatSetStored)
 TEST(MiniCache, MissThenEvictions)
 {
     AppBench b;
-    Dto dto(*b.exec, b.plat.kernels());
+    Dto dto(*b.exec);
     apps::MiniCache::Config cc;
     cc.capacityBytes = 1 << 20; // tiny: force evictions
     apps::MiniCache cache(b.plat, *b.as, dto, cc);

@@ -17,6 +17,7 @@ namespace
 {
 
 using test::Bench;
+using E = dml::Executor;
 
 TEST(CpuKernels, MemcpyMovesBytes)
 {
@@ -95,8 +96,9 @@ TEST(CpuKernels, MemsetFillsPattern)
 {
     Bench b;
     Addr dst = b.as->alloc(4096);
-    b.plat.kernels().memsetOp(b.plat.core(0), *b.as, dst,
-                              0x1122334455667788ull, 4096, false);
+    b.plat.kernels().run(b.plat.core(0), *b.as,
+                         E::fill(*b.as, dst, 0x1122334455667788ull, 4096),
+                         false);
     auto data = b.bytes(dst, 16);
     EXPECT_EQ(data[0], 0x88);
     EXPECT_EQ(data[7], 0x11);
@@ -110,11 +112,13 @@ TEST(CpuKernels, NtFillAvoidsCachePollution)
     Addr d1 = b.as->alloc(n);
     Addr d2 = b.as->alloc(n);
     auto &k = b.plat.kernels();
-    k.memsetOp(b.plat.core(0), *b.as, d1, 0, n, /*nontemporal=*/false);
+    k.run(b.plat.core(0), *b.as, E::fill(*b.as, d1, 0, n),
+          /*nontemporal=*/false);
     std::uint64_t after_reg =
         b.plat.mem().cache().occupancyBytes(0);
     b.plat.mem().cache().invalidateAll();
-    k.memsetOp(b.plat.core(0), *b.as, d2, 0, n, /*nontemporal=*/true);
+    k.run(b.plat.core(0), *b.as, E::fill(*b.as, d2, 0, n),
+          /*nontemporal=*/true);
     std::uint64_t after_nt = b.plat.mem().cache().occupancyBytes(0);
     EXPECT_GT(after_reg, n / 2);
     EXPECT_EQ(after_nt, 0u);
@@ -129,15 +133,15 @@ TEST(CpuKernels, MemcmpFindsFirstDifference)
     std::vector<std::uint8_t> buf(8192);
     b.as->read(a, buf.data(), buf.size());
     b.as->write(c, buf.data(), buf.size());
-    auto eq = b.plat.kernels().memcmpOp(b.plat.core(0), *b.as, a, c,
-                                        8192);
-    EXPECT_TRUE(eq.ok);
+    auto eq = b.plat.kernels().run(b.plat.core(0), *b.as,
+                                   E::compare(*b.as, a, c, 8192), false);
+    EXPECT_EQ(eq.result, 0u);
     buf[5000] ^= 1;
     b.as->write(c, buf.data(), buf.size());
-    auto ne = b.plat.kernels().memcmpOp(b.plat.core(0), *b.as, a, c,
-                                        8192);
-    EXPECT_FALSE(ne.ok);
-    EXPECT_EQ(ne.diffOffset, 5000u);
+    auto ne = b.plat.kernels().run(b.plat.core(0), *b.as,
+                                   E::compare(*b.as, a, c, 8192), false);
+    EXPECT_EQ(ne.result, 1u);
+    EXPECT_EQ(ne.bytesCompleted, 5000u);
 }
 
 
@@ -154,15 +158,15 @@ TEST(CpuKernels, MemcmpEarlyExitIsCheaper)
     auto &core = b.plat.core(0);
 
     b.plat.mem().cache().invalidateAll();
-    auto full = k.memcmpOp(core, *b.as, x, y, n);
-    ASSERT_TRUE(full.ok);
+    auto full = k.run(core, *b.as, E::compare(*b.as, x, y, n), false);
+    ASSERT_EQ(full.result, 0u);
 
     buf[100] ^= 1; // difference near the start
     b.as->write(y, buf.data(), n);
     b.plat.mem().cache().invalidateAll();
-    auto early = k.memcmpOp(core, *b.as, x, y, n);
-    ASSERT_FALSE(early.ok);
-    EXPECT_EQ(early.diffOffset, 100u);
+    auto early = k.run(core, *b.as, E::compare(*b.as, x, y, n), false);
+    ASSERT_EQ(early.result, 1u);
+    EXPECT_EQ(early.bytesCompleted, 100u);
     EXPECT_LT(early.duration, full.duration / 10);
 }
 
@@ -170,15 +174,21 @@ TEST(CpuKernels, ComparePattern)
 {
     Bench b;
     Addr a = b.as->alloc(4096);
-    b.plat.kernels().memsetOp(b.plat.core(0), *b.as, a,
-                              0xabcdabcdabcdabcdull, 4096, false);
-    auto ok = b.plat.kernels().comparePatternOp(
-        b.plat.core(0), *b.as, a, 0xabcdabcdabcdabcdull, 4096);
-    EXPECT_TRUE(ok.ok);
-    auto bad = b.plat.kernels().comparePatternOp(
-        b.plat.core(0), *b.as, a, 0xabcdabcdabcdabceull, 4096);
-    EXPECT_FALSE(bad.ok);
-    EXPECT_EQ(bad.diffOffset, 0u);
+    auto &k = b.plat.kernels();
+    auto &core = b.plat.core(0);
+    k.run(core, *b.as, E::fill(*b.as, a, 0xabcdabcdabcdabcdull, 4096),
+          false);
+    auto ok = k.run(core, *b.as,
+                    E::comparePattern(*b.as, a, 0xabcdabcdabcdabcdull,
+                                      4096),
+                    false);
+    EXPECT_EQ(ok.result, 0u);
+    auto bad = k.run(core, *b.as,
+                     E::comparePattern(*b.as, a, 0xabcdabcdabcdabceull,
+                                       4096),
+                     false);
+    EXPECT_EQ(bad.result, 1u);
+    EXPECT_EQ(bad.bytesCompleted, 0u);
 }
 
 TEST(CpuKernels, Crc32MatchesReference)
@@ -188,8 +198,8 @@ TEST(CpuKernels, Crc32MatchesReference)
     Addr a = b.as->alloc(n);
     b.randomize(a, n, 7);
     auto buf = b.bytes(a, n);
-    auto r = b.plat.kernels().crc32Op(b.plat.core(0), *b.as, a, n,
-                                      crc32cInit);
+    auto r = b.plat.kernels().run(b.plat.core(0), *b.as,
+                                  E::crc32(*b.as, a, n), false);
     EXPECT_EQ(r.crc, crc32cFull(buf.data(), buf.size()));
 }
 
@@ -200,8 +210,8 @@ TEST(CpuKernels, CopyCrcMovesAndChecksums)
     Addr src = b.as->alloc(n);
     Addr dst = b.as->alloc(n);
     b.randomize(src, n, 9);
-    auto r = b.plat.kernels().copyCrcOp(b.plat.core(0), *b.as, dst,
-                                        src, n, crc32cInit);
+    auto r = b.plat.kernels().run(b.plat.core(0), *b.as,
+                                  E::copyCrc(*b.as, dst, src, n), false);
     EXPECT_TRUE(b.as->equal(src, dst, n));
     auto buf = b.bytes(src, n);
     EXPECT_EQ(r.crc, crc32cFull(buf.data(), buf.size()));
@@ -215,7 +225,8 @@ TEST(CpuKernels, DualcastWritesBoth)
     Addr d1 = b.as->alloc(n);
     Addr d2 = b.as->alloc(n);
     b.randomize(src, n, 11);
-    b.plat.kernels().dualcastOp(b.plat.core(0), *b.as, d1, d2, src, n);
+    b.plat.kernels().run(b.plat.core(0), *b.as,
+                         E::dualcast(*b.as, d1, d2, src, n), false);
     EXPECT_TRUE(b.as->equal(src, d1, n));
     EXPECT_TRUE(b.as->equal(src, d2, n));
 }
@@ -233,9 +244,10 @@ TEST(CpuKernels, DeltaCreateApplyRoundTrip)
     buf[50000] ^= 0x0f;
     b.as->write(mod, buf.data(), buf.size());
 
-    auto cr = b.plat.kernels().deltaCreateOp(b.plat.core(0), *b.as,
-                                             orig, mod, n, rec, n * 2);
-    EXPECT_FALSE(cr.ok); // differences exist
+    auto cr = b.plat.kernels().run(
+        b.plat.core(0), *b.as,
+        E::createDelta(*b.as, orig, mod, n, rec, n * 2), false);
+    EXPECT_EQ(cr.result, 1u); // differences exist
     EXPECT_TRUE(cr.recordFits);
     EXPECT_EQ(cr.recordBytes, 2 * deltaEntryBytes);
 
@@ -243,10 +255,10 @@ TEST(CpuKernels, DeltaCreateApplyRoundTrip)
     Addr target = b.as->alloc(n);
     auto obuf = b.bytes(orig, n);
     b.as->write(target, obuf.data(), obuf.size());
-    auto ar = b.plat.kernels().deltaApplyOp(b.plat.core(0), *b.as,
-                                            target, rec,
-                                            cr.recordBytes, n);
-    EXPECT_TRUE(ar.ok);
+    auto ar = b.plat.kernels().run(
+        b.plat.core(0), *b.as,
+        E::applyDelta(*b.as, target, rec, cr.recordBytes, n), false);
+    EXPECT_EQ(ar.status, OpStatus::Success);
     EXPECT_TRUE(b.as->equal(target, mod, n));
 }
 
@@ -261,14 +273,16 @@ TEST(CpuKernels, DifInsertCheckStrip)
     auto &k = b.plat.kernels();
     auto &core = b.plat.core(0);
 
-    k.difInsertOp(core, *b.as, src, prot, block, nblocks, 7, 1000);
-    auto chk = k.difCheckOp(core, *b.as, prot, block, nblocks, 7,
-                            1000);
-    EXPECT_TRUE(chk.ok);
-    auto bad = k.difCheckOp(core, *b.as, prot, block, nblocks, 8,
-                            1000);
-    EXPECT_FALSE(bad.ok);
-    k.difStripOp(core, *b.as, prot, out, block, nblocks);
+    const std::uint64_t n = block * nblocks;
+    k.run(core, *b.as, E::difInsert(*b.as, src, prot, block, n, 7, 1000),
+          false);
+    auto chk = k.run(core, *b.as,
+                     E::difCheck(*b.as, prot, block, n, 7, 1000), false);
+    EXPECT_EQ(chk.result, 0u);
+    auto bad = k.run(core, *b.as,
+                     E::difCheck(*b.as, prot, block, n, 8, 1000), false);
+    EXPECT_EQ(bad.result, 1u);
+    k.run(core, *b.as, E::difStrip(*b.as, prot, out, block, n), false);
     EXPECT_TRUE(b.as->equal(src, out, block * nblocks));
 }
 
@@ -281,8 +295,20 @@ TEST(CpuKernels, CacheFlushEvicts)
     b.plat.kernels().memcpyOp(b.plat.core(0), *b.as, d, a, n);
     Addr pa = b.as->translate(d);
     EXPECT_TRUE(b.plat.mem().cache().probe(pa));
-    b.plat.kernels().cacheFlushOp(b.plat.core(0), *b.as, d, n);
+    b.plat.kernels().run(b.plat.core(0), *b.as, E::cacheFlush(*b.as, d, n),
+                         false);
     EXPECT_FALSE(b.plat.mem().cache().probe(pa));
+}
+
+TEST(CpuKernelsDeathTest, ControlOpsHaveNoSoftwarePath)
+{
+    Bench b;
+    for (Opcode op : {Opcode::Nop, Opcode::Batch, Opcode::Drain}) {
+        OpArgs a;
+        a.op = op;
+        EXPECT_DEATH(b.plat.kernels().run(b.plat.core(0), *b.as, a, false),
+                     "no software path for opcode");
+    }
 }
 
 // touchRange charges one span call per page run and then one
@@ -297,8 +323,10 @@ TEST(CpuKernels, MemcpyOverDirtyFullLlcGolden)
     const Addr local = b.as->alloc(half, MemKind::DramLocal);
     const Addr remote = b.as->alloc(half, MemKind::DramRemote);
     auto &k = b.plat.kernels();
-    k.memsetOp(b.plat.core(1), *b.as, local, 0x5a, half, false);
-    k.memsetOp(b.plat.core(1), *b.as, remote, 0xa5, half, false);
+    k.run(b.plat.core(1), *b.as, E::fill(*b.as, local, 0x5a, half),
+          false);
+    k.run(b.plat.core(1), *b.as, E::fill(*b.as, remote, 0xa5, half),
+          false);
     ASSERT_EQ(llc.totalOccupancyBytes(),
               std::uint64_t{llc.numSets()} * llc.numWays() * 64);
     // Drain the fills' link backlog so the copy's charges stand alone.
@@ -326,9 +354,10 @@ TEST(CpuKernels, CrcSlowerThanPlainRead)
     Addr a = b.as->alloc(n);
     auto &k = b.plat.kernels();
     auto &core = b.plat.core(0);
-    auto cmp = k.comparePatternOp(core, *b.as, a, 0, n);
+    auto cmp = k.run(core, *b.as, E::comparePattern(*b.as, a, 0, n),
+                     false);
     b.plat.mem().cache().invalidateAll();
-    auto crc = k.crc32Op(core, *b.as, a, n, crc32cInit);
+    auto crc = k.run(core, *b.as, E::crc32(*b.as, a, n), false);
     EXPECT_GT(crc.duration, cmp.duration);
 }
 

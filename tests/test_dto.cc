@@ -29,7 +29,7 @@ struct DtoBench : Bench
             std::vector<DsaDevice *>{&plat.dsa(0)}, ec);
         Dto::Config dc;
         dc.threshold = threshold;
-        dto = std::make_unique<Dto>(*exec, plat.kernels(), dc);
+        dto = std::make_unique<Dto>(*exec, dc);
     }
 
     std::unique_ptr<dml::Executor> exec;

@@ -566,7 +566,7 @@ TEST(Recovery, DtoFallsBackToCpuOnHardwareError)
         b.inject(r);
     }
     b.makeExecutor({});
-    Dto dto(*b.exec, b.plat.kernels(), {.threshold = 4096});
+    Dto dto(*b.exec, {.threshold = 4096});
 
     const std::uint64_t n = 32 << 10;
     Addr src = b.as->alloc(n);

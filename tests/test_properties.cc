@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "ops/crc32.hh"
+#include "ops/delta.hh"
+#include "ops/dif.hh"
 #include "tests/util.hh"
 
 namespace dsasim
@@ -26,6 +28,13 @@ using test::Bench;
 struct HwSwCase
 {
     Opcode op;
+    /**
+     * A failing input: a corrupted DIF tuple in the middle block, or
+     * a delta record entry past the end of the buffer. (Declared
+     * here, in op's padding, so the case stays 24 bytes and the
+     * printed test names keep their "24-byte object" suffix.)
+     */
+    bool corrupt;
     std::uint64_t size;
     std::uint64_t srcSkew; ///< bytes of deliberate misalignment
 };
@@ -35,7 +44,8 @@ caseName(const ::testing::TestParamInfo<HwSwCase> &info)
 {
     std::string name = std::string(opcodeName(info.param.op)) + "_" +
                        std::to_string(info.param.size) + "_skew" +
-                       std::to_string(info.param.srcSkew);
+                       std::to_string(info.param.srcSkew) +
+                       (info.param.corrupt ? "_corrupt" : "");
     for (auto &ch : name)
         if (ch == '-')
             ch = '_';
@@ -48,6 +58,7 @@ class HwSwEquivalence : public ::testing::TestWithParam<HwSwCase>
 
 TEST_P(HwSwEquivalence, SameBytesAndMetadata)
 {
+    using E = dml::Executor;
     const HwSwCase &c = GetParam();
     Bench b;
     DsaTopology::basic().apply(b.plat.dsa(0));
@@ -57,41 +68,81 @@ TEST_P(HwSwEquivalence, SameBytesAndMetadata)
                        {&b.plat.dsa(0)}, ec);
 
     const std::uint64_t n = c.size;
-    Addr src = b.as->alloc(n + 64) + c.srcSkew;
+    const std::uint32_t blk = 512;
+    const std::uint64_t nblocks = n / blk;
+    const bool dif = c.op == Opcode::DifInsert ||
+                     c.op == Opcode::DifCheck ||
+                     c.op == Opcode::DifStrip ||
+                     c.op == Opcode::DifUpdate;
+    Addr src = b.as->alloc(2 * n + 64) + c.srcSkew;
     Addr src2 = b.as->alloc(n + 64) + c.srcSkew;
+    Addr rec = b.as->alloc(64);
     Addr hw_dst = b.as->alloc(2 * n + 64);
     Addr sw_dst = b.as->alloc(2 * n + 64);
     Addr hw_dst2 = b.as->alloc(n + 64);
     Addr sw_dst2 = b.as->alloc(n + 64);
     b.randomize(src, n, n + 1);
+    const std::vector<std::uint8_t> data = b.bytes(src, n);
     {
         // src2 = src with one flipped byte in the middle.
-        auto buf = b.bytes(src, n);
+        auto buf = data;
         buf[n / 2] ^= 0x10;
         b.as->write(src2, buf.data(), n);
+    }
+    if (dif && c.op != Opcode::DifInsert && nblocks > 0) {
+        // Protected source: app tag 7, reference tags from 100.
+        std::vector<std::uint8_t> prot(nblocks * (blk + difTupleBytes));
+        difInsert(data.data(), prot.data(), blk, nblocks, 7, 100);
+        if (c.corrupt)
+            prot[(nblocks / 2) * (blk + difTupleBytes) + blk] ^= 1;
+        b.as->write(src, prot.data(), prot.size());
+    }
+    std::uint64_t rec_bytes = 0;
+    if (c.op == Opcode::ApplyDelta) {
+        // The record turns src into src2; apply it onto copies of src.
+        DeltaResult dr = deltaCreate(data.data(), b.bytes(src2, n).data(),
+                                     n, 64);
+        if (c.corrupt) {
+            dr.record[0] = static_cast<std::uint8_t>(n / 8);
+            dr.record[1] = static_cast<std::uint8_t>(n / 8 >> 8);
+        }
+        rec_bytes = dr.record.size();
+        b.as->write(rec, dr.record.data(), rec_bytes);
+        b.as->write(hw_dst, data.data(), n);
+        b.as->write(sw_dst, data.data(), n);
     }
 
     auto make = [&](Addr dst, Addr dst2) {
         WorkDescriptor d;
         switch (c.op) {
           case Opcode::Memmove:
-            return dml::Executor::memMove(*b.as, dst, src, n);
+            return E::memMove(*b.as, dst, src, n);
           case Opcode::Fill:
-            return dml::Executor::fill(*b.as, dst,
-                                       0xa5a5a5a5a5a5a5a5ull, n);
+            return E::fill(*b.as, dst, 0xa5a5a5a5a5a5a5a5ull, n);
           case Opcode::Compare:
-            return dml::Executor::compare(*b.as, src, src2, n);
+            return E::compare(*b.as, src, src2, n);
           case Opcode::ComparePattern:
-            return dml::Executor::comparePattern(*b.as, src, 0, n);
+            return E::comparePattern(*b.as, src, 0, n);
           case Opcode::CrcGen:
-            return dml::Executor::crc32(*b.as, src, n);
+            return E::crc32(*b.as, src, n);
           case Opcode::CopyCrc:
-            return dml::Executor::copyCrc(*b.as, dst, src, n);
+            return E::copyCrc(*b.as, dst, src, n);
           case Opcode::Dualcast:
-            return dml::Executor::dualcast(*b.as, dst, dst2, src, n);
+            return E::dualcast(*b.as, dst, dst2, src, n);
           case Opcode::CreateDelta:
-            return dml::Executor::createDelta(*b.as, src, src2, n,
-                                              dst, 2 * n + 64);
+            return E::createDelta(*b.as, src, src2, n, dst, 2 * n + 64);
+          case Opcode::ApplyDelta:
+            return E::applyDelta(*b.as, dst, rec, rec_bytes, n);
+          case Opcode::DifInsert:
+            return E::difInsert(*b.as, src, dst, blk, n, 7, 100);
+          case Opcode::DifCheck:
+            return E::difCheck(*b.as, src, blk, n, 7, 100);
+          case Opcode::DifStrip:
+            return E::difStrip(*b.as, src, dst, blk, n);
+          case Opcode::DifUpdate:
+            return E::difUpdate(*b.as, src, dst, blk, n, 7, 100, 9, 200);
+          case Opcode::CacheFlush:
+            return E::cacheFlush(*b.as, src, n);
           default:
             return d;
         }
@@ -119,33 +170,37 @@ TEST_P(HwSwEquivalence, SameBytesAndMetadata)
     b.sim.run();
     ASSERT_TRUE(f1 && f2);
 
-    EXPECT_EQ(hw.status, CompletionRecord::Status::Success);
+    const bool rejected = (dif && n % blk != 0) ||
+                          (c.op == Opcode::ApplyDelta && c.corrupt);
+    const auto want = rejected ? CompletionRecord::Status::Unsupported
+                               : CompletionRecord::Status::Success;
+    EXPECT_EQ(hw.status, want);
+    EXPECT_EQ(sw.status, want);
     EXPECT_EQ(hw.ok, sw.ok) << opcodeName(c.op);
+    EXPECT_EQ(hw.result, sw.result);
     EXPECT_EQ(hw.crc, sw.crc);
+    EXPECT_EQ(hw.bytesCompleted, sw.bytesCompleted);
+    EXPECT_EQ(hw.recordBytes, sw.recordBytes);
     EXPECT_EQ(hw.recordFits, sw.recordFits);
+    if (c.op == Opcode::Compare) {
+        EXPECT_EQ(hw.result, 1u);
+        EXPECT_EQ(hw.bytesCompleted, n / 2);
+    }
+    if ((c.op == Opcode::DifCheck || c.op == Opcode::DifUpdate) &&
+        !rejected) {
+        // A failed check stops at the corrupted block.
+        EXPECT_EQ(hw.result, c.corrupt ? 1u : 0u);
+        EXPECT_EQ(hw.bytesCompleted, c.corrupt ? nblocks / 2 * blk : n);
+    }
 
     // Destination payloads must match byte for byte.
-    switch (c.op) {
-      case Opcode::Memmove:
-      case Opcode::CopyCrc:
-        EXPECT_TRUE(b.as->equal(hw_dst, sw_dst, n));
+    EXPECT_TRUE(b.as->equal(hw_dst, sw_dst, 2 * n + 64));
+    EXPECT_TRUE(b.as->equal(hw_dst2, sw_dst2, n + 64));
+    if (c.op == Opcode::Memmove || c.op == Opcode::CopyCrc) {
         EXPECT_TRUE(b.as->equal(hw_dst, src, n));
-        break;
-      case Opcode::Fill:
-        EXPECT_TRUE(b.as->equal(hw_dst, sw_dst, n));
-        break;
-      case Opcode::Dualcast:
-        EXPECT_TRUE(b.as->equal(hw_dst, sw_dst, n));
-        EXPECT_TRUE(b.as->equal(hw_dst2, sw_dst2, n));
-        break;
-      case Opcode::CreateDelta:
-        EXPECT_EQ(hw.recordBytes, sw.recordBytes);
-        EXPECT_TRUE(
-            b.as->equal(hw_dst, sw_dst,
-                        std::max<std::uint64_t>(hw.recordBytes, 1)));
-        break;
-      default:
-        break;
+    }
+    if (c.op == Opcode::ApplyDelta && !c.corrupt) {
+        EXPECT_TRUE(b.as->equal(hw_dst, src2, n));
     }
 }
 
@@ -154,10 +209,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn([] {
         std::vector<HwSwCase> cases;
         const Opcode ops[] = {
-            Opcode::Memmove,       Opcode::Fill,
-            Opcode::Compare,       Opcode::ComparePattern,
-            Opcode::CrcGen,        Opcode::CopyCrc,
-            Opcode::Dualcast,      Opcode::CreateDelta,
+            Opcode::Memmove,    Opcode::Fill,
+            Opcode::Compare,    Opcode::ComparePattern,
+            Opcode::CrcGen,     Opcode::CopyCrc,
+            Opcode::Dualcast,   Opcode::CreateDelta,
+            Opcode::ApplyDelta, Opcode::DifInsert,
+            Opcode::DifCheck,   Opcode::DifStrip,
+            Opcode::DifUpdate,  Opcode::CacheFlush,
         };
         const std::uint64_t sizes[] = {64, 4096, 65536};
         const std::uint64_t skews[] = {0, 8};
@@ -166,7 +224,13 @@ INSTANTIATE_TEST_SUITE_P(
                 for (auto k : skews) {
                     if (op == Opcode::CreateDelta && k != 0)
                         continue; // delta requires 8B alignment: ok
-                    cases.push_back({op, s, k});
+                    cases.push_back({op, false, s, k});
+                    const bool can_corrupt =
+                        op == Opcode::ApplyDelta ||
+                        ((op == Opcode::DifCheck ||
+                          op == Opcode::DifUpdate) && s >= 4096);
+                    if (can_corrupt)
+                        cases.push_back({op, true, s, k});
                 }
         return cases;
     }()),
@@ -249,13 +313,16 @@ TEST_P(DurationMonotonicity, SoftwareDurationsGrowWithSize)
             r = k.memcpyOp(core, *b.as, dst, src, n);
             break;
           case Opcode::Fill:
-            r = k.memsetOp(core, *b.as, dst, 1, n, false);
+            r = k.run(core, *b.as,
+                      dml::Executor::fill(*b.as, dst, 1, n), false);
             break;
           case Opcode::CrcGen:
-            r = k.crc32Op(core, *b.as, src, n, crc32cInit);
+            r = k.run(core, *b.as, dml::Executor::crc32(*b.as, src, n),
+                      false);
             break;
           case Opcode::Compare:
-            r = k.memcmpOp(core, *b.as, src, dst, n);
+            r = k.run(core, *b.as,
+                      dml::Executor::compare(*b.as, src, dst, n), false);
             break;
           default:
             r = k.memcpyOp(core, *b.as, dst, src, n);

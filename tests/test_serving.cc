@@ -459,7 +459,7 @@ TEST(Serving, PartitionCountInvariantMidOverload)
 TEST(Serving, MiniCacheAsTenantWorkload)
 {
     ServBench b;
-    Dto dto(*b.exec, b.plat.kernels());
+    Dto dto(*b.exec);
     apps::MiniCache cache(b.plat, *b.as, dto, {});
     const std::uint64_t len = 16 << 10; // above the DTO threshold
     Addr in = b.as->alloc(len);

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification sweep: a Release build + test run, the static-
-# analysis gates (simlint, clang-tidy, clang-format when available),
-# an ASan/UBSan build + test run, and a TSan build of the threaded
-# tests; each of the three builds also runs the determinism_check
-# matrix. Run from anywhere;
+# Full verification sweep: a Release build + test run, the pinned
+# figure CSVs (bench/figure_csv.sha256), the static-analysis gates
+# (simlint, clang-tidy, clang-format when available), an ASan/UBSan
+# build + test run, and a TSan build of the threaded tests; each of
+# the three builds also runs the determinism_check matrix. Run from
+# anywhere;
 # builds land in build-release/, build-sanitize/ and build-tsan/ next
 # to the sources.
 #
@@ -22,6 +23,9 @@ run() {
 
 echo "== Release build + tests =="
 run build-release -DCMAKE_BUILD_TYPE=Release
+
+echo "== Figure CSVs match their pinned hashes (bench/figure_csv.sha256) =="
+"$root/tools/check_figure_csvs.sh" "$root/build-release"
 
 echo "== Static analysis: simlint (cold + warm cache) =="
 lint_cache="$root/build-release/simlint.cache"
