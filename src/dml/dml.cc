@@ -307,12 +307,15 @@ Executor::submit(Core &core, Job &job)
     } else if (cfg.enqcmdMaxRetries == 0) {
         co_await sub.enqcmdRetry(*t.dev, *t.wq, job.desc);
     } else {
-        bool accepted = false;
-        co_await sub.enqcmdBackoff(*t.dev, *t.wq, job.desc, accepted,
-                                   cfg.enqcmdMaxRetries,
-                                   cfg.enqcmdBackoffBase,
-                                   cfg.enqcmdBackoffCap);
-        if (!accepted && !job.cr.isDone()) {
+        Submitter::Enqueue outcome{};
+        std::uint64_t retries = 0;
+        co_await sub.enqcmdBackoff(
+            *t.dev, *t.wq, job.desc,
+            {.maxRetries = cfg.enqcmdMaxRetries,
+             .base = cfg.enqcmdBackoffBase,
+             .cap = cfg.enqcmdBackoffCap},
+            outcome, retries);
+        if (outcome == Submitter::Enqueue::GaveUp) {
             // Backoff exhausted with the SWQ still full: the job
             // never reached the device, so the driver writes the
             // terminal status (a Rejected portal write has already
@@ -327,34 +330,27 @@ Executor::submit(Core &core, Job &job)
 void
 Executor::harvest(const CompletionRecord &cr, OpResult &out)
 {
-    out.status = cr.status;
+    static_cast<OpOutcome &>(out) = cr;
     out.ok = cr.status == CompletionRecord::Status::Success &&
              cr.result == 0;
-    out.result = cr.result;
-    out.crc = cr.crc;
-    out.bytesCompleted = cr.bytesCompleted;
-    out.recordBytes = cr.recordBytes;
-    out.recordFits = cr.recordFits;
-    out.faultAddr = cr.faultAddr;
     out.usedHardware = true;
 }
 
 std::shared_ptr<Executor::WatchdogArm>
-Executor::armWatchdog(Job &job)
+Executor::armWatchdog(CompletionRecord &cr, DsaDevice *dev)
 {
     auto arm = std::make_shared<WatchdogArm>();
-    CompletionRecord *crp = &job.cr;
-    DsaDevice *devp = job.targetDev;
+    CompletionRecord *crp = &cr;
     Executor *self = this;
     const Tick grace = cfg.watchdogGrace;
-    sim.scheduleIn(cfg.watchdogTimeout, [arm, crp, devp, self, grace] {
+    sim.scheduleIn(cfg.watchdogTimeout, [arm, crp, dev, self, grace] {
         if (arm->cancelled || crp->isDone())
             return;
         ++self->watchdogFires;
         // Release anything hung on the device; the descriptor then
         // publishes Aborted on its own.
-        if (devp)
-            devp->abortHung();
+        if (dev)
+            dev->abortHung();
         // If even that produced no completion within the grace
         // window, the driver declares the job dead itself so the
         // waiter can never hang.
@@ -370,20 +366,27 @@ Executor::armWatchdog(Job &job)
 }
 
 CoTask
-Executor::wait(Core &core, Job &job, OpResult &out)
+Executor::awaitCompletion(Core &core, CompletionRecord &cr,
+                          DsaDevice *dev)
 {
-    panic_if(!job.usedHardware, "wait() on a non-submitted job");
     std::shared_ptr<WatchdogArm> arm;
-    if (cfg.watchdogTimeout > 0 && !job.cr.isDone())
-        arm = armWatchdog(job);
+    if (cfg.watchdogTimeout > 0 && !cr.isDone())
+        arm = armWatchdog(cr, dev);
     Submitter sub(core, targets.empty() ? DsaParams{}
                                         : targets[0].dev->params());
     if (cfg.useUmwait)
-        co_await sub.umwait(job.cr);
+        co_await sub.umwait(cr);
     else
-        co_await sub.poll(job.cr);
+        co_await sub.poll(cr);
     if (arm)
         arm->cancelled = true;
+}
+
+CoTask
+Executor::wait(Core &core, Job &job, OpResult &out)
+{
+    panic_if(!job.usedHardware, "wait() on a non-submitted job");
+    co_await awaitCompletion(core, job.cr, job.targetDev);
     harvest(job.cr, out);
     out.latency = sim.now() - job.submittedAt;
 }
@@ -421,14 +424,9 @@ Executor::executeSoftware(Core &core, const WorkDescriptor &d,
         kernels.run(core, mem.space(d.pasid), d,
                     d.op == Opcode::Fill && !d.wantsCacheControl());
     co_await core.busyFor(r.duration, "kernel");
-    out.status = r.status;
+    static_cast<OpOutcome &>(out) = r;
     out.ok = r.status == CompletionRecord::Status::Success &&
              r.result == 0;
-    out.result = r.result;
-    out.crc = r.crc;
-    out.bytesCompleted = r.bytesCompleted;
-    out.recordBytes = r.recordBytes;
-    out.recordFits = r.recordFits;
     out.usedHardware = false;
     out.latency = sim.now() - t0;
 }

@@ -38,7 +38,10 @@ struct ExecutorConfig
     Path path = Path::Auto;
     /** Auto path: offload at or above this size (G2's ~4 KB rule). */
     std::uint64_t autoHwThreshold = 4096;
-    /** Wait with UMWAIT (true) or spin-poll (false). */
+    /**
+     * Wait with UMWAIT (true) or spin-poll (false); awaitCompletion()
+     * uses it for wait() and for every ServingNode request.
+     */
     bool useUmwait = true;
 
     /** How jobs spread over the available (device, WQ) targets. */
@@ -54,7 +57,9 @@ struct ExecutorConfig
     /// @{
     /**
      * Abort a hardware job that has not completed this long after
-     * wait() starts (a hung engine, a lost completion). 0 = off.
+     * awaitCompletion() starts (a hung engine, a lost completion).
+     * Guards wait() and every ServingNode request on this executor.
+     * 0 = off.
      */
     Tick watchdogTimeout = 0;
     /**
@@ -64,10 +69,12 @@ struct ExecutorConfig
      */
     Tick watchdogGrace = fromUs(10);
     /**
-     * Bounded-exponential ENQCMD backoff: resubmit at most this many
-     * times, pausing enqcmdBackoffBase and doubling up to
+     * submit()'s bounded-exponential ENQCMD backoff
+     * (Submitter::enqcmdBackoff without jitter): resubmit at most
+     * this many times, pausing enqcmdBackoffBase and doubling up to
      * enqcmdBackoffCap. 0 = legacy unbounded immediate retry (the
-     * paper's measured Fig. 9 behavior).
+     * paper's measured Fig. 9 behavior). ServingNode runs the same
+     * loop with its ServingConfig limits.
      */
     unsigned enqcmdMaxRetries = 0;
     Tick enqcmdBackoffBase = fromNs(256);
@@ -82,17 +89,14 @@ struct ExecutorConfig
     /// @}
 };
 
-/** Uniform result of any job, software or hardware. */
-struct OpResult
+/**
+ * Uniform result of any job, software or hardware: the operation's
+ * outcome (as the completion record or the CPU path reported it)
+ * plus the client's view of it.
+ */
+struct OpResult : OpOutcome
 {
-    CompletionRecord::Status status = CompletionRecord::Status::None;
     bool ok = false;      ///< Success (and compare/check passed)
-    std::uint32_t result = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t bytesCompleted = 0;
-    std::uint64_t recordBytes = 0;
-    bool recordFits = true;
-    Addr faultAddr = 0;   ///< first faulting VA (PageFault status)
     Tick latency = 0;     ///< submit-to-detect, core perspective
     bool usedHardware = false;
 };
@@ -202,6 +206,19 @@ class Executor
 
     /** Wait for a job and harvest its result. */
     CoTask wait(Core &core, Job &job, OpResult &out);
+
+    /**
+     * The client wait on one hardware completion: UMWAIT or polling
+     * (useUmwait) on @p core, under the watchdog when
+     * watchdogTimeout is set. A fire aborts hung work on @p dev, the
+     * device the descriptor went to; if no completion follows within
+     * watchdogGrace, the record is force-completed Aborted.
+     */
+    CoTask awaitCompletion(Core &core, CompletionRecord &cr,
+                           DsaDevice *dev);
+
+    /** Read a hardware completion record into @p out. */
+    static void harvest(const CompletionRecord &cr, OpResult &out);
     /// @}
 
     /// @name Synchronous one-shot, honoring the configured path.
@@ -311,7 +328,6 @@ class Executor
 
     Target &pickTarget();
     bool shouldOffload(const WorkDescriptor &d) const;
-    static void harvest(const CompletionRecord &cr, OpResult &out);
     SimTask releaseOnDone(CompletionRecord &cr, Semaphore &credits);
     /**
      * Cancellation token for an armed watchdog: the timeout callback
@@ -322,7 +338,8 @@ class Executor
     {
         bool cancelled = false;
     };
-    std::shared_ptr<WatchdogArm> armWatchdog(Job &job);
+    std::shared_ptr<WatchdogArm> armWatchdog(CompletionRecord &cr,
+                                             DsaDevice *dev);
     /** Page the faulting VA back in; false if it is unmapped. */
     bool touchFaultPage(Pasid pasid, Addr va);
     /**

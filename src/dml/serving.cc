@@ -1,7 +1,5 @@
 #include "dml/serving.hh"
 
-#include <algorithm>
-
 #include "driver/submitter.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -170,66 +168,6 @@ ServingNode::serveDetached(TenantSession &t, std::uint64_t k,
     done.arrive();
 }
 
-namespace
-{
-
-void
-harvest(const CompletionRecord &cr, OpResult &out)
-{
-    out.status = cr.status;
-    out.ok = cr.status == CompletionRecord::Status::Success &&
-             cr.result == 0;
-    out.result = cr.result;
-    out.crc = cr.crc;
-    out.bytesCompleted = cr.bytesCompleted;
-    out.recordBytes = cr.recordBytes;
-    out.recordFits = cr.recordFits;
-    out.faultAddr = cr.faultAddr;
-    out.usedHardware = true;
-}
-
-} // namespace
-
-CoTask
-ServingNode::awaitCompletion(TenantSession &t, CompletionRecord &cr)
-{
-    struct Arm
-    {
-        bool cancelled = false;
-    };
-    std::shared_ptr<Arm> arm;
-    if (cfg.watchdogTimeout > 0 && !cr.isDone()) {
-        arm = std::make_shared<Arm>();
-        CompletionRecord *crp = &cr;
-        DsaDevice *devp = t.dev;
-        Simulation *simp = &sim;
-        ServingNode *self = this;
-        const Tick grace = cfg.watchdogGrace;
-        sim.scheduleIn(cfg.watchdogTimeout,
-                       [arm, crp, devp, simp, self, grace] {
-            if (arm->cancelled || crp->isDone())
-                return;
-            ++self->watchdogFires;
-            // Release anything wedged on the device; the descriptor
-            // then publishes Aborted on its own. If even that stays
-            // silent through the grace window, declare the request
-            // dead so the waiter can never hang.
-            devp->abortHung();
-            simp->scheduleIn(grace, [arm, crp, self] {
-                if (arm->cancelled || crp->isDone())
-                    return;
-                ++self->watchdogForced;
-                crp->bytesCompleted = 0;
-                crp->complete(CompletionRecord::Status::Aborted);
-            });
-        });
-    }
-    Submitter sub(*t.core, t.dev->params());
-    co_await sub.umwait(cr);
-    if (arm)
-        arm->cancelled = true;
-}
-
 CoTask
 ServingNode::serve(TenantSession &t, std::uint64_t k)
 {
@@ -246,39 +184,20 @@ ServingNode::serve(TenantSession &t, std::uint64_t k)
         CompletionRecord cr(sim);
         d.completion = &cr;
         Submitter sub(*t.core, t.dev->params());
-        bool accepted = false;
-        Tick pause = cfg.backoffBase;
-        for (unsigned attempt = 0;; ++attempt) {
-            DsaDevice::SubmitStatus st{};
-            co_await sub.enqcmdStatus(*t.dev, *t.wq, d, st);
-            if (st == DsaDevice::SubmitStatus::Accepted) {
-                accepted = true;
-                break;
-            }
-            if (st == DsaDevice::SubmitStatus::Rejected)
-                break; // terminal: the record carries the cause
-            if (attempt >= cfg.maxRetries) {
-                ++t.stats.giveUps;
-                break;
-            }
-            ++t.stats.retries;
-            // Full-jitter exponential backoff. The jitter draw is a
-            // pure function of (seed, tenant, request, attempt):
-            // retry spreading decorrelates tenants yet replays
-            // identically for any partition count.
-            const double u = t.jitter.uniformAt(
-                k * (cfg.maxRetries + 1ULL) + attempt);
-            const Tick jittered =
-                pause - static_cast<Tick>(cfg.backoffJitter * u *
-                                          static_cast<double>(pause));
-            t.core->cycleAccount().charge("enqcmd-backoff", jittered);
-            co_await sim.delay(std::max<Tick>(1, jittered));
-            pause = std::min(pause * 2, cfg.backoffCap);
-        }
-        if (accepted) {
+        Submitter::Enqueue outcome{};
+        co_await sub.enqcmdBackoff(
+            *t.dev, *t.wq, d,
+            {.maxRetries = cfg.maxRetries,
+             .base = cfg.backoffBase,
+             .cap = cfg.backoffCap,
+             .jitter = cfg.backoffJitter,
+             .rng = &t.jitter,
+             .draw = k * (cfg.maxRetries + 1ULL)},
+            outcome, t.stats.retries);
+        if (outcome == Submitter::Enqueue::Accepted) {
             ++t.stats.hwAccepted;
-            co_await awaitCompletion(t, cr);
-            harvest(cr, out);
+            co_await ex.awaitCompletion(*t.core, cr, t.dev);
+            Executor::harvest(cr, out);
             t.breaker.onOutcome(sim.now(), false);
             if (out.ok) {
                 servedHw = true;
@@ -288,12 +207,13 @@ ServingNode::serve(TenantSession &t, std::uint64_t k)
             } else {
                 ++t.stats.hwErrors;
             }
-        } else if (cr.isDone()) {
+        } else if (outcome == Submitter::Enqueue::Rejected) {
             // Portal rejection (disabled device, injected drop).
             ++t.stats.hwErrors;
             t.breaker.onOutcome(sim.now(), false);
         } else {
             // The SWQ stayed full through the last bounded retry.
+            ++t.stats.giveUps;
             t.breaker.onOutcome(sim.now(), true);
         }
     } else {

@@ -3,7 +3,10 @@
  * Overload-robust multi-tenant serving on top of dml::Executor.
  *
  * A ServingNode hosts many PASID-isolated tenant sessions on one
- * socket. Each request runs the graceful-degradation ladder:
+ * socket. Each request runs the graceful-degradation ladder, using
+ * the executor's client path for each step: Submitter::enqcmdBackoff
+ * to submit, Executor::awaitCompletion (the executor's wait, under
+ * its watchdog) to wait and Executor::harvest to read the record.
  *
  *   circuit breaker ->  bounded jittered ENQCMD backoff  ->  UMWAIT
  *        |  open                 | exhausted / error
@@ -128,15 +131,22 @@ struct TenantStats
     void merge(const TenantStats &o);
 };
 
+/**
+ * The serving ladder's policy. The hang watchdog and the wait mode
+ * are the executor's (ExecutorConfig::watchdogTimeout, watchdogGrace
+ * and useUmwait): every request waits through
+ * Executor::awaitCompletion.
+ */
 struct ServingConfig
 {
+    /// @name Submitter::enqcmdBackoff limits, jittered per tenant.
+    /// @{
     unsigned maxRetries = 4;      ///< bounded ENQCMD resubmissions
     Tick backoffBase = fromNs(250);
     Tick backoffCap = fromUs(4);
     double backoffJitter = 0.5;   ///< pause *= 1 - jitter * U[0,1)
+    /// @}
     unsigned outstandingCap = 32; ///< per-tenant in-flight bound
-    Tick watchdogTimeout = 0;     ///< 0 = no hang watchdog
-    Tick watchdogGrace = fromUs(50);
     bool cpuFallback = true;      ///< degrade to SwKernels
     CircuitBreaker::Config breaker{};
     std::uint64_t seed = 1;       ///< jitter stream seed
@@ -216,16 +226,9 @@ class ServingNode
 
     const ServingConfig &config() const { return cfg; }
 
-    /// @name Watchdog statistics.
-    /// @{
-    std::uint64_t watchdogFires = 0;
-    std::uint64_t watchdogForced = 0;
-    /// @}
-
   private:
     SimTask serveDetached(TenantSession &t, std::uint64_t k,
                           Latch &done);
-    CoTask awaitCompletion(TenantSession &t, CompletionRecord &cr);
 
     ServingConfig cfg;
     Simulation &sim;

@@ -24,6 +24,7 @@
 #include "cpu/core.hh"
 #include "dsa/device.hh"
 #include "sim/task.hh"
+#include "sim/traffic.hh"
 
 namespace dsasim
 {
@@ -107,48 +108,72 @@ class Submitter
         }
     }
 
+    /** How an enqcmdBackoff() ended. */
+    enum class Enqueue : std::uint8_t
+    {
+        Accepted, ///< the SWQ took the descriptor
+        Rejected, ///< the portal refused it; the record holds the cause
+        GaveUp,   ///< still Retry after the last bounded resubmission
+    };
+
     /**
-     * ENQCMD with bounded exponential backoff: on Retry the core
-     * pauses @p backoff_base, doubling up to @p backoff_cap, for at
-     * most @p max_retries resubmissions. The pause is accounted as
-     * backoff (not busy) time — the core could run other work.
-     * @p accepted is false if the WQ stayed full through the last
-     * retry (caller decides: fall back to CPU, fail the request) or
-     * if the portal rejected the descriptor outright.
+     * Bounded-exponential ENQCMD backoff: on Retry the core pauses
+     * base, doubling up to cap, for at most maxRetries
+     * resubmissions. A nonzero jitter shortens each pause by
+     * jitter * U[0,1), with U for attempt i drawn at
+     * rng->uniformAt(draw + i): a pure function of the counter, so
+     * retry spreading replays identically for any partition count.
+     */
+    struct Backoff
+    {
+        unsigned maxRetries = 0;
+        Tick base = 0;
+        Tick cap = 0;
+        double jitter = 0.0;
+        const CounterRng *rng = nullptr; ///< required if jitter != 0
+        std::uint64_t draw = 0;          ///< attempt 0's draw counter
+    };
+
+    /**
+     * ENQCMD under the @p b backoff; the one bounded submit loop of
+     * every SWQ client. The pause is accounted as enqcmd-backoff
+     * (not busy) time — the core could run other work. @p retries
+     * grows by one at each absorbed Retry, as it happens. On GaveUp
+     * the caller decides: fall back to CPU or fail the request.
      */
     CoTask
     enqcmdBackoff(DsaDevice &dev, WorkQueue &wq, WorkDescriptor d,
-                  bool &accepted, unsigned max_retries,
-                  Tick backoff_base, Tick backoff_cap)
+                  Backoff b, Enqueue &outcome, std::uint64_t &retries)
     {
         Simulation &sim = core_.simulation();
-        accepted = false;
-        Tick pause = backoff_base;
+        Tick pause = b.base;
         for (unsigned attempt = 0;; ++attempt) {
-            DsaDevice::SubmitStatus st;
+            DsaDevice::SubmitStatus st{};
             co_await enqcmdStatus(dev, wq, d, st);
             if (st == DsaDevice::SubmitStatus::Accepted) {
-                accepted = true;
+                outcome = Enqueue::Accepted;
                 co_return;
             }
-            if (st == DsaDevice::SubmitStatus::Rejected)
-                co_return;
-            if (attempt >= max_retries) {
-                ++backoffGiveUps;
+            if (st == DsaDevice::SubmitStatus::Rejected) {
+                outcome = Enqueue::Rejected;
                 co_return;
             }
-            ++backoffRetries;
-            core_.cycleAccount().charge("enqcmd-backoff", pause);
-            co_await sim.delay(pause);
-            pause = std::min(pause * 2, backoff_cap);
+            if (attempt >= b.maxRetries) {
+                outcome = Enqueue::GaveUp;
+                co_return;
+            }
+            ++retries;
+            Tick jittered = pause;
+            if (b.jitter != 0.0) {
+                const double u = b.rng->uniformAt(b.draw + attempt);
+                jittered -= static_cast<Tick>(
+                    b.jitter * u * static_cast<double>(pause));
+            }
+            core_.cycleAccount().charge("enqcmd-backoff", jittered);
+            co_await sim.delay(std::max<Tick>(1, jittered));
+            pause = std::min(pause * 2, b.cap);
         }
     }
-
-    /// @name Backoff statistics.
-    /// @{
-    std::uint64_t backoffRetries = 0;
-    std::uint64_t backoffGiveUps = 0;
-    /// @}
 
     /**
      * UMONITOR + UMWAIT on the completion record. The waited time is

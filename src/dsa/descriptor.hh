@@ -36,7 +36,8 @@ constexpr std::uint32_t blockOnFault = 1u << 1;
 constexpr std::uint32_t requestInterrupt = 1u << 2;
 } // namespace descflags
 
-class CompletionRecord
+/** The record the device writes an operation's outcome into. */
+class CompletionRecord : public OpOutcome
 {
   public:
     using Status = OpStatus;
@@ -76,28 +77,9 @@ class CompletionRecord
     void
     rearm()
     {
-        status = Status::None;
-        result = 0;
-        crc = 0;
-        bytesCompleted = 0;
-        recordBytes = 0;
-        recordFits = true;
-        faultAddr = 0;
+        static_cast<OpOutcome &>(*this) = {};
         done.reset();
     }
-
-    Status status = Status::None;
-    /**
-     * Compare, delta create and DIF check/update: 0 = match or
-     * check passed, 1 = mismatch or check failed (bytesCompleted
-     * then holds the progress made).
-     */
-    std::uint32_t result = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t bytesCompleted = 0;
-    std::uint64_t recordBytes = 0; ///< delta record size produced
-    bool recordFits = true;
-    Addr faultAddr = 0;
 
     /** Fires when the status byte is written. */
     Trigger done;

@@ -9,17 +9,6 @@
 namespace dsasim
 {
 
-namespace
-{
-
-/** What the engine publishes: the operation's outcome and fault. */
-struct FuncOut : OpOutcome
-{
-    Addr faultAddr = 0;
-};
-
-} // namespace
-
 Engine::Engine(DsaDevice &device, Group &grp, int engine_id)
     : dev(device), group(grp), id(engine_id),
       bytesReadCtr(device.sim().stats().counter(
@@ -160,7 +149,7 @@ Engine::process(Work w)
     const Tick start = sim.now();
     const std::uint64_t epoch0 = dev.resetEpoch();
 
-    FuncOut out;
+    OpOutcome out;
 
     // Completion publication, shared by all exit paths. Extra
     // latency covers the pieces that pipeline with the next
@@ -169,7 +158,7 @@ Engine::process(Work w)
     // (epoch changed), its result is discarded and it publishes
     // Aborted — the hardware's complete-with-abort of in-flight work.
     auto publish = [this, &sim, &p, epoch0](
-                       WorkDescriptor desc, FuncOut fo,
+                       WorkDescriptor desc, OpOutcome fo,
                        std::shared_ptr<BatchTracker> par,
                        Tick extra_latency) {
         Tick when = p.engineSetup + p.completionWrite + extra_latency;
@@ -182,12 +171,7 @@ Engine::process(Work w)
                 aborted ? CompletionRecord::Status::Aborted : fo.status;
             if (desc.completion && !desc.completion->isDone()) {
                 CompletionRecord &cr = *desc.completion;
-                cr.result = aborted ? 0 : fo.result;
-                cr.crc = aborted ? 0 : fo.crc;
-                cr.recordBytes = aborted ? 0 : fo.recordBytes;
-                cr.recordFits = aborted ? true : fo.recordFits;
-                cr.bytesCompleted = aborted ? 0 : fo.bytesCompleted;
-                cr.faultAddr = aborted ? 0 : fo.faultAddr;
+                static_cast<OpOutcome &>(cr) = aborted ? OpOutcome{} : fo;
                 cr.complete(st);
             }
             if (par) {
@@ -321,7 +305,6 @@ Engine::process(Work w)
             static_cast<double>(d.size) * ok_fraction);
         // Partial progress stops at a page boundary.
         eff_size &= ~(pageBytes(PageSize::Size4K) - 1);
-        out.faultAddr = fault_va;
         // Truncate the timing streams to the completed prefix.
         for (OpStream &s : streams) {
             s.len = d.size ? static_cast<std::uint64_t>(
@@ -334,10 +317,12 @@ Engine::process(Work w)
 
     // ---- Functional execution --------------------------------------
     // (Timed below; data is moved here so results are exact.)
-    static_cast<OpOutcome &>(out) =
-        runOp(as, d, eff_size, faulted, scratch);
-    if (faulted && out.status == CompletionRecord::Status::Success)
-        out.status = CompletionRecord::Status::PageFault;
+    out = runOp(as, d, eff_size, faulted, scratch);
+    if (faulted) {
+        out.faultAddr = fault_va;
+        if (out.status == CompletionRecord::Status::Success)
+            out.status = CompletionRecord::Status::PageFault;
+    }
     settleStreams(streams, d, out, p.chunkBytes);
 
     // ---- Timing: stream the chunks --------------------------------

@@ -227,6 +227,7 @@ runOp(AddressSpace &as, const OpArgs &a, std::uint64_t eff_size,
       bool partial, OpScratch &scratch)
 {
     OpOutcome out;
+    out.status = OpStatus::Success;
     out.bytesCompleted = eff_size;
     switch (a.op) {
       case Opcode::Memmove:

@@ -72,19 +72,6 @@ struct DifUnits
 };
 DifUnits difUnits(const OpArgs &a);
 
-/** What an operation reports in its completion. */
-struct OpOutcome
-{
-    OpStatus status = OpStatus::Success;
-    /** 1 on a compare mismatch, a delta difference or a DIF failure. */
-    std::uint32_t result = 0;
-    std::uint32_t crc = 0;
-    /** Data bytes done; a compare mismatch's offset; whole DIF blocks. */
-    std::uint64_t bytesCompleted = 0;
-    std::uint64_t recordBytes = 0; ///< delta record size produced
-    bool recordFits = true;
-};
-
 /** Grow-only staging buffers, reused across operations. */
 struct OpScratch
 {

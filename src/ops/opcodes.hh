@@ -93,6 +93,25 @@ enum class OpStatus : std::uint8_t
     QueueFull,    ///< ENQCMD bounded retries exhausted
 };
 
+/**
+ * What an operation reports in its completion. The device writes it
+ * into the completion record, and the CPU path returns it, so both
+ * carry this one struct. A default outcome reads None: not yet
+ * written.
+ */
+struct OpOutcome
+{
+    OpStatus status = OpStatus::None;
+    /** 1 on a compare mismatch, a delta difference or a DIF failure. */
+    std::uint32_t result = 0;
+    std::uint32_t crc = 0;
+    /** Data bytes done; a compare mismatch's offset; whole DIF blocks. */
+    std::uint64_t bytesCompleted = 0;
+    std::uint64_t recordBytes = 0; ///< delta record size produced
+    bool recordFits = true;
+    Addr faultAddr = 0; ///< first faulting VA (PageFault status)
+};
+
 /** One operation and its operands (virtual addresses). */
 struct OpArgs
 {

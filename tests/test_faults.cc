@@ -481,8 +481,11 @@ TEST(Recovery, EnqcmdBackoffGivesUpOnPersistentlyFullSwq)
     EXPECT_EQ(r.status, St::QueueFull);
     EXPECT_EQ(b.exec->submitGiveUps, 1u);
     EXPECT_EQ(b.plat.dsa(0).injectedRejects, 5u); // 1 try + 4 retries
-    // Exponential pauses actually elapsed: 100 + 200 + 400 + 800 ns.
+    // Exponential pauses actually elapsed: 100 + 200 + 400 + 800 ns,
+    // each charged to the core as backoff, not busy, time.
     EXPECT_GE(b.sim.now() - t0, fromNs(1500));
+    EXPECT_EQ(b.plat.core(0).cycleAccount().bucket("enqcmd-backoff"),
+              fromNs(1500));
 }
 
 TEST(Recovery, RecoverFallsBackToCpuWhenSwqNeverAdmits)

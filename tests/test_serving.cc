@@ -13,7 +13,9 @@
  *    neighbor's budget);
  *  - CircuitBreaker: closed -> open -> half-open -> closed walk;
  *  - ServingNode: bounded ENQCMD backoff exhaustion degrades to the
- *    CPU path with zero hangs; pasid-scoped fault injection stays
+ *    CPU path with zero hangs; a hung engine is released by the
+ *    executor's watchdog and the request served on the CPU;
+ *    pasid-scoped fault injection stays
  *    inside the targeted tenant's blast radius; the whole ladder is
  *    bit-identical at 1 vs 4 worker threads mid-overload;
  *  - MiniCache as a tenant workload, with its op counters.
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -235,11 +238,12 @@ TEST(CircuitBreaker, OpenHalfOpenCloseWalk)
 /** Shared-WQ platform + executor for ServingNode tests. */
 struct ServBench : Bench
 {
-    ServBench()
+    explicit ServBench(Tick watchdog_timeout = 0)
     {
         DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(plat.dsa(0));
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
+        ec.watchdogTimeout = watchdog_timeout;
         exec = std::make_unique<dml::Executor>(
             sim, plat.mem(), plat.kernels(),
             std::vector<DsaDevice *>{&plat.dsa(0)}, ec);
@@ -297,6 +301,89 @@ TEST(Serving, BackoffExhaustionDegradesToCpuWithZeroHangs)
     EXPECT_EQ(sess.stats.retries, (requests - 1) * sc.maxRetries);
     EXPECT_EQ(sess.stats.fallbacks, requests - 1);
     EXPECT_EQ(sess.stats.dropped, 0u);
+
+    // Each pause is the capped exponential step shortened by the
+    // tenant's counter-based jitter draw for (request, attempt), and
+    // the core books exactly those pauses as backoff time. Request 0
+    // took the token; requests 1.. retried maxRetries times each.
+    Tick pauses = 0;
+    for (std::uint64_t k = 1; k < requests; ++k) {
+        Tick pause = sc.backoffBase;
+        for (unsigned a = 0; a < sc.maxRetries; ++a) {
+            const double u =
+                sess.jitter.uniformAt(k * (sc.maxRetries + 1ULL) + a);
+            pauses += pause - static_cast<Tick>(
+                                  sc.backoffJitter * u *
+                                  static_cast<double>(pause));
+            pause = std::min(pause * 2, sc.backoffCap);
+        }
+    }
+    EXPECT_EQ(b.plat.core(0).cycleAccount().bucket("enqcmd-backoff"),
+              pauses);
+}
+
+SimTask
+serveOne(dml::ServingNode &node, dml::TenantSession &t,
+         std::uint64_t k, bool &finished)
+{
+    co_await node.serve(t, k);
+    finished = true;
+}
+
+TEST(Serving, WatchdogReleasesAHungEngineAndTheCpuServesTheRequest)
+{
+    ServBench b(fromUs(50));
+    dml::ServingNode node(b.sim, *b.exec);
+    {
+        auto fi = std::make_unique<FaultInjector>(1);
+        fi->attachClock(b.sim);
+        FaultRule r;
+        r.site = FaultSite::EngineHang;
+        r.everyNth = 1;
+        r.maxFires = 1;
+        fi->addRule(r);
+        b.plat.setFaultInjector(std::move(fi));
+    }
+
+    const std::uint64_t n = 4096;
+    Addr src = b.as->alloc(n);
+    Addr dst = b.as->alloc(n);
+    b.randomize(src, n, 8);
+    dml::TenantSession &sess = node.addTenant(
+        b.as->pasid(), b.plat.core(0), b.plat.dsa(0), b.plat.dsa(0).wq(0),
+        [&b, src, dst, n](std::uint64_t) {
+            return dml::Executor::memMove(*b.as, dst, src, n);
+        });
+
+    // The engine wedges; the executor's watchdog aborts it, the
+    // Aborted completion counts as a hardware error, and the CPU
+    // path moves the bytes.
+    bool fin = false;
+    serveOne(node, sess, 0, fin);
+    b.sim.run();
+    ASSERT_TRUE(fin);
+    EXPECT_EQ(b.plat.dsa(0).engine(0).hangs +
+                  b.plat.dsa(0).engine(1).hangs,
+              1u);
+    EXPECT_EQ(b.exec->watchdogFires, 1u);
+    EXPECT_EQ(b.exec->watchdogForced, 0u);
+    EXPECT_EQ(sess.stats.hwAccepted, 1u);
+    EXPECT_EQ(sess.stats.hwErrors, 1u);
+    EXPECT_EQ(sess.stats.hwOk, 0u);
+    EXPECT_EQ(sess.stats.fallbacks, 1u);
+    EXPECT_TRUE(b.as->equal(src, dst, n));
+
+    // The engine was released, not left wedged: the next request
+    // runs on the hardware.
+    b.as->fill(dst, 0, n);
+    fin = false;
+    serveOne(node, sess, 1, fin);
+    b.sim.run();
+    ASSERT_TRUE(fin);
+    EXPECT_EQ(sess.stats.hwOk, 1u);
+    EXPECT_EQ(sess.stats.fallbacks, 1u);
+    EXPECT_EQ(b.exec->watchdogFires, 1u);
+    EXPECT_TRUE(b.as->equal(src, dst, n));
 }
 
 TEST(Serving, PasidFaultStaysInsideTheTargetBlastRadius)

@@ -328,6 +328,8 @@ overloadSoak(const Options &opt)
 
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Hardware;
+    ec.watchdogTimeout = fromUs(500); // injected hangs must unwedge
+    ec.watchdogGrace = fromUs(50);
     dml::Executor exec(sim, plat.mem(), plat.kernels(),
                        std::vector<DsaDevice *>{&plat.dsa(0)}, ec);
 
@@ -336,7 +338,6 @@ overloadSoak(const Options &opt)
     sc.backoffBase = fromNs(200);
     sc.backoffCap = fromUs(2);
     sc.outstandingCap = 16;
-    sc.watchdogTimeout = fromUs(500); // injected hangs must unwedge
     sc.cpuFallback = true;
     sc.breaker.window = 16;
     sc.breaker.cooldown = fromUs(150);
@@ -397,7 +398,7 @@ overloadSoak(const Options &opt)
     }
     st.admissionThrottled = admission.totalThrottled;
     st.admissionBusy = admission.totalBusy;
-    st.watchdogFires = node.watchdogFires;
+    st.watchdogFires = exec.watchdogFires;
     st.endTick = sim.now();
 
     st.hash = sim.streamHash();

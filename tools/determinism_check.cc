@@ -448,7 +448,6 @@ runServing(const Scenario &sc, unsigned threads)
     sv.backoffBase = fromNs(200);
     sv.backoffCap = fromUs(2);
     sv.outstandingCap = 12;
-    sv.watchdogTimeout = fromUs(500);
     sv.breaker.window = 16;
     sv.breaker.cooldown = fromUs(150);
     sv.seed = sc.seed;
@@ -462,6 +461,8 @@ runServing(const Scenario &sc, unsigned threads)
         Rig &rig = rigs[s];
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
+        ec.watchdogTimeout = fromUs(500);
+        ec.watchdogGrace = fromUs(50);
         rig.exec = std::make_unique<dml::Executor>(
             cl.domainSim(s), p.mem(), p.kernels(),
             std::vector<DsaDevice *>{&p.dsa(0)}, ec);
