@@ -27,10 +27,10 @@
  * Prints the metrics as a JSON object and --json writes it to PATH.
  * --check compares against a committed JSON (the Gate in common.hh)
  * and fails if (a) the simulated fingerprint (events, end_us,
- * stream_hash) differs at all, (b) the serial event rate fell more
- * than 20% below the committed value, or (c) — only on hosts with
- * >= 4 hardware threads, since speedup on fewer cores measures the
- * scheduler, not the simulator — speedup_4 is below 2.5x.
+ * stream_hash) differs at all, or (b) — only on hosts with >= 4
+ * hardware threads, since speedup on fewer cores measures the
+ * scheduler, not the simulator — speedup_4 is below 2.5x. The event
+ * rates are recorded, never compared.
  */
 
 #include <algorithm>
@@ -227,7 +227,7 @@ measure(const Params &p, Gate &gate)
     gate.add(Gate::Exact, "end_us", toUs(r1.endTick), 3);
     gate.add(Gate::Exact, "stream_hash", hex64(r1.streamHash));
     gate.add(Gate::Info, "epochs", r4.epochs);
-    gate.add(Gate::Floor, "serial_events_per_sec", ev / r1.secs);
+    gate.add(Gate::Info, "serial_events_per_sec", ev / r1.secs);
     gate.add(Gate::Info, "t2_events_per_sec", ev / r2.secs);
     gate.add(Gate::Info, "t4_events_per_sec", ev / r4.secs);
     gate.add(Gate::Info, "speedup_2", r1.secs / r2.secs, 3);
@@ -256,7 +256,7 @@ main(int argc, char **argv)
 {
     using namespace dsasim::bench;
     Params p;
-    Gate gate("parallel", 0.20);
+    Gate gate("parallel");
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (gate.parseArg(a))

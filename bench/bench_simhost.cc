@@ -12,24 +12,16 @@
  *
  * Usage:
  *   bench_simhost [--json=PATH]
- *   bench_simhost --kernel-json[=PATH]
  *
- * The first form prints the rates as a JSON object (--json also
- * writes it to PATH). --kernel-json instead runs one mixed
- * event-kernel workload through both the current kernel and an
- * in-binary replica of the original std::function + binary-heap
- * kernel, writing events/sec for both (and the speedup) as JSON to
- * PATH (default BENCH_kernel.json). Exit code 1 means PATH could not
- * be written, 2 that the two kernels disagreed on the replay.
+ * Prints the rates as a JSON object (--json also writes it to PATH).
+ * Every key is Info: the rates are compared only against a reference
+ * build timed on the same host.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <coroutine>
 #include <cstdio>
-#include <functional>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "bench/common.hh"
@@ -44,233 +36,7 @@ namespace
 using namespace dsasim;
 using bench::Gate;
 
-/// @name Event-kernel self-benchmark (--kernel-json mode).
-/// @{
-
-/**
- * Replica of the pre-rewrite event kernel: type-erased
- * std::function<void()> callbacks (coroutines wrapped in one) in a
- * single (when, seq) binary min-heap. Kept in this binary so the
- * speedup of the current kernel stays measurable after the original
- * implementation is gone.
- */
-class LegacyKernel
-{
-  public:
-    Tick now() const { return cur; }
-
-    void
-    scheduleAt(Tick when, std::function<void()> fn)
-    {
-        push(when, std::move(fn));
-    }
-
-    void
-    scheduleIn(Tick delay_ticks, std::function<void()> fn)
-    {
-        push(cur + delay_ticks, std::move(fn));
-    }
-
-    void
-    resumeAt(Tick when, std::coroutine_handle<> h)
-    {
-        push(when, [h] { h.resume(); });
-    }
-
-    std::uint64_t eventsExecuted() const { return executed; }
-
-    Tick
-    run()
-    {
-        while (!q.empty()) {
-            std::pop_heap(q.begin(), q.end(), laterFirst);
-            Ev ev = std::move(q.back());
-            q.pop_back();
-            cur = ev.when;
-            ++executed;
-            ev.fn();
-        }
-        return cur;
-    }
-
-  private:
-    struct Ev
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-
-    static bool
-    laterFirst(const Ev &a, const Ev &b)
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-
-    void
-    push(Tick when, std::function<void()> fn)
-    {
-        q.push_back(Ev{when, nextSeq++, std::move(fn)});
-        std::push_heap(q.begin(), q.end(), laterFirst);
-    }
-
-    std::vector<Ev> q;
-    Tick cur = 0;
-    std::uint64_t nextSeq = 0;
-    std::uint64_t executed = 0;
-};
-
-template <typename Kernel>
-struct KernelDelay
-{
-    Kernel &k;
-    Tick when;
-
-    bool await_ready() const { return when <= k.now(); }
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        k.resumeAt(when, h);
-    }
-    void await_resume() const {}
-};
-
-/**
- * A self-rescheduling chain of callback events. The capture (this +
- * two 64-bit values) exceeds libstdc++'s 16-byte std::function SBO,
- * so the legacy kernel heap-allocates every event while the current
- * kernel stores it inline — the dominant allocation pattern of the
- * device models.
- */
-template <typename Kernel>
-struct Bouncer
-{
-    Kernel &k;
-    Rng rng;
-    int remaining;
-    std::uint64_t acc = 0;
-
-    void
-    step()
-    {
-        if (remaining-- <= 0)
-            return;
-        // Masked draws keep the workload's own cost tiny so the
-        // measurement stays dominated by the kernels under test.
-        // Delays are ns-scale in picosecond ticks, like the model
-        // latencies of the device/memory models.
-        const std::uint32_t r = rng.next32();
-        Tick d = 1 + (r & 0x3fffff); // up to ~4.2 us
-        if ((r >> 22) % 50 == 0)
-            d += 1ull << 24; // rare long timer, beyond the calendar
-        const std::uint64_t a = r;
-        const std::uint64_t b = ~static_cast<std::uint64_t>(r);
-        k.scheduleIn(d, [this, a, b] {
-            acc ^= a + b;
-            step();
-        });
-    }
-};
-
-/** A coroutine repeatedly sleeping — the sync-primitive hot path. */
-template <typename Kernel>
-SimTask
-pinger(Kernel &k, Rng rng, int n, std::uint64_t &acc)
-{
-    for (int i = 0; i < n; ++i) {
-        co_await KernelDelay<Kernel>{
-            k, k.now() + 1 + (rng.next32() & 0x7fffff)};
-        ++acc;
-    }
-}
-
-struct KernelRunStats
-{
-    double seconds = 0;
-    std::uint64_t events = 0;
-    Tick finalTick = 0;
-};
-
-template <typename Kernel>
-KernelRunStats
-kernelWorkload()
-{
-    // Concurrency sized like a full platform sim: ~1.5K events in
-    // flight (cores + engines + links + sync primitives), roughly
-    // two-thirds callbacks / one-third coroutine wake-ups.
-    const auto t0 = std::chrono::steady_clock::now();
-    Kernel k;
-    std::vector<std::unique_ptr<Bouncer<Kernel>>> bouncers;
-    std::uint64_t acc = 0;
-    for (int i = 0; i < 1024; ++i) {
-        bouncers.push_back(std::make_unique<Bouncer<Kernel>>(
-            Bouncer<Kernel>{k, Rng(7u * i + 1), 500}));
-        bouncers.back()->step();
-    }
-    for (int i = 0; i < 512; ++i)
-        pinger(k, Rng(1000u + i), 500, acc);
-
-    KernelRunStats s;
-    s.finalTick = k.run();
-    s.events = k.eventsExecuted();
-    s.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    return s;
-}
-
-int
-kernelSelfBench(const char *path)
-{
-    // Interleave the repetitions of the two kernels so frequency
-    // ramp-up and cache warmth drift affect both equally, and take
-    // each kernel's best rep.
-    const int reps = 7;
-    kernelWorkload<Simulation>();    // warm-up, untimed
-    kernelWorkload<LegacyKernel>();
-    KernelRunStats cur = kernelWorkload<Simulation>();
-    KernelRunStats legacy = kernelWorkload<LegacyKernel>();
-    for (int r = 1; r < reps; ++r) {
-        KernelRunStats s = kernelWorkload<Simulation>();
-        if (s.seconds < cur.seconds)
-            cur = s;
-        KernelRunStats l = kernelWorkload<LegacyKernel>();
-        if (l.seconds < legacy.seconds)
-            legacy = l;
-    }
-
-    const bool consistent = cur.events == legacy.events &&
-                            cur.finalTick == legacy.finalTick;
-    const double cur_rate =
-        static_cast<double>(cur.events) / cur.seconds;
-    const double legacy_rate =
-        static_cast<double>(legacy.events) / legacy.seconds;
-
-    Gate gate("simhost_kernel");
-    gate.add(Gate::Info, "events", cur.events);
-    gate.add(Gate::Info, "final_tick", cur.finalTick);
-    gate.flag("replay_consistent", consistent);
-    gate.add(Gate::Info, "events_per_sec", cur_rate);
-    gate.add(Gate::Info, "legacy_events_per_sec", legacy_rate);
-    gate.add(Gate::Info, "speedup", cur_rate / legacy_rate, 3);
-    if (!gate.write(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::printf("kernel: %.2fM events/s  legacy: %.2fM events/s  "
-                "speedup: %.2fx  (%s -> %s)\n",
-                cur_rate / 1e6, legacy_rate / 1e6,
-                cur_rate / legacy_rate,
-                consistent ? "replay consistent" : "REPLAY MISMATCH",
-                path);
-    return consistent ? 0 : 2;
-}
-
-/// @}
-
-/// @name Host-rate loops (default mode).
+/// @name Host-rate loops.
 /// @{
 
 /// Each loop stores its result here so it is not optimized away.
@@ -563,14 +329,8 @@ main(int argc, char **argv)
 {
     Gate gate("simhost");
     for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "--kernel-json")
-            return kernelSelfBench("BENCH_kernel.json");
-        if (arg.rfind("--kernel-json=", 0) == 0)
-            return kernelSelfBench(argv[i] + 14);
-        if (!gate.parseArg(arg)) {
-            std::fprintf(stderr, "usage: bench_simhost [--json=PATH] | "
-                                 "--kernel-json[=PATH]\n");
+        if (!gate.parseArg(argv[i])) {
+            std::fprintf(stderr, "usage: bench_simhost [--json=PATH]\n");
             return 2;
         }
     }

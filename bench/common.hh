@@ -190,12 +190,16 @@ hex64(std::uint64_t v)
  * declares each metric once — kind, key, value, print precision — in
  * the order it is written. The kinds:
  *
- *   Info   written, never checked (host facts, notes);
- *   Floor  fails below committed x (1 - tol): host rates;
+ *   Info   written, never checked (host rates, host facts, notes);
  *   Band   fails outside committed x (1 +- tol): simulated values
  *          given slack for compiler and libm differences;
  *   Exact  fails on any difference: counts, stream hashes and
  *          simulated times, compared as written.
+ *
+ * No kind compares a host rate: a wall-clock number committed on one
+ * host neither holds on another nor catches a regression there. Host
+ * speed is measured by perfbench, against a reference run on the same
+ * host.
  *
  * require(label, ok) adds an invariant that reads no committed value;
  * require(label, ok, key) one that is checked only when the committed
@@ -203,15 +207,15 @@ hex64(std::uint64_t v)
  *
  * finish() prints the metrics as one flat JSON object on stdout and
  * to --json=PATH. With --check=PATH it loads a committed object and
- * prints one verdict line per checked key the file holds — Floor and
- * Band keys committed as <= 0 are skipped too — then one per
- * invariant. Exit code: 0 all ok, 1 any failure, 2 a file that cannot
- * be read or written.
+ * prints one verdict line per checked key the file holds — Band keys
+ * committed as <= 0 are skipped too — then one per invariant. Exit
+ * code: 0 all ok, 1 any failure, 2 a file that cannot be read or
+ * written.
  */
 class Gate
 {
   public:
-    enum Kind { Info, Floor, Band, Exact };
+    enum Kind { Info, Band, Exact };
 
     struct Verdict
     {
@@ -220,6 +224,7 @@ class Gate
         std::string word; ///< "ok" or the failing kind's word
     };
 
+    /** @p tolerance is the Band half-width, relative. */
     explicit Gate(std::string benchmark, double tolerance = 0)
         : name("bench_" + benchmark), tol(tolerance)
     {
@@ -253,13 +258,6 @@ class Gate
     add(Kind kind, std::string key, const std::string &text)
     {
         metrics.push_back({kind, std::move(key), quote(text), 0});
-    }
-
-    /** A bare JSON true/false, never checked. */
-    void
-    flag(std::string key, bool b)
-    {
-        metrics.push_back({Info, std::move(key), b ? "true" : "false", 0});
     }
 
     void
@@ -306,28 +304,19 @@ class Gate
             if (m.kind == Info || !lookup(committed, m.key, want))
                 continue;
             const double w = std::strtod(want.c_str(), nullptr);
-            bool ok = true;
+            bool ok;
             const char *word = "DIVERGED";
-            switch (m.kind) {
-              case Floor:
-                if (w <= 0)
-                    continue;
-                ok = m.value >= w * (1.0 - tol);
-                word = "REGRESSED";
-                break;
-              case Band:
+            if (m.kind == Band) {
                 if (w <= 0)
                     continue;
                 ok = m.value >= w * (1.0 - tol) &&
                      m.value <= w * (1.0 + tol);
                 word = "OUT OF BAND";
-                break;
-              default:
-                // Strings compare as text, numbers by value.
+            } else {
+                // Exact: strings compare as text, numbers by value.
                 ok = m.text.front() == '"' || want.front() == '"'
                          ? m.text == want
                          : std::strtod(m.text.c_str(), nullptr) == w;
-                break;
             }
             out.push_back({m.key, ok, ok ? "ok" : word});
             std::printf("%-28s %16s  committed %16s  %s\n",
@@ -376,7 +365,7 @@ class Gate
         Kind kind;
         std::string key;
         std::string text; ///< the JSON value as written
-        double value;     ///< what floor and band compare
+        double value;     ///< what band compares
     };
 
     static std::string
@@ -680,7 +669,7 @@ syncSwLoop(Rig &rig, WorkDescriptor d, int iters, bool flush,
 
 inline SimTask
 asyncHwLoop(Rig &rig, std::vector<WorkDescriptor> ring, int total,
-            int depth, bool flush_per_pass, Measure &out)
+            int depth, Measure &out)
 {
     Core &core = rig.plat.core(0);
     Semaphore window(rig.sim, static_cast<std::uint64_t>(depth));
@@ -706,8 +695,7 @@ asyncHwLoop(Rig &rig, std::vector<WorkDescriptor> ring, int total,
             ring[static_cast<std::size_t>(i) % ring.size()];
         // Refresh coldness once per pass over the ring, mirroring
         // the paper's per-iteration flushes.
-        if (flush_per_pass && i > 0 &&
-            static_cast<std::size_t>(i) % ring.size() == 0)
+        if (i > 0 && static_cast<std::size_t>(i) % ring.size() == 0)
             rig.plat.mem().cache().invalidateAll();
         co_await window.acquire();
         auto job = rig.exec->prepare(d);
@@ -753,18 +741,16 @@ syncSw(Rig &rig, const WorkDescriptor &d, int iters = 0,
 /**
  * Async throughput at @p depth outstanding descriptors, cycling over
  * @p ring distinct descriptors. The cache is flushed once per pass so
- * data stays cold, unless @p flush_per_pass is false (lines then stay
- * resident and the walk takes its hit path).
+ * data stays cold.
  */
 inline Measure
 asyncHw(Rig &rig, std::vector<WorkDescriptor> ring, int total = 0,
-        int depth = 32, bool flush_per_pass = true)
+        int depth = 32)
 {
     Measure out;
     if (total == 0 && !ring.empty())
         total = itersFor(ring.front().size, 320);
-    detail::asyncHwLoop(rig, std::move(ring), total, depth,
-                        flush_per_pass, out);
+    detail::asyncHwLoop(rig, std::move(ring), total, depth, out);
     rig.sim.run();
     return out;
 }

@@ -2,7 +2,7 @@
  * @file
  * The self-benchmarks' --json/--check gate (bench/common.hh): fixed
  * values against a fixed committed JSON, one case per metric kind —
- * floor and band at and just past the tolerance edge, exact counts,
+ * band at and just past the tolerance edge, exact counts,
  * simulated times and hashes, the keys that are skipped, the
  * invariants — plus finish()'s exit codes and a --json file read back
  * by --check.
@@ -42,12 +42,11 @@ TEST(BenchGate, JsonKeepsDeclarationOrderAndFormats)
 {
     Gate gate("demo", 0.2);
     gate.add(Gate::Info, "hw_threads", 4);
-    gate.add(Gate::Floor, "rate", 1193207.4, 0);
+    gate.add(Gate::Info, "rate", 1193207.4, 0);
     gate.add(Gate::Band, "p99_us", 32.7924, 3);
     gate.add(Gate::Band, "goodput_mbps", 677.64, 1);
     gate.add(Gate::Exact, "end_us", 3448.6812, 3);
     gate.add(Gate::Exact, "stream_hash", hex64(0x4f698fbc07441965ull));
-    gate.flag("replay_consistent", true);
     gate.add(Gate::Info, "note", "free text");
     EXPECT_EQ(gate.json(), "{\n"
                            "  \"benchmark\": \"demo\",\n"
@@ -57,23 +56,8 @@ TEST(BenchGate, JsonKeepsDeclarationOrderAndFormats)
                            "  \"goodput_mbps\": 677.6,\n"
                            "  \"end_us\": 3448.681,\n"
                            "  \"stream_hash\": \"4f698fbc07441965\",\n"
-                           "  \"replay_consistent\": true,\n"
                            "  \"note\": \"free text\"\n"
                            "}\n");
-}
-
-TEST(BenchGate, FloorFailsOnlyPastTheToleranceBelow)
-{
-    Gate gate("demo", 0.25);
-    gate.add(Gate::Floor, "at_edge", 7.5, 3);
-    gate.add(Gate::Floor, "past_edge", 7.49, 3);
-    gate.add(Gate::Floor, "faster", 100, 3);
-    auto w = words(gate, R"({"at_edge": 10.000, "past_edge": 10.000,
-                             "faster": 10.000})");
-    EXPECT_EQ(w.size(), 3u);
-    EXPECT_EQ(w["at_edge"], "ok");
-    EXPECT_EQ(w["past_edge"], "REGRESSED");
-    EXPECT_EQ(w["faster"], "ok");
 }
 
 TEST(BenchGate, BandFailsPastTheToleranceEitherSide)
@@ -120,13 +104,14 @@ TEST(BenchGate, ExactComparesCountsTimesAndHashes)
 TEST(BenchGate, SkipsAbsentKeysNonPositiveBaselinesAndInfo)
 {
     Gate gate("demo", 0.25);
-    gate.add(Gate::Floor, "absent", 1, 3);
-    gate.add(Gate::Floor, "zero_rate", 1, 3);
+    gate.add(Gate::Exact, "absent", 1);
+    gate.add(Gate::Band, "absent_band", 1, 3);
+    gate.add(Gate::Band, "zero_band", 1, 3);
     gate.add(Gate::Band, "negative_band", 1, 3);
     gate.add(Gate::Info, "hw_threads", 4);
     gate.add(Gate::Exact, "checked", 0);
     gate.add(Gate::Exact, "no_value", 1);
-    auto w = words(gate, R"({"zero_rate": 0.000, "negative_band": -1,
+    auto w = words(gate, R"({"zero_band": 0.000, "negative_band": -1,
                              "hw_threads": 1, "checked": 0,
                              "no_value": })");
     EXPECT_EQ(w.size(), 1u);
@@ -151,14 +136,14 @@ TEST(BenchGate, RequireNeedsNoCommittedValue)
 
 TEST(BenchGate, UnreadableOrUnwritableFilesExitTwo)
 {
-    Gate reader("demo", 0.25);
-    reader.add(Gate::Floor, "rate", 1, 3);
+    Gate reader("demo");
+    reader.add(Gate::Exact, "events", 1);
     ASSERT_TRUE(reader.parseArg("--check=" +
                                 tempPath("gate_no_such_file.json")));
     EXPECT_TRUE(reader.checking());
     EXPECT_EQ(reader.finish(), 2);
 
-    Gate writer("demo", 0.25);
+    Gate writer("demo");
     ASSERT_TRUE(writer.parseArg("--json=" +
                                 tempPath("no_such_dir/out.json")));
     EXPECT_FALSE(writer.checking());
@@ -178,9 +163,9 @@ TEST(BenchGate, JsonReadBackByCheckIsAllOk)
 {
     auto declare = [](Gate &gate) {
         gate.add(Gate::Info, "hw_threads", 4);
-        gate.add(Gate::Floor, "rate", 1193207.4, 0);
-        gate.add(Gate::Floor, "gbps", 5.6484, 3);
+        gate.add(Gate::Info, "rate", 1193207.4, 0);
         gate.add(Gate::Band, "p50_us", 0.5351, 3);
+        gate.add(Gate::Band, "p99_us", 32.7924, 3);
         gate.add(Gate::Band, "goodput_mbps", 677.64, 1);
         gate.add(Gate::Exact, "events", 175037);
         gate.add(Gate::Exact, "dropped", 0);
@@ -199,8 +184,8 @@ TEST(BenchGate, JsonReadBackByCheckIsAllOk)
     declare(checker);
     ASSERT_TRUE(checker.parseArg("--check=" + path));
     EXPECT_EQ(checker.finish(), 0);
-    // Every checked kind was compared: 8 metrics + 1 invariant.
-    EXPECT_EQ(words(checker, writer.json()).size(), 9u);
+    // Every checked kind was compared: 7 metrics + 1 invariant.
+    EXPECT_EQ(words(checker, writer.json()).size(), 8u);
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ops/crc32.hh"
 #include "ops/delta.hh"
 #include "ops/dif.hh"
@@ -30,14 +32,20 @@ struct HwSwCase
     Opcode op;
     /**
      * A failing input: a corrupted DIF tuple in the middle block, or
-     * a delta record entry past the end of the buffer. (Declared
-     * here, in op's padding, so the case stays 24 bytes and the
-     * printed test names keep their "24-byte object" suffix.)
+     * a delta record entry past the end of the buffer.
      */
     bool corrupt;
+    /**
+     * gtest lists each case as "<name> # GetParam() = <its bytes>",
+     * so no byte of the case may be padding: padding holds whatever
+     * the stack held, and the listed names would change from one
+     * build to the next.
+     */
+    std::uint8_t zero[6];
     std::uint64_t size;
     std::uint64_t srcSkew; ///< bytes of deliberate misalignment
 };
+static_assert(std::has_unique_object_representations_v<HwSwCase>);
 
 std::string
 caseName(const ::testing::TestParamInfo<HwSwCase> &info)
@@ -224,13 +232,13 @@ INSTANTIATE_TEST_SUITE_P(
                 for (auto k : skews) {
                     if (op == Opcode::CreateDelta && k != 0)
                         continue; // delta requires 8B alignment: ok
-                    cases.push_back({op, false, s, k});
+                    cases.push_back({op, false, {}, s, k});
                     const bool can_corrupt =
                         op == Opcode::ApplyDelta ||
                         ((op == Opcode::DifCheck ||
                           op == Opcode::DifUpdate) && s >= 4096);
                     if (can_corrupt)
-                        cases.push_back({op, true, s, k});
+                        cases.push_back({op, true, {}, s, k});
                 }
         return cases;
     }()),

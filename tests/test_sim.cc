@@ -296,12 +296,13 @@ TEST(Coroutines, SurviveRunUntilBoundaries)
 }
 
 // ---------------------------------------------------------------------
-// Determinism golden: a seeded workload mixing callback events,
+// Determinism goldens: seeded workloads mixing callback events,
 // coroutine delays, far-future timers and runUntil() staging must land
 // on exactly the same final tick and event count on every kernel
 // implementation. The constants below were recorded with the original
 // std::function + std::priority_queue kernel; the calendar-queue
-// rewrite must reproduce them bit-for-bit.
+// rewrite reproduces them bit for bit, so a kernel change that is
+// deterministic but orders events differently fails here.
 // ---------------------------------------------------------------------
 
 struct Bouncer
@@ -354,13 +355,65 @@ seededWorkload()
 
 TEST(Simulation, SeededWorkloadIsDeterministic)
 {
-    auto [tick1, count1] = seededWorkload();
-    auto [tick2, count2] = seededWorkload();
-    EXPECT_EQ(tick1, tick2);
-    EXPECT_EQ(count1, count2);
-    // Golden values from the seed kernel (see comment above).
-    EXPECT_EQ(tick1, 185049211u);
-    EXPECT_EQ(count1, 14656u);
+    auto [tick, count] = seededWorkload();
+    EXPECT_EQ(tick, 185049211u);
+    EXPECT_EQ(count, 14656u);
+}
+
+/**
+ * A self-rescheduling chain whose capture (this + two 64-bit values)
+ * exceeds std::function's 16-byte small buffer: the original kernel
+ * heap-allocated every such event, the current one stores it inline.
+ */
+struct WideBouncer
+{
+    Simulation &sim;
+    Rng rng;
+    int remaining;
+    std::uint64_t acc = 0;
+
+    void
+    step()
+    {
+        if (remaining-- <= 0)
+            return;
+        const std::uint32_t r = rng.next32();
+        Tick d = 1 + (r & 0x3fffff); // up to ~4.2 us
+        if ((r >> 22) % 50 == 0)
+            d += 1ull << 24; // rare long timer, beyond the calendar
+        const std::uint64_t a = r;
+        const std::uint64_t b = ~static_cast<std::uint64_t>(r);
+        sim.scheduleIn(d, [this, a, b] {
+            acc ^= a + b;
+            step();
+        });
+    }
+};
+
+/** A coroutine repeatedly sleeping: the sync-primitive hot path. */
+SimTask
+pinger(Simulation &sim, Rng rng, int n)
+{
+    for (int i = 0; i < n; ++i)
+        co_await sim.delay(1 + (rng.next32() & 0x7fffff));
+}
+
+TEST(Simulation, PlatformSizedMixMatchesSeedKernel)
+{
+    // ~1.5K events in flight, like a full platform: two thirds
+    // callbacks, one third coroutine wake-ups.
+    Simulation sim;
+    std::vector<std::unique_ptr<WideBouncer>> bouncers;
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+        bouncers.push_back(std::make_unique<WideBouncer>(
+            WideBouncer{sim, Rng(7u * i + 1), 500}));
+        bouncers.back()->step();
+    }
+    for (std::uint32_t i = 0; i < 512; ++i)
+        pinger(sim, Rng(1000u + i), 500);
+    const Tick end = sim.run();
+    EXPECT_EQ(end, 2318541919u);
+    EXPECT_EQ(sim.eventsExecuted(), 768000u);
 }
 
 TEST(Simulation, FarFutureEventsCrossTheCalendarWindow)
