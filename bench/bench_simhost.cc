@@ -4,7 +4,8 @@
  * throughput, cache-model access rate, LLC directory build and
  * snapshot-restore time, per-line LLC walk cost (CPU stream, random
  * CPU access, device probe span), translation cost (random lookups
- * over many regions, one large alloc), functional operation speed
+ * over many regions, one large alloc), platform set-up and teardown
+ * with 96 MiB of seeded memory, functional operation speed
  * (with the CRC arms the host selected), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
  * work the figure benches can afford; they are about dsasim, not
@@ -255,6 +256,30 @@ spaceAllocMs()
 }
 /// @}
 
+/**
+ * Host ms to build an SPR Platform, seed 96 MiB of one address space
+ * (about what offload-ring seeds) and tear both down again.
+ */
+double
+platformSetupMs()
+{
+    const std::uint64_t bytes = 96ull << 20;
+    double best = 1e30;
+    for (int trial = 0; trial < 3; ++trial) {
+        const auto t0 = bench::Clock::now();
+        {
+            Simulation sim;
+            Platform plat(sim, PlatformConfig::spr());
+            AddressSpace &as = plat.mem().createSpace();
+            const Addr va = as.alloc(bytes);
+            as.fill(va, 0x5a, bytes);
+            keep(as.byteAt(va + bytes - 1));
+        }
+        best = std::min(best, bench::secondsSince(t0) * 1e3);
+    }
+    return best;
+}
+
 /** CRC32C GB/s over a @p bytes buffer. */
 double
 crc32cGbps(std::size_t bytes)
@@ -343,6 +368,7 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);
     gate.add(Gate::Info, "xlate_random_ns", xlateRandomNs(), 2);
     gate.add(Gate::Info, "space_alloc_ms", spaceAllocMs(), 6);
+    gate.add(Gate::Info, "platform_setup_ms", platformSetupMs(), 3);
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
     gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);

@@ -102,13 +102,13 @@ CacheModel::CacheModel(const Config &cfg) : config(cfg)
     live.resize((sets + 63) / 64);
 }
 
-std::uint64_t
-CacheModel::nextUse()
+CacheModel::Way
+CacheModel::packWay(std::uint64_t tag, int owner, bool dirty)
 {
-    panic_if(useClock + 1 >= kUseLimit,
-             "LLC use clock exhausted its %u-bit way field",
-             64 - kOwnerBits);
-    return ++useClock;
+    panic_if(tag > kTagMask, "LLC tag 0x%llx outside the %u-bit way field",
+             static_cast<unsigned long long>(tag), kTagBits);
+    return Way{tag | static_cast<std::uint64_t>(owner) << kTagBits |
+               (dirty ? kDirtyBit : 0)};
 }
 
 CacheModel::SetHeader &
@@ -220,7 +220,7 @@ CacheModel::findIn(const SetHeader &h, std::size_t set,
  * artificial placement pathology where demand lines keep landing in
  * the device-churned partition. With no free way, evict the LRU line
  * of the range: every way in it is present, and the order word lists
- * present ways by ascending lastUse.
+ * present ways least recently used first.
  */
 unsigned
 CacheModel::victimInSet(const SetHeader &h, unsigned way_lo,
@@ -256,8 +256,6 @@ CacheModel::uncountOwner(int owner)
 void
 CacheModel::touchWay(std::size_t set, unsigned way)
 {
-    Way &w = wayAt(set, way);
-    w.useOwner = nextUse() << kOwnerBits | (w.useOwner & kOwnerMask);
     std::uint64_t &order = heads[set].order;
     if (order >> 60 != way)
         order = promote(order, way);
@@ -289,9 +287,7 @@ CacheModel::installWay(SetHeader &h, std::size_t set, unsigned way,
         ++validLines;
     }
     ++ownerCount(owner);
-    w.tagDirty = tag | (dirty ? kDirtyBit : 0);
-    w.useOwner = nextUse() << kOwnerBits |
-                 static_cast<std::uint64_t>(owner);
+    w = packWay(tag, owner, dirty);
     setFingerprint(h.fp, way, tagFingerprint(tag));
     h.order = promote(h.order, way);
 }
@@ -306,8 +302,8 @@ CacheModel::retagOwner(std::size_t set, unsigned way, int owner)
     if (old != owner) {
         ++ownerCount(owner);
         uncountOwner(old);
-        w.useOwner = (w.useOwner & ~kOwnerMask) |
-                     static_cast<std::uint64_t>(owner);
+        w.bits = (w.bits & ~(kOwnerMask << kTagBits)) |
+                 static_cast<std::uint64_t>(owner) << kTagBits;
     }
 }
 
@@ -323,7 +319,7 @@ CacheModel::accessLine(std::size_t set, std::uint64_t tag, int owner,
         hitBytesTally += cacheLineSize;
         touchWay(set, way);
         if (is_write)
-            wayAt(set, way).tagDirty |= kDirtyBit;
+            wayAt(set, way).bits |= kDirtyBit;
         retagOwner(set, way, owner);
         return result;
     }
@@ -448,38 +444,10 @@ CacheModel::invalidateAll()
     ownerLines.clear();
 }
 
-void
-CacheModel::rebuildOrder(std::size_t set)
-{
-    // Present ways by ascending (lastUse, way), by insertion (a set
-    // holds at most 16; ways arrive in ascending order, so ties keep
-    // it). Promoting them in that order leaves them on top of the
-    // absent ways.
-    std::uint64_t use[16];
-    unsigned way[16];
-    unsigned n = 0;
-    for (std::uint64_t m = heads[set].mask; m; m &= m - 1) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        const std::uint64_t u = wayAt(set, w).useOwner >> kOwnerBits;
-        unsigned i = n++;
-        for (; i > 0 && use[i - 1] > u; --i) {
-            use[i] = use[i - 1];
-            way[i] = way[i - 1];
-        }
-        use[i] = u;
-        way[i] = w;
-    }
-    std::uint64_t order = kIdentityOrder;
-    for (unsigned i = 0; i < n; ++i)
-        order = promote(order, way[i]);
-    heads[set].order = order;
-}
-
 CacheModel::State
 CacheModel::saveState() const
 {
     State st;
-    st.useClock = useClock;
     st.hitBytes = hitBytesTally;
     st.missBytes = missBytesTally;
     st.writebackBytes = writebackBytesTally;
@@ -488,14 +456,23 @@ CacheModel::saveState() const
         for (std::uint64_t b = live[word]; b; b &= b - 1) {
             const std::size_t set = word * 64 + static_cast<std::size_t>(
                                                     std::countr_zero(b));
-            for (std::uint64_t m = heads[set].mask; m; m &= m - 1) {
+            const SetHeader &h = heads[set];
+            // A present way's rank is its LRU position counted over
+            // the set's present ways only.
+            std::uint64_t rank[16] = {};
+            std::uint64_t next = 0;
+            for (unsigned pos = 0; pos < 16; ++pos) {
+                const unsigned way = h.order >> 4 * pos & 0xf;
+                if (h.mask >> way & 1)
+                    rank[way] = next++;
+            }
+            for (std::uint64_t m = h.mask; m; m &= m - 1) {
                 const unsigned way =
                     static_cast<unsigned>(std::countr_zero(m));
                 const Way &w = dir[set * config.ways + way];
                 st.validLines.emplace_back(
                     set * config.ways + way,
-                    Line{wayTag(w), w.useOwner >> kOwnerBits,
-                         wayOwner(w), wayDirty(w)});
+                    Line{wayTag(w), rank[way], wayOwner(w), wayDirty(w)});
             }
         }
     }
@@ -505,16 +482,11 @@ CacheModel::saveState() const
 void
 CacheModel::restoreState(const State &st)
 {
-    panic_if(st.useClock >= kUseLimit,
-             "CacheModel::restoreState: use clock %llu exceeds the "
-             "way field",
-             static_cast<unsigned long long>(st.useClock));
     // Clearing the live bitset empties every set without touching
     // it; each restored way brings its set back to life.
     for (std::uint64_t &word : live)
         word = 0;
     ownerLines.clear();
-    useClock = st.useClock;
     hitBytesTally = st.hitBytes;
     missBytesTally = st.missBytes;
     writebackBytesTally = st.writebackBytes;
@@ -523,27 +495,43 @@ CacheModel::restoreState(const State &st)
         static_cast<std::uint64_t>(sets) * config.ways;
     const auto &lines = st.validLines;
     for (std::size_t i = 0; i < lines.size();) {
-        // One set's entries (ascending way order in a snapshot), then
-        // its order word, while its ways are still hot.
+        // One set's entries, then its order word: the present ways by
+        // ascending (rank, way), sorted by insertion as they arrive in
+        // way order, promoted in that order so they sit on top of the
+        // absent ways.
+        panic_if(lines[i].first >= capacity,
+                 "CacheModel::restoreState: line index %llu out of "
+                 "range — geometry mismatch with snapshot",
+                 static_cast<unsigned long long>(lines[i].first));
         const std::uint64_t set = lines[i].first / config.ways;
+        SetHeader &h = liveHeader(set);
+        std::uint64_t rank[16] = {};
+        unsigned way[16] = {};
+        unsigned n = 0;
         for (; i < lines.size() && lines[i].first / config.ways == set;
              ++i) {
             const auto &[idx, saved] = lines[i];
-            panic_if(idx >= capacity,
+            panic_if(i > 0 && idx <= lines[i - 1].first,
                      "CacheModel::restoreState: line index %llu out of "
-                     "range — geometry mismatch with snapshot",
+                     "ascending order",
                      static_cast<unsigned long long>(idx));
             ++ownerCount(saved.owner);
-            dir[idx] = Way{saved.tag | (saved.dirty ? kDirtyBit : 0),
-                           saved.lastUse << kOwnerBits |
-                               static_cast<std::uint64_t>(saved.owner)};
-            const unsigned way = static_cast<unsigned>(idx % config.ways);
-            SetHeader &h = liveHeader(set);
-            h.mask |= 1ull << way;
-            setFingerprint(h.fp, way, tagFingerprint(saved.tag));
+            dir[idx] = packWay(saved.tag, saved.owner, saved.dirty);
+            const unsigned w = static_cast<unsigned>(idx % config.ways);
+            h.mask |= 1ull << w;
+            setFingerprint(h.fp, w, tagFingerprint(saved.tag));
+            unsigned k = n++;
+            for (; k > 0 && rank[k - 1] > saved.rank; --k) {
+                rank[k] = rank[k - 1];
+                way[k] = way[k - 1];
+            }
+            rank[k] = saved.rank;
+            way[k] = w;
         }
-        // A set listed again later is simply rebuilt again.
-        rebuildOrder(set);
+        std::uint64_t order = kIdentityOrder;
+        for (unsigned k = 0; k < n; ++k)
+            order = promote(order, way[k]);
+        h.order = order;
     }
 }
 

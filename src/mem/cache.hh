@@ -199,11 +199,15 @@ class CacheModel
     }
     /// @}
 
-    /** A present line as a snapshot records it (Checkpointable::State). */
+    /**
+     * A present line as a snapshot records it (Checkpointable::State).
+     * rank is its LRU position among its set's present lines, 0 being
+     * the least recently used.
+     */
     struct Line
     {
         std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
+        std::uint64_t rank = 0;
         int owner = 0;
         bool dirty = false;
     };
@@ -211,16 +215,16 @@ class CacheModel
     /**
      * Checkpointable (sim/checkpoint.hh): the present lines, stored
      * sparsely as (way index, line) pairs in ascending way order —
-     * O(occupied), not O(capacity) — plus the LRU use clock they are
-     * ordered by. A way absent from the snapshot restores as free,
-     * exactly as it reads when its presence-mask bit is clear, so
-     * replacement decisions are unchanged. Occupancy accounting and
-     * each set's LRU order are rebuilt from the lines.
+     * O(occupied), not O(capacity). A way absent from the snapshot
+     * restores as free, exactly as it reads when its presence-mask bit
+     * is clear, so replacement decisions are unchanged. Occupancy
+     * accounting is rebuilt from the lines, and each set's LRU order
+     * from their ranks (any ascending keys will do; equal ones keep
+     * way order).
      */
     struct State
     {
         std::vector<std::pair<std::uint64_t, Line>> validLines;
-        std::uint64_t useClock = 0;
         std::uint64_t hitBytes = 0;
         std::uint64_t missBytes = 0;
         std::uint64_t writebackBytes = 0;
@@ -236,18 +240,20 @@ class CacheModel
 
   private:
     /**
-     * One directory way, 16 bytes: `tag | dirty << 63` and
-     * `lastUse << 16 | owner`. The storage is never zeroed: a way is
-     * read only while its presence-mask bit is set, and installWay()
-     * and restoreState() write it before setting the bit. This cold
-     * array is read only to confirm a fingerprint match, to evict a
-     * victim and by saveState().
+     * One directory way, one word: `tag | owner << 47 | dirty << 63`.
+     * It holds no LRU state (the set header's order word is the only
+     * LRU truth), so a hit writes it only to set the dirty bit or move
+     * the owner. The storage is never zeroed: a way is read only while
+     * its presence-mask bit is set, and installWay() and restoreState()
+     * write it before setting the bit. This cold array is read only to
+     * confirm a fingerprint match, to evict a victim and by
+     * saveState().
      */
     struct Way
     {
-        std::uint64_t tagDirty;
-        std::uint64_t useOwner;
+        std::uint64_t bits;
     };
+    static_assert(sizeof(Way) == 8);
 
     /**
      * The hot half of a set, 32 bytes (two per host cache line):
@@ -255,10 +261,10 @@ class CacheModel
      *     (which no tag maps to) while the way is absent. It only
      *     filters; every match is confirmed against the full tag;
      *   - order: a permutation of the 16 way indices, nibble i being
-     *     the way at LRU position i (0 = least recent). Present ways
-     *     appear in ascending lastUse order; an absent way's nibble
-     *     is wherever it was dropped, and moves to the MRU end when
-     *     the way is installed again;
+     *     the way at LRU position i (0 = least recent): the only LRU
+     *     truth. Present ways appear in the order they were last
+     *     touched; an absent way's nibble is wherever it was dropped,
+     *     and moves to the MRU end when the way is installed again;
      *   - mask: presence, bit w set <=> way w holds a line — the only
      *     presence truth.
      * A header is valid only while its set's bit in `live` is set;
@@ -275,11 +281,11 @@ class CacheModel
     /** How far ahead of the current set a walk prefetches. */
     static constexpr std::size_t kLookahead = 16;
 
-    static constexpr std::uint64_t kDirtyBit = 1ull << 63;
+    static constexpr unsigned kTagBits = 47;
+    static constexpr std::uint64_t kTagMask = (1ull << kTagBits) - 1;
     static constexpr unsigned kOwnerBits = 16;
     static constexpr std::uint64_t kOwnerMask = (1ull << kOwnerBits) - 1;
-    /** First use-clock value that no longer packs above the owner. */
-    static constexpr std::uint64_t kUseLimit = 1ull << (64 - kOwnerBits);
+    static constexpr std::uint64_t kDirtyBit = 1ull << 63;
     /** findWay() result when the tag is not present. */
     static constexpr unsigned kNoWay = ~0u;
 
@@ -298,24 +304,20 @@ class CacheModel
         return dir[set * config.ways + way];
     }
 
-    static std::uint64_t
-    wayTag(const Way &w)
-    {
-        return w.tagDirty & ~kDirtyBit;
-    }
+    static std::uint64_t wayTag(const Way &w) { return w.bits & kTagMask; }
 
-    static bool wayDirty(const Way &w) { return w.tagDirty & kDirtyBit; }
+    static bool wayDirty(const Way &w) { return w.bits & kDirtyBit; }
 
     static int
     wayOwner(const Way &w)
     {
-        return static_cast<int>(w.useOwner & kOwnerMask);
+        return static_cast<int>(w.bits >> kTagBits & kOwnerMask);
     }
 
-    /** The next LRU clock value, checked against the packing limit. */
-    std::uint64_t nextUse();
+    /** A way holding @p tag for @p owner; the tag is checked to pack. */
+    static Way packWay(std::uint64_t tag, int owner, bool dirty);
 
-    /** LRU-touch a present way, keeping its owner. */
+    /** LRU-touch a present way: promote it in its set's order word. */
     void touchWay(std::size_t set, unsigned way);
 
     /** The present way of live set @p set holding @p tag, else kNoWay. */
@@ -345,8 +347,6 @@ class CacheModel
      */
     AccessResult accessLine(std::size_t set, std::uint64_t tag, int owner,
                             bool is_write, unsigned way_hi);
-    /** Rebuild a live set's order word from its ways' lastUse. */
-    void rebuildOrder(std::size_t set);
 
     /**
      * Host-only hint, no simulated effect: start loading the header
@@ -389,7 +389,6 @@ class CacheModel
     std::vector<std::uint64_t> live;       // bit s: heads[s] is valid
     std::vector<std::uint64_t> ownerLines; // present lines by owner
     std::uint64_t validLines = 0;
-    std::uint64_t useClock = 0;
     std::uint64_t hitBytesTally = 0;
     std::uint64_t missBytesTally = 0;
     std::uint64_t writebackBytesTally = 0;

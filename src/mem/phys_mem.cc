@@ -1,11 +1,52 @@
 #include "mem/phys_mem.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdint>
 
 #include "sim/logging.hh"
 
 namespace dsasim
 {
+
+namespace
+{
+
+constexpr std::uint64_t kChunkSize = PhysicalMemory::chunkSize;
+
+/**
+ * A zero-filled chunk in its own 2 MiB-aligned anonymous mapping,
+ * unmapped when its last reference goes. Over-mapping by one chunk
+ * and trimming both ends gives the alignment a huge page needs; the
+ * MADV_HUGEPAGE advice is only a hint, and where the kernel declines
+ * it the chunk is backed by 4 KiB pages instead.
+ */
+std::shared_ptr<std::uint8_t[]>
+mapChunk()
+{
+    const std::uint64_t span = 2 * kChunkSize;
+    void *raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(raw == MAP_FAILED,
+             "PhysicalMemory: cannot map a %llu-byte chunk",
+             static_cast<unsigned long long>(kChunkSize));
+    auto *base = static_cast<std::uint8_t *>(raw);
+    const std::uint64_t head =
+        (kChunkSize - reinterpret_cast<std::uintptr_t>(base) % kChunkSize) %
+        kChunkSize;
+    std::uint8_t *chunk = base + head;
+    if (head > 0)
+        munmap(base, head);
+    munmap(chunk + kChunkSize, span - head - kChunkSize);
+#ifdef MADV_HUGEPAGE
+    madvise(chunk, kChunkSize, MADV_HUGEPAGE);
+#endif
+    return std::shared_ptr<std::uint8_t[]>(
+        chunk, [](std::uint8_t *p) { munmap(p, kChunkSize); });
+}
+
+} // namespace
 
 std::uint8_t *
 PhysicalMemory::chunkFor(Addr pa)
@@ -19,16 +60,14 @@ PhysicalMemory::chunkFor(Addr pa)
         return c;
     auto it = chunks.find(idx);
     if (it == chunks.end()) {
-        // Value-initialized: untouched memory reads as zero.
-        auto mem = std::make_shared<std::uint8_t[]>(chunkSize);
-        it = chunks.emplace(idx, std::move(mem)).first;
+        // A fresh mapping: untouched memory reads as zero.
+        it = chunks.emplace(idx, mapChunk()).first;
     } else if (it->second.use_count() > 1) {
         // Copy-on-write: a snapshot (or the platform it forked from)
         // still references this chunk. use_count() == 1 is a stable
         // "exclusively ours" signal even with concurrent forks:
         // nobody else can gain a reference except through this map.
-        auto clone =
-            std::make_shared_for_overwrite<std::uint8_t[]>(chunkSize);
+        auto clone = mapChunk();
         std::memcpy(clone.get(), it->second.get(), chunkSize);
         it->second = std::move(clone);
     }

@@ -4,7 +4,12 @@
  *
  * Every simulated memory node owns one PhysicalMemory. Storage is
  * materialized lazily in 2 MiB chunks so that multi-GB simulated
- * capacities cost only what the workload actually touches. All data
+ * capacities cost only what the workload actually touches. Each chunk
+ * is its own 2 MiB-aligned anonymous mapping, advised for a huge page
+ * (MADV_HUGEPAGE, 4 KiB pages where the host declines): it arrives
+ * zero-filled from the kernel, with no memset, takes one page fault
+ * instead of 512, and is unmapped when its last reference goes, so
+ * repeated set-ups never depend on how the malloc heap was left. All data
  * operations in dsasim are *functional* — a simulated copy really
  * moves these bytes — so tests can verify end-to-end data integrity.
  *

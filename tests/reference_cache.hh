@@ -18,7 +18,9 @@
  *     read never;
  *   - the victim is the highest free way of the allowed range, else
  *     the way with the smallest lastUse;
- *   - every touch or install takes the next value of one use clock;
+ *   - every touch or install takes the next value of one use clock,
+ *     which stays internal: a snapshot records each present line's
+ *     rank, the number of present lines of its set used before it;
  *   - occupancy belongs to the line's most recent CPU or DDIO-write
  *     toucher (device reads keep the owner).
  */
@@ -26,6 +28,7 @@
 #ifndef DSASIM_TESTS_REFERENCE_CACHE_HH
 #define DSASIM_TESTS_REFERENCE_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -200,30 +203,39 @@ class ReferenceCache
     saveState() const
     {
         CacheModel::State st;
-        st.useClock = useClock;
         st.hitBytes = hitBytes;
         st.missBytes = missBytes;
         st.writebackBytes = writebackBytes;
         for (std::uint64_t i = 0; i < lines.size(); ++i) {
             const Way &w = lines[i];
-            if (w.valid)
-                st.validLines.push_back(
-                    {i, {w.tag, w.lastUse, w.owner, w.dirty}});
+            if (!w.valid)
+                continue;
+            const Way *set = &lines[i / ways * ways];
+            std::uint64_t rank = 0;
+            for (unsigned v = 0; v < ways; ++v)
+                rank += set[v].valid && set[v].lastUse < w.lastUse;
+            st.validLines.push_back({i, {w.tag, rank, w.owner, w.dirty}});
         }
         return st;
     }
 
+    /**
+     * A line's rank becomes its lastUse (equal ranks keep way order),
+     * and the clock restarts above every rank, so each set replaces
+     * its lines in rank order.
+     */
     void
     restoreState(const CacheModel::State &st)
     {
         invalidateAll();
-        useClock = st.useClock;
+        useClock = 0;
         hitBytes = st.hitBytes;
         missBytes = st.missBytes;
         writebackBytes = st.writebackBytes;
         for (const auto &[idx, l] : st.validLines) {
-            lines.at(idx) = {true, l.dirty, l.owner, l.tag, l.lastUse};
+            lines.at(idx) = {true, l.dirty, l.owner, l.tag, l.rank};
             ++ownerLines[l.owner];
+            useClock = std::max(useClock, l.rank);
         }
     }
 

@@ -2,7 +2,7 @@
  * @file
  * Differential tests for the span-granular cache accounting
  * (DESIGN.md §13): CacheModel must be state-identical — per-line
- * directory contents, LRU clock values, occupancy gauges, traffic
+ * directory contents, per-set LRU ranks, occupancy gauges, traffic
  * tallies and returned aggregates — to ReferenceCache
  * (tests/reference_cache.hh), a naive model that shares nothing with
  * it but Config and State. Fuzzed at four small geometries (one of
@@ -66,7 +66,6 @@ expectSameState(const CacheModel &a, const Model &b)
 {
     CacheModel::State sa = a.saveState();
     CacheModel::State sb = b.saveState();
-    ASSERT_EQ(sa.useClock, sb.useClock);
     EXPECT_EQ(sa.hitBytes, sb.hitBytes);
     EXPECT_EQ(sa.missBytes, sb.missBytes);
     EXPECT_EQ(sa.writebackBytes, sb.writebackBytes);
@@ -76,7 +75,7 @@ expectSameState(const CacheModel &a, const Model &b)
         const auto &[ib, lb] = sb.validLines[i];
         ASSERT_EQ(ia, ib) << "way index diverged at entry " << i;
         EXPECT_EQ(la.tag, lb.tag);
-        EXPECT_EQ(la.lastUse, lb.lastUse);
+        EXPECT_EQ(la.rank, lb.rank);
         EXPECT_EQ(la.owner, lb.owner);
         EXPECT_EQ(la.dirty, lb.dirty);
     }
@@ -301,7 +300,7 @@ TEST(CacheAcct, RestoreIntoChurnedModelMatchesFresh)
 }
 
 // Victims are the least recently used way, whoever owns it: the owner
-// bits packed below the use clock never reorder the LRU scan.
+// bits packed into a way never reorder the LRU order.
 TEST(CacheAcct, LruVictimIgnoresOwnerBits)
 {
     CacheModel c(smallCfg(1, 4, 0));
@@ -329,8 +328,8 @@ TEST(CacheAcct, LruVictimIgnoresOwnerBits)
     EXPECT_EQ(r.evictedPa, 256u);
 }
 
-// The two packing limits of a 16-byte way: owners live in 16 bits,
-// LRU clock values in the 48 above them.
+// The two packing limits of an 8-byte way: tags live in 47 bits,
+// owners in the 16 above them.
 TEST(CacheAcctDeathTest, OwnerOutsideWayFieldIsFatal)
 {
     CacheModel c(smallCfg(8, 4, 2));
@@ -351,17 +350,20 @@ TEST(CacheAcctDeathTest, WaysBeyondSetHeaderAreFatal)
     EXPECT_EQ(c.numWays(), 16u);
 }
 
-TEST(CacheAcctDeathTest, UseClockAtPackingLimitIsFatal)
+TEST(CacheAcctDeathTest, TagOutsideWayFieldIsFatal)
 {
     CacheModel c(smallCfg(8, 4, 2));
+    const Addr top = (1ull << 53) - cacheLineSize; // tag 2^47 - 1
+    c.cpuAccess(top, 1, true);
+    EXPECT_TRUE(c.probe(top));
+    EXPECT_EQ(c.saveState().validLines.at(0).second.tag,
+              (1ull << 47) - 1);
+    EXPECT_DEATH(c.cpuAccess(top + cacheLineSize, 1), "tag");
+    EXPECT_DEATH(c.fillSpan(top + cacheLineSize, cacheLineSize, 1000),
+                 "tag");
     CacheModel::State st;
-    st.useClock = (1ull << 48) - 2;
-    c.restoreState(st);
-    c.cpuAccess(0, 1); // takes the last clock value that packs
-    EXPECT_DEATH(c.cpuAccess(0, 1), "use clock");
-    EXPECT_DEATH(c.probeSpan(0, cacheLineSize), "use clock");
-    st.useClock = 1ull << 48;
-    EXPECT_DEATH(c.restoreState(st), "use clock");
+    st.validLines.push_back({0, {1ull << 47, 0, 1, false}});
+    EXPECT_DEATH(c.restoreState(st), "tag");
 }
 
 /**
@@ -516,10 +518,10 @@ TEST(CacheAcct, FingerprintCollisionConfirmsFullTag)
     m.check();
 }
 
-// restoreState rebuilds each set's LRU order from lastUse alone: a
-// full set restored with shuffled lastUse values into a churned model
-// evicts its ways in ascending lastUse order, in and out of the DDIO
-// range.
+// restoreState rebuilds each set's LRU order from the lines' ranks
+// alone: a full set restored with shuffled rank keys into a churned
+// model evicts its ways in ascending rank order, in and out of the
+// DDIO range.
 TEST(CacheAcct, RestoreRebuildsLruOrderFromLastUse)
 {
     const CacheModel::Config cfg = smallCfg(8, 15, 2);
@@ -532,13 +534,12 @@ TEST(CacheAcct, RestoreRebuildsLruOrderFromLastUse)
     const std::uint64_t use[15] = {90, 14, 77, 3, 58, 41, 66, 25,
                                    12, 99, 8,  50, 33, 71, 19};
     CacheModel::State st;
-    st.useClock = 100;
     for (unsigned w = 0; w < 15; ++w)
         st.validLines.push_back(
             {set * 15 + w,
              {set + (w + 1) * sets, use[w], 1, w % 2 == 0}});
     c.restoreState(st);
-    // The DDIO ways 0 and 1 hold lastUse 90 and 14: a fill evicts 1.
+    // The DDIO ways 0 and 1 hold ranks 90 and 14: a fill evicts 1.
     auto f = c.fillSpan((set + 100 * sets) * cacheLineSize, cacheLineSize,
                         1000);
     EXPECT_EQ(f.lastEvictedPa, 0u); // way 1 was clean

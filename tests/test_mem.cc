@@ -89,6 +89,41 @@ TEST(PhysMem, FillAndSpan)
         ASSERT_EQ(p[i], 0x5a);
 }
 
+// A chunk is a fresh mapping: bytes no write reached read zero. A
+// snapshot shares it, and the write that clones it leaves the
+// snapshot's copy and a fork restored from it untouched.
+TEST(PhysMem, PartialChunkReadsZeroAndForkStaysIndependent)
+{
+    const Addr chunk = PhysicalMemory::chunkSize;
+    PhysicalMemory pm(64 << 20);
+    pm.fill(chunk + 4096, 0xa5, 64);
+    std::vector<std::uint8_t> back(chunk);
+    pm.read(chunk, back.data(), back.size());
+    for (std::uint64_t i = 0; i < chunk; ++i)
+        ASSERT_EQ(back[i], i >= 4096 && i < 4096 + 64 ? 0xa5 : 0)
+            << "offset " << i;
+    EXPECT_EQ(pm.residentBytes(), chunk);
+
+    const PhysicalMemory::State snap = pm.saveState();
+    PhysicalMemory fork(64 << 20);
+    fork.restoreState(snap);
+    EXPECT_EQ(pm.sharedChunks(), 1u);
+    pm.fill(chunk + 4096, 0x3c, 1); // clones the live copy
+    EXPECT_EQ(pm.sharedChunks(), 0u);
+    fork.fill(chunk + 8192, 0x77, 1); // clones the fork's copy
+    std::uint8_t live[2], forked[2];
+    pm.read(chunk + 4096, &live[0], 1);
+    pm.read(chunk + 8192, &live[1], 1);
+    fork.read(chunk + 4096, &forked[0], 1);
+    fork.read(chunk + 8192, &forked[1], 1);
+    EXPECT_EQ(live[0], 0x3c);
+    EXPECT_EQ(live[1], 0);
+    EXPECT_EQ(forked[0], 0xa5);
+    EXPECT_EQ(forked[1], 0x77);
+    EXPECT_EQ(snap.chunks.at(1)[4096], 0xa5);
+    EXPECT_EQ(snap.chunks.at(1)[8192], 0);
+}
+
 TEST(PageTable, LookupAndTranslate)
 {
     PageTable pt;
