@@ -9,8 +9,8 @@
  * (MADV_HUGEPAGE, 4 KiB pages where the host declines): it arrives
  * zero-filled from the kernel, with no memset, takes one page fault
  * instead of 512, and is unmapped when its last reference goes, so
- * repeated set-ups never depend on how the malloc heap was left. All data
- * operations in dsasim are *functional* — a simulated copy really
+ * repeated set-ups never depend on how the malloc heap was left. All
+ * data operations in dsasim are *functional* — a simulated copy really
  * moves these bytes — so tests can verify end-to-end data integrity.
  *
  * Chunks are copy-on-write (DESIGN.md §10): a snapshot captures the
