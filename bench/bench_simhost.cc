@@ -4,7 +4,8 @@
  * throughput, cache-model access rate, LLC directory build and
  * snapshot-restore time, per-line LLC walk cost (CPU stream, random
  * CPU access, device probe span), translation cost (random lookups
- * over many regions, one large alloc), platform set-up and teardown
+ * over many regions, translation-cache miss-evict-insert cycles and
+ * random hits, one large alloc), platform set-up and teardown
  * with 96 MiB of seeded memory, functional operation speed
  * (with the CRC arms the host selected), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "bench/common.hh"
+#include "mem/tlb.hh"
 #include "sim/random.hh"
 #include "ops/crc32.hh"
 #include "ops/crc32_arms.hh"
@@ -239,6 +241,47 @@ xlateRandomNs()
            });
 }
 
+/**
+ * Host ns per lookup plus insert on a 1024-entry TranslationCache
+ * cycling over 1025 pages, so every lookup misses and every insert
+ * evicts: offload-ring's ATC, whose footprint is past its reach.
+ */
+double
+tlbThrashNs()
+{
+    TranslationCache tc(1024);
+    const Addr pages = 1025;
+    Addr next = 0;
+    return 1e9 / bench::bestRate(static_cast<double>(pages), [&] {
+               for (Addr i = 0; i < pages; ++i) {
+                   const Addr va = (next++ % pages) << 12;
+                   if (!tc.lookup(1, va))
+                       tc.insert(1, va);
+               }
+               keep(tc.misses());
+           });
+}
+
+/** Host ns per lookup hit at a random page of a full 1536-entry cache. */
+double
+tlbHitNs()
+{
+    const std::uint32_t entries = 1536;
+    TranslationCache tc(entries);
+    for (Addr p = 0; p < entries; ++p)
+        tc.insert(1, p << 12);
+    Rng rng(5);
+    std::vector<Addr> vas(1 << 16);
+    for (Addr &va : vas)
+        va = Addr{rng.below(entries)} << 12;
+    return 1e9 / bench::bestRate(static_cast<double>(vas.size()), [&] {
+               std::uint64_t hits = 0;
+               for (Addr va : vas)
+                   hits += tc.lookup(1, va);
+               keep(hits);
+           });
+}
+
 /** Host ms for one 1 GiB alloc() of 4 KiB pages in a fresh space. */
 double
 spaceAllocMs()
@@ -367,6 +410,8 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "llc_random_ns", llcRandomNs(), 2);
     gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);
     gate.add(Gate::Info, "xlate_random_ns", xlateRandomNs(), 2);
+    gate.add(Gate::Info, "tlb_thrash_ns", tlbThrashNs(), 2);
+    gate.add(Gate::Info, "tlb_hit_ns", tlbHitNs(), 2);
     gate.add(Gate::Info, "space_alloc_ms", spaceAllocMs(), 6);
     gate.add(Gate::Info, "platform_setup_ms", platformSetupMs(), 3);
     gate.add(Gate::Info, "crc32c_4k_gbps", crc32cGbps(4096), 3);

@@ -12,7 +12,12 @@ namespace dsasim
 
 AddressSpace::AddressSpace(MemSystem &ms, Pasid id)
     : mem(ms), id_(id)
-{}
+{
+    // Translation caches key on (PASID, page number); a wider PASID
+    // would alias another space's pages.
+    fatal_if(id >> pasidBits, "PASID %u exceeds the %u-bit PASID field",
+             id, pasidBits);
+}
 
 Addr
 AddressSpace::alloc(std::uint64_t bytes, MemKind intent,
@@ -23,6 +28,14 @@ AddressSpace::alloc(std::uint64_t bytes, MemKind intent,
     const std::uint64_t size = (bytes + page - 1) & ~(page - 1);
 
     Addr va_base = (allocNext + page - 1) & ~(page - 1);
+    // Translation caches key on VA >> 12 below the PASID field; a
+    // region reaching past 2^vaBits would alias another space's pages.
+    const Addr va_limit = Addr{1} << vaBits;
+    fatal_if(va_base > va_limit || bytes > va_limit - va_base,
+             "allocation of %llu bytes at va=0x%llx ends above the "
+             "%u-bit virtual address space",
+             static_cast<unsigned long long>(bytes),
+             static_cast<unsigned long long>(va_base), vaBits);
     // Leave an unmapped guard page between regions so stray accesses
     // show up as translation panics rather than silent corruption.
     allocNext = va_base + size + page;

@@ -18,6 +18,14 @@ using Addr = std::uint64_t;
 /** Process address space identifier (SVM/PASID). */
 using Pasid = std::uint32_t;
 
+/**
+ * Widths of a PASID (the PCIe PASID field) and of a simulated virtual
+ * address. Translation caches pack (PASID, 4 KiB page number) into
+ * one 64-bit key, which is unique only within these widths.
+ */
+constexpr unsigned pasidBits = 20;
+constexpr unsigned vaBits = 40;
+
 constexpr Addr cacheLineSize = 64;
 
 /** Round @p a down/up to a cache-line boundary. */

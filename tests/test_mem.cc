@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -17,8 +20,34 @@
 #include "mem/page_table.hh"
 #include "mem/phys_mem.hh"
 #include "mem/tlb.hh"
+#include "reference_tlb.hh"
 #include "sim/random.hh"
-#include "sim/random.hh"
+
+namespace
+{
+/** Every operator new in this binary, for the allocation-free checks. */
+std::atomic<std::size_t> heapAllocs{0};
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// GCC cannot see that these frees pair with the malloc above.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace dsasim
 {
@@ -314,6 +343,154 @@ TEST(Tlb, InvalidateSinglePage)
     tc.invalidate(1, 0x1000);
     EXPECT_FALSE(tc.lookup(1, 0x1000));
     EXPECT_TRUE(tc.lookup(1, 0x2000));
+}
+
+TEST(Tlb, FullCacheMissCycleAllocatesNothing)
+{
+    // Offload-ring's ATC: 1025 pages cycled through 1024 entries, so
+    // every lookup misses and every insert evicts the LRU entry.
+    TranslationCache tc(1024);
+    const Addr pages = 1025;
+    for (Addr p = 0; p < pages; ++p)
+        tc.insert(1, p << 12);
+    const std::size_t before = heapAllocs.load();
+    std::uint64_t hits = 0;
+    for (Addr i = 0; i < 4 * pages; ++i) {
+        const Addr va = (i % pages) << 12;
+        hits += tc.lookup(1, va);
+        tc.insert(1, va);
+        // A shootdown and a refill below capacity reuse storage too.
+        if (i % 64 == 0) {
+            tc.invalidate(1, va);
+            tc.insert(2, va);
+        }
+    }
+    EXPECT_EQ(heapAllocs.load(), before);
+    EXPECT_EQ(hits, 0u);
+    EXPECT_EQ(tc.size(), 1024u);
+}
+
+/**
+ * Run TranslationCache and ReferenceTlb side by side through random
+ * lookups, inserts, invalidates and clears over several PASIDs, and
+ * every few hundred operations restore each from the other's snapshot
+ * into a fresh instance. After every call the return value, the
+ * counters, the size and the full MRU-first entry order must agree.
+ */
+void
+tlbDifferentialFuzz(std::size_t capacity, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    Rng rng(seed);
+    // A working set half again the capacity: sequential page runs (as
+    // a streaming descriptor touches them) and scattered pages across
+    // the whole 2^vaBits range, for PASIDs up to the widest one.
+    const Pasid pasids[] = {1, 2, 3, (Pasid{1} << pasidBits) - 1};
+    const std::size_t pool_size = capacity + capacity / 2 + 8;
+    std::vector<std::pair<Pasid, Addr>> pool;
+    const Addr page_limit = Addr{1} << (vaBits - 12);
+    while (pool.size() < pool_size) {
+        const Pasid pasid = pasids[rng.below(4)];
+        const Addr first = rng.range(0, page_limit - 64);
+        const std::uint32_t run = rng.below(2) ? 1 + rng.below(48) : 1;
+        for (std::uint32_t i = 0; i < run && pool.size() < pool_size; ++i)
+            pool.emplace_back(pasid, (first + i) << 12);
+    }
+
+    TranslationCache tc(capacity);
+    ReferenceTlb ref(capacity);
+    auto expectSame = [&](std::size_t op) {
+        ASSERT_EQ(tc.hits(), ref.hits()) << "op " << op;
+        ASSERT_EQ(tc.misses(), ref.misses()) << "op " << op;
+        ASSERT_EQ(tc.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(tc.saveState().entriesMruFirst,
+                  ref.saveState().entriesMruFirst)
+            << "op " << op;
+    };
+
+    const std::size_t ops = 6 * capacity + 3000;
+    std::size_t last = 0;
+    std::size_t next_restore = 200 + rng.below(200);
+    std::size_t max_size = 0;
+    for (std::size_t op = 0; op < ops; ++op) {
+        // Reuse the previous page often, as streaming accesses do, so
+        // the MRU fast path is taken.
+        const std::size_t pick =
+            rng.below(4) == 0 ? last
+                              : rng.below(static_cast<std::uint32_t>(
+                                    pool.size()));
+        last = pick;
+        const auto [pasid, va] = pool[pick];
+        const std::uint32_t kind = rng.below(1000);
+        if (kind < 450) {
+            // The engine's pattern: look up, install on a miss.
+            const bool hit = tc.lookup(pasid, va);
+            ASSERT_EQ(hit, ref.lookup(pasid, va)) << "op " << op;
+            if (!hit) {
+                tc.insert(pasid, va);
+                ref.insert(pasid, va);
+            }
+        } else if (kind < 600) {
+            ASSERT_EQ(tc.lookup(pasid, va), ref.lookup(pasid, va))
+                << "op " << op;
+        } else if (kind < 950) {
+            tc.insert(pasid, va);
+            ref.insert(pasid, va);
+        } else {
+            tc.invalidate(pasid, va);
+            ref.invalidate(pasid, va);
+        }
+        // About one full flush per run, so the caches still fill.
+        if (rng.range(1, ops) == 1) {
+            tc.clear();
+            ref.clear();
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSame(op));
+        max_size = std::max(max_size, tc.size());
+
+        if (op == next_restore) {
+            next_restore += 200 + rng.below(200);
+            TranslationCache tc_fresh(capacity);
+            ReferenceTlb ref_fresh(capacity);
+            tc_fresh.restoreState(ref.saveState());
+            ref_fresh.restoreState(tc.saveState());
+            tc = std::move(tc_fresh);
+            ref = std::move(ref_fresh);
+            ASSERT_NO_FATAL_FAILURE(expectSame(op));
+        }
+    }
+    // Every capacity must have been reached, so evictions ran.
+    EXPECT_EQ(max_size, capacity);
+}
+
+TEST(Tlb, DifferentialFuzz)
+{
+    std::uint64_t seed = 11;
+    for (std::size_t capacity : {0, 1, 2, 7, 64, 1536, 8192})
+        ASSERT_NO_FATAL_FAILURE(tlbDifferentialFuzz(capacity, seed++));
+}
+
+TEST(AddressSpaceDeathTest, RegionAboveVaWidthIsFatal)
+{
+    Simulation sim;
+    MemSystem ms(sim, smallConfig());
+    AddressSpace &as = ms.createSpace();
+    AddressSpace::State st = as.saveState();
+    st.allocNext = (Addr{1} << vaBits) - 4096;
+    as.restoreState(st);
+    EXPECT_DEATH(as.alloc(8192), "virtual address space");
+    // The last page below the limit is still fine; nothing fits after.
+    EXPECT_EQ(as.alloc(4096), (Addr{1} << vaBits) - 4096);
+    EXPECT_DEATH(as.alloc(4096), "virtual address space");
+}
+
+TEST(AddressSpaceDeathTest, PasidBeyondFieldIsFatal)
+{
+    Simulation sim;
+    MemSystem ms(sim, smallConfig());
+    AddressSpace widest(ms, (Pasid{1} << pasidBits) - 1);
+    EXPECT_EQ(widest.pasid(), (Pasid{1} << pasidBits) - 1);
+    EXPECT_DEATH(AddressSpace(ms, Pasid{1} << pasidBits), "PASID field");
 }
 
 TEST(Cache, HitAfterMiss)
