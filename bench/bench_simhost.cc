@@ -7,7 +7,8 @@
  * over many regions, translation-cache miss-evict-insert cycles and
  * random hits, one large alloc), platform set-up and teardown
  * with 96 MiB of seeded memory, functional operation speed
- * (with the CRC arms the host selected), and end-to-end
+ * (with the CRC arms the host selected, and 1 MiB span copies over
+ * a working set larger than a typical host L3), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
  * work the figure benches can afford; they are about dsasim, not
  * about DSA. Each is the best rate of three timed loops.
@@ -334,6 +335,30 @@ crc32cGbps(std::size_t bytes)
            1e9;
 }
 
+/**
+ * AddressSpace::copy GB/s in 1 MiB calls cycling over a 64 MiB
+ * working set (32 MiB each way), larger than a typical host L3, so
+ * the copies run from and to host memory.
+ */
+double
+spanCopy1mGbps()
+{
+    Simulation sim;
+    MemSystem ms(sim, xlateMemConfig());
+    AddressSpace &as = ms.createSpace();
+    const std::uint64_t call = 1 << 20, half = 32ull << 20;
+    const Addr src = as.alloc(half);
+    const Addr dst = as.alloc(half);
+    as.fill(src, 0x5a, half);
+    as.fill(dst, 0, half);
+    std::uint64_t next = 0;
+    return bench::bestRate(static_cast<double>(call), [&] {
+               const std::uint64_t off = next++ % (half / call) * call;
+               as.copy(dst + off, src + off, call);
+           }) /
+           1e9;
+}
+
 /** CRC-16 T10 GB/s over 512 B DIF blocks, one call per block. */
 double
 crc16T10BlockGbps()
@@ -418,6 +443,7 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "crc32c_64k_gbps", crc32cGbps(65536), 3);
     gate.add(Gate::Info, "crc32c_1m_gbps", crc32cGbps(1 << 20), 3);
     gate.add(Gate::Info, "crc16t10_512_gbps", crc16T10BlockGbps(), 3);
+    gate.add(Gate::Info, "span_copy_1m_gbps", spanCopy1mGbps(), 3);
     gate.add(Gate::Info, "crc_arm",
              std::string("crc32c=") + crc_arms::crc32cSelected().name +
                  " crc16t10=" + crc_arms::crc16T10Selected().name);

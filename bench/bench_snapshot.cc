@@ -11,7 +11,7 @@
  * with snapshot sharing (one warm-up, one capture, one fork per
  * point). Both arms must produce byte-identical results — the
  * snapshot contract (DESIGN.md §10) — and the wall-clock ratio is
- * the subsystem's payoff, recorded in BENCH_snapshot.json.
+ * the subsystem's payoff, printed as Info and compared with nothing.
  *
  * The sweep runs at DSASIM_JOBS=1 so the ratio measures work saved,
  * not how many warm-ups the host can overlap.

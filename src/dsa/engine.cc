@@ -478,7 +478,6 @@ Engine::process(Work w)
             Tick first_lat = first_is_hit
                 ? mem.cfg().llcLatency
                 : mem.readLatencyOf(src_node, dev.socket());
-            // Stash in xlate-free variable via publish extra latency.
             Tick end = finishAt(sim.now());
             if (sim.now() < end)
                 co_await sim.delayUntil(end);

@@ -7,8 +7,63 @@
 #include "mem/mem_system.hh"
 #include "sim/logging.hh"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dsasim
 {
+
+namespace
+{
+
+/**
+ * memcpy of non-overlapping runs with streaming stores where the host
+ * has them. Weakly ordered: the request ends with storeFence().
+ */
+void
+streamCopy(std::uint8_t *d, const std::uint8_t *s, std::uint64_t n)
+{
+#if defined(__x86_64__)
+    const auto addr = reinterpret_cast<std::uintptr_t>(d);
+    const std::uint64_t head = std::min<std::uint64_t>(n, -addr & 15);
+    std::memcpy(d, s, head);
+    d += head;
+    s += head;
+    n -= head;
+    auto *out = reinterpret_cast<__m128i *>(d);
+    const auto *in = reinterpret_cast<const __m128i *>(s);
+    for (; n >= 64; n -= 64, out += 4, in += 4) {
+        const __m128i v0 = _mm_loadu_si128(in);
+        const __m128i v1 = _mm_loadu_si128(in + 1);
+        const __m128i v2 = _mm_loadu_si128(in + 2);
+        const __m128i v3 = _mm_loadu_si128(in + 3);
+        _mm_stream_si128(out, v0);
+        _mm_stream_si128(out + 1, v1);
+        _mm_stream_si128(out + 2, v2);
+        _mm_stream_si128(out + 3, v3);
+    }
+    for (; n >= 16; n -= 16)
+        _mm_stream_si128(out++, _mm_loadu_si128(in++));
+    std::memcpy(out, in, n);
+#else
+    std::memcpy(d, s, n);
+#endif
+}
+
+/**
+ * Order every streaming store before whatever follows, above all a
+ * partition thread's release of the data it wrote.
+ */
+void
+storeFence()
+{
+#if defined(__x86_64__)
+    _mm_sfence();
+#endif
+}
+
+} // namespace
 
 AddressSpace::AddressSpace(MemSystem &ms, Pasid id)
     : mem(ms), id_(id)
@@ -69,20 +124,31 @@ AddressSpace::constSpanAt(Addr va, std::uint64_t max_len,
             run};
 }
 
-void
-AddressSpace::resolveSpans(Addr va, std::uint64_t len,
-                           std::vector<Span> &out, const char *what)
+AddressSpace::Span
+AddressSpace::spanRun(Addr va, std::uint64_t len, const char *what)
 {
-    forEachSpan(va, len, what, [&](Span s) { out.push_back(s); });
+    Span run = spanAt(va, len, what);
+    while (run.len < len) {
+        const Span s = spanAt(va + run.len, len - run.len, what);
+        if (s.ptr != run.ptr + run.len)
+            break;
+        run.len += s.len;
+    }
+    return run;
 }
 
-void
-AddressSpace::resolveConstSpans(Addr va, std::uint64_t len,
-                                std::vector<ConstSpan> &out,
-                                const char *what) const
+AddressSpace::ConstSpan
+AddressSpace::constSpanRun(Addr va, std::uint64_t len,
+                           const char *what) const
 {
-    forEachConstSpan(va, len, what,
-                     [&](ConstSpan s) { out.push_back(s); });
+    ConstSpan run = constSpanAt(va, len, what);
+    while (run.ptr && run.len < len) {
+        const ConstSpan s = constSpanAt(va + run.len, len - run.len, what);
+        if (s.ptr != run.ptr + run.len)
+            break;
+        run.len += s.len;
+    }
+    return run;
 }
 
 std::uint8_t *
@@ -90,15 +156,8 @@ AddressSpace::contiguous(Addr va, std::uint64_t len, const char *what)
 {
     if (len == 0)
         return nullptr;
-    Span first = spanAt(va, len, what);
-    std::uint64_t done = first.len;
-    while (done < len) {
-        Span s = spanAt(va + done, len - done, what);
-        if (s.ptr != first.ptr + done)
-            return nullptr;
-        done += s.len;
-    }
-    return first.ptr;
+    const Span run = spanRun(va, len, what);
+    return run.len == len ? run.ptr : nullptr;
 }
 
 const std::uint8_t *
@@ -107,17 +166,8 @@ AddressSpace::contiguousConst(Addr va, std::uint64_t len,
 {
     if (len == 0)
         return nullptr;
-    ConstSpan first = constSpanAt(va, len, what);
-    if (!first.ptr)
-        return nullptr;
-    std::uint64_t done = first.len;
-    while (done < len) {
-        ConstSpan s = constSpanAt(va + done, len - done, what);
-        if (s.ptr != first.ptr + done)
-            return nullptr;
-        done += s.len;
-    }
-    return first.ptr;
+    const ConstSpan run = constSpanRun(va, len, what);
+    return run.len == len ? run.ptr : nullptr;
 }
 
 void
@@ -149,6 +199,14 @@ void
 AddressSpace::write(Addr va, const void *src, std::uint64_t len)
 {
     const auto *in = static_cast<const std::uint8_t *>(src);
+    if (len >= streamingStoreBytes) {
+        forEachSpan(va, len, "write", [&](Span s) {
+            streamCopy(s.ptr, in, s.len);
+            in += s.len;
+        });
+        storeFence();
+        return;
+    }
     if (const auto m = pt.lookup(va);
         m && len && va - m->vaBase + len <= m->size) {
         std::memcpy(mem.pageSpan(m->paBase + (va - m->vaBase), len),
@@ -179,6 +237,18 @@ AddressSpace::copy(Addr dst, Addr src, std::uint64_t len)
 {
     if (len == 0)
         return;
+    const bool overlap = src < dst + len && dst < src + len;
+    // Never-written sources, and dst == src, keep memset/memmove.
+    const bool stream = !overlap && len >= streamingStoreBytes;
+    const auto move = [stream](std::uint8_t *d, const std::uint8_t *s,
+                               std::uint64_t n) {
+        if (!s)
+            std::memset(d, 0, n);
+        else if (stream)
+            streamCopy(d, s, n);
+        else
+            std::memmove(d, s, n);
+    };
     // Fast path: each range inside one mapping — a single memmove
     // (which also covers every overlap case).
     if (const auto ms = pt.lookup(src);
@@ -189,14 +259,12 @@ AddressSpace::copy(Addr dst, Addr src, std::uint64_t len)
                 ms->paBase + (src - ms->vaBase), len);
             std::uint8_t *d =
                 mem.pageSpan(md->paBase + (dst - md->vaBase), len);
-            if (s)
-                std::memmove(d, s, len);
-            else
-                std::memset(d, 0, len);
+            move(d, s, len);
+            if (stream)
+                storeFence();
             return;
         }
     }
-    const bool overlap = src < dst + len && dst < src + len;
     if (!overlap || dst == src) {
         // Pairwise span walk, no staging buffer. memmove covers the
         // dst == src exact-alias case.
@@ -204,12 +272,11 @@ AddressSpace::copy(Addr dst, Addr src, std::uint64_t len)
         while (done < len) {
             ConstSpan s = constSpanAt(src + done, len - done, "read");
             Span d = spanAt(dst + done, s.len, "write");
-            if (s.ptr)
-                std::memmove(d.ptr, s.ptr, d.len);
-            else
-                std::memset(d.ptr, 0, d.len);
+            move(d.ptr, s.ptr, d.len);
             done += d.len;
         }
+        if (stream)
+            storeFence();
         return;
     }
     // Overlapping ranges: when both resolve to single host spans the

@@ -31,7 +31,6 @@
 #define DSASIM_MEM_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/page_table.hh"
 #include "mem/types.hh"
@@ -87,21 +86,12 @@ class AddressSpace
     void
     forEachSpan(Addr va, std::uint64_t len, const char *what, Fn &&fn)
     {
-        Span pend;
         while (len > 0) {
-            Span s = spanAt(va, len, what);
-            if (pend.len && s.ptr == pend.ptr + pend.len) {
-                pend.len += s.len;
-            } else {
-                if (pend.len)
-                    fn(pend);
-                pend = s;
-            }
+            const Span s = spanRun(va, len, what);
+            fn(s);
             va += s.len;
             len -= s.len;
         }
-        if (pend.len)
-            fn(pend);
     }
 
     /**
@@ -135,12 +125,20 @@ class AddressSpace
             fn(pend);
     }
 
-    /** Append the merged spans covering [va, va+len) to @p out. */
-    void resolveSpans(Addr va, std::uint64_t len,
-                      std::vector<Span> &out,
-                      const char *what = "access");
-    void resolveConstSpans(Addr va, std::uint64_t len,
-                           std::vector<ConstSpan> &out,
+    /**
+     * The longest host-contiguous run at the front of [va, va+len)
+     * (materializing backing): forEachSpan's first span, for callers
+     * that walk a range as a cursor. len must be > 0.
+     */
+    Span spanRun(Addr va, std::uint64_t len,
+                 const char *what = "access");
+
+    /**
+     * Read-only variant. A never-written first page is returned alone
+     * as a nullptr span; a written run stops at the first page that
+     * does not continue it.
+     */
+    ConstSpan constSpanRun(Addr va, std::uint64_t len,
                            const char *what = "access") const;
 
     /**
@@ -162,6 +160,18 @@ class AddressSpace
 
     /// @name Functional access by virtual address (no timing).
     /// @{
+
+    /**
+     * A write(), or a copy() between ranges that do not overlap, of
+     * at least this many bytes stores with non-temporal (streaming)
+     * stores where the host has them: a destination that large is
+     * not read again soon, so caching it would only evict useful
+     * lines, and skipping the read-for-ownership saves a read per
+     * line. The choice follows the request's length, so it never
+     * reaches a result. Each such call ends with a store fence.
+     */
+    static constexpr std::uint64_t streamingStoreBytes = 256 * 1024;
+
     void read(Addr va, void *dst, std::uint64_t len) const;
     void write(Addr va, const void *src, std::uint64_t len);
     void fill(Addr va, std::uint8_t value, std::uint64_t len);

@@ -84,11 +84,14 @@ makeCrc16Tables()
 
 constexpr auto crc16T = makeCrc16Tables();
 
-/// @name GF(2) arithmetic modulo the CRC-32C polynomial.
-/// Reflected representation: bit 31 holds the x^0 coefficient.
+/// @name GF(2) arithmetic modulo a reflected CRC-32 polynomial.
+/// Reflected representation: bit 31 holds the x^0 coefficient. The
+/// polynomial is a parameter only so that the fold constants below
+/// can be checked against published ones for another CRC-32.
 /// @{
 
 /** a·b mod P. */
+template <std::uint32_t Poly = crc32cPoly>
 constexpr std::uint32_t
 mulModP(std::uint32_t a, std::uint32_t b)
 {
@@ -96,28 +99,30 @@ mulModP(std::uint32_t a, std::uint32_t b)
     for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
         if (a & m)
             prod ^= b;
-        b = (b >> 1) ^ ((b & 1) ? crc32cPoly : 0); // b *= x
+        b = (b >> 1) ^ ((b & 1) ? Poly : 0); // b *= x
     }
     return prod;
 }
 
-/** x2k[k] = x^(2^k) mod P, by repeated squaring of x. */
+/** x2k<P>[k] = x^(2^k) mod P, by repeated squaring of x. */
+template <std::uint32_t Poly>
 constexpr auto x2k = [] {
     std::array<std::uint32_t, 67> t{};
     t[0] = 1u << 30; // x^1
     for (std::size_t k = 1; k < t.size(); ++k)
-        t[k] = mulModP(t[k - 1], t[k - 1]);
+        t[k] = mulModP<Poly>(t[k - 1], t[k - 1]);
     return t;
 }();
 
 /** x^(8·n) mod P: the operator that appends n zero bytes. */
+template <std::uint32_t Poly = crc32cPoly>
 constexpr std::uint32_t
 xPow8n(std::uint64_t n)
 {
     std::uint32_t p = 1u << 31; // x^0
     for (std::size_t k = 3; n != 0; n >>= 1, ++k) {
         if (n & 1)
-            p = mulModP(p, x2k[k]);
+            p = mulModP<Poly>(p, x2k<Poly>[k]);
     }
     return p;
 }
@@ -315,12 +320,35 @@ loadReversed(const std::uint8_t *p)
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
 }
 
+__attribute__((target("pclmul,ssse3"))) inline __m128i
+consts(FoldConsts k)
+{
+    return _mm_set_epi64x(static_cast<long long>(k.hi),
+                          static_cast<long long>(k.lo));
+}
+
 /** acc·x^D mod P (unreduced, 128-bit) for k = {x^(D+64), x^D}. */
 __attribute__((target("pclmul,ssse3"))) inline __m128i
 fold(__m128i acc, __m128i k)
 {
     return _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x11),
                          _mm_clmulepi64_si128(acc, k, 0x00));
+}
+
+/**
+ * Fold the whole 16-byte blocks of [p, p+len) into @p acc, then
+ * finish: the table CRC of the residue's 16 bytes, continued over
+ * the last len % 16 bytes.
+ */
+__attribute__((target("pclmul,ssse3"))) std::uint16_t
+crc16Residue(__m128i acc, const std::uint8_t *p, std::size_t len)
+{
+    const __m128i k128 = consts(fold128);
+    for (; len >= 16; p += 16, len -= 16)
+        acc = _mm_xor_si128(fold(acc, k128), loadReversed(p));
+    alignas(16) std::uint8_t last[16];
+    _mm_store_si128(reinterpret_cast<__m128i *>(last), byteReverse(acc));
+    return crc16T10SliceBy8(p, len, crc16T10SliceBy8(last, 16, 0));
 }
 
 __attribute__((target("pclmul,ssse3"))) std::uint16_t
@@ -330,12 +358,8 @@ crc16T10Pclmul(const void *data, std::size_t len, std::uint16_t seed)
     if (len < 64)
         return crc16T10SliceBy8(p, len, seed);
 
-    const __m128i k512 = _mm_set_epi64x(
-        static_cast<long long>(fold512.hi),
-        static_cast<long long>(fold512.lo));
-    const __m128i k128 = _mm_set_epi64x(
-        static_cast<long long>(fold128.hi),
-        static_cast<long long>(fold128.lo));
+    const __m128i k512 = consts(fold512);
+    const __m128i k128 = consts(fold128);
 
     // The seed enters as the top 16 bits of the first block, exactly
     // as the table arm XORs it into the first two bytes.
@@ -355,13 +379,201 @@ crc16T10Pclmul(const void *data, std::size_t len, std::uint16_t seed)
     __m128i acc = _mm_xor_si128(fold(x0, k128), x1);
     acc = _mm_xor_si128(fold(acc, k128), x2);
     acc = _mm_xor_si128(fold(acc, k128), x3);
-    for (; len >= 16; p += 16, len -= 16)
-        acc = _mm_xor_si128(fold(acc, k128), loadReversed(p));
-
-    alignas(16) std::uint8_t last[16];
-    _mm_store_si128(reinterpret_cast<__m128i *>(last), byteReverse(acc));
-    return crc16T10SliceBy8(p, len, crc16T10SliceBy8(last, 16, 0));
+    return crc16Residue(acc, p, len);
 }
+
+/// @}
+
+/// @name VPCLMULQDQ CRC-32C and CRC-16 T10.
+/// Four 512-bit accumulators fold 256 bytes a step: each of their
+/// sixteen 128-bit lanes moves forward by 2048 bits with the
+/// congruence of the 128-bit arms. The accumulators then fold into
+/// one, its four lanes into one 128-bit residue ≡ the consumed
+/// prefix, and each CRC finishes that residue the way its 128-bit
+/// arm does.
+///
+/// CRC-32C is reflected: a plain little-endian load already puts the
+/// message's first bit at bit 0, and the product of two reflected
+/// operands lands one bit low. With k(D) = (x^D mod P) << 1 in that
+/// order, a lane A folds forward by D bits as
+/// A_lo·k(D+32) + A_hi·k(D-32), the constants of Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ". After the
+/// last fold, the crc32 instruction over the residue's 16 bytes from
+/// state 0 is the prefix's CRC state.
+/// @{
+
+/** k(D): x^D mod P, one bit up for the reflected product. */
+template <std::uint32_t Poly = crc32cPoly>
+constexpr std::uint64_t
+reflectedK(unsigned bits)
+{
+    return std::uint64_t{xPow8n<Poly>(bits / 8)} << 1;
+}
+
+/** {k(D+32), k(D-32)}: the low qword's multiplier sits high. */
+template <std::uint32_t Poly = crc32cPoly>
+constexpr FoldConsts
+reflectedFoldBy(unsigned bits)
+{
+    return {reflectedK<Poly>(bits + 32), reflectedK<Poly>(bits - 32)};
+}
+
+// The same derivation for the IEEE CRC-32 gives zlib's published
+// fold-by-4 (D = 512) constants.
+static_assert(reflectedFoldBy<0xedb88320u>(512).hi == 0x154442bd4);
+static_assert(reflectedFoldBy<0xedb88320u>(512).lo == 0x1c6e41596);
+
+/** acc·x^D mod P (unreduced, reflected) for k = reflectedFoldBy(D). */
+__attribute__((target("pclmul,ssse3"))) inline __m128i
+foldReflected(__m128i acc, __m128i k)
+{
+    return _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x10),
+                         _mm_clmulepi64_si128(acc, k, 0x01));
+}
+
+/**
+ * crc16Residue for CRC-32C: fold the whole 16-byte blocks left, then
+ * run crc32 over the residue from state 0 and on over the tail.
+ */
+__attribute__((target("pclmul,sse4.2"))) std::uint32_t
+crc32cResidue(__m128i acc, const std::uint8_t *p, std::size_t len)
+{
+    constexpr FoldConsts by128 = reflectedFoldBy(128);
+    const __m128i k128 = consts(by128);
+    for (; len >= 16; p += 16, len -= 16) {
+        acc = _mm_xor_si128(
+            foldReflected(acc, k128),
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
+    std::uint64_t c = _mm_crc32_u64(
+        0, static_cast<std::uint64_t>(_mm_cvtsi128_si64(acc)));
+    c = _mm_crc32_u64(
+        c, static_cast<std::uint64_t>(_mm_extract_epi64(acc, 1)));
+    return crc32cSse42(p, len, static_cast<std::uint32_t>(c));
+}
+
+#define DSASIM_VPCLMUL                                                 \
+    __attribute__((target("avx512f,avx512bw,avx512vl,vpclmulqdq,"     \
+                          "pclmul,sse4.2,ssse3")))
+
+/** One 64-byte load; MSB-first lanes are byte-reversed. */
+template <bool Reflected>
+DSASIM_VPCLMUL inline __m512i
+load512(const std::uint8_t *p)
+{
+    const __m512i v = _mm512_loadu_si512(p);
+    if constexpr (Reflected) {
+        return v;
+    } else {
+        constexpr long long hi = 0x0001020304050607;
+        constexpr long long lo = 0x08090a0b0c0d0e0f;
+        return _mm512_shuffle_epi8(
+            v, _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo));
+    }
+}
+
+/** Fold-by-@p bits constants of either bit order. */
+template <bool Reflected>
+constexpr FoldConsts
+foldConsts(unsigned bits)
+{
+    return Reflected ? reflectedFoldBy(bits) : foldBy(bits);
+}
+
+/** @p k in every 128-bit lane. */
+DSASIM_VPCLMUL inline __m512i
+consts512(FoldConsts k)
+{
+    const auto hi = static_cast<long long>(k.hi);
+    const auto lo = static_cast<long long>(k.lo);
+    return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+/** Every lane of @p acc folded forward, XORed with @p next. */
+template <bool Reflected>
+DSASIM_VPCLMUL inline __m512i
+foldIn(__m512i acc, __m512i k, __m512i next)
+{
+    constexpr int lo = Reflected ? 0x10 : 0x00;
+    constexpr int hi = Reflected ? 0x01 : 0x11;
+    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, lo),
+                                     _mm512_clmulepi64_epi128(acc, k, hi),
+                                     next, 0x96);
+}
+
+/**
+ * Fold the 64-byte blocks of [p, p+len), len >= 256, into one
+ * 128-bit residue, with @p seed XORed into the first block; advances
+ * @p p and @p len past them.
+ */
+template <bool Reflected>
+DSASIM_VPCLMUL __m128i
+foldWide(const std::uint8_t *&p, std::size_t &len, __m512i seed)
+{
+    constexpr FoldConsts by2048 = foldConsts<Reflected>(2048);
+    constexpr FoldConsts by512 = foldConsts<Reflected>(512);
+    constexpr FoldConsts by128 = foldConsts<Reflected>(128);
+    const __m512i k2048 = consts512(by2048);
+    const __m512i k512 = consts512(by512);
+    __m512i x0 = _mm512_xor_si512(load512<Reflected>(p), seed);
+    __m512i x1 = load512<Reflected>(p + 64);
+    __m512i x2 = load512<Reflected>(p + 128);
+    __m512i x3 = load512<Reflected>(p + 192);
+    p += 256;
+    len -= 256;
+    for (; len >= 256; p += 256, len -= 256) {
+        x0 = foldIn<Reflected>(x0, k2048, load512<Reflected>(p));
+        x1 = foldIn<Reflected>(x1, k2048, load512<Reflected>(p + 64));
+        x2 = foldIn<Reflected>(x2, k2048, load512<Reflected>(p + 128));
+        x3 = foldIn<Reflected>(x3, k2048, load512<Reflected>(p + 192));
+    }
+    __m512i acc = foldIn<Reflected>(x0, k512, x1);
+    acc = foldIn<Reflected>(acc, k512, x2);
+    acc = foldIn<Reflected>(acc, k512, x3);
+    for (; len >= 64; p += 64, len -= 64)
+        acc = foldIn<Reflected>(acc, k512, load512<Reflected>(p));
+
+    const __m128i k128 = consts(by128);
+    alignas(64) __m128i lanes[4];
+    _mm512_store_si512(lanes, acc);
+    __m128i r = lanes[0];
+    for (int i = 1; i < 4; ++i) {
+        r = _mm_xor_si128(Reflected ? foldReflected(r, k128)
+                                    : fold(r, k128),
+                          lanes[i]);
+    }
+    return r;
+}
+
+/** Below this the 128-bit arms are as fast. */
+constexpr std::size_t wideMinBytes = 256;
+
+DSASIM_VPCLMUL std::uint32_t
+crc32cVpclmul(const void *data, std::size_t len, std::uint32_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    if (len < wideMinBytes)
+        return crc32cSse42(p, len, seed);
+    // The state XORs into the first four bytes, as crc32 does.
+    const __m128i r = foldWide<true>(
+        p, len, _mm512_zextsi128_si512(_mm_cvtsi32_si128(
+                    static_cast<int>(seed))));
+    return crc32cResidue(r, p, len);
+}
+
+DSASIM_VPCLMUL std::uint16_t
+crc16T10Vpclmul(const void *data, std::size_t len, std::uint16_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    if (len < wideMinBytes)
+        return crc16T10Pclmul(p, len, seed);
+    const __m128i r = foldWide<false>(
+        p, len, _mm512_zextsi128_si512(
+                    _mm_slli_si128(_mm_cvtsi32_si128(seed), 14)));
+    return crc16Residue(r, p, len);
+}
+
+#undef DSASIM_VPCLMUL
 
 /// @}
 
@@ -379,8 +591,8 @@ using crc_arms::Crc32cFn;
 struct Dispatch
 {
 #if defined(__x86_64__)
-    std::array<Arm<Crc32cFn>, 2> crc32c;
-    std::array<Arm<Crc16Fn>, 2> crc16;
+    std::array<Arm<Crc32cFn>, 3> crc32c;
+    std::array<Arm<Crc16Fn>, 3> crc16;
 #else
     std::array<Arm<Crc32cFn>, 1> crc32c;
     std::array<Arm<Crc16Fn>, 1> crc16;
@@ -412,10 +624,17 @@ dispatch()
         const bool sse42 = __builtin_cpu_supports("sse4.2");
         const bool clmul = __builtin_cpu_supports("pclmul") &&
                            __builtin_cpu_supports("ssse3");
+        const bool wide = sse42 && clmul &&
+                          __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw") &&
+                          __builtin_cpu_supports("avx512vl") &&
+                          __builtin_cpu_supports("vpclmulqdq");
         Dispatch r{{{{"slice-by-8", true, crc32cSliceBy8},
-                     {"sse4.2", sse42, crc32cSse42}}},
+                     {"sse4.2", sse42, crc32cSse42},
+                     {"vpclmul", wide, crc32cVpclmul}}},
                    {{{"slice-by-8", true, crc16T10SliceBy8},
-                     {"pclmul", clmul, crc16T10Pclmul}}}};
+                     {"pclmul", clmul, crc16T10Pclmul},
+                     {"vpclmul", wide, crc16T10Vpclmul}}}};
 #else
         Dispatch r{{{{"slice-by-8", true, crc32cSliceBy8}}},
                    {{{"slice-by-8", true, crc16T10SliceBy8}}}};

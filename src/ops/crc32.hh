@@ -4,12 +4,13 @@
  * and ISA-L's crc32_iscsi compute — and the CRC-16 T10-DIF guard tag.
  *
  * crc32c() and crc16T10() run the fastest implementation ("arm") the
- * host supports, picked once from cpuid: on x86-64, SSE4.2 crc32
- * over three interleaved lanes for CRC-32C and PCLMULQDQ folding for
- * CRC-16 T10; everywhere else, and on hosts without those
- * instructions, portable slice-by-8 tables. Every arm returns the
- * same bits, so the choice never reaches a simulated result. The
- * bit-at-a-time reference implementations are kept for
+ * host supports, picked once from cpuid: on x86-64 with AVX-512 and
+ * VPCLMULQDQ, 512-bit carry-less folding for both; on other x86-64
+ * hosts, SSE4.2 crc32 over three interleaved lanes for CRC-32C and
+ * PCLMULQDQ folding for CRC-16 T10; everywhere else, and on hosts
+ * without those instructions, portable slice-by-8 tables. Every arm
+ * returns the same bits, so the choice never reaches a simulated
+ * result. The bit-at-a-time reference implementations are kept for
  * cross-checking in the tests; ops/crc32_arms.hh exposes each arm to
  * tests and bench_simhost.
  */

@@ -68,6 +68,43 @@ viewOf(AddressSpace &as, std::vector<std::uint8_t> &buf, Addr va,
     return p;
 }
 
+/**
+ * Run one DIF opcode over @p n whole blocks from block @p b, in place
+ * of @p n one-block calls: the same bytes, result and failing block.
+ * A failed update writes the blocks before the failing one only.
+ */
+DifCheckResult
+difBlocks(const OpArgs &a, const std::uint8_t *in, std::uint8_t *out,
+          std::uint64_t b, std::uint64_t n)
+{
+    const std::uint64_t blk = a.difBlockBytes;
+    const auto tag32 = static_cast<std::uint32_t>(b);
+    DifCheckResult chk;
+    switch (a.op) {
+      case Opcode::DifInsert:
+        difInsert(in, out, blk, n, a.appTag, a.refTag + tag32);
+        break;
+      case Opcode::DifStrip:
+        difStrip(in, out, blk, n);
+        break;
+      case Opcode::DifCheck:
+        chk = difCheck(in, blk, n, a.appTag, a.refTag + tag32);
+        break;
+      default:
+        chk = difUpdate(in, out, blk, n, a.appTag, a.refTag + tag32,
+                        a.newAppTag, a.newRefTag + tag32);
+        if (!chk.ok && chk.failedBlock > 0) {
+            difUpdate(in, out, blk, chk.failedBlock, a.appTag,
+                      a.refTag + tag32, a.newAppTag,
+                      a.newRefTag + tag32);
+        }
+        break;
+    }
+    if (!chk.ok)
+        chk.failedBlock += b;
+    return chk;
+}
+
 void
 runDif(AddressSpace &as, const OpArgs &a, std::uint64_t eff_size,
        OpScratch &sc, OpOutcome &out)
@@ -76,60 +113,44 @@ runDif(AddressSpace &as, const OpArgs &a, std::uint64_t eff_size,
     const std::uint64_t eff_blocks = eff_size / blk;
     const DifUnits u = difUnits(a);
     const bool has_dst = a.op != Opcode::DifCheck;
-    // Blocks resolve directly into backing unless the source and
-    // destination ranges alias (then later reads must observe
-    // earlier writes in block order, which the buffered path
-    // reproduces).
+    // Whole blocks run directly on backing, one call per run of
+    // blocks that is host-contiguous on both sides, unless the source
+    // and destination ranges alias: then later reads must observe
+    // earlier writes in block order, which staging one block at a
+    // time reproduces.
     const bool aliased = has_dst &&
         rangesOverlap(a.src, eff_blocks * u.in, a.dst,
                       eff_blocks * u.out);
     std::uint8_t *in_buf = ensure(sc.a, u.in);
     std::uint8_t *out_buf = ensure(sc.b, u.out);
     DifCheckResult chk;
-    for (std::uint64_t b = 0; b < eff_blocks && chk.ok; ++b) {
+    for (std::uint64_t b = 0, n = 0; b < eff_blocks && chk.ok; b += n) {
         const Addr src_va = a.src + b * u.in;
         const Addr dst_va = a.dst + b * u.out;
-        const std::uint8_t *in = aliased
-            ? nullptr
-            : as.contiguousConst(src_va, u.in, "read");
-        if (!in) {
-            as.read(src_va, in_buf, u.in);
-            in = in_buf;
+        n = 0;
+        if (!aliased) {
+            const AddressSpace::ConstSpan in = as.constSpanRun(
+                src_va, (eff_blocks - b) * u.in, "read");
+            n = in.ptr ? in.len / u.in : 0;
+            std::uint8_t *outp = nullptr;
+            if (n && has_dst) {
+                const AddressSpace::Span o =
+                    as.spanRun(dst_va, n * u.out, "write");
+                n = std::min(n, o.len / u.out);
+                outp = o.ptr;
+            }
+            if (n)
+                chk = difBlocks(a, in.ptr, outp, b, n);
         }
-        auto tag32 = static_cast<std::uint32_t>(b);
-        switch (a.op) {
-          case Opcode::DifInsert:
-          case Opcode::DifStrip: {
-            std::uint8_t *outp = aliased
-                ? nullptr
-                : as.contiguous(dst_va, u.out, "write");
-            const bool direct = outp != nullptr;
-            if (!direct)
-                outp = out_buf;
-            if (a.op == Opcode::DifInsert)
-                difInsert(in, outp, blk, 1, a.appTag, a.refTag + tag32);
-            else
-                difStrip(in, outp, blk, 1);
-            if (!direct)
+        if (n == 0) {
+            // A block that straddles a run boundary or reads
+            // never-written memory; an update that fails its check
+            // leaves the block's destination untouched.
+            n = 1;
+            as.read(src_va, in_buf, u.in);
+            chk = difBlocks(a, in_buf, out_buf, b, 1);
+            if (has_dst && chk.ok)
                 as.write(dst_va, out_buf, u.out);
-            break;
-          }
-          case Opcode::DifCheck:
-            chk = difCheck(in, blk, 1, a.appTag, a.refTag + tag32);
-            if (!chk.ok)
-                chk.failedBlock = b;
-            break;
-          default:
-            // Update is staged: a failed check must leave the
-            // block's destination untouched.
-            chk = difUpdate(in, out_buf, blk, 1, a.appTag,
-                            a.refTag + tag32, a.newAppTag,
-                            a.newRefTag + tag32);
-            if (chk.ok)
-                as.write(dst_va, out_buf, u.out);
-            else
-                chk.failedBlock = b;
-            break;
         }
     }
     if (!chk.ok) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "ops/crc32.hh"
 
@@ -123,42 +122,31 @@ spanFillPattern(AddressSpace &as, Addr dst, std::uint64_t len,
 std::uint64_t
 spanCompare(const AddressSpace &as, Addr a, Addr b, std::uint64_t len)
 {
-    if (len == 0)
-        return 0;
-    std::vector<ConstSpan> sa, sb;
-    as.resolveConstSpans(a, len, sa, "read");
-    as.resolveConstSpans(b, len, sb, "read");
-
-    std::size_t ia = 0, ib = 0;
-    std::uint64_t oa = 0, ob = 0; // consumed within current spans
-    std::uint64_t off = 0;
-    while (off < len) {
-        const ConstSpan &sA = sa[ia];
-        const ConstSpan &sB = sb[ib];
-        std::uint64_t run = std::min(sA.len - oa, sB.len - ob);
-        const std::uint8_t *pa = sA.ptr ? sA.ptr + oa : nullptr;
-        const std::uint8_t *pb = sB.ptr ? sB.ptr + ob : nullptr;
+    // One run-at-a-time cursor per range: the unconsumed part of the
+    // current run.
+    ConstSpan sa, sb;
+    for (std::uint64_t off = 0; off < len;) {
+        if (sa.len == 0)
+            sa = as.constSpanRun(a + off, len - off, "read");
+        if (sb.len == 0)
+            sb = as.constSpanRun(b + off, len - off, "read");
+        const std::uint64_t run = std::min(sa.len, sb.len);
         std::uint64_t d;
-        if (pa && pb)
-            d = firstDiff(pa, pb, run);
-        else if (pa)
-            d = firstNonZero(pa, run);
-        else if (pb)
-            d = firstNonZero(pb, run);
+        if (sa.ptr && sb.ptr)
+            d = firstDiff(sa.ptr, sb.ptr, run);
+        else if (sa.ptr)
+            d = firstNonZero(sa.ptr, run);
+        else if (sb.ptr)
+            d = firstNonZero(sb.ptr, run);
         else
             d = run; // both never written: equal zeroes
         if (d < run)
             return off + d;
         off += run;
-        oa += run;
-        ob += run;
-        if (oa == sA.len) {
-            ++ia;
-            oa = 0;
-        }
-        if (ob == sB.len) {
-            ++ib;
-            ob = 0;
+        for (ConstSpan *s : {&sa, &sb}) {
+            s->len -= run;
+            if (s->ptr)
+                s->ptr += run;
         }
     }
     return len;
@@ -180,10 +168,8 @@ spanComparePattern(const AddressSpace &as, Addr a, std::uint64_t len,
         std::memcpy(tile + filled,
                     tile, std::min(filled, tileBytes - filled));
 
-    std::vector<ConstSpan> ss;
-    as.resolveConstSpans(a, len, ss, "read");
-    std::uint64_t off = 0;
-    for (const ConstSpan &s : ss) {
+    for (std::uint64_t off = 0; off < len;) {
+        const ConstSpan s = as.constSpanRun(a + off, len - off, "read");
         const unsigned phase = static_cast<unsigned>(off % 8);
         if (!s.ptr) {
             // Zeroes mismatch a non-zero pattern within 8 bytes.

@@ -213,18 +213,23 @@ caseName(const ::testing::TestParamInfo<ArmCase> &info)
 
 constexpr std::size_t maxLen = 1 << 20;
 
-/** 1 MiB + 64 B of random bytes, shared by every differential test. */
-const std::vector<std::uint8_t> &
+/**
+ * 1 MiB + 64 B of random bytes from a 64-byte boundary, shared by
+ * every differential test, so an offset is also the start's
+ * misalignment to a 512-bit load.
+ */
+const std::uint8_t *
 fuzzBuffer()
 {
     static const std::vector<std::uint8_t> buf = [] {
         Rng rng(16);
-        std::vector<std::uint8_t> b(maxLen + 64);
+        std::vector<std::uint8_t> b(maxLen + 128);
         for (auto &x : b)
             x = static_cast<std::uint8_t>(rng.next32());
         return b;
     }();
-    return buf;
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    return buf.data() + (-addr & 63);
 }
 
 /** Every arm, each checked against the bit-at-a-time reference. */
@@ -250,8 +255,9 @@ TEST_P(CrcArms, MatchesBitwiseAcrossLengths)
     std::vector<std::size_t> lens;
     for (std::size_t n = 0; n <= 200; ++n)
         lens.push_back(n);
-    for (std::size_t b : {8u, 16u, 64u, 128u, 384u, 512u, 768u, 2048u,
-                          4096u, 6144u, 6528u, 12288u, 65536u}) {
+    for (std::size_t b : {8u, 16u, 64u, 128u, 256u, 384u, 512u, 768u,
+                          1024u, 2048u, 4096u, 6144u, 6528u, 12288u,
+                          65536u}) {
         for (std::size_t n = b - 16; n <= b + 16; ++n)
             lens.push_back(n);
     }
@@ -261,9 +267,10 @@ TEST_P(CrcArms, MatchesBitwiseAcrossLengths)
     lens.erase(std::unique(lens.begin(), lens.end()), lens.end());
 
     Rng rng(17);
-    const auto &buf = fuzzBuffer();
-    for (std::size_t off : {0u, 1u, 3u, 7u, 8u, 13u, 63u}) {
-        const std::uint8_t *p = buf.data() + off;
+    const std::uint8_t *buf = fuzzBuffer();
+    for (std::size_t off :
+         {0u, 1u, 3u, 7u, 8u, 13u, 16u, 32u, 48u, 63u}) {
+        const std::uint8_t *p = buf + off;
         const std::uint32_t seed = rng.next32() & arm.seedMask;
         std::uint32_t ref = seed;
         std::size_t done = 0;
@@ -280,15 +287,15 @@ TEST_P(CrcArms, MatchesBitwiseRandomOffsetsAndSeeds)
 {
     const ArmCase &arm = GetParam();
     Rng rng(18);
-    const auto &buf = fuzzBuffer();
+    const std::uint8_t *buf = fuzzBuffer();
     for (int i = 0; i < 300; ++i) {
         const std::size_t off = rng.below(64);
         const std::uint32_t cap =
             i % 30 == 0 ? maxLen : (i % 3 == 0 ? 1 << 14 : 1 << 10);
         const std::size_t len = rng.below(cap + 1);
         const std::uint32_t seed = rng.next32() & arm.seedMask;
-        ASSERT_EQ(arm.fn(buf.data() + off, len, seed),
-                  arm.ref(buf.data() + off, len, seed))
+        ASSERT_EQ(arm.fn(buf + off, len, seed),
+                  arm.ref(buf + off, len, seed))
             << arm.name << " len=" << len << " off=" << off;
     }
 }
@@ -302,7 +309,7 @@ TEST_P(CrcArms, ChainingSplitsAtRandomCuts)
 {
     const ArmCase &arm = GetParam();
     Rng rng(19);
-    const auto &buf = fuzzBuffer();
+    const std::uint8_t *buf = fuzzBuffer();
     for (int i = 0; i < 100; ++i) {
         const std::size_t off = rng.below(64);
         const std::size_t len =
@@ -313,7 +320,7 @@ TEST_P(CrcArms, ChainingSplitsAtRandomCuts)
             cuts.push_back(rng.below(static_cast<std::uint32_t>(len)));
         std::sort(cuts.begin(), cuts.end());
 
-        const std::uint8_t *p = buf.data() + off;
+        const std::uint8_t *p = buf + off;
         std::uint32_t state = seed;
         for (std::size_t k = 1; k < cuts.size(); ++k)
             state = arm.fn(p + cuts[k - 1], cuts[k] - cuts[k - 1], state);
@@ -408,6 +415,11 @@ TEST(CrcDispatch, PicksHardwareWhenPresent)
     if (__builtin_cpu_supports("pclmul") &&
         __builtin_cpu_supports("ssse3"))
         want16 = "pclmul";
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("vpclmulqdq"))
+        want32 = want16 = "vpclmul";
 #endif
     EXPECT_EQ(crc_arms::crc32cSelected().name, want32);
     EXPECT_EQ(crc_arms::crc16T10Selected().name, want16);

@@ -16,6 +16,8 @@
 #include "mem/mem_system.hh"
 #include "mem/page_table.hh"
 #include "ops/crc32.hh"
+#include "ops/data_plane.hh"
+#include "ops/dif.hh"
 #include "ops/span_kernels.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
@@ -161,14 +163,12 @@ TEST(Span, ResolveMergesContiguousPages)
     Addr va = b.as.alloc(size);
     b.as.fill(va, 1, size);
 
-    std::vector<AddressSpace::Span> spans;
-    b.as.resolveSpans(va, size, spans);
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].len, size);
+    const AddressSpace::Span run = b.as.spanRun(va, size);
+    EXPECT_EQ(run.len, size);
 
     // The span aliases the real backing: writes through it are
     // visible to read().
-    spans[0].ptr[12345] = 0x77;
+    run.ptr[12345] = 0x77;
     EXPECT_EQ(b.as.byteAt(va + 12345), 0x77);
 }
 
@@ -181,7 +181,9 @@ TEST(Span, NeverWrittenResolvesNullAndStaysSparse)
     const std::uint64_t resident0 = b.ms.node(0).store.residentBytes();
     std::vector<AddressSpace::ConstSpan> spans;
     const AddressSpace &cas = b.as;
-    cas.resolveConstSpans(va, size, spans);
+    cas.forEachConstSpan(va, size, "read", [&](AddressSpace::ConstSpan s) {
+        spans.push_back(s);
+    });
     ASSERT_EQ(spans.size(), 1u);
     EXPECT_EQ(spans[0].ptr, nullptr);
     EXPECT_EQ(spans[0].len, size);
@@ -210,9 +212,7 @@ TEST(Span, GuardPageBoundary)
     EXPECT_DEATH(b.as.read(va + size - 1, two, 2), "unmapped");
     EXPECT_DEATH(b.as.write(va + size - 1, two, 2), "unmapped");
     EXPECT_DEATH(b.as.read(va + size, two, 1), "unmapped");
-    std::vector<AddressSpace::Span> spans;
-    EXPECT_DEATH(b.as.resolveSpans(va + size - 4, 8, spans),
-                 "unmapped");
+    EXPECT_DEATH(b.as.spanRun(va + size - 4, 8), "unmapped");
 }
 
 TEST(Span, NonPresentPageStillFunctionallyAccessible)
@@ -323,13 +323,11 @@ TEST(Span, ContiguousWithinAndAcrossChunks)
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p[0], 3);
     // Total coverage across chunks is still exact.
-    std::vector<AddressSpace::Span> spans;
-    b.as.resolveSpans(va, 8 << 20, spans);
     std::uint64_t total = 0;
-    for (const auto &s : spans) {
-        ASSERT_NE(s.ptr, nullptr);
+    b.as.forEachSpan(va, 8 << 20, "write", [&](AddressSpace::Span s) {
+        EXPECT_NE(s.ptr, nullptr);
         total += s.len;
-    }
+    });
     EXPECT_EQ(total, 8ull << 20);
 }
 
@@ -367,6 +365,316 @@ TEST(Span, SparseCrcEqualsZeroBufferCrc)
     b.as.write(src + (1 << 20) + 7, img.data() + (1 << 20) + 7, 300);
     EXPECT_EQ(spanCrc(b.as, src, maxLen, crc32cInit),
               crc32cBitwise(img.data(), maxLen, crc32cInit));
+}
+
+/** Fill @p v with bytes from @p rng. */
+void
+randomize(std::vector<std::uint8_t> &v, Rng &rng)
+{
+    for (auto &x : v)
+        x = static_cast<std::uint8_t>(rng.next32());
+}
+
+/**
+ * The smallest offset from @p base, at least @p from, at which a
+ * 2 MiB backing chunk begins: a range across it changes host chunk.
+ */
+std::uint64_t
+chunkStartAfter(const AddressSpace &as, Addr base, std::uint64_t from)
+{
+    std::uint64_t off = from;
+    while ((as.translate(base + off) & PhysicalMemory::chunkMask) != 0)
+        off += 4096;
+    return off;
+}
+
+/**
+ * Copies and writes just below, at and above the streaming-store
+ * threshold, at every destination alignment to 16 bytes, across a
+ * page and a 2 MiB chunk boundary, from never-written sources and
+ * onto themselves: each must match a memmove on a plain buffer.
+ */
+TEST(Span, StreamingCopyAndWriteMatchMemmove)
+{
+    SpanBench b;
+    constexpr std::uint64_t T = AddressSpace::streamingStoreBytes;
+    const std::uint64_t region = 6 << 20;
+    const Addr src = b.as.alloc(region);
+    const Addr dst = b.as.alloc(region);
+    const Addr sparse = b.as.alloc(region);
+    std::vector<std::uint8_t> srcImg(region), dstImg(region);
+    Rng rng(41);
+    randomize(srcImg, rng);
+    randomize(dstImg, rng);
+    b.as.write(src, srcImg.data(), region);
+    b.as.write(dst, dstImg.data(), region);
+    const std::uint64_t boundary = chunkStartAfter(b.as, dst, 1 << 20);
+
+    const auto expectWindow = [&](std::uint64_t doff, std::uint64_t len,
+                                  const char *what) {
+        std::vector<std::uint8_t> got(len + 128);
+        b.as.read(dst + doff - 64, got.data(), got.size());
+        ASSERT_EQ(0, std::memcmp(got.data(), dstImg.data() + doff - 64,
+                                 got.size()))
+            << what << " len=" << len << " doff=" << doff;
+    };
+
+    for (std::uint64_t len : {T - 1, T, T + 4095}) {
+        for (std::uint64_t mis = 0; mis < 16; ++mis) {
+            const std::uint64_t doff = boundary - len / 2 / 16 * 16 + mis;
+            const std::uint64_t soff = 3 * 4096 + 7 + 3 * mis;
+            ASSERT_EQ(reinterpret_cast<std::uintptr_t>(
+                          b.as.contiguous(dst + doff, 1)) % 16,
+                      mis);
+
+            b.as.copy(dst + doff, src + soff, len);
+            std::memmove(dstImg.data() + doff, srcImg.data() + soff,
+                         len);
+            expectWindow(doff, len, "copy");
+
+            b.as.write(dst + doff + 4096, srcImg.data() + soff + 1, len);
+            std::memcpy(dstImg.data() + doff + 4096,
+                        srcImg.data() + soff + 1, len);
+            expectWindow(doff + 4096, len, "write");
+
+            b.as.copy(dst + doff, sparse + soff, len);
+            std::memset(dstImg.data() + doff, 0, len);
+            expectWindow(doff, len, "never-written copy");
+
+            b.as.copy(dst + doff + 8192, dst + doff + 8192, len);
+            expectWindow(doff + 8192, len, "dst == src copy");
+        }
+    }
+    std::vector<std::uint8_t> all(region);
+    b.as.read(dst, all.data(), region);
+    EXPECT_EQ(all, dstImg);
+
+    // Overlapping moves inside one 2 MiB page take the single-mapping
+    // path and must stay memmoves in both directions.
+    const Addr huge = b.as.alloc(2 << 20, MemKind::DramLocal,
+                                 PageSize::Size2M);
+    std::vector<std::uint8_t> hugeImg(2 << 20);
+    randomize(hugeImg, rng);
+    b.as.write(huge, hugeImg.data(), hugeImg.size());
+    for (std::int64_t shift : {-100, 100}) {
+        const std::uint64_t from = 1 << 19;
+        const std::uint64_t to = from + shift;
+        b.as.copy(huge + to, huge + from, T + 4095);
+        std::memmove(hugeImg.data() + to, hugeImg.data() + from,
+                     T + 4095);
+    }
+    b.as.read(huge, all.data(), hugeImg.size());
+    EXPECT_EQ(0, std::memcmp(all.data(), hugeImg.data(), hugeImg.size()));
+}
+
+/**
+ * spanCompare and spanComparePattern walk each range one host run at
+ * a time: runs that end at different offsets on the two sides (2 MiB
+ * chunk boundaries) and never-written pages must still give the
+ * offset of the first differing byte.
+ */
+TEST(Span, CompareWalksRunsOfBothRanges)
+{
+    SpanBench b;
+    constexpr std::uint64_t chunk = PhysicalMemory::chunkSize;
+    const std::uint64_t region = 8 << 20, len = 5 << 20;
+    const Addr ra = b.as.alloc(region);
+    const Addr rc = b.as.alloc(region);
+    // Host runs end at offsets 5000 + k·2 MiB in a and 70000 + k·2 MiB
+    // in c. The third chunk of each stays never written (a nullptr
+    // run); the data is zero there on both sides.
+    const Addr a = ra + chunkStartAfter(b.as, ra, 1 << 20) - 5000;
+    const Addr c = rc + chunkStartAfter(b.as, rc, 1 << 20) - 70000;
+    const std::uint64_t holeA = 5000 + chunk, holeC = 70000 + chunk;
+    std::vector<std::uint8_t> data(len);
+    Rng rng(47);
+    randomize(data, rng);
+    std::fill_n(data.begin() + holeA, holeC + chunk - holeA, 0);
+    const auto writeAround = [&](Addr base, std::uint64_t hole) {
+        b.as.write(base, data.data(), hole);
+        b.as.write(base + hole + chunk, data.data() + hole + chunk,
+                   len - hole - chunk);
+    };
+    writeAround(a, holeA);
+    writeAround(c, holeC);
+    const AddressSpace &cas = b.as;
+    ASSERT_EQ(cas.constSpanRun(a + holeA, 1).ptr, nullptr);
+    ASSERT_EQ(cas.constSpanRun(c + holeC, 1).ptr, nullptr);
+    EXPECT_EQ(spanCompare(b.as, a, c, len), len);
+
+    const auto in = [&](std::uint64_t pos, std::uint64_t hole) {
+        return pos >= hole && pos < hole + chunk;
+    };
+    // Flip a written byte: in a's hole on c's side, in c's hole on
+    // a's side; the byte in both holes goes last.
+    for (std::uint64_t pos :
+         {std::uint64_t{100}, std::uint64_t{4999}, std::uint64_t{5000},
+          std::uint64_t{69999}, std::uint64_t{70000}, holeA - 1,
+          holeA + 10, holeA + chunk + 3, len - 1, holeC + 100}) {
+        const bool onC = in(pos, holeA) || (!in(pos, holeC) && pos % 2);
+        const Addr at = (onC ? c : a) + pos;
+        const std::uint8_t flip = data[pos] ^ 0x10;
+        b.as.write(at, &flip, 1);
+        EXPECT_EQ(spanCompare(b.as, a, c, len), pos) << "pos=" << pos;
+        b.as.write(at, &data[pos], 1);
+    }
+
+    // A pattern across a chunk boundary, and a never-written chunk
+    // after one written page, which mismatches a non-zero pattern at
+    // its first byte.
+    const std::uint64_t pattern = 0x0123456789abcdefull;
+    const std::uint64_t plen = 8 * 4096;
+    std::vector<std::uint8_t> pat(plen);
+    for (std::uint64_t i = 0; i < plen; ++i)
+        pat[i] = static_cast<std::uint8_t>(pattern >> (8 * (i % 8)));
+    const Addr p = a + 5000 - 3 * 4096 - 3;
+    b.as.write(p, pat.data(), plen);
+    EXPECT_EQ(spanComparePattern(b.as, p, plen, pattern), plen);
+    const std::uint8_t zero = 0;
+    b.as.write(p + 3 * 4096 + 3 + 77, &zero, 1);
+    EXPECT_EQ(spanComparePattern(b.as, p, plen, pattern),
+              3 * 4096 + 3 + 77);
+    const Addr rq = b.as.alloc(region);
+    const Addr q = rq + chunkStartAfter(b.as, rq, 1 << 20) - 4096;
+    b.as.write(q, pat.data(), 4096);
+    EXPECT_EQ(spanComparePattern(b.as, q, 3 * 4096, pattern), 4096u);
+    EXPECT_EQ(spanComparePattern(b.as, q + 4096, 4096, 0), 4096u);
+}
+
+/**
+ * The DIF loop one block at a time on plain buffers, as the data
+ * plane ran every block before it resolved whole runs.
+ */
+OpOutcome
+difPerBlock(const OpArgs &a, const std::vector<std::uint8_t> &src,
+            std::vector<std::uint8_t> &dst)
+{
+    const std::uint64_t blk = a.difBlockBytes;
+    const DifUnits u = difUnits(a);
+    OpOutcome out;
+    out.status = OpStatus::Success;
+    out.bytesCompleted = a.size;
+    for (std::uint64_t b = 0; b < a.size / blk; ++b) {
+        const std::uint8_t *in = src.data() + b * u.in;
+        std::uint8_t *o = dst.data() + b * u.out;
+        const auto tag = static_cast<std::uint32_t>(b);
+        DifCheckResult r;
+        switch (a.op) {
+          case Opcode::DifInsert:
+            difInsert(in, o, blk, 1, a.appTag, a.refTag + tag);
+            break;
+          case Opcode::DifStrip:
+            difStrip(in, o, blk, 1);
+            break;
+          case Opcode::DifCheck:
+            r = difCheck(in, blk, 1, a.appTag, a.refTag + tag);
+            break;
+          default:
+            r = difUpdate(in, o, blk, 1, a.appTag, a.refTag + tag,
+                          a.newAppTag, a.newRefTag + tag);
+            break;
+        }
+        if (!r.ok) {
+            out.result = 1;
+            out.bytesCompleted = b * blk;
+            break;
+        }
+    }
+    return out;
+}
+
+struct DifLayout
+{
+    const char *name;
+    PageSize page;
+    bool sparseSrc;   ///< source never written
+    bool badGuard;    ///< corrupt one guard mid-run
+};
+
+/**
+ * runOp resolves each host-contiguous run of DIF blocks once; every
+ * opcode must still write the bytes and report the result and
+ * bytesCompleted of the per-block loop, across 2 MiB chunk
+ * boundaries, from never-written sources and with a guard failure in
+ * the middle of a run (an update then writes only the blocks before
+ * it).
+ */
+TEST(Span, DifRunsMatchPerBlock)
+{
+    const DifLayout layouts[] = {
+        {"4k", PageSize::Size4K, false, false},
+        {"4k-bad-guard", PageSize::Size4K, false, true},
+        {"2m-bad-guard", PageSize::Size2M, false, true},
+        {"4k-never-written", PageSize::Size4K, true, false},
+    };
+    Rng rng(43);
+    for (const DifLayout &l : layouts) {
+        for (Opcode op : {Opcode::DifInsert, Opcode::DifStrip,
+                          Opcode::DifCheck, Opcode::DifUpdate}) {
+            for (std::uint32_t blk : {512u, 520u, 4096u}) {
+                SpanBench b;
+                OpArgs a;
+                a.op = op;
+                a.difBlockBytes = blk;
+                a.appTag = 0x1357;
+                a.refTag = 0xfffffff0u; // wraps mid-range
+                a.newAppTag = 0x2468;
+                a.newRefTag = 99;
+                const std::uint64_t nblocks = (5 << 20) / 2 / blk;
+                a.size = nblocks * blk;
+                const DifUnits u = difUnits(a);
+                const std::uint64_t region = 8 << 20;
+                const Addr sbase = b.as.alloc(region, MemKind::DramLocal,
+                                              l.page);
+                const Addr dbase = b.as.alloc(region, MemKind::DramLocal,
+                                              l.page);
+                // Start a little before a chunk boundary, off any
+                // block or page alignment.
+                a.src = sbase + chunkStartAfter(b.as, sbase, 1 << 20) -
+                        3 * blk - 40;
+                a.dst = dbase + chunkStartAfter(b.as, dbase, 1 << 20) -
+                        5 * blk - 24;
+
+                std::vector<std::uint8_t> src(nblocks * u.in);
+                if (l.sparseSrc) {
+                    std::fill(src.begin(), src.end(), 0);
+                } else if (op == Opcode::DifInsert) {
+                    randomize(src, rng);
+                } else {
+                    std::vector<std::uint8_t> plain(nblocks * blk);
+                    randomize(plain, rng);
+                    difInsert(plain.data(), src.data(), blk, nblocks,
+                              a.appTag, a.refTag);
+                }
+                if (l.badGuard)
+                    src[(nblocks / 2 + 3) * u.in + blk] ^= 0x40;
+                if (!l.sparseSrc)
+                    b.as.write(a.src, src.data(), src.size());
+
+                std::vector<std::uint8_t> want(nblocks * u.out);
+                randomize(want, rng);
+                b.as.write(a.dst, want.data(), want.size());
+                const OpOutcome ref = difPerBlock(a, src, want);
+
+                OpScratch scratch;
+                const OpOutcome got =
+                    runOp(b.as, a, a.size, false, scratch);
+                SCOPED_TRACE(::testing::Message()
+                             << l.name << " op=" << static_cast<int>(op)
+                             << " blk=" << blk);
+                EXPECT_EQ(got.status, ref.status);
+                EXPECT_EQ(got.result, ref.result);
+                EXPECT_EQ(got.bytesCompleted, ref.bytesCompleted);
+                if (l.badGuard && (op == Opcode::DifCheck ||
+                                   op == Opcode::DifUpdate)) {
+                    EXPECT_EQ(ref.bytesCompleted, (nblocks / 2 + 3) * blk);
+                }
+                std::vector<std::uint8_t> back(want.size());
+                b.as.read(a.dst, back.data(), back.size());
+                EXPECT_TRUE(back == want);
+            }
+        }
+    }
 }
 
 } // namespace
