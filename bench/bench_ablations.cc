@@ -298,9 +298,8 @@ main()
                         {7, 0}}) {
             double a = 0, b = 0;
             priorityRun(pr.first, pr.second, a, b);
-            tbl.addRow({"(" + std::to_string(pr.first) + "," +
-                            std::to_string(pr.second) + ")",
-                        fmt(a), fmt(b)});
+            tbl.addRow({strfmt("(%u,%u)", pr.first, pr.second), fmt(a),
+                        fmt(b)});
         }
         tbl.print();
     }

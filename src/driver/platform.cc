@@ -123,9 +123,9 @@ Platform::Platform(Simulation &s, const PlatformConfig &cfg)
     if (stats::samplingEnabled() && !s.hasSampleHook()) {
         static std::atomic<unsigned> instance{0};
         const unsigned n = instance.fetch_add(1);
-        statsExportStem =
-            stats::exportPrefix() + cfg.name +
-            (n == 0 ? std::string{} : "-" + std::to_string(n));
+        statsExportStem = stats::exportPrefix() + cfg.name;
+        if (n != 0)
+            statsExportStem += strfmt("-%u", n);
         statsSampler = std::make_unique<stats::Sampler>(
             s, stats::samplePeriodTicks());
     }

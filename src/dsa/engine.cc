@@ -66,7 +66,8 @@ Engine::run()
 
 Engine::XlateOutcome
 Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
-                       bool block_on_fault)
+                       bool block_on_fault,
+                       std::vector<PageTable::PageRun> &pages)
 {
     XlateOutcome out;
     const DsaParams &p = dev.params();
@@ -78,7 +79,7 @@ Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
             out.walkCost += p.atcHitLatency;
         } else {
             atcMissesCtr.inc();
-            auto res = iommu.translate(as.pageTable(), pasid, pg.va,
+            auto res = iommu.translate(as.pageTable(), pasid, pg,
                                        block_on_fault);
             if (res.faulted) {
                 pageFaultsCtr.inc();
@@ -99,6 +100,7 @@ Engine::translateRange(AddressSpace &as, Addr va, std::uint64_t len,
             dev.atc().insert(pasid, pg.pageVa);
         }
         out.okBytes += pg.len;
+        pages.push_back(pg);
         return true;
     };
     const std::optional<Addr> unmapped =
@@ -270,6 +272,7 @@ Engine::process(Work w)
     }
 
     AddressSpace &as = mem.space(d.pasid);
+    PageTable &pt = as.pageTable();
 
     OpStreams streams = streamsOf(d);
 
@@ -279,10 +282,13 @@ Engine::process(Work w)
     bool faulted = false;
     Addr fault_va = 0;
     double ok_fraction = 1.0;
-    for (const OpStream &s : streams) {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        const OpStream &s = streams[i];
+        streamPages[i].clear();
         if (s.len == 0)
             continue;
-        auto xo = translateRange(as, s.va, s.len, d.blocksOnFault());
+        auto xo = translateRange(as, s.va, s.len, d.blocksOnFault(),
+                                 streamPages[i].runs);
         fault_stall += xo.faultStall;
         walk_cost += xo.walkCost;
         if (xo.faulted) {
@@ -298,6 +304,17 @@ Engine::process(Work w)
         stallTicks += fault_stall;
         co_await sim.delay(fault_stall);
     }
+
+    // The chunk walk reuses the recorded pages of every stream
+    // translated above — all but CreateDelta's record, which joins
+    // after runOp — unless a fault truncated the streams. Whenever a
+    // page is non-present (evicted since, or left so by a fault), it
+    // looks pages up afresh, so an evicted page still panics there.
+    const std::size_t recorded = faulted ? 0 : streams.size();
+    auto pagesOf = [&](std::size_t i) -> StreamPages * {
+        return i < recorded && pt.allPresent() ? &streamPages[i]
+                                               : nullptr;
+    };
 
     std::uint64_t eff_size = d.size;
     if (faulted) {
@@ -362,17 +379,21 @@ Engine::process(Work w)
         int src_node = 0;
         bool first_is_hit = false;
         bool has_read = false;
-        for (const OpStream &s : streams) {
-            if (!s.write && s.len > 0) {
+        auto firstPa = [&](std::size_t i) {
+            const StreamPages *sp = pagesOf(i);
+            return sp ? sp->runs.front().pa : as.translate(streams[i].va);
+        };
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+            if (!streams[i].write && streams[i].len > 0) {
                 has_read = true;
-                Addr pa = as.translate(s.va);
+                Addr pa = firstPa(i);
                 src_node = MemSystem::paNode(pa);
                 first_is_hit = llc.probe(lineAlignDown(pa));
                 break;
             }
         }
         if (!has_read && !streams.empty() && streams[0].len > 0)
-            src_node = MemSystem::paNode(as.translate(streams[0].va));
+            src_node = MemSystem::paNode(firstPa(0));
 
         const double rate = effectiveRate(src_node);
         Tick pace = sim.now();
@@ -390,7 +411,8 @@ Engine::process(Work w)
                       static_cast<double>(primary))
                 : 0;
             Tick link_end = 0;
-            for (const OpStream &s : streams) {
+            for (std::size_t i = 0; i < streams.size(); ++i) {
+                const OpStream &s = streams[i];
                 if (s.len == 0)
                     continue;
                 // Proportional slice of this stream for the chunk.
@@ -401,7 +423,7 @@ Engine::process(Work w)
                 std::uint64_t slice = s_end - s_beg;
                 Addr va = s.va + s_beg;
 
-                // Walk the slice page by page (PAs are contiguous
+                // Stream the slice page by page (PAs are contiguous
                 // only within a page).
                 auto stream_page = [&](const PageTable::PageRun &pg) {
                     panic_if(!pg.present,
@@ -462,9 +484,14 @@ Engine::process(Work w)
                     }
                     return true;
                 };
-                const std::optional<Addr> unmapped =
-                    as.pageTable().walk(va, slice, stream_page);
-                panic_if(unmapped, "stream touches untranslated page");
+                if (StreamPages *sp = pagesOf(i)) {
+                    sp->slice(va, slice, stream_page);
+                } else {
+                    const std::optional<Addr> unmapped =
+                        pt.walk(va, slice, stream_page);
+                    panic_if(unmapped,
+                             "stream touches untranslated page");
+                }
             }
             Tick step = std::max(transferTime(run, rate), chunk_walk);
             pace = std::max(pace + step, link_end);

@@ -11,9 +11,13 @@
 #ifndef DSASIM_DSA_ENGINE_HH
 #define DSASIM_DSA_ENGINE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "dsa/group.hh"
+#include "mem/address_space.hh"
 #include "ops/data_plane.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -22,7 +26,6 @@ namespace dsasim
 {
 
 class DsaDevice;
-class AddressSpace;
 
 class Engine
 {
@@ -126,9 +129,52 @@ class Engine
         std::uint64_t okBytes = 0; ///< prefix translatable w/o fault
     };
 
-    /** Translate a VA range, honoring block-on-fault. */
+    /**
+     * Translate a VA range, honoring block-on-fault; appends each
+     * page it translates to @p pages.
+     */
     XlateOutcome translateRange(AddressSpace &as, Addr va,
-                                std::uint64_t len, bool block_on_fault);
+                                std::uint64_t len, bool block_on_fault,
+                                std::vector<PageTable::PageRun> &pages);
+
+    /**
+     * One stream's pages as translateRange walked them, in VA order,
+     * and the cursor the chunk walk slices them with, so the walk
+     * does not look each page up again (DESIGN.md §10).
+     */
+    struct StreamPages
+    {
+        std::vector<PageTable::PageRun> runs;
+        std::size_t next = 0; ///< no earlier run reaches the cursor
+
+        void
+        clear()
+        {
+            runs.clear();
+            next = 0;
+        }
+
+        /**
+         * Call @p fn(const PageTable::PageRun &) on each page's part
+         * of [va, va + len), as PageTable::walk would. The range lies
+         * inside the translated one, at or after the previous slice.
+         */
+        template <typename Fn>
+        void
+        slice(Addr va, std::uint64_t len, Fn &&fn)
+        {
+            while (runs[next].va + runs[next].len <= va)
+                ++next;
+            for (std::size_t i = next; len > 0; ++i) {
+                const PageTable::PageRun &r = runs[i];
+                const std::uint64_t skip = va - r.va;
+                const std::uint64_t n = std::min(len, r.len - skip);
+                fn(PageTable::PageRun{va, r.pageVa, r.pa + skip, n, true});
+                va += n;
+                len -= n;
+            }
+        }
+    };
 
     /** Effective streaming rate given the group's read buffers. */
     double effectiveRate(int src_node) const;
@@ -150,6 +196,10 @@ class Engine
     // at a time, so a single set per engine is safe; grow-only reuse
     // avoids a per-descriptor allocate-and-zero.
     OpScratch scratch;
+
+    // Per-stream page runs of the descriptor in flight, reused like
+    // the scratch buffers.
+    std::array<StreamPages, OpStreams::capacity> streamPages;
 };
 
 } // namespace dsasim

@@ -52,6 +52,51 @@ streamCopy(std::uint8_t *d, const std::uint8_t *s, std::uint64_t n)
 }
 
 /**
+ * Fill [d, d+n) with a 16-byte period starting at @p phase: byte j
+ * gets @p twice[(phase + j) % 16], where @p twice holds the period
+ * twice over. With @p stream, streaming stores (weakly ordered, like
+ * streamCopy's); else one period, then doubling memcpys.
+ */
+void
+periodicFill(std::uint8_t *d, const std::uint8_t *twice, unsigned phase,
+             std::uint64_t n, bool stream)
+{
+#if defined(__x86_64__)
+    if (stream) {
+        const auto addr = reinterpret_cast<std::uintptr_t>(d);
+        const std::uint64_t head = std::min<std::uint64_t>(n, -addr & 15);
+        std::memcpy(d, twice + phase, head);
+        d += head;
+        n -= head;
+        // Every aligned store starts at the same phase.
+        phase = static_cast<unsigned>((phase + head) % 16);
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(twice + phase));
+        auto *out = reinterpret_cast<__m128i *>(d);
+        for (; n >= 64; n -= 64, out += 4) {
+            _mm_stream_si128(out, v);
+            _mm_stream_si128(out + 1, v);
+            _mm_stream_si128(out + 2, v);
+            _mm_stream_si128(out + 3, v);
+        }
+        for (; n >= 16; n -= 16)
+            _mm_stream_si128(out++, v);
+        std::memcpy(out, twice + phase, n);
+        return;
+    }
+#endif
+    std::uint64_t filled = std::min<std::uint64_t>(n, 16);
+    std::memcpy(d, twice + phase, filled);
+    // A prefix of whole periods stays periodic when copied after
+    // itself.
+    while (filled < n) {
+        const std::uint64_t cpy = std::min(filled, n - filled);
+        std::memcpy(d + filled, d, cpy);
+        filled += cpy;
+    }
+}
+
+/**
  * Order every streaming store before whatever follows, above all a
  * partition thread's release of the data it wrote.
  */
@@ -222,6 +267,12 @@ AddressSpace::write(Addr va, const void *src, std::uint64_t len)
 void
 AddressSpace::fill(Addr va, std::uint8_t value, std::uint64_t len)
 {
+    if (len >= streamingStoreBytes) {
+        std::uint8_t period[16];
+        std::memset(period, value, sizeof period);
+        fillPeriodic(va, period, len);
+        return;
+    }
     if (const auto m = pt.lookup(va);
         m && len && va - m->vaBase + len <= m->size) {
         std::memset(mem.pageSpan(m->paBase + (va - m->vaBase), len),
@@ -230,6 +281,24 @@ AddressSpace::fill(Addr va, std::uint8_t value, std::uint64_t len)
     }
     forEachSpan(va, len, "fill",
                 [&](Span s) { std::memset(s.ptr, value, s.len); });
+}
+
+void
+AddressSpace::fillPeriodic(Addr va, const std::uint8_t (&period)[16],
+                           std::uint64_t len)
+{
+    std::uint8_t twice[32];
+    std::memcpy(twice, period, 16);
+    std::memcpy(twice + 16, period, 16);
+    const bool stream = len >= streamingStoreBytes;
+    std::uint64_t off = 0;
+    forEachSpan(va, len, "fill", [&](Span s) {
+        periodicFill(s.ptr, twice, static_cast<unsigned>(off % 16), s.len,
+                     stream);
+        off += s.len;
+    });
+    if (stream)
+        storeFence();
 }
 
 void
@@ -266,14 +335,24 @@ AddressSpace::copy(Addr dst, Addr src, std::uint64_t len)
         }
     }
     if (!overlap || dst == src) {
-        // Pairwise span walk, no staging buffer. memmove covers the
-        // dst == src exact-alias case.
-        std::uint64_t done = 0;
-        while (done < len) {
-            ConstSpan s = constSpanAt(src + done, len - done, "read");
-            Span d = spanAt(dst + done, s.len, "write");
-            move(d.ptr, s.ptr, d.len);
-            done += d.len;
+        // Pairwise walk of host-contiguous runs, no staging buffer:
+        // one cursor per range holds the unconsumed part of its
+        // current run. memmove covers the dst == src exact-alias case.
+        ConstSpan s;
+        Span d;
+        for (std::uint64_t done = 0; done < len;) {
+            if (s.len == 0)
+                s = constSpanRun(src + done, len - done, "read");
+            if (d.len == 0)
+                d = spanRun(dst + done, len - done, "write");
+            const std::uint64_t run = std::min(s.len, d.len);
+            move(d.ptr, s.ptr, run);
+            if (s.ptr)
+                s.ptr += run;
+            s.len -= run;
+            d.ptr += run;
+            d.len -= run;
+            done += run;
         }
         if (stream)
             storeFence();

@@ -162,19 +162,27 @@ class AddressSpace
     /// @{
 
     /**
-     * A write(), or a copy() between ranges that do not overlap, of
-     * at least this many bytes stores with non-temporal (streaming)
-     * stores where the host has them: a destination that large is
-     * not read again soon, so caching it would only evict useful
-     * lines, and skipping the read-for-ownership saves a read per
-     * line. The choice follows the request's length, so it never
-     * reaches a result. Each such call ends with a store fence.
+     * A write(), a fill() or fillPeriodic(), or a copy() between
+     * ranges that do not overlap, of at least this many bytes stores
+     * with non-temporal (streaming) stores where the host has them:
+     * a destination that large is not read again soon, so caching it
+     * would only evict useful lines, and skipping the
+     * read-for-ownership saves a read per line. The choice follows
+     * the request's length, so it never reaches a result. Each such
+     * call ends with a store fence.
      */
     static constexpr std::uint64_t streamingStoreBytes = 256 * 1024;
 
     void read(Addr va, void *dst, std::uint64_t len) const;
     void write(Addr va, const void *src, std::uint64_t len);
     void fill(Addr va, std::uint8_t value, std::uint64_t len);
+
+    /**
+     * Fill [va, va+len) with a 16-byte period: byte i gets
+     * @p period[i % 16]. An 8-byte pattern is one repeated twice.
+     */
+    void fillPeriodic(Addr va, const std::uint8_t (&period)[16],
+                      std::uint64_t len);
 
     /**
      * Copy [src, src+len) over [dst, dst+len) with memmove

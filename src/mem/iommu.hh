@@ -47,7 +47,8 @@ class Iommu
     {}
 
     /**
-     * Translate @p va in @p pt for a device request.
+     * Translate the page @p pg of @p pt that a PageTable::walk just
+     * produced (so it is mapped) for a device request.
      *
      * @param resolve_fault  emulate block-on-fault=1: a non-present
      *        page is paged in by the OS (present bit set) at
@@ -55,17 +56,11 @@ class Iommu
      *        reported and ok stays false.
      */
     Result
-    translate(PageTable &pt, Pasid pasid, Addr va, bool resolve_fault)
+    translate(PageTable &pt, Pasid pasid, const PageTable::PageRun &pg,
+              bool resolve_fault)
     {
         ++translations;
         Result res;
-        auto m = pt.lookup(va);
-        if (!m) {
-            res.faulted = true;
-            res.latency = config.pageWalkLatency;
-            return res;
-        }
-        Addr page_base = m->vaBase;
         // Injected fault: the page behaves as transiently non-present
         // (e.g. reclaimed between CPU touch and device access), even
         // if the IOTLB or the page table says otherwise.
@@ -75,23 +70,23 @@ class Iommu
                         faultInjector->fire(FaultSite::PageFault, pfq);
         if (injected)
             ++injectedFaults;
-        if (!injected && iotlb.lookup(pasid, page_base) && m->present) {
+        if (!injected && iotlb.lookup(pasid, pg.pageVa) && pg.present) {
             res.ok = true;
-            res.pa = m->paBase + (va - m->vaBase);
+            res.pa = pg.pa;
             res.latency = config.iotlbHitLatency;
             return res;
         }
         res.latency = config.pageWalkLatency;
-        if (!m->present || injected) {
+        if (!pg.present || injected) {
             res.faulted = true;
             if (!resolve_fault)
                 return res;
             res.latency += config.faultServiceLatency;
-            pt.setPresent(va, true);
+            pt.setPresent(pg.va, true);
         }
-        iotlb.insert(pasid, page_base);
+        iotlb.insert(pasid, pg.pageVa);
         res.ok = true;
-        res.pa = m->paBase + (va - m->vaBase);
+        res.pa = pg.pa;
         return res;
     }
 

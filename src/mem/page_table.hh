@@ -126,6 +126,9 @@ class PageTable
     /** Clear/restore the present bit of the page holding @p va. */
     void setPresent(Addr va, bool present);
 
+    /** No mapped page has its present bit clear. */
+    bool allPresent() const { return absent.empty(); }
+
     /** Number of mapped pages. */
     std::size_t mappingCount() const;
 

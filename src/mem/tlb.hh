@@ -54,12 +54,20 @@ class TranslationCache
             ++hitCount;
             return true;
         }
-        std::uint32_t s = find(k);
-        if (s == none) {
+        if (index.empty()) {
             ++missCount;
             return false;
         }
-        touch(s);
+        const std::size_t b = bucket(k);
+        if (index[b] == none) {
+            // Remember where k would go: the insert that usually
+            // follows a miss then skips its probe.
+            missKey = k;
+            missBucket = b;
+            ++missCount;
+            return false;
+        }
+        touch(index[b]);
         ++hitCount;
         return true;
     }
@@ -69,32 +77,49 @@ class TranslationCache
     insert(Pasid pasid, Addr va_page_base)
     {
         std::uint64_t k = key(pasid, va_page_base);
-        if (head != none && slots[head].key == k)
-            return;
-        std::uint32_t s = find(k);
-        if (s != none) {
-            touch(s);
-            return;
+        // The bucket ending k's probe run, once k is known absent.
+        std::size_t b = noBucket;
+        if (k == missKey) {
+            b = missBucket;
+        } else {
+            if (head != none && slots[head].key == k)
+                return;
+            if (!index.empty()) {
+                b = bucket(k);
+                if (index[b] != none) {
+                    touch(index[b]);
+                    return;
+                }
+            }
         }
+        missKey = noKey;
         if (capacity == 0)
             return;
+        std::uint32_t s;
         if (slots.size() >= capacity) {
-            // Reuse the victim's slot in place.
+            // Reuse the victim's slot in place. Erasing the victim
+            // empties one bucket; if that bucket lies on k's probe
+            // run, ahead of b, k belongs there instead.
             s = tail;
-            erase(bucket(slots[s].key));
+            const std::size_t hole = erase(bucket(slots[s].key));
+            const std::size_t mask = index.size() - 1;
+            const std::size_t h = home(k);
+            if (((hole - h) & mask) < ((b - h) & mask))
+                b = hole;
             unlink(s);
             slots[s].key = k;
         } else {
             s = append(k);
         }
         pushFront(s);
-        indexInsert(s);
+        indexInsert(s, b);
     }
 
     /** Invalidate one page's entry (page-granular shootdown). */
     void
     invalidate(Pasid pasid, Addr va_page_base)
     {
+        missKey = noKey;
         if (index.empty())
             return;
         const std::size_t b = bucket(key(pasid, va_page_base));
@@ -125,6 +150,7 @@ class TranslationCache
     void
     clear()
     {
+        missKey = noKey;
         slots.clear();
         std::fill(index.begin(), index.end(), none);
         head = tail = none;
@@ -173,6 +199,9 @@ class TranslationCache
 
   private:
     static constexpr std::uint32_t none = ~std::uint32_t{0};
+    static constexpr std::size_t noBucket = ~std::size_t{0};
+    /** No key: PASID and page number together use 60 of 64 bits. */
+    static constexpr std::uint64_t noKey = ~std::uint64_t{0};
 
     /** One cached translation and its recency-list links. */
     struct Slot
@@ -200,13 +229,6 @@ class TranslationCache
             (k * 0x9e3779b97f4a7c15ull) >> indexShift);
     }
 
-    /** Slot holding @p k, or none. */
-    std::uint32_t
-    find(std::uint64_t k) const
-    {
-        return index.empty() ? none : index[bucket(k)];
-    }
-
     /** Bucket holding @p k, else the empty one ending its probe run. */
     std::size_t
     bucket(std::uint64_t k) const
@@ -218,19 +240,25 @@ class TranslationCache
         return i;
     }
 
-    /** Index slot @p s (whose key is absent), doubling past 1/2 full. */
+    /**
+     * Index slot @p s, whose key is absent, doubling past 1/2 full;
+     * @p b, when known, is the bucket ending the key's probe run.
+     */
     void
-    indexInsert(std::uint32_t s)
+    indexInsert(std::uint32_t s, std::size_t b = noBucket)
     {
         if (2 * slots.size() > index.size()) {
             growIndex(); // the rehash places s too
             return;
         }
-        index[bucket(slots[s].key)] = s;
+        index[b == noBucket ? bucket(slots[s].key) : b] = s;
     }
 
-    /** Empty bucket @p hole, shifting its probe run back over it. */
-    void
+    /**
+     * Empty bucket @p hole, shifting its probe run back over it.
+     * Returns the bucket left empty.
+     */
+    std::size_t
     erase(std::size_t hole)
     {
         const std::size_t mask = index.size() - 1;
@@ -245,6 +273,7 @@ class TranslationCache
             }
         }
         index[hole] = none;
+        return hole;
     }
 
     void
@@ -313,6 +342,10 @@ class TranslationCache
     std::uint32_t tail = none;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
+    /** The key of the last lookup miss, noKey once the index changed. */
+    std::uint64_t missKey = noKey;
+    /** The bucket that ended missKey's probe run. */
+    std::size_t missBucket = noBucket;
 };
 
 } // namespace dsasim

@@ -338,9 +338,11 @@ fold(__m128i acc, __m128i k)
 /**
  * Fold the whole 16-byte blocks of [p, p+len) into @p acc, then
  * finish: the table CRC of the residue's 16 bytes, continued over
- * the last len % 16 bytes.
+ * the last len % 16 bytes. Always inlined, so each arm runs it
+ * compiled for its own target (see the VPCLMULQDQ arms below).
  */
-__attribute__((target("pclmul,ssse3"))) std::uint16_t
+__attribute__((target("pclmul,ssse3"), always_inline)) inline
+std::uint16_t
 crc16Residue(__m128i acc, const std::uint8_t *p, std::size_t len)
 {
     const __m128i k128 = consts(fold128);
@@ -400,6 +402,13 @@ crc16T10Pclmul(const void *data, std::size_t len, std::uint16_t seed)
 /// Computation for Generic Polynomials Using PCLMULQDQ". After the
 /// last fold, the crc32 instruction over the residue's 16 bytes from
 /// state 0 is the prefix's CRC state.
+///
+/// After its 512-bit folds an arm runs only code compiled for its own
+/// target, its inlined residue fold, and scalar code (the table and
+/// crc32-instruction tails). A legacy-SSE instruction there, such as
+/// a call into the 128-bit arm's residue, pays the SSE/AVX transition
+/// penalty on every call: gcc emits no vzeroupper in these target
+/// functions, so nothing cleans the upper state the folds leave.
 /// @{
 
 /** k(D): x^D mod P, one bit up for the reflected product. */
@@ -435,7 +444,8 @@ foldReflected(__m128i acc, __m128i k)
  * crc16Residue for CRC-32C: fold the whole 16-byte blocks left, then
  * run crc32 over the residue from state 0 and on over the tail.
  */
-__attribute__((target("pclmul,sse4.2"))) std::uint32_t
+__attribute__((target("pclmul,sse4.2"), always_inline)) inline
+std::uint32_t
 crc32cResidue(__m128i acc, const std::uint8_t *p, std::size_t len)
 {
     constexpr FoldConsts by128 = reflectedFoldBy(128);

@@ -44,6 +44,9 @@ struct OpStream
 class OpStreams
 {
   public:
+    /** The most streams an operation has (Dualcast's three). */
+    static constexpr std::size_t capacity = 3;
+
     void push_back(const OpStream &s) { v[n++] = s; }
     OpStream &operator[](std::size_t i) { return v[i]; }
     std::size_t size() const { return n; }
@@ -54,7 +57,7 @@ class OpStreams
     const OpStream *end() const { return v.data() + n; }
 
   private:
-    std::array<OpStream, 3> v{};
+    std::array<OpStream, capacity> v{};
     std::size_t n = 0;
 };
 

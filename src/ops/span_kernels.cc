@@ -15,7 +15,6 @@ namespace
 constexpr std::uint64_t zeroBytes = 1ull << 16;
 alignas(64) const std::uint8_t kZeros[zeroBytes] = {};
 
-using Span = AddressSpace::Span;
 using ConstSpan = AddressSpace::ConstSpan;
 
 /** Offset of the first differing byte, or @p n when equal. */
@@ -89,34 +88,12 @@ void
 spanFillPattern(AddressSpace &as, Addr dst, std::uint64_t len,
                 std::uint64_t lo, std::uint64_t hi, unsigned pat_bytes)
 {
-    std::uint8_t pat[16];
-    std::memcpy(pat, &lo, 8);
-    std::memcpy(pat + 8, &hi, 8);
-    std::uint64_t off = 0;
-    as.forEachSpan(dst, len, "write", [&](Span s) {
-        std::uint8_t *p = s.ptr;
-        std::uint64_t n = s.len;
-        // Destination byte (off + i) carries pattern byte
-        // (off + i) % pat_bytes, no matter how the range splits
-        // into spans.
-        unsigned phase = static_cast<unsigned>(off % pat_bytes);
-        off += n;
-        while (phase != 0 && n > 0) {
-            *p++ = pat[phase];
-            phase = (phase + 1) % pat_bytes;
-            --n;
-        }
-        if (n == 0)
-            return;
-        // Seed one pattern, then double the filled prefix.
-        std::uint64_t filled = std::min<std::uint64_t>(n, pat_bytes);
-        std::memcpy(p, pat, filled);
-        while (filled < n) {
-            std::uint64_t cpy = std::min(filled, n - filled);
-            std::memcpy(p + filled, p, cpy);
-            filled += cpy;
-        }
-    });
+    // Byte i carries pattern byte i % pat_bytes, which is byte
+    // i % 16 of the pattern's 16-byte period.
+    std::uint8_t period[16];
+    std::memcpy(period, &lo, 8);
+    std::memcpy(period + 8, pat_bytes == 8 ? &lo : &hi, 8);
+    as.fillPeriodic(dst, period, len);
 }
 
 std::uint64_t

@@ -387,6 +387,176 @@ TEST(DsaFaults, NonBlockingFaultPartialCompletion)
     EXPECT_EQ(r.faultAddr, src + 8192);
 }
 
+TEST(DsaFaults, UnmappedTailFaultsEitherWay)
+{
+    // The source runs two pages past its allocation, where the
+    // unmapped guard page follows: the translation walk stops there,
+    // and the device reports an unresolvable fault at the first
+    // unmapped VA whether or not the descriptor blocks on faults.
+    for (bool block : {true, false}) {
+        DsaBench b;
+        const std::uint64_t n = 64 << 10;
+        Addr src = b.as->alloc(n);
+        Addr dst = b.as->alloc(n + 8192);
+        b.randomize(src, n, 23);
+        WorkDescriptor d =
+            dml::Executor::memMove(*b.as, dst, src, n + 8192);
+        if (!block)
+            d.flags &= ~descflags::blockOnFault;
+        auto r = b.runHw(d);
+        EXPECT_EQ(r.status, CompletionRecord::Status::PageFault);
+        EXPECT_EQ(r.faultAddr, src + n);
+        EXPECT_EQ(r.bytesCompleted, n);
+        EXPECT_TRUE(b.as->equal(src, dst, n));
+    }
+}
+
+TEST(DsaFaultsDeathTest, PageEvictedBeforeChunkWalkPanics)
+{
+    // A page evicted after the descriptor translated it, while the
+    // engine still streams the chunks before it, is caught when the
+    // chunk walk reaches it.
+    DsaBench b;
+    const std::uint64_t n = 1 << 20;
+    Addr src = b.as->alloc(n);
+    Addr dst = b.as->alloc(n);
+    EXPECT_DEATH(
+        {
+            b.sim.scheduleIn(fromUs(10), [&b, src, n] {
+                b.as->evictPage(src + n - 4096);
+            });
+            b.runHw(dml::Executor::memMove(*b.as, dst, src, n));
+        },
+        "stream touches untranslated page");
+}
+
+/**
+ * Descriptors of every stream shape, run interleaved on two engines:
+ * 4 KiB and 2 MiB pages, unaligned starts, DIF's 520-byte output
+ * stride, Dualcast's three streams, CreateDelta's record stream
+ * (which joins after translation), a compare that stops early, and a
+ * partial completion with block-on-fault off. Every counter the chunk
+ * walk feeds — per-engine bytes, link bytes, LLC tallies — and the
+ * end tick and event-stream hash are pinned: the engine's page
+ * bookkeeping is host-side only and must not move any of them.
+ */
+TEST(DsaTiming, EveryStreamShapeMatchesPinnedTallies)
+{
+    DsaBench b(/*engines=*/2);
+    b.sim.enableStreamHash(true);
+    AddressSpace &as = *b.as;
+    const std::uint64_t small = 256 << 10;
+    const std::uint64_t huge = 6 << 20;
+    Addr src = as.alloc(small);
+    Addr dst = as.alloc(small);
+    Addr dst2 = as.alloc(small);
+    Addr far = as.alloc(small, MemKind::DramRemote);
+    Addr hsrc = as.alloc(huge, MemKind::DramLocal, PageSize::Size2M);
+    Addr hdst = as.alloc(huge, MemKind::DramLocal, PageSize::Size2M);
+    Addr rec = as.alloc(small);
+    b.randomize(src, small, 31);
+    b.randomize(hsrc, huge, 32);
+    auto mod = b.bytes(src, 64 << 10);
+    mod[100] ^= 1;
+    mod[40000] ^= 4;
+    as.write(dst2 + 8, mod.data(), mod.size());
+
+    std::vector<WorkDescriptor> descs;
+    descs.push_back(dml::Executor::memMove(as, dst + 3000, src + 100,
+                                           70000));
+    WorkDescriptor ddio = dml::Executor::memMove(
+        as, hdst + (1 << 20) + 3, hsrc + (2 << 20) - 5000 + 17, 300000);
+    ddio.flags |= descflags::cacheControl;
+    descs.push_back(ddio);
+    descs.push_back(dml::Executor::difInsert(as, src + 64, far + 8, 512,
+                                             16 * 512, 7, 9));
+    descs.push_back(dml::Executor::dualcast(as, dst + 100000 + 16,
+                                            dst2 + 64 * 1024 + 16,
+                                            hsrc + 777, 50000));
+    descs.push_back(dml::Executor::createDelta(as, src, dst2 + 8,
+                                               64 << 10, rec, 4096));
+    descs.push_back(dml::Executor::compare(as, src + 8, hsrc + 8,
+                                           100000));
+    descs.push_back(dml::Executor::crc32(as, hsrc + (4 << 20) - 3,
+                                         1 << 20));
+
+    std::vector<dml::OpResult> results(descs.size() + 1);
+    struct Driver
+    {
+        static SimTask
+        go(DsaBench &db, const std::vector<WorkDescriptor> &ds,
+           std::vector<dml::OpResult> &outs)
+        {
+            std::vector<std::unique_ptr<dml::Job>> inflight;
+            for (const WorkDescriptor &d : ds) {
+                auto job = db.exec->prepare(d);
+                co_await db.exec->submit(db.plat.core(0), *job);
+                inflight.push_back(std::move(job));
+            }
+            for (std::size_t i = 0; i < inflight.size(); ++i)
+                co_await db.exec->wait(db.plat.core(0), *inflight[i],
+                                       outs[i]);
+        }
+    };
+    // All at once, so the engines interleave their chunk walks.
+    Driver::go(b, descs, results);
+    b.sim.run();
+    // Then, with a destination page out, a partial completion: no
+    // page is absent while the descriptors above run.
+    as.evictPage(far + 3 * 4096);
+    WorkDescriptor partial =
+        dml::Executor::memMove(as, far + 8192, src + 4096, 40000);
+    partial.flags &= ~descflags::blockOnFault;
+    results.back() = b.runHw(partial);
+
+    std::vector<std::uint64_t> got;
+    for (const dml::OpResult &r : results) {
+        got.push_back(static_cast<std::uint64_t>(r.status));
+        got.push_back(r.bytesCompleted);
+    }
+    DsaDevice &dev = b.plat.dsa(0);
+    for (std::size_t e = 0; e < dev.engineCount(); ++e) {
+        got.push_back(dev.engine(e).bytesRead());
+        got.push_back(dev.engine(e).bytesWritten());
+        got.push_back(dev.engine(e).descriptorsProcessed);
+    }
+    MemSystem &mem = b.plat.mem();
+    got.push_back(dev.fabricRead().bytesServed());
+    got.push_back(dev.fabricWrite().bytesServed());
+    got.push_back(mem.llcLink().bytesServed());
+    got.push_back(mem.upiLink().bytesServed());
+    for (std::size_t nid = 0; nid < mem.nodeCount(); ++nid) {
+        got.push_back(mem.node(static_cast<int>(nid)).readLink.bytesServed());
+        got.push_back(
+            mem.node(static_cast<int>(nid)).writeLink.bytesServed());
+    }
+    got.push_back(mem.cache().hitBytesTotal());
+    got.push_back(mem.cache().missBytesTotal());
+    got.push_back(mem.cache().writebackBytesTotal());
+    got.push_back(b.sim.now());
+    got.push_back(b.sim.streamHash());
+
+    // Pinned from the per-chunk page walk the recorded runs replace.
+    const std::vector<std::uint64_t> pinned = {
+        // status, bytesCompleted per descriptor
+        1, 70000, 1, 300000, 1, 8192, 1, 50000, 1, 65536, 1, 0, 1,
+        1048576, 2, 4096,
+        // bytes read, bytes written, descriptors per engine
+        1316032, 178340, 6, 304096, 304096, 2,
+        // fabric read and write, LLC port, UPI
+        1620128, 482436, 300000, 12416,
+        // read and write link per memory node
+        1644416, 170020, 0, 12416, 0, 0,
+        // LLC hit, miss and writeback bytes
+        4672, 1944448, 0,
+        // end tick, event-stream hash
+        56778563, 13496956176634195498ull};
+    std::string all;
+    for (std::uint64_t v : got)
+        all += std::to_string(v) + "ull, ";
+    EXPECT_EQ(got, pinned) << "got: " << all;
+}
+
 TEST(DsaSubmission, SwqRetryWhenFull)
 {
     DsaBench b(/*engines=*/1, /*wq_size=*/1,

@@ -468,6 +468,87 @@ TEST(Span, StreamingCopyAndWriteMatchMemmove)
 }
 
 /**
+ * Pattern fills (spanFillPattern, a Fill descriptor's data plane) and
+ * AddressSpace::fill just below, at and above the streaming-store
+ * threshold: at every destination alignment to 16 bytes, so each
+ * phase of an 8- or 16-byte pattern meets the aligned stores, across
+ * 4 KiB pages and a 2 MiB chunk boundary, and across a 2 MiB page.
+ * Each must match a plain byte loop.
+ */
+TEST(Span, StreamingFillsMatchPlainLoop)
+{
+    SpanBench b;
+    constexpr std::uint64_t T = AddressSpace::streamingStoreBytes;
+    const std::uint64_t region = 6 << 20;
+    const Addr dst = b.as.alloc(region);
+    const Addr huge =
+        b.as.alloc(4 << 20, MemKind::DramLocal, PageSize::Size2M);
+    std::vector<std::uint8_t> img(region), hugeImg(4 << 20);
+    Rng rng(43);
+    randomize(img, rng);
+    randomize(hugeImg, rng);
+    b.as.write(dst, img.data(), img.size());
+    b.as.write(huge, hugeImg.data(), hugeImg.size());
+    const std::uint64_t lo = rng.next64();
+    const std::uint64_t hi = rng.next64();
+    std::uint8_t pat[16];
+    std::memcpy(pat, &lo, 8);
+    std::memcpy(pat + 8, &hi, 8);
+    const std::uint64_t boundary = chunkStartAfter(b.as, dst, 1 << 20);
+
+    const auto plainFill = [&pat](std::vector<std::uint8_t> &im,
+                                  std::uint64_t off, std::uint64_t len,
+                                  unsigned pat_bytes) {
+        for (std::uint64_t i = 0; i < len; ++i)
+            im[off + i] = pat[i % pat_bytes];
+    };
+    const auto expectWindow = [&b](Addr base,
+                                   const std::vector<std::uint8_t> &im,
+                                   std::uint64_t off, std::uint64_t len,
+                                   const char *what) {
+        std::vector<std::uint8_t> got(len + 128);
+        b.as.read(base + off - 64, got.data(), got.size());
+        ASSERT_EQ(0, std::memcmp(got.data(), im.data() + off - 64,
+                                 got.size()))
+            << what << " len=" << len << " off=" << off;
+    };
+
+    for (std::uint64_t len : {T - 1, T, T + 4095}) {
+        for (std::uint64_t mis = 0; mis < 16; ++mis) {
+            const std::uint64_t doff = boundary - len / 2 / 16 * 16 + mis;
+            const std::uint64_t hoff = (2 << 20) - len / 2 / 16 * 16 + mis;
+            ASSERT_EQ(reinterpret_cast<std::uintptr_t>(
+                          b.as.contiguous(dst + doff, 1)) % 16,
+                      mis);
+            ASSERT_EQ(reinterpret_cast<std::uintptr_t>(
+                          b.as.contiguous(huge + hoff, 1)) % 16,
+                      mis);
+            for (unsigned pat_bytes : {8u, 16u}) {
+                spanFillPattern(b.as, dst + doff, len, lo, hi, pat_bytes);
+                plainFill(img, doff, len, pat_bytes);
+                expectWindow(dst, img, doff, len, "pattern fill");
+
+                spanFillPattern(b.as, huge + hoff, len, lo, hi,
+                                pat_bytes);
+                plainFill(hugeImg, hoff, len, pat_bytes);
+                expectWindow(huge, hugeImg, hoff, len,
+                             "pattern fill, 2 MiB page");
+            }
+            const auto value = static_cast<std::uint8_t>(17 * mis + 1);
+            b.as.fill(dst + doff + 4096, value, len);
+            std::memset(img.data() + doff + 4096, value, len);
+            expectWindow(dst, img, doff + 4096, len, "fill");
+        }
+    }
+    std::vector<std::uint8_t> all(region);
+    b.as.read(dst, all.data(), region);
+    EXPECT_EQ(all, img);
+    all.resize(hugeImg.size());
+    b.as.read(huge, all.data(), hugeImg.size());
+    EXPECT_EQ(all, hugeImg);
+}
+
+/**
  * spanCompare and spanComparePattern walk each range one host run at
  * a time: runs that end at different offsets on the two sides (2 MiB
  * chunk boundaries) and never-written pages must still give the
