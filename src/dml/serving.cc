@@ -8,48 +8,48 @@ namespace dsasim::dml
 {
 
 ServingNode::ServingNode(Simulation &s, Executor &e, ServingConfig c)
-    : cfg(c), sim(s), ex(e),
-      latencyHist([&]() -> stats::Histogram & {
-          stats::Registry &reg = s.stats();
-          const std::string scope = reg.scope("serving") + ".";
-          // Ladder-event counters: supplier-backed sums over the
-          // tenant sessions, so they track tenants added later.
-          reg.counter(scope + "breaker_opens",
-                      "circuit-breaker trips across all tenants",
-                      [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->breaker.opens;
-                          return n;
-                      });
-          reg.counter(scope + "sheds",
-                      "requests shed by an open breaker", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->breaker.shed;
-                          return n;
-                      });
-          reg.counter(scope + "retries",
-                      "ENQCMD retries absorbed in backoff", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->stats.retries;
-                          return n;
-                      });
-          reg.counter(scope + "fallbacks",
-                      "requests served on the CPU path", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->stats.fallbacks;
-                          return n;
-                      });
-          return reg.histogram(
-              scope + "latency_us",
-              "arrival-to-done request latency in microseconds",
-              {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-               512.0, 1024.0, 2048.0, 4096.0, 8192.0, 16384.0});
-      }())
-{}
+    : cfg(c), sim(s), ex(e)
+{
+    stats::Registry &reg = s.stats();
+    const std::string scope = reg.scope("serving") + ".";
+    // Supplier-backed sums over the tenant sessions, so they track
+    // tenants added later.
+    const auto overTenants = [this](auto field) {
+        return [this, field] {
+            std::uint64_t n = 0;
+            for (const auto &t : tenants)
+                n += field(*t);
+            return n;
+        };
+    };
+    reg.counter(scope + "breaker_opens",
+                "circuit-breaker trips across all tenants",
+                overTenants([](const auto &t) { return t.breaker.opens; }));
+    reg.counter(scope + "sheds", "requests shed by an open breaker",
+                overTenants([](const auto &t) { return t.breaker.shed; }));
+    reg.counter(scope + "retries", "ENQCMD retries absorbed in backoff",
+                overTenants([](const auto &t) { return t.stats.retries; }));
+    reg.counter(scope + "fallbacks", "requests served on the CPU path",
+                overTenants([](const auto &t) {
+                    return t.stats.fallbacks;
+                }));
+    // Views of the one latency record, TenantStats::latencyUs: an
+    // interval's mean latency is its latency_us_total delta over its
+    // completed delta.
+    reg.counter(scope + "completed",
+                "requests with a recorded arrival-to-done latency",
+                overTenants([](const auto &t) {
+                    return t.stats.latencyUs.count();
+                }));
+    reg.gauge(scope + "latency_us_total",
+              "summed arrival-to-done request latency in microseconds",
+              [this] {
+                  double us = 0.0;
+                  for (const auto &t : tenants)
+                      us += t->stats.latencyUs.sum();
+                  return us;
+              });
+}
 
 bool
 CircuitBreaker::allowHardware(Tick now)
@@ -236,7 +236,6 @@ ServingNode::serve(TenantSession &t, std::uint64_t k)
     }
 
     t.stats.latencyUs.add(toUs(sim.now() - t0));
-    latencyHist.observe(toUs(sim.now() - t0));
 }
 
 TenantStats

@@ -25,7 +25,9 @@
  * by tenant/request/attempt), so retry spreading is identical for
  * any DSASIM_PARTITIONS worker count. Per-tenant SLO accounting
  * (p50/p99/p999 latency, goodput, shed/retry/fallback counters)
- * lives in TenantStats and feeds bench/bench_serving.cc.
+ * lives in TenantStats and feeds bench/bench_serving.cc. Its
+ * latencyUs sample store is the only latency record: the telemetry
+ * registry exports count and sum views of it, never a second copy.
  */
 
 #ifndef DSASIM_DML_SERVING_HH
@@ -189,8 +191,9 @@ class ServingNode
   public:
     /**
      * Registers this node's telemetry under a fresh serving<N>.
-     * scope: ladder-event counters summed across tenants and the
-     * p99/p999 request-latency histogram (DESIGN.md §15).
+     * scope: ladder-event counters summed across tenants, and the
+     * completed count and latency_us_total sum read from the
+     * tenants' latencyUs records (DESIGN.md §15).
      */
     ServingNode(Simulation &s, Executor &e, ServingConfig c = {});
 
@@ -221,7 +224,7 @@ class ServingNode
         return tenants;
     }
 
-    /** Sum of all tenants' stats (latency histograms merged). */
+    /** Sum of all tenants' stats (latency sample stores merged). */
     TenantStats aggregate() const;
 
     const ServingConfig &config() const { return cfg; }
@@ -234,11 +237,6 @@ class ServingNode
     Simulation &sim;
     Executor &ex;
     std::vector<std::unique_ptr<TenantSession>> tenants;
-
-    /** Fixed-bucket request-latency histogram (µs, exponential
-     * bounds) in the telemetry registry; the exact-tail reservoir
-     * stays in TenantStats::latencyUs. */
-    stats::Histogram &latencyHist;
 };
 
 } // namespace dsasim::dml

@@ -134,8 +134,12 @@ Platform::Platform(Simulation &s, const PlatformConfig &cfg)
 Platform::~Platform()
 {
     if (statsSampler && statsSampler->sampleCount() > 0) {
-        statsSampler->writeCsv(statsExportStem + ".csv");
-        statsSampler->writePrometheusFile(statsExportStem + ".prom");
+        const std::string csv = statsExportStem + ".csv";
+        const std::string prom = statsExportStem + ".prom";
+        if (!statsSampler->writeCsv(csv))
+            warn("stats: failed to write %s", csv.c_str());
+        if (!statsSampler->writePrometheusFile(prom))
+            warn("stats: failed to write %s", prom.c_str());
     }
 }
 

@@ -21,44 +21,6 @@ namespace stats
 {
 
 // --------------------------------------------------------------------
-// Histogram
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : ubounds(std::move(upper_bounds))
-{
-    for (std::size_t i = 1; i < ubounds.size(); ++i)
-        fatal_if(ubounds[i] <= ubounds[i - 1],
-                 "stats::Histogram: bucket bounds must be strictly "
-                 "ascending (%f then %f)",
-                 ubounds[i - 1], ubounds[i]);
-    counts.assign(ubounds.size() + 1, 0);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (n == 0)
-        return 0.0;
-    q = std::min(1.0, std::max(0.0, q));
-    const double target = q * static_cast<double>(n);
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-        const std::uint64_t prev = cum;
-        cum += counts[b];
-        if (static_cast<double>(cum) < target || counts[b] == 0)
-            continue;
-        if (b >= ubounds.size()) // +Inf bucket: clamp to last bound
-            return ubounds.empty() ? 0.0 : ubounds.back();
-        const double lo = b == 0 ? 0.0 : ubounds[b - 1];
-        const double hi = ubounds[b];
-        const double frac = (target - static_cast<double>(prev)) /
-                            static_cast<double>(counts[b]);
-        return lo + frac * (hi - lo);
-    }
-    return ubounds.empty() ? 0.0 : ubounds.back();
-}
-
-// --------------------------------------------------------------------
 // Registry
 
 Registry::Metric &
@@ -121,28 +83,6 @@ Registry::gauge(const std::string &name, const std::string &help,
     return m.gau;
 }
 
-Histogram &
-Registry::histogram(const std::string &name, const std::string &help,
-                    std::vector<double> upper_bounds)
-{
-    Metric &m = add(name, Kind::Histogram, help);
-    m.hist = Histogram(std::move(upper_bounds));
-    if (auto it = pendingHistograms.find(name);
-        it != pendingHistograms.end()) {
-        const HistogramState &hs = it->second;
-        fatal_if(hs.buckets.size() != m.hist.counts.size(),
-                 "stats::Registry: histogram '%s' restored with %zu "
-                 "buckets but registered with %zu",
-                 name.c_str(), hs.buckets.size(),
-                 m.hist.counts.size());
-        m.hist.counts = hs.buckets;
-        m.hist.n = hs.count;
-        m.hist.total = hs.sum;
-        pendingHistograms.erase(it);
-    }
-    return m.hist;
-}
-
 std::string
 Registry::scope(const std::string &stem)
 {
@@ -183,21 +123,10 @@ Registry::sampleInto(Snapshot &snap) const // simlint:observer
             e.name = name;
             e.help = m.help;
             e.kind = m.kind;
-            e.bounds = m.hist.ubounds;
         }
-        switch (m.kind) {
-          case Kind::Counter:
-            e.value = static_cast<double>(m.ctr.value());
-            break;
-          case Kind::Gauge:
-            e.value = m.gau.value();
-            break;
-          case Kind::Histogram:
-            e.value = static_cast<double>(m.hist.count());
-            e.sum = m.hist.sum();
-            e.buckets = m.hist.bucketCounts();
-            break;
-        }
+        e.value = m.kind == Kind::Counter
+                      ? static_cast<double>(m.ctr.value())
+                      : m.gau.value();
     }
 }
 
@@ -229,20 +158,10 @@ Registry::fold(const Registry &src, const std::string &prefix)
                      full.c_str());
         }
         Metric &dst = it->second;
-        switch (m.kind) {
-          case Kind::Counter:
+        if (m.kind == Kind::Counter)
             dst.ctr.cell = m.ctr.value();
-            break;
-          case Kind::Gauge:
+        else
             dst.gau.cell = m.gau.value();
-            break;
-          case Kind::Histogram:
-            dst.hist.ubounds = m.hist.ubounds;
-            dst.hist.counts = m.hist.counts;
-            dst.hist.n = m.hist.n;
-            dst.hist.total = m.hist.total;
-            break;
-        }
     }
 }
 
@@ -251,21 +170,10 @@ Registry::saveState() const
 {
     State st;
     for (const auto &[name, m] : metrics) {
-        switch (m.kind) {
-          case Kind::Counter:
-            if (!m.ctr.supplierBacked())
-                st.counters.emplace_back(name, m.ctr.cell);
-            break;
-          case Kind::Gauge:
-            if (!m.gau.supplierBacked())
-                st.gauges.emplace_back(name, m.gau.cell);
-            break;
-          case Kind::Histogram:
-            st.histograms.emplace_back(
-                name, HistogramState{m.hist.counts, m.hist.n,
-                                     m.hist.total});
-            break;
-        }
+        if (m.kind == Kind::Counter && !m.ctr.supplierBacked())
+            st.counters.emplace_back(name, m.ctr.cell);
+        else if (m.kind == Kind::Gauge && !m.gau.supplierBacked())
+            st.gauges.emplace_back(name, m.gau.cell);
     }
     // Values restored before their metric registered still belong to
     // the logical state (Snapshot::fork re-anchors the kernel before
@@ -277,14 +185,11 @@ Registry::saveState() const
         st.counters.emplace_back(name, v);
     for (const auto &[name, v] : pendingGauges)
         st.gauges.emplace_back(name, v);
-    for (const auto &[name, v] : pendingHistograms)
-        st.histograms.emplace_back(name, v);
     auto byName = [](const auto &a, const auto &b) {
         return a.first < b.first;
     };
     std::sort(st.counters.begin(), st.counters.end(), byName);
     std::sort(st.gauges.begin(), st.gauges.end(), byName);
-    std::sort(st.histograms.begin(), st.histograms.end(), byName);
     return st;
 }
 
@@ -307,18 +212,6 @@ Registry::restoreState(const State &st)
         } else if (it->second.kind == Kind::Gauge &&
                    !it->second.gau.supplierBacked()) {
             it->second.gau.cell = v;
-        }
-    }
-    for (const auto &[name, hs] : st.histograms) {
-        const auto it = metrics.find(name);
-        if (it == metrics.end()) {
-            pendingHistograms[name] = hs;
-        } else if (it->second.kind == Kind::Histogram &&
-                   it->second.hist.counts.size() ==
-                       hs.buckets.size()) {
-            it->second.hist.counts = hs.buckets;
-            it->second.hist.n = hs.count;
-            it->second.hist.total = hs.sum;
         }
     }
 }
@@ -376,7 +269,7 @@ prometheusName(const std::string &name)
 namespace
 {
 
-/** Shortest round-trippable rendering; %g-style for bounds. */
+/** Integers print exactly; anything else round-trips via %.17g. */
 void
 printDouble(std::FILE *out, double v)
 {
@@ -389,18 +282,15 @@ printDouble(std::FILE *out, double v)
     std::fprintf(out, "%.17g", v);
 }
 
-const char *
-kindName(Registry::Kind k)
+/**
+ * Close @p f; false if any write to it failed or the close did (the
+ * final flush is where a full disk usually shows).
+ */
+bool
+closeChecked(std::FILE *f)
 {
-    switch (k) {
-      case Registry::Kind::Counter:
-        return "counter";
-      case Registry::Kind::Gauge:
-        return "gauge";
-      case Registry::Kind::Histogram:
-        return "histogram";
-    }
-    return "untyped";
+    const bool wrote = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && wrote;
 }
 
 } // namespace
@@ -418,30 +308,11 @@ writePrometheus(const Registry::Snapshot &snap,
                      e.help.empty() ? e.name.c_str()
                                     : e.help.c_str());
         std::fprintf(out, "# TYPE %s %s\n", pname.c_str(),
-                     kindName(e.kind));
-        if (e.kind != Registry::Kind::Histogram) {
-            std::fprintf(out, "%s ", pname.c_str());
-            printDouble(out, e.value);
-            std::fprintf(out, "\n");
-            continue;
-        }
-        // Histogram: cumulative buckets, then _sum and _count.
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-            cum += e.buckets[b];
-            std::fprintf(out, "%s_bucket{le=\"", pname.c_str());
-            if (b < e.bounds.size())
-                std::fprintf(out, "%g", e.bounds[b]);
-            else
-                std::fprintf(out, "+Inf");
-            std::fprintf(out, "\"} %llu\n",
-                         static_cast<unsigned long long>(cum));
-        }
-        std::fprintf(out, "%s_sum ", pname.c_str());
-        printDouble(out, e.sum);
-        std::fprintf(out, "\n%s_count %llu\n", pname.c_str(),
-                     static_cast<unsigned long long>(
-                         static_cast<std::uint64_t>(e.value)));
+                     e.kind == Registry::Kind::Counter ? "counter"
+                                                       : "gauge");
+        std::fprintf(out, "%s ", pname.c_str());
+        printDouble(out, e.value);
+        std::fprintf(out, "\n");
     }
 }
 
@@ -454,33 +325,12 @@ validatePrometheus(const std::string &text, std::string *error)
         return false;
     };
 
-    // Per-metric-family bookkeeping keyed by base name.
     struct Family
     {
         bool haveHelp = false;
-        bool haveType = false;
-        std::string type;
-        double lastBucket = -1.0;
-        bool sawInf = false;
-        double infCount = 0.0;
-        bool haveCount = false;
-        double count = 0.0;
+        std::string type; ///< empty until the TYPE line
     };
     std::map<std::string, Family> families;
-
-    const auto baseOf = [](const std::string &metric,
-                           std::string &suffix) {
-        for (const char *s : {"_bucket", "_sum", "_count"}) {
-            const std::size_t sl = std::strlen(s);
-            if (metric.size() > sl &&
-                metric.compare(metric.size() - sl, sl, s) == 0) {
-                suffix = s;
-                return metric.substr(0, metric.size() - sl);
-            }
-        }
-        suffix.clear();
-        return metric;
-    };
 
     std::istringstream in(text);
     std::string line;
@@ -495,7 +345,7 @@ validatePrometheus(const std::string &text, std::string *error)
             line.rfind("# TYPE ", 0) == 0) {
             const bool is_help = line[2] == 'H';
             std::istringstream ls(line.substr(7));
-            std::string metric, rest;
+            std::string metric, type;
             ls >> metric;
             if (metric.empty())
                 return fail(at + "malformed HELP/TYPE line");
@@ -503,75 +353,30 @@ validatePrometheus(const std::string &text, std::string *error)
             if (is_help) {
                 f.haveHelp = true;
             } else {
-                ls >> rest;
-                if (rest != "counter" && rest != "gauge" &&
-                    rest != "histogram" && rest != "untyped")
-                    return fail(at + "unknown TYPE '" + rest + "'");
-                f.haveType = true;
-                f.type = rest;
+                ls >> type;
+                if (type != "counter" && type != "gauge")
+                    return fail(at + "unknown TYPE '" + type + "'");
+                f.type = type;
             }
             continue;
         }
         if (line[0] == '#')
             continue; // plain comment
         // Sample line: name[{labels}] value
-        const std::size_t brace = line.find('{');
         const std::size_t space = line.find(' ');
         if (space == std::string::npos)
             return fail(at + "sample line with no value");
-        const std::string metric = line.substr(
-            0, std::min(space, brace == std::string::npos
-                                   ? space
-                                   : brace));
-        std::string suffix;
-        const std::string base = baseOf(metric, suffix);
-        const auto fit = families.find(base);
-        // Histogram child series inherit the family's HELP/TYPE; a
-        // scalar whose own name has HELP/TYPE is also fine.
-        const auto self = families.find(metric);
-        const Family *fam = nullptr;
-        if (fit != families.end() && fit->second.haveHelp &&
-            fit->second.haveType)
-            fam = &fit->second;
-        else if (self != families.end() && self->second.haveHelp &&
-                 self->second.haveType)
-            fam = &self->second;
-        if (fam == nullptr)
+        const std::string metric =
+            line.substr(0, std::min(space, line.find('{')));
+        const auto fit = families.find(metric);
+        if (fit == families.end() || !fit->second.haveHelp ||
+            fit->second.type.empty())
             return fail(at + "sample '" + metric +
                         "' missing HELP/TYPE");
-        const double value =
-            std::atof(line.c_str() + space + 1);
-        if (!(value >= 0.0) &&
-            (fam->type == "counter" || fam->type == "histogram"))
-            return fail(at + "negative " + fam->type + " sample '" +
-                        metric + "'");
-        if (fam->type == "histogram" && fit != families.end()) {
-            Family &f = fit->second;
-            if (suffix == "_bucket") {
-                if (value < f.lastBucket)
-                    return fail(at + "histogram '" + base +
-                                "' buckets not cumulative");
-                f.lastBucket = value;
-                if (brace != std::string::npos &&
-                    line.find("le=\"+Inf\"") != std::string::npos) {
-                    f.sawInf = true;
-                    f.infCount = value;
-                }
-            } else if (suffix == "_count") {
-                f.haveCount = true;
-                f.count = value;
-            }
-        }
-    }
-    for (const auto &[name, f] : families) {
-        if (f.type == "histogram" && f.haveCount) {
-            if (!f.sawInf)
-                return fail("histogram '" + name +
-                            "' missing +Inf bucket");
-            if (f.infCount != f.count)
-                return fail("histogram '" + name +
-                            "' +Inf bucket != _count");
-        }
+        const double value = std::atof(line.c_str() + space + 1);
+        if (!(value >= 0.0) && fit->second.type == "counter")
+            return fail(at + "negative counter sample '" + metric +
+                        "'");
     }
     if (error != nullptr)
         error->clear();
@@ -599,18 +404,8 @@ Sampler::lockColumns()
     const Registry &reg =
         static_cast<const Simulation &>(sim).stats();
     columns.reserve(reg.metrics.size());
-    for (const auto &[name, m] : reg.metrics) {
-        Column c;
-        c.name = name;
-        c.kind = m.kind;
-        c.ctr = &m.ctr;
-        c.gau = &m.gau;
-        c.hist = &m.hist;
-        valuesPerRow +=
-            m.kind == Registry::Kind::Histogram ? 4 : 1;
-        columns.push_back(std::move(c));
-    }
-    lockedMetricCount = reg.metrics.size();
+    for (const auto &[name, m] : reg.metrics)
+        columns.push_back({name, m.kind, &m.ctr, &m.gau});
 }
 
 void
@@ -640,7 +435,7 @@ Sampler::sample() // simlint:observer
         lockColumns();
     } else if (!warnedNewMetrics &&
                static_cast<const Simulation &>(sim).stats().size() !=
-                   lockedMetricCount) {
+                   columns.size()) {
         std::fprintf(stderr,
                      "dsasim: stats: metrics registered after the "
                      "first sample are omitted from the CSV (columns "
@@ -653,24 +448,11 @@ Sampler::sample() // simlint:observer
     // references — no name lookups, no snapshot rebuild.
     Row row;
     row.when = sim.now();
-    row.values.reserve(valuesPerRow);
+    row.values.reserve(columns.size());
     for (const Column &c : columns) {
-        switch (c.kind) {
-          case Registry::Kind::Counter:
-            row.values.push_back(
-                static_cast<double>(c.ctr->value()));
-            break;
-          case Registry::Kind::Gauge:
-            row.values.push_back(c.gau->value());
-            break;
-          case Registry::Kind::Histogram:
-            row.values.push_back(
-                static_cast<double>(c.hist->count()));
-            row.values.push_back(c.hist->sum());
-            row.values.push_back(c.hist->quantile(0.99));
-            row.values.push_back(c.hist->quantile(0.999));
-            break;
-        }
+        row.values.push_back(c.kind == Registry::Kind::Counter
+                                 ? static_cast<double>(c.ctr->value())
+                                 : c.gau->value());
     }
     rows.push_back(std::move(row));
     if (rows.size() >= maxRows)
@@ -697,14 +479,8 @@ Sampler::writeCsv(const std::string &path) const
     if (f == nullptr)
         return false;
     std::fprintf(f, "tick_ps");
-    for (const Column &c : columns) {
-        if (c.kind == Registry::Kind::Histogram)
-            std::fprintf(f, ",%s.count,%s.sum,%s.p99,%s.p999",
-                         c.name.c_str(), c.name.c_str(),
-                         c.name.c_str(), c.name.c_str());
-        else
-            std::fprintf(f, ",%s", c.name.c_str());
-    }
+    for (const Column &c : columns)
+        std::fprintf(f, ",%s", c.name.c_str());
     std::fprintf(f, "\n");
     for (const Row &r : rows) {
         std::fprintf(f, "%llu",
@@ -715,8 +491,7 @@ Sampler::writeCsv(const std::string &path) const
         }
         std::fprintf(f, "\n");
     }
-    std::fclose(f);
-    return true;
+    return closeChecked(f);
 }
 
 bool
@@ -726,8 +501,7 @@ Sampler::writePrometheusFile(const std::string &path) const
     if (f == nullptr)
         return false;
     writePrometheus(snap, f);
-    std::fclose(f);
-    return true;
+    return closeChecked(f);
 }
 
 } // namespace stats

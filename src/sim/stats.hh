@@ -3,9 +3,11 @@
  * Measurement helpers: scalar counters, sample histograms with exact
  * percentiles, and time series for occupancy-style plots — plus the
  * first-class telemetry registry (namespace stats): hierarchical
- * dotted-name counters/gauges/fixed-bucket histograms, a
- * deterministic pure-observer sampler, and pcm-sensor-server-style
- * CSV / Prometheus exporters (DESIGN.md §15).
+ * dotted-name counters and gauges, a deterministic pure-observer
+ * sampler, and pcm-sensor-server-style CSV / Prometheus exporters
+ * (DESIGN.md §15). Latency distributions are not a registry kind:
+ * their owners keep sample stores (dsasim::Histogram) and export
+ * count/sum views as a counter and a gauge.
  */
 
 #ifndef DSASIM_SIM_STATS_HH
@@ -215,12 +217,12 @@ class CycleAccount
  * prefixes the domain: "socket0.dsa1.eng2.bytes_read") and are
  * registered once, by the component that owns them, against the
  * Simulation's registry. Mutation goes through the metric API only —
- * Counter::add / Gauge::set / Histogram::observe (simlint's
- * counter-mutation rule rejects direct field writes) — and every
- * read surface (snapshots, the Sampler, the exporters) is a pure
- * observer: it never schedules events, consumes sequence numbers, or
- * touches simulated state, so telemetry on/off and any sampling
- * period leave event-stream fingerprints bit-identical.
+ * Counter::add / Gauge::set (simlint's counter-mutation rule rejects
+ * direct field writes) — and every read surface (snapshots, the
+ * Sampler, the exporters) is a pure observer: it never schedules
+ * events, consumes sequence numbers, or touches simulated state, so
+ * telemetry on/off and any sampling period leave event-stream
+ * fingerprints bit-identical.
  */
 namespace stats
 {
@@ -261,57 +263,6 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram (Prometheus-style cumulative export): one
- * count per configured upper bound plus an implicit +Inf overflow
- * bucket. Unlike dsasim::Histogram (an exact/reservoir sample store
- * for offline percentiles) the memory is O(buckets) and the export
- * is deterministic, which is what the telemetry path needs.
- */
-class Histogram
-{
-  public:
-    Histogram() = default;
-
-    /** @p upper_bounds must be strictly ascending. */
-    explicit Histogram(std::vector<double> upper_bounds);
-
-    void
-    observe(double v)
-    {
-        std::size_t i = 0;
-        while (i < ubounds.size() && v > ubounds[i])
-            ++i;
-        ++counts[i];
-        ++n;
-        total += v;
-    }
-
-    std::uint64_t count() const { return n; }
-    double sum() const { return total; }
-    const std::vector<double> &bounds() const { return ubounds; }
-    /** Per-bucket counts; size bounds().size() + 1 (+Inf last). */
-    const std::vector<std::uint64_t> &bucketCounts() const
-    {
-        return counts;
-    }
-
-    /**
-     * Bucket-resolved quantile estimate (q in [0, 1]), linearly
-     * interpolated within the selected bucket — the p99/p999 readout
-     * for live dashboards; exact tails still come from the reservoir
-     * dsasim::Histogram.
-     */
-    double quantile(double q) const;
-
-  private:
-    friend class Registry;
-    std::vector<double> ubounds;
-    std::vector<std::uint64_t> counts{0};
-    std::uint64_t n = 0;
-    double total = 0.0;
-};
-
-/**
  * Hierarchical metric registry, one per Simulation. Registration
  * (setup-time, non-observer) returns a stable reference — metrics
  * live in node-based storage and are never removed. A duplicate name
@@ -330,7 +281,6 @@ class Registry
     {
         Counter,
         Gauge,
-        Histogram,
     };
 
     Registry() = default;
@@ -350,9 +300,6 @@ class Registry
                  const std::string &help = "");
     Gauge &gauge(const std::string &name, const std::string &help,
                  std::function<double()> supplier);
-    Histogram &histogram(const std::string &name,
-                         const std::string &help,
-                         std::vector<double> upper_bounds);
 
     /**
      * Auto-numbered instance prefix: scope("dto") returns "dto0",
@@ -377,11 +324,7 @@ class Registry
         std::string name;
         std::string help;
         Kind kind = Kind::Counter;
-        /** Counter/gauge scalar; histogram: observation count. */
         double value = 0.0;
-        double sum = 0.0;                   ///< histogram only
-        std::vector<double> bounds;         ///< histogram only
-        std::vector<std::uint64_t> buckets; ///< histogram only
     };
 
     /** Point-in-time copy of every metric, ascending name order. */
@@ -411,19 +354,10 @@ class Registry
     /// @name Checkpointable state (stored metrics only — supplier-
     /// backed views restore through their owning component).
     /// @{
-    struct HistogramState
-    {
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-    };
-
     struct State
     {
         std::vector<std::pair<std::string, std::uint64_t>> counters;
         std::vector<std::pair<std::string, double>> gauges;
-        std::vector<std::pair<std::string, HistogramState>>
-            histograms;
     };
 
     State saveState() const;
@@ -440,7 +374,6 @@ class Registry
         std::string help;
         Counter ctr;
         Gauge gau;
-        Histogram hist;
     };
 
     Metric &add(const std::string &name, Kind kind,
@@ -454,7 +387,6 @@ class Registry
     /** Values restored before their metric registered (fork order). */
     std::map<std::string, std::uint64_t> pendingCounters;
     std::map<std::string, double> pendingGauges;
-    std::map<std::string, HistogramState> pendingHistograms;
 };
 
 /// @name Export knobs (read once per query; host-only).
@@ -480,7 +412,7 @@ void writePrometheus(const Registry::Snapshot &snap,
 
 /**
  * Validate Prometheus text-exposition output: every sample preceded
- * by its HELP/TYPE pair, histogram bucket counts cumulative, counter
+ * by its HELP/TYPE pair, every TYPE a counter or a gauge, counter
  * values non-negative. Returns true when valid; otherwise fills
  * @p error.
  */
@@ -552,11 +484,15 @@ class Sampler
      * Per-run time series: one column per metric present at the
      * first sample (late registrations are noted once on stderr and
      * skipped — columns are locked so every row parses), one row per
-     * sample. Returns false on I/O failure.
+     * sample. Returns false if the file cannot be opened, a write
+     * fails or the close fails (e.g. a full disk).
      */
     bool writeCsv(const std::string &path) const;
 
-    /** Recorded snapshot in Prometheus text-exposition format. */
+    /**
+     * Recorded snapshot in Prometheus text-exposition format; false
+     * on the same I/O failures as writeCsv().
+     */
     bool writePrometheusFile(const std::string &path) const;
 
   private:
@@ -567,9 +503,9 @@ class Sampler
     };
 
     /**
-     * Locked at the first sample; histograms expand to 4 columns.
-     * The metric pointers alias the registry's node-based storage —
-     * valid as long as the registry (metrics are never removed).
+     * Locked at the first sample, one per metric. The metric
+     * pointers alias the registry's node-based storage — valid as
+     * long as the registry (metrics are never removed).
      */
     struct Column
     {
@@ -577,7 +513,6 @@ class Sampler
         Registry::Kind kind = Registry::Kind::Counter;
         const Counter *ctr = nullptr;
         const Gauge *gau = nullptr;
-        const Histogram *hist = nullptr;
     };
 
     void lockColumns();
@@ -588,8 +523,6 @@ class Sampler
     Registry::Snapshot snap;
     std::vector<Column> columns;
     std::vector<Row> rows;
-    std::size_t valuesPerRow = 0;
-    std::size_t lockedMetricCount = 0;
     std::size_t samplesSinceSnap = 0;
     bool warnedNewMetrics = false;
 };

@@ -17,7 +17,9 @@
  *    executor's watchdog and the request served on the CPU;
  *    pasid-scoped fault injection stays
  *    inside the targeted tenant's blast radius; the whole ladder is
- *    bit-identical at 1 vs 4 worker threads mid-overload;
+ *    bit-identical at 1 vs 4 worker threads mid-overload; the
+ *    registry's completed/latency_us_total views equal the tenants'
+ *    latency records;
  *  - MiniCache as a tenant workload, with its op counters.
  */
 
@@ -320,6 +322,63 @@ TEST(Serving, BackoffExhaustionDegradesToCpuWithZeroHangs)
     }
     EXPECT_EQ(b.plat.core(0).cycleAccount().bucket("enqcmd-backoff"),
               pauses);
+}
+
+TEST(Serving, RegistryViewsMatchTenantRecords)
+{
+    ServBench b;
+    dml::ServingConfig sc;
+    sc.maxRetries = 2;
+    sc.outstandingCap = 64;
+    dml::ServingNode node(b.sim, *b.exec, sc);
+
+    // Two tokens per tenant ever: the rest of each tenant's requests
+    // retry, give up and fall back to the CPU path.
+    WqAdmission adm;
+    b.plat.dsa(0).installAdmission(0, &adm);
+    std::vector<dml::TenantSession *> tenants;
+    for (int t = 0; t < 3; ++t) {
+        tenants.push_back(&b.addTenant(node));
+        adm.setBucket(tenants.back()->pasid, {1, 2});
+    }
+
+    const std::uint64_t requests = 6;
+    const ArrivalMix mix = ArrivalMix::parse("poisson:rate=100000");
+    Latch done(b.sim, tenants.size() * requests);
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        node.openLoop(*tenants[t],
+                      ArrivalStream(1, t, mix.classFor(t)), requests,
+                      done);
+    }
+    b.sim.run();
+    ASSERT_TRUE(done.done());
+
+    std::uint64_t samples = 0, completed = 0;
+    double totalUs = 0.0;
+    for (const dml::TenantSession *t : tenants) {
+        samples += t->stats.latencyUs.count();
+        completed += t->stats.completed();
+        totalUs += t->stats.latencyUs.sum();
+    }
+    const dml::TenantStats total = node.aggregate();
+    ASSERT_GT(total.retries, 0u);
+    ASSERT_GT(total.fallbacks, 0u);
+    ASSERT_GT(total.hwOk, 0u);
+
+    const stats::Registry &reg = b.sim.stats();
+    EXPECT_EQ(reg.counterValue("serving0.completed"), samples);
+    EXPECT_EQ(samples, completed);
+    EXPECT_EQ(completed, tenants.size() * requests);
+
+    const stats::Registry::Snapshot snap = reg.snapshot();
+    const auto it = std::find_if(
+        snap.entries.begin(), snap.entries.end(), [](const auto &e) {
+            return e.name == "serving0.latency_us_total";
+        });
+    ASSERT_NE(it, snap.entries.end());
+    EXPECT_EQ(it->kind, stats::Registry::Kind::Gauge);
+    EXPECT_DOUBLE_EQ(it->value, totalUs);
+    EXPECT_GT(it->value, 0.0);
 }
 
 SimTask

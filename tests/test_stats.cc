@@ -2,13 +2,13 @@
  * @file
  * Telemetry subsystem tests (DESIGN.md §15):
  *
- *  - registry contracts: typed metrics, supplier-backed views,
+ *  - registry contracts: counters and gauges, supplier-backed views,
  *    scope() auto-numbering, fatal duplicate names;
- *  - fixed-bucket histogram goldens and quantile interpolation;
  *  - checkpoint round-trips, including values restored before their
  *    metric registers (the Snapshot::fork ordering);
  *  - the deterministic cluster fold;
- *  - Prometheus / CSV exporters (golden output + format validator);
+ *  - Prometheus / CSV exporters (golden output + format validator),
+ *    and their I/O-failure reporting;
  *  - sampler purity: the event-stream fingerprint is bit-identical
  *    with sampling off, and on at any period;
  *  - the pcm::Monitor registry view and its pcm-accel line format.
@@ -119,39 +119,6 @@ TEST(StatsRegistry, SnapshotAscendingNamesAndSuppliers)
 }
 
 // --------------------------------------------------------------------
-// Fixed-bucket histogram
-
-TEST(StatsHistogram, BucketGoldens)
-{
-    stats::Registry reg;
-    stats::Histogram &h =
-        reg.histogram("lat", "latency", {1.0, 4.0, 16.0});
-
-    for (double v : {0.5, 1.0, 2.0, 4.0, 8.0, 100.0})
-        h.observe(v);
-
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_DOUBLE_EQ(h.sum(), 115.5);
-    // Buckets are per-bound (non-cumulative) with a +Inf overflow:
-    // le=1: {0.5, 1.0}; le=4: {2.0, 4.0}; le=16: {8.0}; +Inf: {100}.
-    const std::vector<std::uint64_t> want = {2, 2, 1, 1};
-    EXPECT_EQ(h.bucketCounts(), want);
-    ASSERT_EQ(h.bounds().size(), 3u);
-
-    // Quantiles interpolate within the selected bucket; +Inf-bucket
-    // hits clamp to the largest finite bound.
-    EXPECT_GE(h.quantile(0.99), 16.0);
-    EXPECT_LE(h.quantile(0.5), 4.0);
-    EXPECT_GE(h.quantile(1.0), h.quantile(0.0));
-}
-
-TEST(StatsHistogram, BoundsMustAscend)
-{
-    stats::Registry reg;
-    EXPECT_DEATH(reg.histogram("bad", "", {4.0, 4.0}), "ascending");
-}
-
-// --------------------------------------------------------------------
 // Checkpoint round-trip and the fork restore ordering
 
 TEST(StatsRegistry, SaveRestoreRoundTrip)
@@ -159,9 +126,6 @@ TEST(StatsRegistry, SaveRestoreRoundTrip)
     stats::Registry reg;
     reg.counter("a.ops").add(10);
     reg.gauge("a.depth").set(2.5);
-    stats::Histogram &h = reg.histogram("a.lat", "", {1.0, 8.0});
-    h.observe(0.5);
-    h.observe(9.0);
     // Supplier-backed views are skipped: they restore through the
     // owning component, not the registry.
     reg.counter("a.live", "", [] { return std::uint64_t{7}; });
@@ -173,14 +137,10 @@ TEST(StatsRegistry, SaveRestoreRoundTrip)
     stats::Registry other;
     stats::Counter &oc = other.counter("a.ops");
     stats::Gauge &og = other.gauge("a.depth");
-    stats::Histogram &oh = other.histogram("a.lat", "", {1.0, 8.0});
     other.restoreState(st);
 
     EXPECT_EQ(oc.value(), 10u);
     EXPECT_DOUBLE_EQ(og.value(), 2.5);
-    EXPECT_EQ(oh.count(), 2u);
-    EXPECT_DOUBLE_EQ(oh.sum(), 9.5);
-    EXPECT_EQ(oh.bucketCounts(), h.bucketCounts());
 }
 
 TEST(StatsRegistry, PendingRestoreSeedsLateRegistration)
@@ -246,12 +206,6 @@ TEST(StatsExport, PrometheusGolden)
     reg.counter("dsa0.eng1.bytes_read", "bytes pulled by the engine")
         .add(4096);
     reg.gauge("llc.occupancy_bytes", "LLC bytes in use").set(1.5);
-    stats::Histogram &h =
-        reg.histogram("serving0.latency_us", "request latency",
-                      {1.0, 8.0});
-    h.observe(0.5);
-    h.observe(2.0);
-    h.observe(100.0);
 
     const std::string text = renderPrometheus(reg);
     const std::string want =
@@ -262,14 +216,7 @@ TEST(StatsExport, PrometheusGolden)
         "dsasim_dsa0_eng1_bytes_read 4096\n"
         "# HELP dsasim_llc_occupancy_bytes LLC bytes in use\n"
         "# TYPE dsasim_llc_occupancy_bytes gauge\n"
-        "dsasim_llc_occupancy_bytes 1.5\n"
-        "# HELP dsasim_serving0_latency_us request latency\n"
-        "# TYPE dsasim_serving0_latency_us histogram\n"
-        "dsasim_serving0_latency_us_bucket{le=\"1\"} 1\n"
-        "dsasim_serving0_latency_us_bucket{le=\"8\"} 2\n"
-        "dsasim_serving0_latency_us_bucket{le=\"+Inf\"} 3\n"
-        "dsasim_serving0_latency_us_sum 102.5\n"
-        "dsasim_serving0_latency_us_count 3\n";
+        "dsasim_llc_occupancy_bytes 1.5\n";
     EXPECT_EQ(text, want);
 
     std::string err;
@@ -284,15 +231,32 @@ TEST(StatsExport, ValidatorRejectsMalformedOutput)
         stats::validatePrometheus("dsasim_orphan 1\n", &err));
     EXPECT_FALSE(err.empty());
 
-    // Non-cumulative histogram buckets.
-    const std::string bad =
+    // A sample with HELP but no TYPE.
+    EXPECT_FALSE(stats::validatePrometheus(
+        "# HELP dsasim_c c\n"
+        "dsasim_c 1\n",
+        &err));
+
+    // The registry exports counters and gauges only.
+    EXPECT_FALSE(stats::validatePrometheus(
         "# HELP dsasim_h h\n"
-        "# TYPE dsasim_h histogram\n"
-        "dsasim_h_bucket{le=\"1\"} 5\n"
-        "dsasim_h_bucket{le=\"+Inf\"} 3\n"
-        "dsasim_h_sum 1\n"
-        "dsasim_h_count 3\n";
-    EXPECT_FALSE(stats::validatePrometheus(bad, &err));
+        "# TYPE dsasim_h histogram\n",
+        &err));
+    EXPECT_NE(err.find("unknown TYPE 'histogram'"), std::string::npos)
+        << err;
+
+    // A counter never goes negative; a gauge may.
+    EXPECT_FALSE(stats::validatePrometheus(
+        "# HELP dsasim_c c\n"
+        "# TYPE dsasim_c counter\n"
+        "dsasim_c -1\n",
+        &err));
+    EXPECT_TRUE(stats::validatePrometheus(
+        "# HELP dsasim_g g\n"
+        "# TYPE dsasim_g gauge\n"
+        "dsasim_g -1\n",
+        &err))
+        << err;
 }
 
 TEST(StatsExport, PrometheusNameMangling)
@@ -486,6 +450,31 @@ TEST(StatsSampler, DecimationBoundsMemoryAndGrowsPeriod)
     EXPECT_LT(sampler.sampleCount(), stats::Sampler::maxRows);
     EXPECT_GT(sampler.sampleCount(), stats::Sampler::maxRows / 4);
     EXPECT_GT(sampler.period(), fromNs(100));
+}
+
+TEST(StatsSampler, ExportReportsWriteFailure)
+{
+    // /dev/full accepts the open and fails every write with ENOSPC:
+    // a full disk must surface as false, not a silently truncated
+    // file.
+    if (std::FILE *probe = std::fopen("/dev/full", "w"))
+        std::fclose(probe);
+    else
+        GTEST_SKIP() << "/dev/full is not available";
+
+    Simulation sim;
+    sim.stats().counter("full.ops").add(1);
+    stats::Sampler sampler(sim, fromNs(100));
+    sampler.sample();
+    ASSERT_EQ(sampler.sampleCount(), 1u);
+
+    EXPECT_FALSE(sampler.writeCsv("/dev/full"));
+    EXPECT_FALSE(sampler.writePrometheusFile("/dev/full"));
+    // The same recording writes fine where there is room.
+    const std::string path =
+        ::testing::TempDir() + "stats_export_ok.prom";
+    EXPECT_TRUE(sampler.writePrometheusFile(path));
+    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------

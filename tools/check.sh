@@ -91,6 +91,17 @@ done
 DSASIM_STATS="$tele_dir/bench-" \
     "$root/build-release/bench/bench_engine" \
     --check="$root/BENCH_engine.json"
+# The serving SLO gate with every socket's sampler armed, and the
+# serving<N> latency views in its Prometheus export.
+DSASIM_STATS="$tele_dir/serving-" \
+    "$root/build-release/bench/bench_serving" \
+    --check="$root/BENCH_serving.json"
+grep -q "# TYPE dsasim_serving0_completed counter" \
+    "$tele_dir"/serving-*.prom || {
+    echo "telemetry: dsasim_serving0_completed missing from the \
+Prometheus export" >&2
+    exit 1
+}
 rm -rf "$tele_dir"
 
 echo "== ASan/UBSan build + tests + determinism matrix =="

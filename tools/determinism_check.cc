@@ -17,7 +17,8 @@
  *   mix/fork      Snapshot::fork reproduces a quiesced platform (§10)
  *   cluster       4-socket event order ignores the thread count (§11)
  *   cluster/fork  ClusterSnapshot continues, restores and rewinds (§11)
- *   serving       the overload ladder ignores the thread count (§12)
+ *   serving       the overload ladder ignores the thread count and
+ *                 the per-socket samplers (§12, §15)
  *
  * Sampled arms export into a private mkdtemp directory under $TMPDIR,
  * removed before exit. A failure names its row, column and arm. Exit
@@ -635,15 +636,24 @@ clusterForkRow(const Scenario &sc, Arms &arms)
     arms.add("rewound", rig.run(sc.seedB(), per_b, 4));
 }
 
+/**
+ * The 2-socket serving overload on 1 and 4 worker threads, and on 4
+ * with every socket's sampler armed at 1 us (the samplers read the
+ * serving<N> views over the live tenant records).
+ */
 void
 servingRow(const Scenario &sc, Arms &arms)
 {
-    for (unsigned threads : {1u, 4u}) {
+    const auto add = [&](const std::string &arm, unsigned threads) {
         if (std::optional<Fingerprint> fp = runServing(sc, threads))
-            arms.add(threadsLabel(threads), *fp);
+            arms.add(arm, *fp);
         else
-            arms.fail(threadsLabel(threads), "hung");
-    }
+            arms.fail(arm, "hung");
+    };
+    for (unsigned threads : {1u, 4u})
+        add(threadsLabel(threads), threads);
+    Sampling on(sc, 1000);
+    add("4 threads, 1 us", 4);
 }
 
 struct Row

@@ -1046,8 +1046,8 @@ class StructureParser
             }
         }
         // stats::Counter / stats::Gauge members (by value or by
-        // reference). Exact-token match: CounterRng and the legacy
-        // reservoir Histogram never collide.
+        // reference), the registry's only metric kinds. Exact-token
+        // match: CounterRng never collides.
         bool counterTyped = false;
         for (std::size_t k = start; k < end && k < nameIdx; ++k) {
             if (ident(k) &&

@@ -8,11 +8,10 @@
  *
  * The input is the <prefix><name>.csv written by a DSASIM_STATS run
  * (sim/stats.hh): a tick_ps column followed by one column per
- * metric, histograms expanded to .count/.sum/.p99/.p999. Per-engine
- * byte/fault counters are summed per device, the way pcm-accel
- * aggregates per-engine event counts. Rows are coalesced into
- * intervals of --interval-us (default: every sample row is an
- * interval).
+ * counter or gauge. Per-engine byte/fault counters are summed per
+ * device, the way pcm-accel aggregates per-engine event counts. Rows
+ * are coalesced into intervals of --interval-us (default: every
+ * sample row is an interval).
  *
  * Usage: statsdump <stats.csv> [--interval-us=U] [--list]
  *
