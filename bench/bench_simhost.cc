@@ -1,9 +1,9 @@
 /**
  * @file
  * Host-side performance of the simulator itself: event-queue
- * throughput, cache-model access rate, LLC directory build and
- * snapshot-restore time, per-line LLC walk cost (CPU stream, random
- * CPU access, device probe span), translation cost (random lookups
+ * throughput, cache-model access rate, LLC directory build time,
+ * per-line LLC walk cost (CPU stream, random CPU access, device
+ * probe span), translation cost (random lookups
  * over many regions, translation-cache miss-evict-insert cycles and
  * random hits, one large alloc), platform set-up and teardown
  * with 96 MiB of seeded memory, functional operation speed
@@ -94,21 +94,6 @@ llcBuildMs()
     return 1e3 / bench::bestRate(1, [] {
                CacheModel c{CacheModel::Config{}};
                keep(c.numSets());
-           });
-}
-
-/** Host ms to restore a 10%-occupied snapshot of the SPR LLC. */
-double
-llcRestoreMs()
-{
-    CacheModel c{CacheModel::Config{}};
-    const std::uint64_t lines = c.sizeBytes() / 64 / 10;
-    for (std::uint64_t i = 0; i < lines; ++i)
-        c.cpuAccess(i * 64, static_cast<int>(i % 8), i % 2 == 0);
-    const CacheModel::State st = c.saveState();
-    return 1e3 / bench::bestRate(1, [&] {
-               c.restoreState(st);
-               keep(c.totalOccupancyBytes());
            });
 }
 
@@ -430,7 +415,6 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "event_queue_events_per_sec", eventQueueRate());
     gate.add(Gate::Info, "cache_accesses_per_sec", cacheAccessRate());
     gate.add(Gate::Info, "llc_build_ms", llcBuildMs(), 3);
-    gate.add(Gate::Info, "llc_restore_ms", llcRestoreMs(), 3);
     gate.add(Gate::Info, "llc_stream_ns", llcStreamNs(), 2);
     gate.add(Gate::Info, "llc_random_ns", llcRandomNs(), 2);
     gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);

@@ -32,7 +32,6 @@
 
 #include "dml/dml.hh"
 #include "driver/platform.hh"
-#include "driver/snapshot.hh"
 #include "driver/submitter.hh"
 #include "sim/partition.hh"
 #include "sim/stats.hh"
@@ -514,8 +513,6 @@ class SweepRunner
     unsigned jobCount;
 };
 
-struct RigSnapshot;
-
 /**
  * A measurement rig: a platform with one or more DSA devices in a
  * chosen topology, plus an executor and an address space.
@@ -531,12 +528,10 @@ class Rig
         unsigned wqSize = 32;
         WorkQueue::Mode wqMode = WorkQueue::Mode::Dedicated;
         bool useUmwait = true;
-
-        bool operator==(const Options &) const = default;
     };
 
     explicit Rig(const Options &o)
-        : opt(o), plat(sim, o.platform), as(&plat.mem().createSpace())
+        : plat(sim, o.platform), as(&plat.mem().createSpace())
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < o.devices; ++i) {
@@ -551,63 +546,11 @@ class Rig
             sim, plat.mem(), plat.kernels(), devs, ec);
     }
 
-    /**
-     * Fork: rebuild the shape the options describe, then restore the
-     * captured state on top (defined after RigSnapshot below).
-     */
-    explicit Rig(const RigSnapshot &snap);
-
-    Options opt;
     Simulation sim;
     Platform plat;
     AddressSpace *as;
     std::unique_ptr<dml::Executor> exec;
 };
-
-/**
- * Everything needed to fork a Rig: the platform snapshot plus the
- * executor's plain-data state (the executor sits above the platform,
- * so Snapshot::capture does not see it) and the options that rebuild
- * the rig's shape. Immutable once captured; forking from one
- * RigSnapshot on several threads at once is safe (memory chunks are
- * shared copy-on-write behind atomically refcounted pointers).
- */
-struct RigSnapshot
-{
-    Snapshot platform;
-    dml::Executor::State exec;
-    Rig::Options options;
-};
-
-/** Capture a quiesced rig (Snapshot::capture states preconditions). */
-inline std::shared_ptr<const RigSnapshot>
-snapRig(Rig &rig)
-{
-    return std::make_shared<const RigSnapshot>(RigSnapshot{
-        Snapshot::capture(rig.plat), rig.exec->saveState(), rig.opt});
-}
-
-inline Rig::Rig(const RigSnapshot &snap)
-    : opt(snap.options), plat(sim, snap.options.platform), as(nullptr)
-{
-    std::vector<DsaDevice *> devs;
-    for (unsigned i = 0; i < opt.devices; ++i) {
-        DsaTopology::basic(opt.wqSize, opt.engines, opt.wqMode)
-            .apply(plat.dsa(i));
-        devs.push_back(&plat.dsa(i));
-    }
-    // restoreInto re-anchors the simulation clock/sequence and
-    // recreates the address spaces in creation order; PASID 1 is the
-    // space the source rig's constructor created.
-    snap.platform.restoreInto(plat);
-    as = &plat.mem().space(1);
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    ec.useUmwait = opt.useUmwait;
-    exec = std::make_unique<dml::Executor>(sim, plat.mem(),
-                                           plat.kernels(), devs, ec);
-    exec->restoreState(snap.exec);
-}
 
 /** Scale iteration counts down as transfer sizes grow. */
 inline int
@@ -778,91 +721,37 @@ memMoveRing(Rig &rig, std::uint64_t size, int count = 16,
 }
 
 /**
- * Snapshot sharing is on by default; DSASIM_SNAPSHOT=0 forces every
- * sweep point to build and warm its rig cold, through the same code
- * path (the determinism story: both arms must agree bit for bit).
- */
-inline bool
-snapshotsEnabled()
-{
-    const char *v = std::getenv("DSASIM_SNAPSHOT");
-    return !(v && std::string_view(v) == "0");
-}
-
-/**
- * A Scenario splits a benchmark into the phases the snapshot
- * subsystem cares about:
+ * A Scenario splits a benchmark into two phases:
  *
- *   warmup  — builds the state worth sharing: allocations, cache/TLB
- *             warming, background-traffic ramp. Runs once per
- *             distinct configuration in a sweep.
+ *   warmup  — allocations, cache/TLB warming, background-traffic
+ *             ramp: whatever the point needs before it is measured.
  *   measure — the per-point measurement, supplied to sweepScenarios
  *             (grids) or runScenario (single-rig benches).
  *
- * In a sweep, points with matching setups (sameSetup) share one
- * warmed rig: it is snapshotted after warm-up and forked per point,
- * so N points pay for one warm-up instead of N. A forked point's
- * event stream is bit-identical to a cold point's (the snapshot
- * contract, DESIGN.md §10), so results do not depend on the gate.
- *
- * Sweep warm-ups must leave the rig quiesced — drained devices, idle
- * calendar; Snapshot::capture fatals otherwise. runScenario captures
- * nothing, so its warm-up may stop mid-stream (e.g. fig16's
- * steady-state window).
+ * Every point builds its own rig and runs its own warm-up.
  */
 class Scenario
 {
   public:
     using SetupFn = std::function<void(Rig &)>;
 
-    Scenario() = default;
-    explicit Scenario(Rig::Options o, SetupFn warmup_fn = nullptr,
-                      std::string warmup_key = "")
-        : opts(std::move(o)), warm(std::move(warmup_fn)),
-          key(std::move(warmup_key))
+    explicit Scenario(Rig::Options o, SetupFn warmup_fn = nullptr)
+        : opts(std::move(o)), warm(std::move(warmup_fn))
     {}
-
-    const Rig::Options &options() const { return opts; }
-
-    /** Run the warm-up phase on @p rig (no-op without one). */
-    void
-    warmup(Rig &rig) const
-    {
-        if (warm)
-            warm(rig);
-    }
 
     /** Build a cold rig and run the warm-up phase on it. */
     std::unique_ptr<Rig>
     warmRig() const
     {
         auto rig = std::make_unique<Rig>(opts);
-        warmup(*rig);
+        if (warm)
+            warm(*rig);
         return rig;
-    }
-
-    /**
-     * Two scenarios may share one warmed rig: identical options and
-     * identically-keyed warm-ups. Anonymous (empty-key) warm-ups
-     * never match — naming the warm-up is the opt-in that asserts it
-     * computes the same thing across points.
-     */
-    bool
-    sameSetup(const Scenario &o) const
-    {
-        if (!(opts == o.opts))
-            return false;
-        if (!warm && !o.warm)
-            return true;
-        if (static_cast<bool>(warm) != static_cast<bool>(o.warm))
-            return false;
-        return !key.empty() && key == o.key;
     }
 
   private:
     Rig::Options opts;
     SetupFn warm;
-    std::string key;
 };
 
 /**
@@ -880,10 +769,8 @@ runScenario(const Scenario &sc, MeasureFn &&measure)
 
 /**
  * Evaluate measure(rig, i) for each point's scenario, in index
- * order. Points with matching setups share one warmed, snapshotted
- * rig and fork from it; with DSASIM_SNAPSHOT=0 every point warms a
- * cold rig instead. Either way the warm-up runs to an idle calendar
- * before measurement.
+ * order: each point builds its rig, runs its warm-up, drains the
+ * calendar to idle and is then measured.
  */
 template <typename MeasureFn>
 auto
@@ -893,41 +780,10 @@ sweepScenarios(SweepRunner &sweep, const std::vector<Scenario> &pts,
                                     std::size_t{}))>
 {
     using R = decltype(measure(std::declval<Rig &>(), std::size_t{}));
-    const std::size_t n = pts.size();
-    if (!snapshotsEnabled()) {
-        return sweep.run(n, [&](std::size_t i) -> R {
-            auto rig = pts[i].warmRig();
-            rig->sim.run();
-            return measure(*rig, i);
-        });
-    }
-    // Group points by shared setup; the group's first point is the
-    // leader whose warmed rig everyone forks.
-    std::vector<std::size_t> group(n);
-    std::vector<std::size_t> leaders;
-    for (std::size_t i = 0; i < n; ++i) {
-        bool found = false;
-        for (std::size_t g = 0; g < leaders.size() && !found; ++g) {
-            if (pts[leaders[g]].sameSetup(pts[i])) {
-                group[i] = g;
-                found = true;
-            }
-        }
-        if (!found) {
-            group[i] = leaders.size();
-            leaders.push_back(i);
-        }
-    }
-    auto snaps = sweep.run(
-        leaders.size(),
-        [&](std::size_t g) -> std::shared_ptr<const RigSnapshot> {
-            auto rig = pts[leaders[g]].warmRig();
-            rig->sim.run(); // drain to idle: capture precondition
-            return snapRig(*rig);
-        });
-    return sweep.run(n, [&](std::size_t i) -> R {
-        Rig rig(*snaps[group[i]]);
-        return measure(rig, i);
+    return sweep.run(pts.size(), [&](std::size_t i) -> R {
+        auto rig = pts[i].warmRig();
+        rig->sim.run();
+        return measure(*rig, i);
     });
 }
 

@@ -84,44 +84,6 @@ class CbdmaDevice
     std::uint64_t descriptorsProcessed = 0;
     std::uint64_t bytesCopied = 0;
 
-    /** No descriptor queued on any ring or in flight. */
-    bool
-    quiescent() const
-    {
-        for (const auto &c : chans)
-            if (!c->ring.empty() || c->pending.available() != 0)
-                return false;
-        return true;
-    }
-
-    /**
-     * Checkpointable (sim/checkpoint.hh): counters only. Ring
-     * entries hold live completion-record pointers, so capture
-     * requires quiescent() — channel loops re-park on rebuild.
-     */
-    struct State
-    {
-        std::uint64_t descriptorsProcessed = 0;
-        std::uint64_t bytesCopied = 0;
-    };
-
-    State
-    saveState() const
-    {
-        fatal_if(!quiescent(),
-                 "snapshot of CBDMA device %d with queued "
-                 "descriptors — let the rings drain first",
-                 id);
-        return State{descriptorsProcessed, bytesCopied};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        descriptorsProcessed = st.descriptorsProcessed;
-        bytesCopied = st.bytesCopied;
-    }
-
   private:
     SimTask channelLoop(unsigned channel);
 

@@ -81,37 +81,6 @@ class Core
         return sim.delay(t);
     }
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): the data TLB and the cycle
-     * accounting. Workload coroutines running *on* the core are not
-     * core state — they belong to the scenario, which re-issues its
-     * measure phase after a fork.
-     */
-    struct State
-    {
-        TranslationCache::State dtlb;
-        Tick busy = 0;
-        Tick umwait = 0;
-        Tick spin = 0;
-        CycleAccount account;
-    };
-
-    State
-    saveState() const
-    {
-        return State{dtlb.saveState(), busy, umwait, spin, account};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        dtlb.restoreState(st.dtlb);
-        busy = st.busy;
-        umwait = st.umwait;
-        spin = st.spin;
-        account = st.account;
-    }
-
   private:
     Simulation &sim;
     CpuParams params;

@@ -268,56 +268,6 @@ class Executor
     std::uint64_t recoveryFallbacks = 0;///< remainders degraded to CPU
     /// @}
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): the round-robin cursor and
-     * the statistics. WQ credit semaphores are all-full at quiesce
-     * (every submit's credit is released by its completion), which
-     * is how a fresh Executor starts, so they carry no state.
-     */
-    struct State
-    {
-        std::size_t rr = 0;
-        std::uint64_t hwJobs = 0;
-        std::uint64_t swJobs = 0;
-        std::uint64_t bytesOffloaded = 0;
-        std::uint64_t watchdogFires = 0;
-        std::uint64_t watchdogForced = 0;
-        std::uint64_t pageFaultResumes = 0;
-        std::uint64_t deviceResets = 0;
-        std::uint64_t submitGiveUps = 0;
-        std::uint64_t recoveryFallbacks = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{rr,
-                     hwJobs,
-                     swJobs,
-                     bytesOffloaded,
-                     watchdogFires,
-                     watchdogForced,
-                     pageFaultResumes,
-                     deviceResets,
-                     submitGiveUps,
-                     recoveryFallbacks};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        rr = st.rr;
-        hwJobs = st.hwJobs;
-        swJobs = st.swJobs;
-        bytesOffloaded = st.bytesOffloaded;
-        watchdogFires = st.watchdogFires;
-        watchdogForced = st.watchdogForced;
-        pageFaultResumes = st.pageFaultResumes;
-        deviceResets = st.deviceResets;
-        submitGiveUps = st.submitGiveUps;
-        recoveryFallbacks = st.recoveryFallbacks;
-    }
-
   private:
     struct Target
     {

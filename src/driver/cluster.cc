@@ -95,56 +95,6 @@ SocketCluster::run(unsigned threads)
     set.run(threads);
 }
 
-bool
-SocketCluster::quiescent() const
-{
-    for (const SocketDomain &d : doms)
-        if (!d.sim->idle() || !d.plat->quiescent())
-            return false;
-    return set.idle();
-}
-
-SocketCluster::ClusterSnapshot
-SocketCluster::capture()
-{
-    for (unsigned s = 0; s < doms.size(); ++s) {
-        fatal_if(!doms[s].sim->idle() || !doms[s].plat->quiescent(),
-                 "SocketCluster::capture: domain %u (%s) not "
-                 "drained — %s",
-                 s, set.domainName(s).c_str(),
-                 doms[s].plat->drainHint().c_str());
-    }
-    fatal_if(!set.idle(),
-             "SocketCluster::capture: undelivered cross-domain "
-             "messages in flight — run() to completion first");
-    ClusterSnapshot cs;
-    cs.sockets.reserve(doms.size());
-    for (SocketDomain &d : doms)
-        cs.sockets.push_back(Snapshot::capture(*d.plat));
-    cs.portWires.reserve(ports.size());
-    for (const auto &[key, port] : ports)
-        cs.portWires.push_back(port->wireLink().saveState());
-    return cs;
-}
-
-void
-SocketCluster::restore(const ClusterSnapshot &snap)
-{
-    fatal_if(snap.sockets.size() != doms.size(),
-             "SocketCluster::restore: %zu domains here, %zu in "
-             "snapshot",
-             doms.size(), snap.sockets.size());
-    fatal_if(snap.portWires.size() != ports.size(),
-             "SocketCluster::restore: %zu ports here, %zu in "
-             "snapshot (same link topology required)",
-             ports.size(), snap.portWires.size());
-    for (unsigned s = 0; s < doms.size(); ++s)
-        snap.sockets[s].restoreInto(*doms[s].plat);
-    std::size_t w = 0;
-    for (auto &[key, port] : ports)
-        port->wireLink().restoreState(snap.portWires[w++]);
-}
-
 stats::Registry
 SocketCluster::foldedStats() const
 {

@@ -12,10 +12,6 @@
  * `ClusterConfig::sockets`, never by the worker-thread count, so a
  * cluster's event streams (and stream hashes) are identical for any
  * DSASIM_PARTITIONS.
- *
- * Snapshots compose per domain: capture() refuses with a hint naming
- * *which* domain's calendar or work queue still holds work, and a
- * ClusterSnapshot restores into any same-shaped cluster.
  */
 
 #ifndef DSASIM_DRIVER_CLUSTER_HH
@@ -27,7 +23,6 @@
 #include <vector>
 
 #include "driver/platform.hh"
-#include "driver/snapshot.hh"
 #include "mem/remote_port.hh"
 #include "sim/partition.hh"
 
@@ -38,9 +33,8 @@ struct ClusterConfig
 {
     unsigned sockets = 4;
 
-    /** Per-socket platform shape. Set socket.dsaTopology so freshly
-     * built clusters (including snapshot-restore targets) come up
-     * with configured devices. */
+    /** Per-socket platform shape. Set socket.dsaTopology so the
+     * sockets come up with configured devices. */
     PlatformConfig socket;
 
     /** UPI hop between adjacent sockets; the latency is the channel
@@ -109,32 +103,6 @@ class SocketCluster
         return set.eventsExecuted();
     }
     Tick endTick() const { return set.maxNow(); }
-
-    /** Every domain idle and quiescent, every channel empty. */
-    bool quiescent() const;
-
-    /**
-     * Per-domain checkpoint of a fully drained cluster. Fatal with a
-     * domain-naming drain hint ("domain 2 (socket 2): dsa0.wq1 holds
-     * 3 descriptor(s)") otherwise.
-     */
-    struct ClusterSnapshot
-    {
-        std::vector<Snapshot> sockets;
-        /** RemotePort wire state in (src,dst) port order — the UPI
-         * wires live in the cluster, outside any one platform, but
-         * their readyAt horizon is simulated state all the same. */
-        std::vector<LinkResource::State> portWires;
-    };
-
-    ClusterSnapshot capture();
-
-    /**
-     * Rewind this cluster to @p snap in place. Shape must match and
-     * this cluster's devices must carry the same topology the
-     * captured ones did (build both from the same ClusterConfig).
-     */
-    void restore(const ClusterSnapshot &snap);
 
     /**
      * Fold every domain's telemetry registry into one combined view

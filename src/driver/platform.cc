@@ -143,73 +143,6 @@ Platform::~Platform()
     }
 }
 
-bool
-Platform::quiescent() const
-{
-    for (const auto &d : dsas_)
-        if (!d->quiescent())
-            return false;
-    for (const auto &c : cbdmas_)
-        if (!c->quiescent())
-            return false;
-    return true;
-}
-
-std::string
-Platform::drainHint()
-{
-    std::string out;
-    char buf[96];
-    auto add = [&out](const char *s) {
-        if (!out.empty())
-            out += "; ";
-        out += s;
-    };
-    if (!simulation.idle()) {
-        std::snprintf(
-            buf, sizeof(buf), "calendar holds %llu event(s)",
-            static_cast<unsigned long long>(
-                simulation.pendingEvents()));
-        add(buf);
-    }
-    for (std::size_t i = 0; i < dsas_.size(); ++i) {
-        DsaDevice &d = *dsas_[i];
-        for (std::size_t w = 0; w < d.wqCount(); ++w) {
-            if (std::size_t occ = d.wq(w).occupancy()) {
-                std::snprintf(buf, sizeof(buf),
-                              "dsa%zu.wq%zu holds %zu descriptor(s)",
-                              i, w, occ);
-                add(buf);
-            }
-        }
-        if (!d.quiescent()) {
-            std::snprintf(buf, sizeof(buf),
-                          "dsa%zu has in-flight engine work", i);
-            add(buf);
-        }
-    }
-    for (std::size_t i = 0; i < cbdmas_.size(); ++i) {
-        if (!cbdmas_[i]->quiescent()) {
-            std::snprintf(buf, sizeof(buf),
-                          "cbdma%zu has in-flight work", i);
-            add(buf);
-        }
-    }
-    if (out.empty())
-        out = "platform is drained";
-    return out;
-}
-
-CoTask
-Platform::quiesce()
-{
-    // The fast path must not disturb the event stream: a platform
-    // that is already drained completes synchronously without ever
-    // touching the calendar.
-    while (!quiescent())
-        co_await simulation.delay(fromNs(500));
-}
-
 void
 Platform::setFaultInjector(std::unique_ptr<FaultInjector> fi)
 {

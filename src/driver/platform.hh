@@ -101,31 +101,6 @@ class Platform
     CbdmaDevice &cbdma(std::size_t i) { return *cbdmas_.at(i); }
     std::size_t cbdmaCount() const { return cbdmas_.size(); }
 
-    /**
-     * No queued or in-flight descriptor on any DSA or CBDMA device.
-     * Together with Simulation::idle() this is the precondition for
-     * Snapshot::capture.
-     */
-    bool quiescent() const;
-
-    /**
-     * Awaitable: let the devices drain until quiescent(). Completes
-     * immediately — scheduling zero events — when nothing is in
-     * flight; otherwise polls on a fixed cadence while the engines
-     * work the queues down. Callers must have stopped submitting.
-     */
-    CoTask quiesce();
-
-    /**
-     * Human-readable enumeration of everything still holding work:
-     * the calendar's pending-event count, each non-empty work queue,
-     * devices with in-flight engine work. Snapshot::capture puts this
-     * in its refusal message so a failed capture names the culprit
-     * (per domain, once calendars are per-socket — see
-     * SocketCluster::capture).
-     */
-    std::string drainHint();
-
   private:
     Simulation &simulation;
     PlatformConfig config;

@@ -291,83 +291,4 @@ DsaDevice::bytesProcessed() const
     return n;
 }
 
-bool
-DsaDevice::quiescent() const
-{
-    for (const auto &g : groups)
-        if (!g->quiescent())
-            return false;
-    return true;
-}
-
-DsaDevice::State
-DsaDevice::saveState() const
-{
-    for (const auto &g : groups) {
-        fatal_if(!g->quiescent(),
-                 "snapshot of DSA device %d with in-flight work in "
-                 "group %d (%llu on engines, queued=%d, credits=%llu) "
-                 "— drain first (co_await Platform::quiesce())",
-                 id, g->id,
-                 static_cast<unsigned long long>(g->inflight),
-                 g->hasQueuedWork() ? 1 : 0,
-                 static_cast<unsigned long long>(
-                     g->pendingCredits()));
-    }
-    State st;
-    st.enabled = isEnabled;
-    st.epoch = epoch;
-    st.descriptorsAborted = descriptorsAborted;
-    st.dwqOverflows = dwqOverflows;
-    st.submitsWhileDisabled = submitsWhileDisabled;
-    st.injectedRejects = injectedRejects;
-    st.resets = resets;
-    st.atc = atcCache.saveState();
-    st.fabricRd = fabricRd.saveState();
-    st.fabricWr = fabricWr.saveState();
-    st.wqs.reserve(wqs.size());
-    for (const auto &w : wqs)
-        st.wqs.push_back(w->saveState());
-    st.groups.reserve(groups.size());
-    for (const auto &g : groups)
-        st.groups.push_back(g->saveState());
-    st.engines.reserve(engines.size());
-    for (const auto &e : engines)
-        st.engines.push_back(e->saveState());
-    return st;
-}
-
-void
-DsaDevice::restoreState(const State &st)
-{
-    fatal_if(wqs.size() != st.wqs.size() ||
-                 groups.size() != st.groups.size() ||
-                 engines.size() != st.engines.size(),
-             "DsaDevice::restoreState: topology mismatch on device "
-             "%d (%zu/%zu/%zu WQs/groups/engines here, %zu/%zu/%zu "
-             "in snapshot) — apply DsaTopology::of() first",
-             id, wqs.size(), groups.size(), engines.size(),
-             st.wqs.size(), st.groups.size(), st.engines.size());
-    fatal_if(isEnabled != st.enabled,
-             "DsaDevice::restoreState: enable-state mismatch on "
-             "device %d (the captured topology carries the enable "
-             "flag)",
-             id);
-    epoch = st.epoch;
-    descriptorsAborted = st.descriptorsAborted;
-    dwqOverflows = st.dwqOverflows;
-    submitsWhileDisabled = st.submitsWhileDisabled;
-    injectedRejects = st.injectedRejects;
-    resets = st.resets;
-    atcCache.restoreState(st.atc);
-    fabricRd.restoreState(st.fabricRd);
-    fabricWr.restoreState(st.fabricWr);
-    for (std::size_t i = 0; i < wqs.size(); ++i)
-        wqs[i]->restoreState(st.wqs[i]);
-    for (std::size_t i = 0; i < groups.size(); ++i)
-        groups[i]->restoreState(st.groups[i]);
-    for (std::size_t i = 0; i < engines.size(); ++i)
-        engines[i]->restoreState(st.engines[i]);
-}
-
 } // namespace dsasim

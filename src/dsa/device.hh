@@ -164,42 +164,6 @@ class DsaDevice
     std::uint64_t bytesProcessed() const;
     /// @}
 
-    /**
-     * True when no descriptor is queued, in flight on an engine, or
-     * pending as a banked arbiter credit anywhere on the device —
-     * the precondition for saveState (and for Snapshot::capture).
-     */
-    bool quiescent() const;
-
-    /**
-     * Checkpointable (sim/checkpoint.hh). Captures enable state,
-     * reset epoch, statistics, ATC contents, fabric-link horizons,
-     * and the per-WQ / per-group / per-engine runtime state. The
-     * topology itself is captured separately (DsaTopology::of) and
-     * rebuilt before restore; saveState is fatal when the device is
-     * not quiescent() — descriptors hold pointers to live completion
-     * records that cannot outlive their run.
-     */
-    struct State
-    {
-        bool enabled = false;
-        std::uint64_t epoch = 0;
-        std::uint64_t descriptorsAborted = 0;
-        std::uint64_t dwqOverflows = 0;
-        std::uint64_t submitsWhileDisabled = 0;
-        std::uint64_t injectedRejects = 0;
-        std::uint64_t resets = 0;
-        TranslationCache::State atc;
-        LinkResource::State fabricRd;
-        LinkResource::State fabricWr;
-        std::vector<WorkQueue::State> wqs;
-        std::vector<Group::State> groups;
-        std::vector<Engine::State> engines;
-    };
-
-    State saveState() const;
-    void restoreState(const State &st);
-
   private:
     /** Complete a flushed descriptor with Status::Aborted. */
     void completeAborted(const WorkDescriptor &d);

@@ -145,7 +145,6 @@ Engine::process(Work w)
     } guard{group};
 
     Simulation &sim = dev.sim();
-    MemSystem &mem = dev.mem();
     const DsaParams &p = dev.params();
     WorkDescriptor d = w.desc;
     const Tick start = sim.now();
@@ -184,11 +183,8 @@ Engine::process(Work w)
         });
     };
 
-    auto finishAt = [&](Tick min_end) -> Tick {
-        return std::max(min_end, start + p.descriptorGap);
-    };
-
     // ---- Fault injection (before validation: hardware-level) -------
+    bool injected = false;
     if (FaultInjector *fi = dev.injector()) {
         FaultQuery q{dev.deviceId(), -1, id, static_cast<int>(d.op),
                      static_cast<std::int64_t>(d.pasid)};
@@ -213,6 +209,7 @@ Engine::process(Work w)
         if (const FaultRule *r = fi->query(FaultSite::CompletionError,
                                            q)) {
             ++injectedErrors;
+            injected = true;
             switch (r->error) {
               case HwErrorKind::Read:
                 out.status = CompletionRecord::Status::ReadError;
@@ -224,38 +221,21 @@ Engine::process(Work w)
                 out.status = CompletionRecord::Status::DecodeError;
                 break;
             }
-            Tick end = finishAt(sim.now());
-            if (sim.now() < end)
-                co_await sim.delayUntil(end);
-            ++descriptorsProcessed;
-            publish(d, out, w.parent, 0);
-            co_return;
         }
     }
 
-    // ---- Validation ------------------------------------------------
-    const bool valid = d.size <= p.maxTransferSize && opArgsValid(d);
-    if (!valid) {
+    // ---- Validation, control ops, then the data path ---------------
+    // Only the data path counts as PE busy time; every descriptor
+    // holds the PE for at least descriptorGap.
+    Tick first_lat = 0;
+    bool data_path = false;
+    if (injected) {
+        // out.status carries the injected error.
+    } else if (d.size > p.maxTransferSize || !opArgsValid(d)) {
         out.status = CompletionRecord::Status::Unsupported;
-        Tick end = finishAt(sim.now());
-        if (sim.now() < end)
-            co_await sim.delayUntil(end);
-        ++descriptorsProcessed;
-        publish(d, out, w.parent, 0);
-        co_return;
-    }
-
-    if (d.op == Opcode::Nop) {
+    } else if (d.op == Opcode::Nop) {
         out.status = CompletionRecord::Status::Success;
-        Tick end = finishAt(sim.now());
-        if (sim.now() < end)
-            co_await sim.delayUntil(end);
-        ++descriptorsProcessed;
-        publish(d, out, w.parent, 0);
-        co_return;
-    }
-
-    if (d.op == Opcode::Drain) {
+    } else if (d.op == Opcode::Drain) {
         // Completes once every previously submitted descriptor of
         // this group has finished. This engine holds the drain, so
         // the group is drained when no *other* work is in flight or
@@ -263,13 +243,27 @@ Engine::process(Work w)
         while (group.inflight > 1 || group.hasQueuedWork())
             co_await sim.delay(p.dispatchLatency);
         out.status = CompletionRecord::Status::Success;
-        Tick end = finishAt(sim.now());
-        if (sim.now() < end)
-            co_await sim.delayUntil(end);
-        ++descriptorsProcessed;
-        publish(d, out, w.parent, 0);
-        co_return;
+    } else {
+        data_path = true;
+        co_await execute(d, out, first_lat);
     }
+
+    const Tick end = std::max(sim.now(), start + p.descriptorGap);
+    if (sim.now() < end)
+        co_await sim.delayUntil(end);
+    if (data_path)
+        busyTicks += sim.now() - start;
+    ++descriptorsProcessed;
+    publish(d, out, w.parent, first_lat);
+}
+
+CoTask
+Engine::execute(const WorkDescriptor &d, OpOutcome &out,
+                Tick &first_lat)
+{
+    Simulation &sim = dev.sim();
+    MemSystem &mem = dev.mem();
+    const DsaParams &p = dev.params();
 
     AddressSpace &as = mem.space(d.pasid);
     PageTable &pt = as.pageTable();
@@ -502,26 +496,13 @@ Engine::process(Work w)
         // First-read fill latency is exposed in the completion time
         // (it pipelines with the next descriptor), handled below.
         if (has_read) {
-            Tick first_lat = first_is_hit
+            first_lat = first_is_hit
                 ? mem.cfg().llcLatency
                 : mem.readLatencyOf(src_node, dev.socket());
-            Tick end = finishAt(sim.now());
-            if (sim.now() < end)
-                co_await sim.delayUntil(end);
-            busyTicks += sim.now() - start;
-            ++descriptorsProcessed;
-            publish(d, out, w.parent, first_lat);
-            co_return;
         }
     }
-
-    Tick end = finishAt(sim.now());
-    if (sim.now() < end)
-        co_await sim.delayUntil(end);
-    busyTicks += sim.now() - start;
-    ++descriptorsProcessed;
-    publish(d, out, w.parent, 0);
 }
+
 
 CoTask
 Engine::processBatch(Work w)

@@ -64,47 +64,17 @@ class Engine
     std::uint64_t atcMisses() const { return atcMissesCtr.value(); }
     /// @}
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): the plain statistics
-     * above. The registry-backed counters ride in
-     * Simulation::State.stats (saved by dotted name); the processing
-     * loop itself is rebuild-time state — a quiesced engine is
-     * parked on its group's empty arbiter, exactly where a freshly
-     * start()ed engine parks — and the scratch buffers are dead
-     * outside a descriptor.
-     */
-    struct State
-    {
-        std::uint64_t descriptorsProcessed = 0;
-        std::uint64_t batchesProcessed = 0;
-        std::uint64_t hangs = 0;
-        std::uint64_t injectedErrors = 0;
-        Tick busyTicks = 0;
-        Tick stallTicks = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{descriptorsProcessed, batchesProcessed,
-                     hangs,                injectedErrors,
-                     busyTicks,            stallTicks};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        descriptorsProcessed = st.descriptorsProcessed;
-        batchesProcessed = st.batchesProcessed;
-        hangs = st.hangs;
-        injectedErrors = st.injectedErrors;
-        busyTicks = st.busyTicks;
-        stallTicks = st.stallTicks;
-    }
-
   private:
     SimTask run();
     CoTask process(Work w);
+
+    /**
+     * The data path of one descriptor: translate, run the operation,
+     * time its chunk stream. Sets @p first_lat to the first-read fill
+     * latency the completion exposes (left 0 when nothing is read).
+     */
+    CoTask execute(const WorkDescriptor &d, OpOutcome &out,
+                   Tick &first_lat);
 
     /** Handle a batch descriptor: fetch, fan out, join, complete. */
     CoTask processBatch(Work w);

@@ -128,52 +128,6 @@ class Group
         return false;
     }
 
-    /**
-     * True when this group holds no work in any form: nothing
-     * queued, nothing on an engine, and no banked semaphore credit
-     * that would wake an engine later. The snapshot precondition.
-     */
-    bool
-    quiescent() const
-    {
-        return !hasQueuedWork() && inflight == 0 &&
-               pendingWork.available() == 0;
-    }
-
-    /** Banked arbiter credits (diagnostics for the quiesce fatal). */
-    std::uint64_t pendingCredits() const
-    {
-        return pendingWork.available();
-    }
-
-    /**
-     * Checkpointable (sim/checkpoint.hh): arbiter clock and
-     * counters. Engines parked on the pending-work semaphore are
-     * rebuild-time state (enable() re-parks them); queued work and
-     * semaphore credits must be zero at capture (quiescent()), which
-     * DsaDevice::saveState enforces with a fatal.
-     */
-    struct State
-    {
-        unsigned readBuffers = 0;
-        std::uint64_t descriptorsArbitrated = 0;
-        std::uint64_t serveClock = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{readBuffers, descriptorsArbitrated, serveClock};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        readBuffers = st.readBuffers;
-        descriptorsArbitrated = st.descriptorsArbitrated;
-        serveClock = st.serveClock;
-    }
-
   private:
     Semaphore pendingWork;
     std::deque<Work> internal; ///< batch sub-descriptors

@@ -19,10 +19,8 @@
  * All accounting is integer tick math — refills carry an exact
  * remainder — so verdicts are a pure function of the (deterministic)
  * query sequence and never of host state. The policy object is
- * installed on a WorkQueue by the serving layer and is deliberately
- * outside the checkpoint boundary: snapshots quiesce the platform
- * first, and a quiesced bucket refills from its timestamp on the
- * next query.
+ * installed on a WorkQueue by the serving layer, which owns it; an
+ * idle bucket refills from its timestamp on the next query.
  */
 
 #ifndef DSASIM_DSA_QOS_HH

@@ -33,28 +33,6 @@ DsaTopology::full()
     return t;
 }
 
-DsaTopology
-DsaTopology::of(const DsaDevice &dev)
-{
-    DsaTopology t;
-    t.enableDevice = dev.enabled();
-    for (std::size_t g = 0; g < dev.groupCount(); ++g)
-        t.groups.push_back(GroupSpec{dev.group(g).readBuffers});
-    for (std::size_t w = 0; w < dev.wqCount(); ++w) {
-        const WorkQueue &wq = dev.wq(w);
-        panic_if(!wq.group, "WQ %d belongs to no group", wq.id);
-        t.wqs.push_back(WqSpec{wq.group->id, wq.mode, wq.size,
-                               wq.priority, wq.threshold});
-    }
-    t.engines.assign(dev.engineCount(), 0);
-    for (std::size_t g = 0; g < dev.groupCount(); ++g) {
-        for (const Engine *e : dev.group(g).engines)
-            t.engines[static_cast<std::size_t>(e->engineId())] =
-                dev.group(g).id;
-    }
-    return t;
-}
-
 void
 DsaTopology::apply(DsaDevice &dev) const
 {

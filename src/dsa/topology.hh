@@ -5,18 +5,13 @@
  * identity, separated from its runtime state.
  *
  * A Platform is fully described by its PlatformConfig once the
- * topology lives here (PlatformConfig::dsaTopology applies one
- * topology to every DSA device at construction), which is what lets
- * Snapshot::fork() rebuild devices from configuration and then
- * restore their plain-data runtime state on top (DESIGN.md §10).
+ * topology lives here: PlatformConfig::dsaTopology applies one
+ * topology to every DSA device at construction.
  *
  * Identifiers are positional: apply() creates all groups, then the
  * work queues in WQ-id order, then the engines in engine-id order,
  * so the ids a device assigns by creation order match the indices
- * recorded here. of() captures the same representation from an
- * already-configured device, so `of(dev)` → `apply(fresh)` is an
- * exact topological clone regardless of the call order the original
- * configuration code used.
+ * recorded here.
  */
 
 #ifndef DSASIM_DSA_TOPOLOGY_HH
@@ -80,9 +75,6 @@ struct DsaTopology
      * WQ and one engine, enabled.
      */
     static DsaTopology full();
-
-    /** Capture the topology of a configured device. */
-    static DsaTopology of(const DsaDevice &dev);
 
     /** Build this topology onto a freshly constructed device. */
     void apply(DsaDevice &dev) const;

@@ -97,39 +97,6 @@ class WorkQueue
         return flushed;
     }
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): arbiter bookkeeping and
-     * counters. Queued entries are deliberately NOT state — they
-     * hold host pointers to live completion records, so a snapshot
-     * refuses to capture a non-empty WQ (the quiesce rule).
-     */
-    struct State
-    {
-        std::uint64_t lastServed = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t flushedTotal = 0;
-    };
-
-    State
-    saveState() const
-    {
-        fatal_if(!entries.empty(),
-                 "snapshot of WQ %d with %zu queued descriptor(s) — "
-                 "drain the device first (Platform::quiesce())",
-                 id, entries.size());
-        return State{lastServed, accepted, rejected, flushedTotal};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        lastServed = st.lastServed;
-        accepted = st.accepted;
-        rejected = st.rejected;
-        flushedTotal = st.flushedTotal;
-    }
-
     const int id;
     const Mode mode;
     const unsigned size;
@@ -140,9 +107,8 @@ class WorkQueue
 
     /**
      * Optional per-tenant admission policy consulted by the portal
-     * for Shared WQs (dsa/qos.hh). Non-owning and outside the
-     * checkpoint boundary: the installing layer (serving, bench)
-     * owns its lifetime and policy state.
+     * for Shared WQs (dsa/qos.hh). Non-owning: the installing layer
+     * (serving, bench) owns its lifetime and policy state.
      */
     WqAdmission *admission = nullptr;
 

@@ -204,26 +204,6 @@ class AddressSpace
     void evictPage(Addr va) { pt.setPresent(va, false); }
     void restorePage(Addr va) { pt.setPresent(va, true); }
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): page table (present bits
-     * included) and the bump-allocator cursor — a fork that alloc()s
-     * more memory must place it at the same VA the source would have.
-     */
-    struct State
-    {
-        PageTable::State pt;
-        Addr allocNext = 0;
-    };
-
-    State saveState() const { return State{pt.saveState(), allocNext}; }
-
-    void
-    restoreState(const State &st)
-    {
-        pt.restoreState(st.pt);
-        allocNext = st.allocNext;
-    }
-
   private:
     /** One page-bounded writable span starting at @p va. */
     Span spanAt(Addr va, std::uint64_t max_len, const char *what);

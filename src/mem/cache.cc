@@ -233,16 +233,13 @@ CacheModel::victimInSet(const SetHeader &h, unsigned way_lo,
     return lruInRange(h.order, way_lo, way_hi);
 }
 
-std::uint64_t &
-CacheModel::ownerCount(int owner)
+void
+CacheModel::growOwners(int owner)
 {
     panic_if(owner < 0 || static_cast<std::uint64_t>(owner) > kOwnerMask,
              "LLC owner %d outside the %u-bit way field", owner,
              kOwnerBits);
-    const auto o = static_cast<std::size_t>(owner);
-    if (o >= ownerLines.size())
-        ownerLines.resize(o + 1);
-    return ownerLines[o];
+    ownerLines.resize(static_cast<std::size_t>(owner) + 1);
 }
 
 void
@@ -477,62 +474,6 @@ CacheModel::saveState() const
         }
     }
     return st;
-}
-
-void
-CacheModel::restoreState(const State &st)
-{
-    // Clearing the live bitset empties every set without touching
-    // it; each restored way brings its set back to life.
-    for (std::uint64_t &word : live)
-        word = 0;
-    ownerLines.clear();
-    hitBytesTally = st.hitBytes;
-    missBytesTally = st.missBytes;
-    writebackBytesTally = st.writebackBytes;
-    validLines = st.validLines.size();
-    const std::uint64_t capacity =
-        static_cast<std::uint64_t>(sets) * config.ways;
-    const auto &lines = st.validLines;
-    for (std::size_t i = 0; i < lines.size();) {
-        // One set's entries, then its order word: the present ways by
-        // ascending (rank, way), sorted by insertion as they arrive in
-        // way order, promoted in that order so they sit on top of the
-        // absent ways.
-        panic_if(lines[i].first >= capacity,
-                 "CacheModel::restoreState: line index %llu out of "
-                 "range — geometry mismatch with snapshot",
-                 static_cast<unsigned long long>(lines[i].first));
-        const std::uint64_t set = lines[i].first / config.ways;
-        SetHeader &h = liveHeader(set);
-        std::uint64_t rank[16] = {};
-        unsigned way[16] = {};
-        unsigned n = 0;
-        for (; i < lines.size() && lines[i].first / config.ways == set;
-             ++i) {
-            const auto &[idx, saved] = lines[i];
-            panic_if(i > 0 && idx <= lines[i - 1].first,
-                     "CacheModel::restoreState: line index %llu out of "
-                     "ascending order",
-                     static_cast<unsigned long long>(idx));
-            ++ownerCount(saved.owner);
-            dir[idx] = packWay(saved.tag, saved.owner, saved.dirty);
-            const unsigned w = static_cast<unsigned>(idx % config.ways);
-            h.mask |= 1ull << w;
-            setFingerprint(h.fp, w, tagFingerprint(saved.tag));
-            unsigned k = n++;
-            for (; k > 0 && rank[k - 1] > saved.rank; --k) {
-                rank[k] = rank[k - 1];
-                way[k] = way[k - 1];
-            }
-            rank[k] = saved.rank;
-            way[k] = w;
-        }
-        std::uint64_t order = kIdentityOrder;
-        for (unsigned k = 0; k < n; ++k)
-            order = promote(order, way[k]);
-        h.order = order;
-    }
 }
 
 } // namespace dsasim

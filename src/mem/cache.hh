@@ -200,9 +200,9 @@ class CacheModel
     /// @}
 
     /**
-     * A present line as a snapshot records it (Checkpointable::State).
-     * rank is its LRU position among its set's present lines, 0 being
-     * the least recently used.
+     * A present line as saveState() reports it. rank is its LRU
+     * position among its set's present lines, 0 being the least
+     * recently used.
      */
     struct Line
     {
@@ -213,14 +213,10 @@ class CacheModel
     };
 
     /**
-     * Checkpointable (sim/checkpoint.hh): the present lines, stored
-     * sparsely as (way index, line) pairs in ascending way order —
-     * O(occupied), not O(capacity). A way absent from the snapshot
-     * restores as free, exactly as it reads when its presence-mask bit
-     * is clear, so replacement decisions are unchanged. Occupancy
-     * accounting is rebuilt from the lines, and each set's LRU order
-     * from their ranks (any ascending keys will do; equal ones keep
-     * way order).
+     * Read-only view of the full state, which the reference-model
+     * tests compare: the present lines, stored sparsely as (way
+     * index, line) pairs in ascending way order — O(occupied), not
+     * O(capacity) — and the byte tallies.
      */
     struct State
     {
@@ -232,22 +228,15 @@ class CacheModel
 
     State saveState() const;
 
-    /**
-     * O(occupied) plus O(sets / 64) to clear the live bitset: ways
-     * and headers outside the snapshot are never written.
-     */
-    void restoreState(const State &st);
-
   private:
     /**
      * One directory way, one word: `tag | owner << 47 | dirty << 63`.
      * It holds no LRU state (the set header's order word is the only
      * LRU truth), so a hit writes it only to set the dirty bit or move
      * the owner. The storage is never zeroed: a way is read only while
-     * its presence-mask bit is set, and installWay() and restoreState()
-     * write it before setting the bit. This cold array is read only to
-     * confirm a fingerprint match, to evict a victim and by
-     * saveState().
+     * its presence-mask bit is set, and installWay() writes it before
+     * setting the bit. This cold array is read only to confirm a
+     * fingerprint match, to evict a victim and by saveState().
      */
     struct Way
     {
@@ -372,7 +361,23 @@ class CacheModel
     template <class Fn>
     std::uint64_t walkLive(Addr pa, std::uint64_t size, Fn &&fn);
 
-    std::uint64_t &ownerCount(int owner);
+    /**
+     * @p owner's line count. Inline, with the growth out of line:
+     * every install and every owner change bumps one.
+     */
+    std::uint64_t &
+    ownerCount(int owner)
+    {
+        // A negative owner converts to a huge index and grows, which
+        // is fatal there.
+        const auto o = static_cast<std::size_t>(owner);
+        if (o >= ownerLines.size())
+            growOwners(owner);
+        return ownerLines[o];
+    }
+
+    /** Size ownerLines for @p owner; fatal outside the way field. */
+    void growOwners(int owner);
     void uncountOwner(int owner);
 
     std::size_t

@@ -93,33 +93,6 @@ class Iommu
     TranslationCache &tlb() { return iotlb; }
     const IommuConfig &cfg() const { return config; }
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): the IOTLB contents and the
-     * injected-fault counter. The fault-injector attachment is
-     * positional — the restoring platform wires up its own injector
-     * (whose state rides in FaultInjector::State).
-     */
-    struct State
-    {
-        TranslationCache::State iotlb;
-        std::uint64_t injectedFaults = 0;
-        std::uint64_t translations = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{iotlb.saveState(), injectedFaults, translations};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        iotlb.restoreState(st.iotlb);
-        injectedFaults = st.injectedFaults;
-        translations = st.translations;
-    }
-
     /// @name Fault injection (optional; nullptr = fault-free).
     /// @{
     void setFaultInjector(FaultInjector *fi) { faultInjector = fi; }

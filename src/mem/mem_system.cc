@@ -31,7 +31,7 @@ MemSystem::MemSystem(Simulation &s, const MemSystemConfig &cfg)
     }
 
     // Telemetry (DESIGN.md §15): supplier-backed views over the LLC
-    // and IOMMU — their state stays where it checkpoints; the
+    // and IOMMU — their state stays in its owner; the
     // registry only reads it at sample/export time.
     stats::Registry &reg = s.stats();
     reg.gauge("llc.occupancy_bytes",
@@ -152,47 +152,6 @@ MemSystem::createSpace()
     Pasid id = static_cast<Pasid>(spaces.size() + 1);
     spaces.push_back(std::make_unique<AddressSpace>(*this, id));
     return *spaces.back();
-}
-
-MemSystem::State
-MemSystem::saveState() const
-{
-    State st;
-    st.nodes.reserve(nodes.size());
-    for (const auto &n : nodes)
-        st.nodes.push_back(n->saveState());
-    st.llc = llc.saveState();
-    st.iommu = iommuUnit.saveState();
-    st.upi = upi.saveState();
-    st.llcPort = llcPort.saveState();
-    st.spaces.reserve(spaces.size());
-    for (const auto &s : spaces)
-        st.spaces.push_back(s->saveState());
-    return st;
-}
-
-void
-MemSystem::restoreState(const State &st)
-{
-    fatal_if(nodes.size() != st.nodes.size(),
-             "MemSystem::restoreState: node count mismatch "
-             "(%zu here, %zu in snapshot)",
-             nodes.size(), st.nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        nodes[i]->restoreState(st.nodes[i]);
-    llc.restoreState(st.llc);
-    iommuUnit.restoreState(st.iommu);
-    upi.restoreState(st.upi);
-    llcPort.restoreState(st.llcPort);
-    fatal_if(spaces.size() > st.spaces.size(),
-             "MemSystem::restoreState: target already has %zu "
-             "address space(s), snapshot has %zu — restore requires "
-             "a fresh platform",
-             spaces.size(), st.spaces.size());
-    while (spaces.size() < st.spaces.size())
-        createSpace();
-    for (std::size_t i = 0; i < spaces.size(); ++i)
-        spaces[i]->restoreState(st.spaces[i]);
 }
 
 AddressSpace &

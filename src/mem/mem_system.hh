@@ -78,35 +78,6 @@ class MemNode
     /** Bump-allocate @p bytes of physical space aligned to @p align. */
     Addr allocPhys(std::uint64_t bytes, std::uint64_t align);
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): backing store (CoW),
-     * bandwidth-link horizons, and the physical bump-allocator
-     * cursor (forks that allocate must mirror the source layout).
-     */
-    struct State
-    {
-        PhysicalMemory::State store;
-        LinkResource::State readLink;
-        LinkResource::State writeLink;
-        Addr allocNext = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{store.saveState(), readLink.saveState(),
-                     writeLink.saveState(), allocNext};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        store.restoreState(st.store);
-        readLink.restoreState(st.readLink);
-        writeLink.restoreState(st.writeLink);
-        allocNext = st.allocNext;
-    }
-
     const int id;
     const MemNodeConfig config;
     PhysicalMemory store;
@@ -232,26 +203,6 @@ class MemSystem
     AddressSpace &space(Pasid pasid);
     std::size_t spaceCount() const { return spaces.size(); }
     /// @}
-
-    /**
-     * Checkpointable (sim/checkpoint.hh): every node's store and
-     * links, the LLC directory, the IOTLB, the fabric links, and
-     * every address space. Restore *creates* the spaces on a fresh
-     * MemSystem — PASIDs are assigned by creation order, so the
-     * fork's space(pasid) handles line up with the source's.
-     */
-    struct State
-    {
-        std::vector<MemNode::State> nodes;
-        CacheModel::State llc;
-        Iommu::State iommu;
-        LinkResource::State upi;
-        LinkResource::State llcPort;
-        std::vector<AddressSpace::State> spaces;
-    };
-
-    State saveState() const;
-    void restoreState(const State &st);
 
   private:
     Simulation &simulation;

@@ -40,18 +40,6 @@ class PageTable
         bool present = true;
     };
 
-    /**
-     * Pages [vaBase, vaEnd) of pageSize bytes each, mapped to the PAs
-     * from paBase on. Public only for Checkpointable::State.
-     */
-    struct Region
-    {
-        Addr vaBase = 0;
-        Addr vaEnd = 0;
-        Addr paBase = 0;
-        std::uint64_t pageSize = 0;
-    };
-
     /** Map one page of @p size bytes. */
     void map(Addr va_base, Addr pa_base, std::uint64_t size)
     {
@@ -132,31 +120,20 @@ class PageTable
     /** Number of mapped pages. */
     std::size_t mappingCount() const;
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): the regions and the absent
-     * pages (an evicted page stays evicted across a fork). The region
-     * memo is a pure lookup accelerator and restores cold — it cannot
-     * affect timing or results.
-     */
-    struct State
-    {
-        std::vector<Region> regions;
-        std::vector<Addr> absent;
-    };
-
-    State saveState() const { return State{regions, absent}; }
-
-    void
-    restoreState(const State &st)
-    {
-        regions = st.regions;
-        absent = st.absent;
-        lastIdx = noMemo;
-        prevIdx = noMemo;
-    }
-
   private:
     static constexpr std::size_t noMemo = ~std::size_t{0};
+
+    /**
+     * Pages [vaBase, vaEnd) of pageSize bytes each, mapped to the PAs
+     * from paBase on.
+     */
+    struct Region
+    {
+        Addr vaBase = 0;
+        Addr vaEnd = 0;
+        Addr paBase = 0;
+        std::uint64_t pageSize = 0;
+    };
 
     /** The region holding @p va, or nullptr; memo first. */
     const Region *

@@ -16,13 +16,13 @@ namespace
 constexpr std::uint64_t kChunkSize = PhysicalMemory::chunkSize;
 
 /**
- * A zero-filled chunk in its own 2 MiB-aligned anonymous mapping,
- * unmapped when its last reference goes. Over-mapping by one chunk
- * and trimming both ends gives the alignment a huge page needs; the
- * MADV_HUGEPAGE advice is only a hint, and where the kernel declines
- * it the chunk is backed by 4 KiB pages instead.
+ * A zero-filled chunk in its own 2 MiB-aligned anonymous mapping.
+ * Over-mapping by one chunk and trimming both ends gives the
+ * alignment a huge page needs; the MADV_HUGEPAGE advice is only a
+ * hint, and where the kernel declines it the chunk is backed by 4 KiB
+ * pages instead.
  */
-std::shared_ptr<std::uint8_t[]>
+std::uint8_t *
 mapChunk()
 {
     const std::uint64_t span = 2 * kChunkSize;
@@ -42,11 +42,16 @@ mapChunk()
 #ifdef MADV_HUGEPAGE
     madvise(chunk, kChunkSize, MADV_HUGEPAGE);
 #endif
-    return std::shared_ptr<std::uint8_t[]>(
-        chunk, [](std::uint8_t *p) { munmap(p, kChunkSize); });
+    return chunk;
 }
 
 } // namespace
+
+void
+PhysicalMemory::Unmap::operator()(std::uint8_t *chunk) const
+{
+    munmap(chunk, kChunkSize);
+}
 
 std::uint8_t *
 PhysicalMemory::chunkFor(Addr pa)
@@ -61,15 +66,7 @@ PhysicalMemory::chunkFor(Addr pa)
     auto it = chunks.find(idx);
     if (it == chunks.end()) {
         // A fresh mapping: untouched memory reads as zero.
-        it = chunks.emplace(idx, mapChunk()).first;
-    } else if (it->second.use_count() > 1) {
-        // Copy-on-write: a snapshot (or the platform it forked from)
-        // still references this chunk. use_count() == 1 is a stable
-        // "exclusively ours" signal even with concurrent forks:
-        // nobody else can gain a reference except through this map.
-        auto clone = mapChunk();
-        std::memcpy(clone.get(), it->second.get(), chunkSize);
-        it->second = std::move(clone);
+        it = chunks.emplace(idx, Chunk(mapChunk())).first;
     }
     cacheInsert(idx, it->second.get());
     return cachedChunk;
@@ -91,11 +88,7 @@ PhysicalMemory::chunkForConst(Addr pa) const
         // on this index must still materialize it.
         return nullptr;
     }
-    // A shared chunk must stay out of the cache: the non-const
-    // hostSpan fast path would hand its cached pointer out writable,
-    // bypassing the copy-on-write clone above.
-    if (it->second.use_count() == 1)
-        cacheInsert(idx, it->second.get());
+    cacheInsert(idx, it->second.get());
     return it->second.get();
 }
 
@@ -143,30 +136,6 @@ PhysicalMemory::fill(Addr pa, std::uint8_t value, std::uint64_t len)
         pa += run;
         len -= run;
     }
-}
-
-PhysicalMemory::State
-PhysicalMemory::saveState() const
-{
-    // Sharing the map bumps every chunk's refcount past 1; any
-    // pointer previously handed out via hostSpan must be considered
-    // stale from here on (the next write clones). Drop our own cache
-    // so we obey the same rule.
-    cacheDrop();
-    return State{capacity, chunks};
-}
-
-void
-PhysicalMemory::restoreState(const State &st)
-{
-    fatal_if(capacity != st.capacity,
-             "PhysicalMemory::restoreState: capacity mismatch "
-             "(target 0x%llx, snapshot 0x%llx) — restore requires an "
-             "identically configured platform",
-             static_cast<unsigned long long>(capacity),
-             static_cast<unsigned long long>(st.capacity));
-    chunks = st.chunks;
-    cacheDrop();
 }
 
 } // namespace dsasim

@@ -161,9 +161,10 @@ class TranslationCache
     std::uint64_t misses() const { return missCount; }
 
     /**
-     * Checkpointable (sim/checkpoint.hh): entries in exact recency
-     * order (MRU first) plus the hit/miss counters — future
-     * evictions depend on the full LRU ordering, not just the set.
+     * Read-only view of the full state: entries in exact recency
+     * order (MRU first) plus the hit/miss counters. Future evictions
+     * depend on the whole LRU order, so the reference-model tests
+     * compare this, not just the set of keys.
      */
     struct State
     {
@@ -180,21 +181,6 @@ class TranslationCache
         for (std::uint32_t s = head; s != none; s = slots[s].next)
             st.entriesMruFirst.push_back(slots[s].key);
         return st;
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        clear();
-        // Pushing LRU first leaves the saved MRU entry at the head.
-        const auto &keys = st.entriesMruFirst;
-        for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-            std::uint32_t s = append(*it);
-            pushFront(s);
-            indexInsert(s);
-        }
-        hitCount = st.hits;
-        missCount = st.misses;
     }
 
   private:
@@ -245,7 +231,7 @@ class TranslationCache
      * @p b, when known, is the bucket ending the key's probe run.
      */
     void
-    indexInsert(std::uint32_t s, std::size_t b = noBucket)
+    indexInsert(std::uint32_t s, std::size_t b)
     {
         if (2 * slots.size() > index.size()) {
             growIndex(); // the rehash places s too

@@ -172,36 +172,6 @@ class FaultInjector
     /** Build from $DSASIM_FAULTS / $DSASIM_FAULT_SEED, or nullptr. */
     static std::unique_ptr<FaultInjector> fromEnv();
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): RNG position, full rule
-     * list (rules carry their matches/fires/maxFires bookkeeping,
-     * which drives every= and max= triggers), and the aggregate
-     * counters. The clock attachment is positional, not state — the
-     * restoring platform re-attaches its own simulation.
-     */
-    struct State
-    {
-        Rng::State rng;
-        std::vector<FaultRule> rules;
-        std::uint64_t totalQueries = 0;
-        std::uint64_t totalFires = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{rng.saveState(), rules, totalQueries, totalFires};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        rng.restoreState(st.rng);
-        rules = st.rules;
-        totalQueries = st.totalQueries;
-        totalFires = st.totalFires;
-    }
-
   private:
     bool matches(const FaultRule &r, const FaultQuery &q) const;
 

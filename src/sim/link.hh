@@ -118,34 +118,6 @@ class LinkResource
         totalBusy = 0;
     }
 
-    /**
-     * Checkpointable (sim/checkpoint.hh): rate (links can be
-     * reconfigured after construction), the serialization horizon,
-     * and accounting.
-     */
-    struct State
-    {
-        double gbps = 0.0;
-        Tick readyAt = 0;
-        std::uint64_t totalBytes = 0;
-        Tick totalBusy = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{rateGBps, readyAt, totalBytes, totalBusy};
-    }
-
-    void
-    restoreState(const State &st)
-    {
-        setRate(st.gbps);
-        readyAt = st.readyAt;
-        totalBytes = st.totalBytes;
-        totalBusy = st.totalBusy;
-    }
-
   private:
     Simulation &sim;
     std::string name;

@@ -87,22 +87,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Checkpointable (sim/checkpoint.hh): the full PCG32 state. */
-    struct State
-    {
-        std::uint64_t state = 0;
-        std::uint64_t inc = 0;
-    };
-
-    State saveState() const { return State{state, inc}; }
-
-    void
-    restoreState(const State &st)
-    {
-        state = st.state;
-        inc = st.inc;
-    }
-
   private:
     std::uint64_t state;
     std::uint64_t inc;

@@ -186,45 +186,6 @@ Simulation::run()
     return currentTick;
 }
 
-Simulation::State
-Simulation::saveState() const
-{
-    fatal_if(!idle(),
-             "Simulation::saveState: %llu event(s) still pending — "
-             "snapshots may only be taken of a quiesced simulation "
-             "(run until idle, or co_await Platform::quiesce())",
-             static_cast<unsigned long long>(pendingCount));
-    return State{currentTick, nextSeq, executedCount, hashState,
-                 hashEnabled, statsRegistry.saveState()};
-}
-
-void
-Simulation::restoreState(const State &st)
-{
-    fatal_if(!idle(),
-             "Simulation::restoreState: target kernel has %llu "
-             "pending event(s); restore requires a fresh or drained "
-             "simulation",
-             static_cast<unsigned long long>(pendingCount));
-    currentTick = st.now;
-    nextSeq = st.nextSeq;
-    executedCount = st.executed;
-    hashState = st.hash;
-    hashEnabled = st.hashOn;
-    // Re-anchor the calendar window at the restored clock so the
-    // first post-restore pushEvent lands in the same bucket (and
-    // thus executes in the same (when, seq) order) as it would have
-    // in the source simulation.
-    curBucket = st.now >> bucketShift;
-    stageLast = st.now;
-    // Keep the sampler's cadence anchored to absolute period
-    // boundaries across a restore, exactly as a cold run would be.
-    if (samplePeriod != 0)
-        nextSampleAt = currentTick - currentTick % samplePeriod +
-                       samplePeriod;
-    statsRegistry.restoreState(st.stats);
-}
-
 Tick
 Simulation::runUntil(Tick until)
 {
@@ -255,8 +216,8 @@ Simulation::nextEventBound() const
         bound = std::min(bound, stageInKeys.front().when);
     const std::size_t off = firstOccupiedOffset();
     if (off != bucketCount) {
-        // Bucket starts can predate the clock right after a
-        // restoreState() re-anchor; queued events never do.
+        // Bucket starts can predate the clock once runUntil() has
+        // advanced it past an empty stretch; queued events never do.
         const Tick start =
             static_cast<Tick>((curBucket + off) << bucketShift);
         bound = std::min(bound, std::max(start, currentTick));

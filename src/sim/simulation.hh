@@ -202,29 +202,6 @@ class Simulation
     bool hasSampleHook() const { return samplePeriod != 0; }
 
     /**
-     * Checkpointable (sim/checkpoint.hh). The kernel's snapshot is
-     * the plain-data residue of a drained calendar: the clock, the
-     * global sequence counter, and the stream-hash accumulator.
-     * Pending events hold coroutine handles and callbacks that
-     * cannot be copied, so capture is only legal at idle() —
-     * saveState() is fatal otherwise (snapshot-under-load is a user
-     * error, not a corruption).
-     */
-    struct State
-    {
-        Tick now = 0;
-        std::uint64_t nextSeq = 0;
-        std::uint64_t executed = 0;
-        std::uint64_t hash = 0;
-        bool hashOn = false;
-        /** Stored telemetry metrics, saved by dotted name. */
-        stats::Registry::State stats;
-    };
-
-    State saveState() const;
-    void restoreState(const State &st);
-
-    /**
      * Awaitable: suspend the current coroutine for @p delay ticks.
      * Usage: `co_await sim.delay(fromNs(100));`
      */

@@ -41,13 +41,7 @@ Registry::add(const std::string &name, Kind kind,
 Counter &
 Registry::counter(const std::string &name, const std::string &help)
 {
-    Metric &m = add(name, Kind::Counter, help);
-    if (auto it = pendingCounters.find(name);
-        it != pendingCounters.end()) {
-        m.ctr.cell = it->second;
-        pendingCounters.erase(it);
-    }
-    return m.ctr;
+    return add(name, Kind::Counter, help).ctr;
 }
 
 Counter &
@@ -56,21 +50,13 @@ Registry::counter(const std::string &name, const std::string &help,
 {
     Metric &m = add(name, Kind::Counter, help);
     m.ctr.fn = std::move(supplier);
-    // Supplier-backed views restore through their owning component;
-    // a parked value for this name is stale by definition.
-    pendingCounters.erase(name);
     return m.ctr;
 }
 
 Gauge &
 Registry::gauge(const std::string &name, const std::string &help)
 {
-    Metric &m = add(name, Kind::Gauge, help);
-    if (auto it = pendingGauges.find(name); it != pendingGauges.end()) {
-        m.gau.cell = it->second;
-        pendingGauges.erase(it);
-    }
-    return m.gau;
+    return add(name, Kind::Gauge, help).gau;
 }
 
 Gauge &
@@ -79,7 +65,6 @@ Registry::gauge(const std::string &name, const std::string &help,
 {
     Metric &m = add(name, Kind::Gauge, help);
     m.gau.fn = std::move(supplier);
-    pendingGauges.erase(name);
     return m.gau;
 }
 
@@ -162,57 +147,6 @@ Registry::fold(const Registry &src, const std::string &prefix)
             dst.ctr.cell = m.ctr.value();
         else
             dst.gau.cell = m.gau.value();
-    }
-}
-
-Registry::State
-Registry::saveState() const
-{
-    State st;
-    for (const auto &[name, m] : metrics) {
-        if (m.kind == Kind::Counter && !m.ctr.supplierBacked())
-            st.counters.emplace_back(name, m.ctr.cell);
-        else if (m.kind == Kind::Gauge && !m.gau.supplierBacked())
-            st.gauges.emplace_back(name, m.gau.cell);
-    }
-    // Values restored before their metric registered still belong to
-    // the logical state (Snapshot::fork re-anchors the kernel before
-    // the platform re-registers); carry them forward. Names are
-    // disjoint from the live set — registration consumes the parked
-    // value — so a plain append keeps each vector name-sorted only
-    // after a merge; sort for a canonical order.
-    for (const auto &[name, v] : pendingCounters)
-        st.counters.emplace_back(name, v);
-    for (const auto &[name, v] : pendingGauges)
-        st.gauges.emplace_back(name, v);
-    auto byName = [](const auto &a, const auto &b) {
-        return a.first < b.first;
-    };
-    std::sort(st.counters.begin(), st.counters.end(), byName);
-    std::sort(st.gauges.begin(), st.gauges.end(), byName);
-    return st;
-}
-
-void
-Registry::restoreState(const State &st)
-{
-    for (const auto &[name, v] : st.counters) {
-        const auto it = metrics.find(name);
-        if (it == metrics.end()) {
-            pendingCounters[name] = v;
-        } else if (it->second.kind == Kind::Counter &&
-                   !it->second.ctr.supplierBacked()) {
-            it->second.ctr.cell = v;
-        }
-    }
-    for (const auto &[name, v] : st.gauges) {
-        const auto it = metrics.find(name);
-        if (it == metrics.end()) {
-            pendingGauges[name] = v;
-        } else if (it->second.kind == Kind::Gauge &&
-                   !it->second.gau.supplierBacked()) {
-            it->second.gau.cell = v;
-        }
     }
 }
 

@@ -267,12 +267,6 @@ class Gauge
  * (setup-time, non-observer) returns a stable reference — metrics
  * live in node-based storage and are never removed. A duplicate name
  * is fatal; multi-instance components disambiguate via scope().
- *
- * Checkpointable (sim/checkpoint.hh) as part of Simulation::State:
- * stored metrics save by name and restore onto a registry whose
- * components may not have registered yet (Snapshot::fork re-anchors
- * the kernel before rebuilding the platform) — early values park in
- * a pending map and seed the metric when it registers.
  */
 class Registry
 {
@@ -351,19 +345,6 @@ class Registry
      */
     void fold(const Registry &src, const std::string &prefix);
 
-    /// @name Checkpointable state (stored metrics only — supplier-
-    /// backed views restore through their owning component).
-    /// @{
-    struct State
-    {
-        std::vector<std::pair<std::string, std::uint64_t>> counters;
-        std::vector<std::pair<std::string, double>> gauges;
-    };
-
-    State saveState() const;
-    void restoreState(const State &st);
-    /// @}
-
   private:
     /** The Sampler locks direct metric references at first sample. */
     friend class Sampler;
@@ -383,10 +364,6 @@ class Registry
     // the registry and iteration is ascending-name deterministic.
     std::map<std::string, Metric> metrics;
     std::map<std::string, unsigned> scopes;
-
-    /** Values restored before their metric registered (fork order). */
-    std::map<std::string, std::uint64_t> pendingCounters;
-    std::map<std::string, double> pendingGauges;
 };
 
 /// @name Export knobs (read once per query; host-only).

@@ -5,8 +5,8 @@
  * (DESIGN.md §13).
  *
  * It shares no code and no storage with CacheModel — only its Config
- * (the geometry) and its State (so the two can be compared and
- * restored from each other's snapshots). Every way is a plain struct,
+ * (the geometry) and its State (so the two can be compared). Every
+ * way is a plain struct,
  * every lookup a linear scan of the set, every span op a per-line
  * loop over the scalar ops below, and invalidateAll() clears every
  * way. Nothing here is fast; everything here is meant to be read
@@ -19,8 +19,9 @@
  *   - the victim is the highest free way of the allowed range, else
  *     the way with the smallest lastUse;
  *   - every touch or install takes the next value of one use clock,
- *     which stays internal: a snapshot records each present line's
- *     rank, the number of present lines of its set used before it;
+ *     which stays internal: the state view records each present
+ *     line's rank, the number of present lines of its set used
+ *     before it;
  *   - occupancy belongs to the line's most recent CPU or DDIO-write
  *     toucher (device reads keep the owner).
  */
@@ -217,26 +218,6 @@ class ReferenceCache
             st.validLines.push_back({i, {w.tag, rank, w.owner, w.dirty}});
         }
         return st;
-    }
-
-    /**
-     * A line's rank becomes its lastUse (equal ranks keep way order),
-     * and the clock restarts above every rank, so each set replaces
-     * its lines in rank order.
-     */
-    void
-    restoreState(const CacheModel::State &st)
-    {
-        invalidateAll();
-        useClock = 0;
-        hitBytes = st.hitBytes;
-        missBytes = st.missBytes;
-        writebackBytes = st.writebackBytes;
-        for (const auto &[idx, l] : st.validLines) {
-            lines.at(idx) = {true, l.dirty, l.owner, l.tag, l.rank};
-            ++ownerLines[l.owner];
-            useClock = std::max(useClock, l.rank);
-        }
     }
 
   private:

@@ -5,8 +5,7 @@
  * against.
  *
  * It shares no storage with TranslationCache, only its State (so the
- * two can be compared and restored from each other's snapshots) and
- * the documented key packing, PASID above the 4 KiB page number. The
+ * two can be compared) and the documented key packing, PASID above the 4 KiB page number. The
  * recency order is a std::list (MRU at the front), the index a
  * std::unordered_map from key to list position:
  *
@@ -96,18 +95,6 @@ class ReferenceTlb
     saveState() const
     {
         return {{lru.begin(), lru.end()}, hitCount, missCount};
-    }
-
-    void
-    restoreState(const TranslationCache::State &st)
-    {
-        clear();
-        for (std::uint64_t k : st.entriesMruFirst) {
-            lru.push_back(k);
-            index[k] = std::prev(lru.end());
-        }
-        hitCount = st.hits;
-        missCount = st.misses;
     }
 
   private:

@@ -9,15 +9,13 @@
  * them 16 ways, the most a set header orders) and at the platform's
  * own SPR directory, CPU spans included. Also covers the closed-form
  * per-set span geometry (set wrap, start-offset corrections), the
- * victim reclaim gauges after invalidateAll, O(occupied) restore into
- * a churned model, fingerprint collisions, the LRU order a restore
- * rebuilds, and the way-packing guards.
+ * victim reclaim gauges after invalidateAll, fingerprint collisions
+ * and the way-packing guards.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -208,8 +206,8 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
               8 * 4 * std::uint64_t{cacheLineSize});
     EXPECT_EQ(c.occupancyBytes(5) + c.occupancyBytes(3),
               c.totalOccupancyBytes());
-    // Stale lines never appear in a checkpoint: it holds exactly the
-    // counted lines, each present in its own set.
+    // Stale lines never appear in the state view: it holds exactly
+    // the counted lines, each present in its own set.
     CacheModel::State st = c.saveState();
     EXPECT_EQ(st.validLines.size() * cacheLineSize,
               c.totalOccupancyBytes());
@@ -217,86 +215,6 @@ TEST(CacheAcct, StaleEpochVictimReclaimKeepsGaugesExact)
         EXPECT_EQ(idx / c.numWays(), line.tag % c.numSets());
         EXPECT_TRUE(c.probe(line.tag * cacheLineSize));
     }
-}
-
-/**
- * Drive @p c with a seeded mix of CPU, DDIO, probe and flush ops and
- * return every op's outcome, so two models can be compared op by op.
- */
-std::vector<std::uint64_t>
-driveOps(CacheModel &c, std::uint32_t seed, std::uint64_t window)
-{
-    Rng rng(seed);
-    std::vector<std::uint64_t> out;
-    for (int op = 0; op < 3000; ++op) {
-        Addr pa = rng.range(0, window);
-        int owner = drawOwner(rng);
-        switch (rng.range(0, 4)) {
-          case 0: {
-            auto r = c.cpuAccess(lineAlignDown(pa), owner, true);
-            out.insert(out.end(), {r.hit, r.evictedDirty, r.evictedPa});
-            break;
-          }
-          case 1: {
-            auto r = c.fillSpan(pa, 5 * cacheLineSize, owner);
-            out.insert(out.end(), {r.hitBytes, r.writebackBytes,
-                                   r.lastEvictedPa});
-            break;
-          }
-          case 2:
-            out.push_back(c.probeSpan(pa, 9 * cacheLineSize).hitBytes);
-            break;
-          case 3:
-            out.push_back(
-                c.flushSpan(lineAlignDown(pa), cacheLineSize)
-                    .writebackBytes);
-            break;
-        }
-    }
-    return out;
-}
-
-// restoreState empties the directory by clearing the live bitset and
-// writes only the snapshot's ways, so restoring into a model churned
-// across several invalidateAll rounds must behave exactly like restoring
-// into a fresh one — and like the model the snapshot was taken from —
-// for every later op, not just the snapshot.
-TEST(CacheAcct, RestoreIntoChurnedModelMatchesFresh)
-{
-    const CacheModel::Config cfg = smallCfg(32, 15, 2);
-    CacheModel source(cfg), churned(cfg), fresh(cfg);
-    const std::uint64_t window = 3 * cfg.sizeBytes;
-    Rng rng(11);
-    // Roughly 10% occupancy in the snapshot, owners of both kinds.
-    for (int i = 0; i < 48; ++i)
-        source.cpuAccess(lineAlignDown(rng.range(0, window)),
-                         drawOwner(rng), rng.range(0, 2) == 0);
-    source.fillSpan(rng.range(0, window), 8 * cacheLineSize, 1000);
-    const CacheModel::State snap = source.saveState();
-    ASSERT_FALSE(snap.validLines.empty());
-
-    for (int epoch = 0; epoch < 4; ++epoch) {
-        for (int i = 0; i < 600; ++i)
-            churned.cpuAccess(lineAlignDown(rng.range(0, window)),
-                              drawOwner(rng), true);
-        churned.fillSpan(rng.range(0, window), 40 * cacheLineSize,
-                         1001);
-        churned.invalidateAll();
-    }
-    for (int i = 0; i < 600; ++i)
-        churned.cpuAccess(lineAlignDown(rng.range(0, window)),
-                          drawOwner(rng), true);
-
-    churned.restoreState(snap);
-    fresh.restoreState(snap);
-    expectSameState(churned, fresh);
-    expectSameState(churned, source);
-
-    const auto want = driveOps(source, 5, window);
-    EXPECT_EQ(driveOps(churned, 5, window), want);
-    EXPECT_EQ(driveOps(fresh, 5, window), want);
-    expectSameState(churned, source);
-    expectSameState(fresh, source);
 }
 
 // Victims are the least recently used way, whoever owns it: the owner
@@ -361,9 +279,6 @@ TEST(CacheAcctDeathTest, TagOutsideWayFieldIsFatal)
     EXPECT_DEATH(c.cpuAccess(top + cacheLineSize, 1), "tag");
     EXPECT_DEATH(c.fillSpan(top + cacheLineSize, cacheLineSize, 1000),
                  "tag");
-    CacheModel::State st;
-    st.validLines.push_back({0, {1ull << 47, 0, 1, false}});
-    EXPECT_DEATH(c.restoreState(st), "tag");
 }
 
 /**
@@ -443,23 +358,6 @@ class Lockstep
         ref.invalidateAll();
     }
 
-    /** Each side restores its own snapshot. */
-    void
-    roundTrip()
-    {
-        model.restoreState(model.saveState());
-        ref.restoreState(ref.saveState());
-    }
-
-    /** Each side restores the other's snapshot. */
-    void
-    restoreCrossed(const CacheModel::State &from_model,
-                   const CacheModel::State &from_ref)
-    {
-        model.restoreState(from_ref);
-        ref.restoreState(from_model);
-    }
-
     void check() { expectSameState(model, ref); }
 
     CacheModel model;
@@ -518,49 +416,6 @@ TEST(CacheAcct, FingerprintCollisionConfirmsFullTag)
     m.check();
 }
 
-// restoreState rebuilds each set's LRU order from the lines' ranks
-// alone: a full set restored with shuffled rank keys into a churned
-// model evicts its ways in ascending rank order, in and out of the
-// DDIO range.
-TEST(CacheAcct, RestoreRebuildsLruOrderFromLastUse)
-{
-    const CacheModel::Config cfg = smallCfg(8, 15, 2);
-    CacheModel c(cfg);
-    Rng rng(4);
-    for (int i = 0; i < 400; ++i)
-        c.cpuAccess(lineAlignDown(rng.range(0, 4 * cfg.sizeBytes)),
-                    drawOwner(rng), true);
-    const std::uint64_t set = 5, sets = c.numSets();
-    const std::uint64_t use[15] = {90, 14, 77, 3, 58, 41, 66, 25,
-                                   12, 99, 8,  50, 33, 71, 19};
-    CacheModel::State st;
-    for (unsigned w = 0; w < 15; ++w)
-        st.validLines.push_back(
-            {set * 15 + w,
-             {set + (w + 1) * sets, use[w], 1, w % 2 == 0}});
-    c.restoreState(st);
-    // The DDIO ways 0 and 1 hold ranks 90 and 14: a fill evicts 1.
-    auto f = c.fillSpan((set + 100 * sets) * cacheLineSize, cacheLineSize,
-                        1000);
-    EXPECT_EQ(f.lastEvictedPa, 0u); // way 1 was clean
-    EXPECT_FALSE(c.probe((set + 2 * sets) * cacheLineSize));
-    // CPU misses then take the rest, least recently used first.
-    std::vector<std::pair<std::uint64_t, unsigned>> order;
-    for (unsigned w = 0; w < 15; ++w)
-        if (w != 1)
-            order.push_back({use[w], w});
-    std::sort(order.begin(), order.end());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        const unsigned w = order[i].second;
-        c.cpuAccess((set + (200 + i) * sets) * cacheLineSize, 2, false);
-        EXPECT_FALSE(c.probe((set + (w + 1) * sets) * cacheLineSize))
-            << "eviction " << i << " expected way " << w;
-        for (std::size_t j = i + 1; j < order.size(); ++j)
-            EXPECT_TRUE(c.probe(
-                (set + (order[j].second + 1) * sets) * cacheLineSize));
-    }
-}
-
 // The oracle contract: randomized span and scalar op sequences leave
 // CacheModel and ReferenceCache in identical states and return
 // identical results.
@@ -575,23 +430,10 @@ differentialFuzz(std::uint32_t seed, CacheModel::Config cfg)
     const std::uint64_t window = 2 * cfg.sizeBytes;
     const std::uint64_t max_span = 3 * sets * cacheLineSize;
 
-    // Fixed mid-sequence schedule: a snapshot taken at op 1000 is
-    // restored crosswise at op 3000, after an invalidateAll epoch
-    // (op 2000) and a round trip (op 2500), so restore lands in a
-    // churned model.
-    std::optional<CacheModel::State> snapModel, snapRef;
+    // A fixed mid-sequence invalidateAll epoch at op 2000.
     for (int op = 0; op < 4000; ++op) {
-        if (op == 1000) {
-            snapModel = m.model.saveState();
-            snapRef = m.ref.saveState();
-        } else if (op == 2000) {
+        if (op == 2000)
             m.invalidateAll();
-        } else if (op == 2500) {
-            m.roundTrip();
-        } else if (op == 3000) {
-            m.restoreCrossed(*snapModel, *snapRef);
-            m.check();
-        }
         Addr pa = rng.range(0, window);
         std::uint64_t size = rng.range(1, max_span);
         int owner = drawOwner(rng);
@@ -632,10 +474,8 @@ differentialFuzz(std::uint32_t seed, CacheModel::Config cfg)
                 m.probeSpan(pa, cacheLineSize);
             break;
           case 9:
-            // Checkpoint round-trip mid-stream: masks and gauges
-            // must rebuild identically.
             if (rng.range(0, 16) == 0)
-                m.roundTrip();
+                m.check();
             else
                 m.probe(pa);
             break;
@@ -766,7 +606,7 @@ TEST(CacheAcct, ReferenceFuzzSprDirectory)
             break;
           case 6:
             if (rng.range(0, 50) == 0)
-                m.roundTrip();
+                m.check();
             else
                 m.probe(so);
             break;

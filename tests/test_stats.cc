@@ -4,8 +4,6 @@
  *
  *  - registry contracts: counters and gauges, supplier-backed views,
  *    scope() auto-numbering, fatal duplicate names;
- *  - checkpoint round-trips, including values restored before their
- *    metric registers (the Snapshot::fork ordering);
  *  - the deterministic cluster fold;
  *  - Prometheus / CSV exporters (golden output + format validator),
  *    and their I/O-failure reporting;
@@ -24,7 +22,6 @@
 #include <vector>
 
 #include "driver/pcm.hh"
-#include "driver/snapshot.hh"
 #include "sim/stats.hh"
 #include "tests/util.hh"
 
@@ -116,50 +113,6 @@ TEST(StatsRegistry, SnapshotAscendingNamesAndSuppliers)
     live = 6;
     reg.sampleInto(snap);
     EXPECT_DOUBLE_EQ(snap.entries[0].value, 6.0);
-}
-
-// --------------------------------------------------------------------
-// Checkpoint round-trip and the fork restore ordering
-
-TEST(StatsRegistry, SaveRestoreRoundTrip)
-{
-    stats::Registry reg;
-    reg.counter("a.ops").add(10);
-    reg.gauge("a.depth").set(2.5);
-    // Supplier-backed views are skipped: they restore through the
-    // owning component, not the registry.
-    reg.counter("a.live", "", [] { return std::uint64_t{7}; });
-
-    stats::Registry::State st = reg.saveState();
-    ASSERT_EQ(st.counters.size(), 1u);
-    EXPECT_EQ(st.counters[0].first, "a.ops");
-
-    stats::Registry other;
-    stats::Counter &oc = other.counter("a.ops");
-    stats::Gauge &og = other.gauge("a.depth");
-    other.restoreState(st);
-
-    EXPECT_EQ(oc.value(), 10u);
-    EXPECT_DOUBLE_EQ(og.value(), 2.5);
-}
-
-TEST(StatsRegistry, PendingRestoreSeedsLateRegistration)
-{
-    stats::Registry reg;
-    reg.counter("late.ops").add(33);
-    reg.gauge("late.depth").set(1.5);
-    stats::Registry::State st = reg.saveState();
-
-    // Snapshot::fork restores the kernel state before the platform's
-    // components re-register their metrics: the values must park and
-    // seed the metric when registration eventually happens.
-    stats::Registry other;
-    other.restoreState(st);
-    EXPECT_FALSE(other.has("late.ops"));
-    stats::Counter &c = other.counter("late.ops");
-    stats::Gauge &g = other.gauge("late.depth");
-    EXPECT_EQ(c.value(), 33u);
-    EXPECT_DOUBLE_EQ(g.value(), 1.5);
 }
 
 TEST(StatsRegistry, FoldPrefixesAndMaterializesSuppliers)
@@ -339,28 +292,6 @@ TEST(StatsPlatform, OffloadBumpsRegistryCounters)
     }
     EXPECT_GE(read, n);
     EXPECT_GE(written, n);
-}
-
-TEST(StatsPlatform, ForkCarriesRegistryValues)
-{
-    HwBench b;
-    const std::uint64_t n = 8192;
-    Addr src = b.as->alloc(n);
-    Addr dst = b.as->alloc(n);
-    b.randomize(src, n);
-    b.run(dml::Executor::memMove(*b.as, dst, src, n));
-
-    const std::uint64_t submitted =
-        b.sim.stats().counterValue("dsa0.descriptors_submitted");
-    ASSERT_EQ(submitted, 1u);
-
-    Snapshot snap = Snapshot::capture(b.plat);
-    std::unique_ptr<Snapshot::Forked> fork = snap.fork();
-    // Device counters are stored metrics: the forked continuation
-    // resumes the tallies where the source left off.
-    EXPECT_EQ(fork->sim.stats().counterValue(
-                  "dsa0.descriptors_submitted"),
-              submitted);
 }
 
 // --------------------------------------------------------------------

@@ -27,24 +27,8 @@ run build-release -DCMAKE_BUILD_TYPE=Release
 echo "== Figure CSVs match their pinned hashes (bench/figure_csv.sha256) =="
 "$root/tools/check_figure_csvs.sh" "$root/build-release"
 
-echo "== Static analysis: simlint (cold + warm cache) =="
-lint_cache="$root/build-release/simlint.cache"
-rm -f "$lint_cache"
-"$root/build-release/tools/simlint" --jobs="$(nproc)" \
-    --cache="$lint_cache" \
-    "$root/src" "$root/bench" "$root/tools"
-# Warm run must replay from the content-hash cache.
-warm_err=$("$root/build-release/tools/simlint" --jobs="$(nproc)" \
-    --cache="$lint_cache" \
-    "$root/src" "$root/bench" "$root/tools" 2>&1 >/dev/null)
-case "$warm_err" in
-*"cache hit"*) ;;
-*)
-    echo "simlint: warm run missed the lint cache" >&2
-    echo "$warm_err" >&2
-    exit 1
-    ;;
-esac
+echo "== Static analysis: simlint =="
+"$root/build-release/tools/simlint" "$root/src" "$root/bench" "$root/tools"
 
 echo "== Static analysis: clang-tidy + clang-format (if present) =="
 cmake --build "$root/build-release" --target dsasim-tidy

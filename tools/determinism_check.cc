@@ -14,9 +14,7 @@
  *   row           guards (DESIGN.md section)
  *   mix           replay: host state never leaks into the run (§9)
  *   mix/sampled   the stats sampler is a pure observer (§15)
- *   mix/fork      Snapshot::fork reproduces a quiesced platform (§10)
  *   cluster       4-socket event order ignores the thread count (§11)
- *   cluster/fork  ClusterSnapshot continues, restores and rewinds (§11)
  *   serving       the overload ladder ignores the thread count and
  *                 the per-socket samplers (§12, §15)
  *
@@ -27,7 +25,7 @@
  *
  * Usage: determinism_check [--n=2000] [--seed=42] [--cell=ROW:COLUMN]
  *
- * --cell runs one row x column (e.g. --cell=mix/fork:faulted) instead
+ * --cell runs one row x column (e.g. --cell=cluster:faulted) instead
  * of the whole matrix, so ctest can run the cells as separate cases.
  */
 
@@ -46,7 +44,6 @@
 #include "dml/serving.hh"
 #include "driver/cluster.hh"
 #include "driver/platform.hh"
-#include "driver/snapshot.hh"
 #include "dsa/qos.hh"
 #include "sim/random.hh"
 #include "sim/traffic.hh"
@@ -73,9 +70,6 @@ struct Scenario
     std::uint64_t seed;
     const char *faults; ///< "" in the clean column
     std::string statsDir;
-
-    /** Seed of the second half in the fork rows. */
-    std::uint64_t seedB() const { return seed ^ 0xb5c0ffeeull; }
 };
 
 struct Fingerprint
@@ -179,8 +173,6 @@ socketConfig()
     PlatformConfig cfg = PlatformConfig::spr();
     cfg.numCores = 2;
     cfg.numDsaDevices = 1;
-    // Devices come up configured straight from the config, so a
-    // freshly built platform is a valid snapshot restore target.
     cfg.dsaTopology = DsaTopology::basic(32, 2);
     for (auto &node : cfg.mem.nodes)
         node.capacityBytes = 1ull << 30;
@@ -290,20 +282,6 @@ driver(Platform &plat, Lane &lane, std::uint64_t seed,
     }
 }
 
-/** Run @p count descriptors of the mix on one socket to completion. */
-Fingerprint
-runMix(Simulation &sim, Platform &p, Lane &lane, std::uint64_t seed,
-       std::uint64_t count)
-{
-    Fingerprint fp;
-    driver(p, lane, seed, count, fp.completionHash);
-    sim.run();
-    fp.streamHash = sim.streamHash();
-    fp.eventsExecuted = sim.eventsExecuted();
-    fp.endTick = sim.now();
-    return fp;
-}
-
 /** The one-socket mix scenario. */
 struct MixRig
 {
@@ -317,23 +295,23 @@ struct MixRig
         lane = seedLane(sim, plat, sc, 0);
     }
 
+    /** Run @p count descriptors of the mix to completion. */
     Fingerprint
     run(std::uint64_t seed, std::uint64_t count)
     {
-        return runMix(sim, plat, lane, seed, count);
+        Fingerprint fp;
+        driver(plat, lane, seed, count, fp.completionHash);
+        sim.run();
+        fp.streamHash = sim.streamHash();
+        fp.eventsExecuted = sim.eventsExecuted();
+        fp.endTick = sim.now();
+        return fp;
     }
 };
 
 /** The 4-socket cluster scenario, one lane per socket. */
 struct ClusterRig
 {
-    /** A drained cluster plus the executors' host-side state. */
-    struct Checkpoint
-    {
-        SocketCluster::ClusterSnapshot cluster;
-        std::vector<dml::Executor::State> execs;
-    };
-
     SocketCluster cl;
     std::vector<Lane> lanes;
 
@@ -351,39 +329,6 @@ struct ClusterRig
         cl.enableStreamHash(true);
         for (unsigned s = 0; s < cl.socketCount(); ++s)
             lanes.push_back(seedLane(cl.domainSim(s), cl.plat(s), sc, s));
-    }
-
-    /**
-     * A freshly built cluster restored to @p cp: spaces, buffers and
-     * injectors (RNG positions included) all arrive with the
-     * snapshot; only the buffer addresses come from @p from.
-     */
-    ClusterRig(const ClusterRig &from, const Checkpoint &cp)
-        : cl(clusterConfig())
-    {
-        cl.enableStreamHash(true);
-        for (unsigned s = 0; s < cl.socketCount(); ++s) {
-            lanes.push_back({executor(cl.domainSim(s), cl.plat(s)),
-                             from.lanes[s].src, from.lanes[s].dst});
-        }
-        restore(cp);
-    }
-
-    Checkpoint
-    capture()
-    {
-        Checkpoint cp{cl.capture(), {}};
-        for (const Lane &lane : lanes)
-            cp.execs.push_back(lane.exec->saveState());
-        return cp;
-    }
-
-    void
-    restore(const Checkpoint &cp)
-    {
-        cl.restore(cp.cluster);
-        for (unsigned s = 0; s < cl.socketCount(); ++s)
-            lanes[s].exec->restoreState(cp.execs[s]);
     }
 
     /**
@@ -569,35 +514,6 @@ mixSampledRow(const Scenario &sc, Arms &arms)
 }
 
 /**
- * Half the mix, a Snapshot of the quiesced platform, then the second
- * half continued cold and on two Snapshot::fork() copies. Fork 2 is
- * taken after fork 1 and the cold run have both written their copies
- * (copy-on-write isolation).
- */
-void
-mixForkRow(const Scenario &sc, Arms &arms)
-{
-    const std::uint64_t n_a = sc.n / 2;
-    const std::uint64_t n_b = sc.n - n_a;
-    MixRig rig(sc);
-    rig.run(sc.seed, n_a);
-    const Snapshot snap = Snapshot::capture(rig.plat);
-    const dml::Executor::State exec_state = rig.lane.exec->saveState();
-
-    auto forked = [&] {
-        auto f = snap.fork();
-        Lane lane{executor(f->sim, f->plat()), rig.lane.src,
-                  rig.lane.dst};
-        lane.exec->restoreState(exec_state);
-        return runMix(f->sim, f->plat(), lane, sc.seedB(), n_b);
-    };
-    const Fingerprint fork1 = forked();
-    arms.add("cold", rig.run(sc.seedB(), n_b));
-    arms.add("fork 1", fork1);
-    arms.add("fork 2", forked());
-}
-
-/**
  * The 4-socket cluster on 1, 2 and 4 worker threads, and on 4 with
  * every socket's sampler armed at 1 us.
  */
@@ -611,29 +527,6 @@ clusterRow(const Scenario &sc, Arms &arms)
     }
     Sampling on(sc, 1000);
     arms.add("4 threads, 1 us", ClusterRig(sc).run(sc.seed, per, 4));
-}
-
-/**
- * Half the cluster mix on 4 threads and a ClusterSnapshot, then the
- * second half continued cold on 1 thread, restored into a freshly
- * built cluster and rewound in place, on 4 threads each.
- */
-void
-clusterForkRow(const Scenario &sc, Arms &arms)
-{
-    const std::uint64_t per = std::max<std::uint64_t>(1, sc.n / 4);
-    const std::uint64_t per_a = per / 2;
-    const std::uint64_t per_b = per - per_a;
-    ClusterRig rig(sc);
-    rig.run(sc.seed, per_a, 4);
-    const ClusterRig::Checkpoint cp = rig.capture();
-
-    const Fingerprint restored =
-        ClusterRig(rig, cp).run(sc.seedB(), per_b, 4);
-    arms.add("cold", rig.run(sc.seedB(), per_b, 1));
-    arms.add("restored", restored);
-    rig.restore(cp);
-    arms.add("rewound", rig.run(sc.seedB(), per_b, 4));
 }
 
 /**
@@ -667,9 +560,7 @@ struct Row
 const Row kRows[] = {
     {"mix", kFaults, mixRow},
     {"mix/sampled", kFaults, mixSampledRow},
-    {"mix/fork", kFaults, mixForkRow},
     {"cluster", kFaults, clusterRow},
-    {"cluster/fork", kFaults, clusterForkRow},
     {"serving", kServingFaults, servingRow},
 };
 

@@ -95,10 +95,6 @@
  *                 (multi-file fixture trees)
  *   --fix         apply mechanical fixes in place (include-guard
  *                 renames); other rules print a `note:` only
- *   --jobs=N      scan/parse N files in parallel (default 1)
- *   --cache=FILE  whole-tree result cache keyed on content hashes;
- *                 hits replay the stored diagnostics ("cache hit" on
- *                 stderr), misses store ("cache store")
  *   --sarif=FILE  also write SARIF 2.1.0 for code-scanning upload
  *   --list-rules  print the rule table and exit
  *
@@ -107,7 +103,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -120,16 +115,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace fs = std::filesystem;
 
 namespace
 {
-
-/// Bumped whenever a rule changes so stale caches self-invalidate.
-const char *kRulesetVersion = "simlint-v2.1";
 
 struct Diagnostic
 {
@@ -562,29 +553,6 @@ expectedGuard(const std::string &p)
     }
     return g;
 }
-
-/// @name FNV-1a (cache keys and content hashes).
-/// @{
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    return fnv1a(h, s.data(), s.size());
-}
-/// @}
 
 // ==================== symbol index ====================
 
@@ -1764,7 +1732,6 @@ struct FileResult
     std::vector<Diagnostic> diags;
     std::size_t suppressed = 0;
     std::size_t fixesApplied = 0;
-    std::string error; ///< nonempty: read/parse failure (exit 2)
 };
 
 // ==================== cross-TU analysis ====================
@@ -2289,7 +2256,7 @@ class ProjectAnalyzer
     }
 };
 
-// ==================== output + cache ====================
+// ==================== output ====================
 
 const char *kRuleHelp =
     "rules:\n"
@@ -2442,7 +2409,7 @@ sarifReport(const std::vector<Diagnostic> &diags)
     return s;
 }
 
-/** Totals the cache must reproduce on a hit. */
+/** Diagnostic and file counts of one run. */
 struct RunTotals
 {
     std::size_t errors = 0;
@@ -2450,77 +2417,6 @@ struct RunTotals
     std::size_t suppressed = 0;
     std::size_t fileCount = 0;
 };
-
-std::string
-hexKey(std::uint64_t key)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(key));
-    return buf;
-}
-
-bool
-loadCache(const std::string &path, const std::string &key,
-          RunTotals &totals, std::string &out_text,
-          std::string &sarif_text)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::string magic, storedKey;
-    int version = 0;
-    if (!(is >> magic >> version >> storedKey))
-        return false;
-    if (magic != "simlint-cache" || version != 1 ||
-        storedKey != key)
-        return false;
-    std::string tag;
-    std::size_t n = 0;
-    auto readBlock = [&is](std::size_t len, std::string &dst) {
-        dst.resize(len);
-        is.ignore(1); // the newline after the length
-        is.read(dst.data(), static_cast<std::streamsize>(len));
-        return static_cast<std::size_t>(is.gcount()) == len;
-    };
-    while (is >> tag) {
-        if (tag == "errors" && (is >> n))
-            totals.errors = n;
-        else if (tag == "notes" && (is >> n))
-            totals.notes = n;
-        else if (tag == "suppressed" && (is >> n))
-            totals.suppressed = n;
-        else if (tag == "files" && (is >> n))
-            totals.fileCount = n;
-        else if (tag == "stdout" && (is >> n)) {
-            if (!readBlock(n, out_text))
-                return false;
-        } else if (tag == "sarif" && (is >> n)) {
-            if (!readBlock(n, sarif_text))
-                return false;
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-storeCache(const std::string &path, const std::string &key,
-           const RunTotals &totals, const std::string &out_text,
-           const std::string &sarif_text)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        return; // cache is best-effort
-    os << "simlint-cache 1 " << key << "\n";
-    os << "errors " << totals.errors << "\n";
-    os << "notes " << totals.notes << "\n";
-    os << "suppressed " << totals.suppressed << "\n";
-    os << "files " << totals.fileCount << "\n";
-    os << "stdout " << out_text.size() << "\n" << out_text;
-    os << "sarif " << sarif_text.size() << "\n" << sarif_text;
-}
 
 void
 printSummary(const RunTotals &t, std::size_t fixes)
@@ -2540,8 +2436,7 @@ int
 main(int argc, char **argv)
 {
     bool fix = false;
-    std::string treatAs, rootPrefix, cachePath, sarifPath;
-    unsigned jobs = 1;
+    std::string treatAs, rootPrefix, sarifPath;
     std::vector<std::string> inputs;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -2556,17 +2451,6 @@ main(int argc, char **argv)
             rootPrefix = normalPath(a.substr(7));
             while (!rootPrefix.empty() && rootPrefix.back() == '/')
                 rootPrefix.pop_back();
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 7, nullptr, 10));
-            if (jobs == 0) {
-                std::fprintf(stderr,
-                             "simlint: --jobs needs a positive "
-                             "count\n");
-                return 2;
-            }
-        } else if (a.rfind("--cache=", 0) == 0) {
-            cachePath = a.substr(8);
         } else if (a.rfind("--sarif=", 0) == 0) {
             sarifPath = a.substr(8);
         } else if (a.rfind("--", 0) == 0) {
@@ -2580,8 +2464,8 @@ main(int argc, char **argv)
     if (inputs.empty()) {
         std::fprintf(stderr,
                      "usage: simlint [--fix] [--list-rules] "
-                     "[--treat-as=PATH] [--root=DIR] [--jobs=N] "
-                     "[--cache=FILE] [--sarif=FILE] PATH...\n");
+                     "[--treat-as=PATH] [--root=DIR] [--sarif=FILE] "
+                     "PATH...\n");
         return 2;
     }
     if (!treatAs.empty() && inputs.size() != 1) {
@@ -2615,8 +2499,7 @@ main(int argc, char **argv)
     files.erase(std::unique(files.begin(), files.end()),
                 files.end());
 
-    // Read every file up front: contents feed both the cache key
-    // and the scan phase.
+    // Read every file up front.
     std::vector<std::string> contents(files.size());
     for (std::size_t i = 0; i < files.size(); ++i) {
         std::ifstream is(files[i], std::ios::binary);
@@ -2640,89 +2523,28 @@ main(int argc, char **argv)
         return p;
     };
 
-    // Whole-tree cache: keyed on the ruleset version, the
-    // classification options, and every (path, content hash).
-    const bool useCache = !cachePath.empty() && !fix;
-    std::string cacheKey;
-    if (useCache) {
-        std::uint64_t h = fnv1a(kFnvOffset, kRulesetVersion);
-        h = fnv1a(h, treatAs);
-        h = fnv1a(h, rootPrefix);
-        for (std::size_t i = 0; i < files.size(); ++i) {
-            h = fnv1a(h, files[i]);
-            const std::uint64_t ch =
-                fnv1a(kFnvOffset, contents[i]);
-            h = fnv1a(h, &ch, sizeof ch);
-        }
-        cacheKey = hexKey(h);
-        RunTotals totals;
-        std::string outText, sarifText;
-        if (loadCache(cachePath, cacheKey, totals, outText,
-                      sarifText)) {
-            std::fwrite(outText.data(), 1, outText.size(), stdout);
-            if (!sarifPath.empty()) {
-                std::ofstream os(sarifPath,
-                                 std::ios::binary | std::ios::trunc);
-                os << sarifText;
-                if (!os.good()) {
-                    std::fprintf(stderr,
-                                 "simlint: cannot write %s\n",
-                                 sarifPath.c_str());
-                    return 2;
-                }
-            }
-            printSummary(totals, 0);
-            std::fprintf(stderr, "simlint: cache hit (%zu files)\n",
-                         totals.fileCount);
-            return totals.errors == 0 ? 0 : 1;
-        }
-    }
-
-    // Phase 1: parallel per-file scan, parse and single-file rules.
+    // Phase 1: per-file scan, parse and single-file rules.
     std::vector<FileResult> results(files.size());
-    {
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= files.size())
-                    return;
-                FileResult &r = results[i];
-                try {
-                    r.sf = scanFile(files[i],
-                                    logicalFor(files[i]),
-                                    contents[i]);
-                    r.syms = StructureParser(r.sf).run();
-                    Linter linter(fix);
-                    linter.lint(r.sf);
-                    r.diags = std::move(linter.diags);
-                    r.suppressed = linter.suppressed;
-                    r.fixesApplied = linter.fixesApplied;
-                } catch (const std::exception &e) {
-                    r.error = files[i] + ": " + e.what();
-                } catch (...) {
-                    r.error = files[i] + ": unknown parse failure";
-                }
-            }
-        };
-        const unsigned n = std::min<unsigned>(
-            jobs, static_cast<unsigned>(
-                      std::max<std::size_t>(files.size(), 1)));
-        if (n <= 1) {
-            worker();
-        } else {
-            std::vector<std::thread> pool;
-            for (unsigned t = 0; t < n; ++t)
-                pool.emplace_back(worker);
-            for (auto &t : pool)
-                t.join();
-        }
-    }
-    for (const FileResult &r : results) {
-        if (!r.error.empty()) {
-            std::fprintf(stderr, "simlint: internal error: %s\n",
-                         r.error.c_str());
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        FileResult &r = results[i];
+        try {
+            r.sf = scanFile(files[i], logicalFor(files[i]),
+                            contents[i]);
+            r.syms = StructureParser(r.sf).run();
+            Linter linter(fix);
+            linter.lint(r.sf);
+            r.diags = std::move(linter.diags);
+            r.suppressed = linter.suppressed;
+            r.fixesApplied = linter.fixesApplied;
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "simlint: internal error: %s: %s\n",
+                         files[i].c_str(), e.what());
+            return 2;
+        } catch (...) {
+            std::fprintf(stderr,
+                         "simlint: internal error: %s: unknown parse "
+                         "failure\n",
+                         files[i].c_str());
             return 2;
         }
     }
@@ -2772,23 +2594,15 @@ main(int argc, char **argv)
     totals.notes = diags.size() - totals.errors;
     std::fwrite(outText.data(), 1, outText.size(), stdout);
 
-    std::string sarifText;
-    if (!sarifPath.empty() || useCache)
-        sarifText = sarifReport(diags);
     if (!sarifPath.empty()) {
         std::ofstream os(sarifPath,
                          std::ios::binary | std::ios::trunc);
-        os << sarifText;
+        os << sarifReport(diags);
         if (!os.good()) {
             std::fprintf(stderr, "simlint: cannot write %s\n",
                          sarifPath.c_str());
             return 2;
         }
-    }
-    if (useCache) {
-        storeCache(cachePath, cacheKey, totals, outText, sarifText);
-        std::fprintf(stderr, "simlint: cache store (%zu files)\n",
-                     totals.fileCount);
     }
     printSummary(totals, fixesApplied);
     return totals.errors == 0 ? 0 : 1;
