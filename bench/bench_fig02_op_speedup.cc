@@ -164,8 +164,8 @@ main()
         for (auto s : sizes)
             cols.push_back(fmtSize(s));
         Table tbl("Fig 2a: sync speedup over software (x)", cols);
-        // Each op row forks a private rig off one shared snapshot,
-        // so rows sweep in parallel.
+        // Each op row builds its own rig on the SweepRunner, so rows
+        // sweep in parallel.
         auto rows = sweepScenario(
             sweep, Scenario(Rig::Options{}), ops.size(),
             [&](Rig &rig, std::size_t oi) {

@@ -121,8 +121,8 @@ main()
         Table tbl(async ? "Fig 3 (async, depth 32): memcpy GB/s"
                         : "Fig 3 (sync): memcpy GB/s",
                   cols);
-        // Every (BS, TS) cell shares one rig snapshot; cells fork and
-        // sweep concurrently, and rows reassemble in order.
+        // Every (BS, TS) cell builds its own rig on the SweepRunner;
+        // cells sweep concurrently, and rows reassemble in order.
         const std::size_t n = batch_sizes.size() * sizes.size();
         auto cells = sweepScenario(
             sweep, Scenario(Rig::Options{}), n,

@@ -23,8 +23,8 @@ main()
         cols.push_back(fmtSize(s));
     Table tbl("Fig 4: async memcpy GB/s vs WQ size", cols);
 
-    // One rig per (WQS, TS) cell; cells in the same WQS row share
-    // one snapshotted rig and fork per transfer size.
+    // One rig per (WQS, TS) cell, each built on the SweepRunner;
+    // cells sweep concurrently.
     SweepRunner sweep;
     std::vector<Scenario> pts;
     for (std::size_t i = 0; i < wq_sizes.size() * sizes.size(); ++i) {

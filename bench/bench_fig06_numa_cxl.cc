@@ -33,8 +33,8 @@ panel(const char *title, const std::vector<Placement> &placements,
         cols.push_back(fmtSize(s));
     Table tbl(title, cols);
 
-    // Placement rows fork off one shared rig snapshot. The paper
-    // shows only one or two CPU reference lines.
+    // Each placement row builds its own rig on the SweepRunner. The
+    // paper shows only one or two CPU reference lines.
     SweepRunner sweep;
     const std::size_t cpu_rows =
         std::min<std::size_t>(2, placements.size());

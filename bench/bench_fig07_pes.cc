@@ -96,7 +96,7 @@ main()
     Table tbl("Fig 7: async memcpy GB/s vs PEs per group (1 WQ)",
               cols);
 
-    // Cells in one PE column share a snapshotted rig; the grid
+    // Every cell builds its own rig on the SweepRunner; the grid
     // sweeps concurrently and rows reassemble in order.
     SweepRunner sweep;
     std::vector<Scenario> points;

@@ -48,7 +48,8 @@ main()
     SweepRunner sweep;
 
     // Cold rows keep one rig per page size (the row *is* the cold
-    // first-touch measurement); warm cells fork off one snapshot.
+    // first-touch measurement); each warm cell builds its own rig on
+    // the SweepRunner.
     for (PageSize ps : pss) {
         const char *label = ps == PageSize::Size4K ? "4K" : "2M";
 

@@ -88,8 +88,8 @@ main()
         cols.push_back(fmtSize(s));
     Table tbl("Fig 10: aggregate memcpy GB/s vs DSA instances", cols);
 
-    // One rig per (devices, TS) cell; cells in a device-count row
-    // fork off a shared snapshot and sweep concurrently.
+    // One rig per (devices, TS) cell, each built on the
+    // SweepRunner; cells sweep concurrently.
     SweepRunner sweep;
     std::vector<Scenario> points;
     for (std::size_t i = 0;

@@ -68,7 +68,8 @@ main()
         cols.push_back(fmtSize(s));
     Table tbl("Fig 11: % of cycles in UMWAIT (sync offload)", cols);
 
-    // All cells share one rig snapshot and fork concurrently.
+    // Every cell builds its own rig on the SweepRunner; cells sweep
+    // concurrently.
     SweepRunner sweep;
     auto cells = sweepScenario(
         sweep, Scenario(Rig::Options{}),

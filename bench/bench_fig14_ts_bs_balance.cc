@@ -68,7 +68,8 @@ main()
                       ? "Fig 14 (async depth 4): GB/s, TS = total/BS"
                       : "Fig 14 (sync): GB/s, TS = total/BS",
                   cols);
-        // Cells share one rig snapshot and fork concurrently.
+        // Every cell builds its own rig on the SweepRunner; cells
+        // sweep concurrently.
         SweepRunner sweep;
         auto cells = sweepScenario(
             sweep, Scenario(Rig::Options{}),

@@ -96,8 +96,8 @@ main()
         cols.push_back(fmtSize(s));
     Table tbl("Fig 15: LLC vs DRAM placements (sync, BS 1)", cols);
 
-    // One (hw, placement) pair per sweep point; every point forks
-    // the same default-options snapshot.
+    // One (hw, placement) pair per sweep point; every point builds
+    // its own default-options rig on the SweepRunner.
     SweepRunner sweep;
     auto rows = sweepScenario(
         sweep, Scenario(Rig::Options{}), 2 * placements.size(),

@@ -2,11 +2,12 @@
  * @file
  * Host-side performance of the simulator itself: event-queue
  * throughput, cache-model access rate, LLC directory build time,
- * per-line LLC walk cost (CPU stream, random CPU access, device
- * probe span), translation cost (random lookups
- * over many regions, translation-cache miss-evict-insert cycles and
- * random hits, one large alloc), platform set-up and teardown
- * with 96 MiB of seeded memory, functional operation speed
+ * per-line LLC walk cost (CPU stream, random CPU access on a dense
+ * and on a sparse directory, device probe span), translation cost
+ * (random lookups over many regions, translation-cache
+ * miss-evict-insert cycles and random hits, one large alloc),
+ * platform set-up and teardown with 96 MiB of seeded memory,
+ * functional operation speed
  * (with the CRC arms the host selected, and 1 MiB span copies over
  * a working set larger than a typical host L3), and end-to-end
  * simulated-descriptor rate. These numbers bound how much simulated
@@ -159,6 +160,34 @@ llcRandomNs()
     return 1e9 / bench::bestRate(n, [&] {
                for (int i = 0; i < n; ++i)
                    keep(c.cpuAccess(randomLine(rng, base), 2, false).hit);
+           });
+}
+
+/**
+ * Host ns per random cpuAccess read on an SPR directory that never
+ * becomes fully live, serving-overload's shape: only the first 60% of
+ * its sets are ever used (dirty-full), so it stays on 4 KiB pages,
+ * where llcRandomNs() times one that has collapsed onto 2 MiB pages.
+ * The reads cover 5 lines of every used set (~20 MiB).
+ */
+double
+llcRandomSparseNs()
+{
+    CacheModel c{CacheModel::Config{}};
+    const std::uint64_t rev = std::uint64_t{c.numSets()} * 64;
+    const std::uint64_t used = c.numSets() * 6ull / 10;
+    std::vector<Addr> victims;
+    for (unsigned w = 0; w < c.numWays(); ++w)
+        c.cpuAccessSpan(w * rev, used * 64, 0, true, victims);
+    Rng rng(3);
+    const Addr base = 64 * rev;
+    const int n = 100000;
+    return 1e9 / bench::bestRate(n, [&] {
+               for (int i = 0; i < n; ++i) {
+                   const Addr a = base + rng.range(0, 4) * rev +
+                                  rng.range(0, used - 1) * 64;
+                   keep(c.cpuAccess(a, 2, false).hit);
+               }
            });
 }
 
@@ -417,6 +446,7 @@ main(int argc, char **argv)
     gate.add(Gate::Info, "llc_build_ms", llcBuildMs(), 3);
     gate.add(Gate::Info, "llc_stream_ns", llcStreamNs(), 2);
     gate.add(Gate::Info, "llc_random_ns", llcRandomNs(), 2);
+    gate.add(Gate::Info, "llc_random_sparse_ns", llcRandomSparseNs(), 2);
     gate.add(Gate::Info, "llc_probe_span_ns", llcProbeSpanNs(), 2);
     gate.add(Gate::Info, "xlate_random_ns", xlateRandomNs(), 2);
     gate.add(Gate::Info, "tlb_thrash_ns", tlbThrashNs(), 2);

@@ -145,7 +145,6 @@ DsaDevice::enable()
 void
 DsaDevice::completeAborted(const WorkDescriptor &d)
 {
-    ++descriptorsAborted;
     if (d.completion && !d.completion->isDone()) {
         d.completion->bytesCompleted = 0;
         d.completion->complete(CompletionRecord::Status::Aborted);

@@ -144,7 +144,6 @@ class DsaDevice
     /// (dsa<D>.*, DESIGN.md §15); the rest are plain bookkeeping
     /// fields.
     /// @{
-    std::uint64_t descriptorsAborted = 0;  ///< flushed or abort-published
     std::uint64_t dwqOverflows = 0;        ///< MOVDIR64B drops detected
     std::uint64_t submitsWhileDisabled = 0;
     std::uint64_t injectedRejects = 0;     ///< forced WqReject fires

@@ -295,7 +295,6 @@ Engine::execute(const WorkDescriptor &d, OpOutcome &out,
     }
     if (fault_stall > 0) {
         // Page faults genuinely block the PE (the G5 motivation).
-        stallTicks += fault_stall;
         co_await sim.delay(fault_stall);
     }
 
@@ -541,7 +540,6 @@ Engine::processBatch(Work w)
         sw.parent = tracker;
         group.redispatch(sw);
     }
-    ++batchesProcessed;
     watchBatch(d, tracker);
 }
 

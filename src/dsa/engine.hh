@@ -44,11 +44,9 @@ class Engine
     /// stays as plain fields.
     /// @{
     std::uint64_t descriptorsProcessed = 0;
-    std::uint64_t batchesProcessed = 0;
     std::uint64_t hangs = 0;          ///< injected engine hangs
     std::uint64_t injectedErrors = 0; ///< injected hw error statuses
     Tick busyTicks = 0;
-    Tick stallTicks = 0; ///< time blocked on faults/translation
 
     std::uint64_t bytesRead() const { return bytesReadCtr.value(); }
     std::uint64_t

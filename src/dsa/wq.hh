@@ -93,7 +93,6 @@ class WorkQueue
     {
         std::deque<Entry> flushed;
         flushed.swap(entries);
-        flushedTotal += flushed.size();
         return flushed;
     }
 
@@ -117,7 +116,6 @@ class WorkQueue
 
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
-    std::uint64_t flushedTotal = 0; ///< entries aborted by a flush
 
   private:
     std::deque<Entry> entries;

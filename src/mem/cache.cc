@@ -95,10 +95,11 @@ CacheModel::CacheModel(const Config &cfg) : config(cfg)
     sets = static_cast<unsigned>(line_count / cfg.ways);
     fatal_if(sets == 0, "LLC too small for %u ways", cfg.ways);
     // Left unwritten: a header is read only while its live bit is
-    // set, a way only while its mask bit is set.
-    heads = std::make_unique_for_overwrite<SetHeader[]>(sets);
-    dir = std::make_unique_for_overwrite<Way[]>(
-        static_cast<std::size_t>(sets) * cfg.ways);
+    // set, a way only while its mask bit is set. No huge-page advice
+    // here: a directory that never becomes dense would fault in whole
+    // 2 MiB pages for the few sets it uses.
+    heads = mapHostArray<SetHeader>(sets);
+    dir = mapHostArray<Way>(static_cast<std::size_t>(sets) * cfg.ways);
     live.resize((sets + 63) / 64);
 }
 
@@ -120,8 +121,20 @@ CacheModel::liveHeader(std::size_t set)
     if (!(word & bit)) {
         word |= bit;
         h = SetHeader{{~0ull, ~0ull}, kIdentityOrder, 0};
+        if (++liveSets == sets)
+            collapseDirectory();
     }
     return h;
+}
+
+void
+CacheModel::collapseDirectory()
+{
+    if (collapsed)
+        return;
+    collapsed = true;
+    collapseHugePages(heads.get(), heads.get_deleter().bytes);
+    collapseHugePages(dir.get(), dir.get_deleter().bytes);
 }
 
 void
@@ -331,8 +344,12 @@ CacheModel::accessLine(std::size_t set, std::uint64_t tag, int owner,
 CacheModel::AccessResult
 CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
 {
-    return accessLine(setIndex(pa), tagOf(pa), owner, is_write,
-                      config.ways);
+    // Start the way row's load with the header's, rather than after
+    // the fingerprint match or victim choice that reads the header.
+    const std::size_t set = setIndex(pa);
+    if (isLive(set))
+        prefetchSet(set);
+    return accessLine(set, tagOf(pa), owner, is_write, config.ways);
 }
 
 CacheModel::CpuSpanResult
@@ -437,6 +454,7 @@ CacheModel::invalidateAll()
 {
     for (std::uint64_t &word : live)
         word = 0;
+    liveSets = 0;
     validLines = 0;
     ownerLines.clear();
 }

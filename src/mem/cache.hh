@@ -31,9 +31,9 @@
 #define DSASIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "mem/host_map.hh"
 #include "mem/types.hh"
 
 namespace dsasim
@@ -287,6 +287,13 @@ class CacheModel
     /** The set's header, brought to life empty if it was not live. */
     SetHeader &liveHeader(std::size_t set);
 
+    /**
+     * Host-only, no simulated effect: the first time every set is
+     * live, move both arrays onto 2 MiB pages (DESIGN.md §13). Every
+     * 4 KiB page of them is resident by then, so this adds no RSS.
+     */
+    void collapseDirectory();
+
     Way &
     wayAt(std::size_t set, unsigned way)
     {
@@ -389,9 +396,11 @@ class CacheModel
 
     Config config;
     unsigned sets;
-    std::unique_ptr<SetHeader[]> heads;    // one per set, never zeroed
-    std::unique_ptr<Way[]> dir;            // sets * ways, row-major by set
+    HostArray<SetHeader> heads;            // one per set, never written
+    HostArray<Way> dir;                    // sets * ways, row-major by set
     std::vector<std::uint64_t> live;       // bit s: heads[s] is valid
+    std::size_t liveSets = 0;              // set bits in `live`
+    bool collapsed = false;                // collapseDirectory() has run
     std::vector<std::uint64_t> ownerLines; // present lines by owner
     std::uint64_t validLines = 0;
     std::uint64_t hitBytesTally = 0;

@@ -1,7 +1,5 @@
 #include "mem/phys_mem.hh"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstdint>
 
@@ -9,49 +7,6 @@
 
 namespace dsasim
 {
-
-namespace
-{
-
-constexpr std::uint64_t kChunkSize = PhysicalMemory::chunkSize;
-
-/**
- * A zero-filled chunk in its own 2 MiB-aligned anonymous mapping.
- * Over-mapping by one chunk and trimming both ends gives the
- * alignment a huge page needs; the MADV_HUGEPAGE advice is only a
- * hint, and where the kernel declines it the chunk is backed by 4 KiB
- * pages instead.
- */
-std::uint8_t *
-mapChunk()
-{
-    const std::uint64_t span = 2 * kChunkSize;
-    void *raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    fatal_if(raw == MAP_FAILED,
-             "PhysicalMemory: cannot map a %llu-byte chunk",
-             static_cast<unsigned long long>(kChunkSize));
-    auto *base = static_cast<std::uint8_t *>(raw);
-    const std::uint64_t head =
-        (kChunkSize - reinterpret_cast<std::uintptr_t>(base) % kChunkSize) %
-        kChunkSize;
-    std::uint8_t *chunk = base + head;
-    if (head > 0)
-        munmap(base, head);
-    munmap(chunk + kChunkSize, span - head - kChunkSize);
-#ifdef MADV_HUGEPAGE
-    madvise(chunk, kChunkSize, MADV_HUGEPAGE);
-#endif
-    return chunk;
-}
-
-} // namespace
-
-void
-PhysicalMemory::Unmap::operator()(std::uint8_t *chunk) const
-{
-    munmap(chunk, kChunkSize);
-}
 
 std::uint8_t *
 PhysicalMemory::chunkFor(Addr pa)
@@ -66,7 +21,9 @@ PhysicalMemory::chunkFor(Addr pa)
     auto it = chunks.find(idx);
     if (it == chunks.end()) {
         // A fresh mapping: untouched memory reads as zero.
-        it = chunks.emplace(idx, Chunk(mapChunk())).first;
+        Chunk chunk = mapHostArray<std::uint8_t>(chunkSize);
+        adviseHugePages(chunk.get(), chunkSize);
+        it = chunks.emplace(idx, std::move(chunk)).first;
     }
     cacheInsert(idx, it->second.get());
     return cachedChunk;

@@ -5,11 +5,12 @@
  * Every simulated memory node owns one PhysicalMemory. Storage is
  * materialized lazily in 2 MiB chunks so that multi-GB simulated
  * capacities cost only what the workload actually touches. Each chunk
- * is its own 2 MiB-aligned anonymous mapping, advised for a huge page
- * (MADV_HUGEPAGE, 4 KiB pages where the host declines): it arrives
- * zero-filled from the kernel, with no memset, takes one page fault
- * instead of 512, and is unmapped with its PhysicalMemory, so
- * repeated set-ups never depend on how the malloc heap was left. All
+ * is its own 2 MiB-aligned anonymous mapping (mem/host_map.hh),
+ * advised for a huge page (MADV_HUGEPAGE, 4 KiB pages where the host
+ * declines): it arrives zero-filled from the kernel, with no memset,
+ * takes one page fault instead of 512, and is unmapped with its
+ * PhysicalMemory, so repeated set-ups never depend on how the malloc
+ * heap was left. All
  * data operations in dsasim are *functional* — a simulated copy really
  * moves these bytes — so tests can verify end-to-end data integrity.
  *
@@ -26,10 +27,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
+#include "mem/host_map.hh"
 #include "mem/types.hh"
 #include "sim/logging.hh"
 
@@ -157,12 +158,7 @@ class PhysicalMemory
         cachedChunk = chunk;
     }
 
-    /** Unmaps one chunk mapping (phys_mem.cc). */
-    struct Unmap
-    {
-        void operator()(std::uint8_t *chunk) const;
-    };
-    using Chunk = std::unique_ptr<std::uint8_t[], Unmap>;
+    using Chunk = HostArray<std::uint8_t>;
 
     std::uint64_t capacity;
     std::unordered_map<std::uint64_t, Chunk> chunks;

@@ -81,7 +81,6 @@ FaultInjector::matches(const FaultRule &r, const FaultQuery &q) const
 const FaultRule *
 FaultInjector::query(FaultSite site, const FaultQuery &q)
 {
-    ++totalQueries;
     for (FaultRule &r : rules) {
         if (r.site != site || r.fires >= r.maxFires || !matches(r, q))
             continue;

@@ -152,7 +152,6 @@ class FaultInjector
 
     /// @name Aggregate statistics.
     /// @{
-    std::uint64_t totalQueries = 0;
     std::uint64_t totalFires = 0;
 
     /** Fires at one site, summed over rules. */

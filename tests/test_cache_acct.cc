@@ -9,16 +9,22 @@
  * them 16 ways, the most a set header orders) and at the platform's
  * own SPR directory, CPU spans included. Also covers the closed-form
  * per-set span geometry (set wrap, start-offset corrections), the
- * victim reclaim gauges after invalidateAll, fingerprint collisions
- * and the way-packing guards.
+ * victim reclaim gauges after invalidateAll, fingerprint collisions,
+ * the way-packing guards, the SPR directory across the point where
+ * every set is live (its host arrays collapse onto 2 MiB pages), a
+ * moved CacheModel, and the host mapping helper the arrays come
+ * from.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
+#include "mem/host_map.hh"
 #include "sim/random.hh"
 #include "tests/reference_cache.hh"
 
@@ -622,6 +628,102 @@ TEST(CacheAcct, ReferenceFuzzSprDirectory)
     m.invalidateAll();
     m.fillSpan(src, span, 1000);
     m.check();
+}
+
+// The SPR directory through the first time every set is live, when
+// the model moves its arrays onto 2 MiB pages, and past it: the mix
+// perfbench cpu-pollution runs (4 KiB write spans streaming over
+// 32 MiB, each followed by 8 random probe reads), then invalidateAll()
+// and a refill, which makes every set live a second time. The
+// collapse is host-only, so the states stay identical throughout.
+TEST(CacheAcct, LockstepSprAcrossEverySetLive)
+{
+    const CacheModel::Config cfg;
+    Lockstep m(cfg);
+    const std::uint64_t rev = m.numSets() * cacheLineSize;
+    // Every set but the last, then the line that makes it live.
+    m.cpuAccessSpan(0, rev - cacheLineSize, 0, false);
+    m.check();
+    m.cpuAccess(rev - cacheLineSize, 1, true);
+    m.check();
+
+    Rng rng(37);
+    const Addr stream = 1ull << 30, probes = 2ull << 30;
+    auto pollute = [&](int pages) {
+        for (int p = 0; p < pages; ++p) {
+            // Copier cores 8-11 write, probe cores 0-7 read.
+            m.cpuAccessSpan(stream + rng.range(0, 8191) * 4096, 4096,
+                            8 + p % 4, true);
+            for (int i = 0; i < 8; ++i)
+                m.cpuAccess(probes + rng.range(0, (4 << 20) / 64 - 1) * 64,
+                            i, false);
+            if (p % 1000 == 0)
+                m.check();
+            if (::testing::Test::HasFailure()) {
+                ADD_FAILURE() << "diverged at page " << p;
+                return;
+            }
+        }
+        m.check();
+    };
+    pollute(4000);
+    m.invalidateAll();
+    m.check();
+    m.cpuAccessSpan(rev, rev, 2, true);
+    m.check();
+    pollute(2000);
+}
+
+// A CacheModel moves with its arrays: the moved-to model reports the
+// same state and keeps matching the oracle (bench_simhost returns one
+// by value).
+TEST(CacheAcct, MovedModelKeepsState)
+{
+    const CacheModel::Config cfg = smallCfg(64, 15, 2);
+    Lockstep m(cfg);
+    Rng rng(5);
+    const std::uint64_t window = 2 * cfg.sizeBytes;
+    for (int op = 0; op < 2000; ++op)
+        m.cpuAccess(lineAlignDown(rng.range(0, window)), drawOwner(rng),
+                    rng.range(0, 2) == 0);
+    m.fillSpan(0, cfg.sizeBytes / 2, 1000);
+    const CacheModel::State before = m.model.saveState();
+
+    CacheModel moved(std::move(m.model));
+    expectSameState(moved, m.ref);
+    m.model = std::move(moved);
+    m.check();
+    EXPECT_EQ(m.model.saveState().validLines.size(),
+              before.validLines.size());
+    for (int op = 0; op < 2000; ++op)
+        m.cpuAccess(lineAlignDown(rng.range(0, window)), drawOwner(rng),
+                    rng.range(0, 2) == 0);
+    m.flushSpan(0, cfg.sizeBytes);
+    m.check();
+}
+
+// The helper behind the directory and PhysicalMemory chunks: a
+// mapping of any size starts on a 2 MiB boundary and reads as zero,
+// before and after a collapse, and its deleter moves with it.
+TEST(HostMap, MappingIsHugeAlignedAndZero)
+{
+    const std::size_t n = ((3 << 20) + 8) / sizeof(std::uint64_t);
+    HostArray<std::uint64_t> a = mapHostArray<std::uint64_t>(n);
+    ASSERT_NE(a.get(), nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.get()) %
+                  hostHugePageBytes,
+              0u);
+    EXPECT_EQ(a.get_deleter().bytes, n * sizeof(std::uint64_t));
+    EXPECT_TRUE(std::all_of(a.get(), a.get() + n,
+                            [](std::uint64_t v) { return v == 0; }));
+    a[n - 1] = 7;
+    collapseHugePages(a.get(), n * sizeof(std::uint64_t));
+    HostArray<std::uint64_t> b = std::move(a);
+    EXPECT_EQ(b.get_deleter().bytes, n * sizeof(std::uint64_t));
+    EXPECT_EQ(b[n - 1], 7u);
+    EXPECT_EQ(static_cast<std::size_t>(std::count(b.get(), b.get() + n,
+                                                  std::uint64_t{0})),
+              n - 1);
 }
 
 } // namespace
