@@ -166,9 +166,8 @@ main()
         Table tbl("Fig 2a: sync speedup over software (x)", cols);
         // Each op row builds its own rig on the SweepRunner, so rows
         // sweep in parallel.
-        auto rows = sweepScenario(
-            sweep, Scenario(Rig::Options{}), ops.size(),
-            [&](Rig &rig, std::size_t oi) {
+        auto rows = sweep.run(ops.size(), [&](std::size_t oi) {
+            Rig rig{Rig::Options{}};
             const OpSpec &op = ops[oi];
             Addr src = 0, dst = 0;
             prepareBuffers(rig, op, src, dst, op.maxSize);
@@ -197,9 +196,8 @@ main()
             cols.push_back(fmtSize(s));
         Table tbl("Fig 2b: async (depth 32) speedup over software (x)",
                   cols);
-        auto rows = sweepScenario(
-            sweep, Scenario(Rig::Options{}), ops.size(),
-            [&](Rig &rig, std::size_t oi) {
+        auto rows = sweep.run(ops.size(), [&](std::size_t oi) {
+            Rig rig{Rig::Options{}};
             const OpSpec &op = ops[oi];
             const int ring_n = 16;
             Addr src = 0, dst = 0;

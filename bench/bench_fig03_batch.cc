@@ -124,13 +124,12 @@ main()
         // Every (BS, TS) cell builds its own rig on the SweepRunner;
         // cells sweep concurrently, and rows reassemble in order.
         const std::size_t n = batch_sizes.size() * sizes.size();
-        auto cells = sweepScenario(
-            sweep, Scenario(Rig::Options{}), n,
-            [&](Rig &rig, std::size_t i) -> std::string {
+        auto cells = sweep.run(n, [&](std::size_t i) -> std::string {
             const int bs = batch_sizes[i / sizes.size()];
             const std::uint64_t ts = sizes[i % sizes.size()];
             if (static_cast<std::uint64_t>(bs) * ts > (64u << 20))
                 return "-";
+            Rig rig{Rig::Options{}};
             const std::uint64_t span =
                 static_cast<std::uint64_t>(ts) * bs * 4;
             Addr src = rig.as->alloc(span);

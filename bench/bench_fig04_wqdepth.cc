@@ -26,16 +26,13 @@ main()
     // One rig per (WQS, TS) cell, each built on the SweepRunner;
     // cells sweep concurrently.
     SweepRunner sweep;
-    std::vector<Scenario> pts;
-    for (std::size_t i = 0; i < wq_sizes.size() * sizes.size(); ++i) {
-        Rig::Options o;
-        o.wqSize = wq_sizes[i / sizes.size()];
-        pts.emplace_back(o);
-    }
-    auto cells = sweepScenarios(
-        sweep, pts, [&](Rig &rig, std::size_t i) -> std::string {
+    auto cells = sweep.run(
+        wq_sizes.size() * sizes.size(), [&](std::size_t i) {
             const unsigned wqs = wq_sizes[i / sizes.size()];
             const std::uint64_t ts = sizes[i % sizes.size()];
+            Rig::Options o;
+            o.wqSize = wqs;
+            Rig rig(o);
             auto ring = memMoveRing(rig, ts, 16);
             // The client keeps at most WQS descriptors in flight
             // (MOVDIR64B occupancy tracking).

@@ -109,9 +109,10 @@ main()
                "total", "cpu-memcpy"});
 
     SweepRunner sweep;
-    auto rows = sweepScenario(
-        sweep, Scenario(Rig::Options{}), batch_sizes.size(),
-        [&](Rig &rig, std::size_t i) -> std::vector<std::string> {
+    auto rows = sweep.run(
+        batch_sizes.size(),
+        [&](std::size_t i) -> std::vector<std::string> {
+            Rig rig{Rig::Options{}};
             const int bs = batch_sizes[i];
             Breakdown dsa;
             measureDsa(rig, ts, bs, 40, dsa);

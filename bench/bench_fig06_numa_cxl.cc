@@ -38,11 +38,10 @@ panel(const char *title, const std::vector<Placement> &placements,
     SweepRunner sweep;
     const std::size_t cpu_rows =
         std::min<std::size_t>(2, placements.size());
-    auto rows = sweepScenario(
-        sweep, Scenario(Rig::Options{}),
+    auto rows = sweep.run(
         placements.size() + cpu_rows,
-        [&](Rig &rig,
-            std::size_t i) -> std::vector<std::vector<std::string>> {
+        [&](std::size_t i) -> std::vector<std::vector<std::string>> {
+            Rig rig{Rig::Options{}};
             const bool cpu = i >= placements.size();
             const Placement &p =
                 placements[cpu ? i - placements.size() : i];

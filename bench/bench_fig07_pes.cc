@@ -99,15 +99,12 @@ main()
     // Every cell builds its own rig on the SweepRunner; the grid
     // sweeps concurrently and rows reassemble in order.
     SweepRunner sweep;
-    std::vector<Scenario> points;
-    for (std::size_t i = 0; i < cfgs.size() * pes.size(); ++i) {
-        Rig::Options o;
-        o.engines = pes[i % pes.size()];
-        points.emplace_back(o);
-    }
-    auto cells = sweepScenarios(
-        sweep, points, [&](Rig &rig, std::size_t i) -> std::string {
+    auto cells = sweep.run(
+        cfgs.size() * pes.size(), [&](std::size_t i) {
             const Cfg &c = cfgs[i / pes.size()];
+            Rig::Options o;
+            o.engines = pes[i % pes.size()];
+            Rig rig(o);
             Measure m;
             int depth = c.bs == 1 ? 32 : 8;
             int jobs = std::max(

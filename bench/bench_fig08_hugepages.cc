@@ -47,51 +47,49 @@ main()
                                        PageSize::Size2M};
     SweepRunner sweep;
 
-    // Cold rows keep one rig per page size (the row *is* the cold
-    // first-touch measurement); each warm cell builds its own rig on
-    // the SweepRunner.
-    for (PageSize ps : pss) {
-        const char *label = ps == PageSize::Size4K ? "4K" : "2M";
+    // Cold first touch (ATC empty, every page walked): one rig per
+    // page size, since the row *is* the first-touch measurement.
+    auto cold = sweep.run(pss.size(), [&](std::size_t pi) {
+        Rig rig{Rig::Options{}};
+        std::vector<std::string> cells;
+        for (auto s : sizes) {
+            Addr src = rig.as->alloc(s, MemKind::DramLocal, pss[pi]);
+            Addr dst = rig.as->alloc(s, MemKind::DramLocal, pss[pi]);
+            Measure m;
+            coldPass(rig, src, dst, s, m);
+            rig.sim.run();
+            cells.push_back(fmt(m.gbps));
+        }
+        return cells;
+    });
 
-        // Cold first touch (ATC empty, every page walked).
-        tbl.addRow(runScenario(
-            Scenario(Rig::Options{}),
-            [&](Rig &rig) -> std::vector<std::string> {
-                std::vector<std::string> row = {label, "cold GB/s"};
-                for (auto s : sizes) {
-                    Addr src =
-                        rig.as->alloc(s, MemKind::DramLocal, ps);
-                    Addr dst =
-                        rig.as->alloc(s, MemKind::DramLocal, ps);
-                    Measure m;
-                    coldPass(rig, src, dst, s, m);
-                    rig.sim.run();
-                    row.push_back(fmt(m.gbps));
-                }
-                return row;
-            }));
+    // Steady state (warm ATC), async depth 32: one rig per (page
+    // size, TS) cell.
+    auto warm = sweep.run(pss.size() * sizes.size(), [&](std::size_t i) {
+        const PageSize ps = pss[i / sizes.size()];
+        const std::uint64_t s = sizes[i % sizes.size()];
+        Rig rig{Rig::Options{}};
+        Addr src = rig.as->alloc(s * 8, MemKind::DramLocal, ps);
+        Addr dst = rig.as->alloc(s * 8, MemKind::DramLocal, ps);
+        std::vector<WorkDescriptor> ring;
+        for (int k = 0; k < 8; ++k) {
+            ring.push_back(dml::Executor::memMove(
+                *rig.as, dst + static_cast<Addr>(k) * s,
+                src + static_cast<Addr>(k) * s, s));
+        }
+        Measure m = asyncHw(rig, ring);
+        return fmt(m.gbps);
+    });
 
-        // Steady state (warm ATC), async depth 32.
-        std::vector<std::string> row = {label, "warm GB/s"};
-        auto cells = sweepScenario(
-            sweep, Scenario(Rig::Options{}), sizes.size(),
-            [&](Rig &rig, std::size_t si) -> std::string {
-                const std::uint64_t s = sizes[si];
-                Addr src =
-                    rig.as->alloc(s * 8, MemKind::DramLocal, ps);
-                Addr dst =
-                    rig.as->alloc(s * 8, MemKind::DramLocal, ps);
-                std::vector<WorkDescriptor> ring;
-                for (int i = 0; i < 8; ++i) {
-                    ring.push_back(dml::Executor::memMove(
-                        *rig.as, dst + static_cast<Addr>(i) * s,
-                        src + static_cast<Addr>(i) * s, s));
-                }
-                Measure m = asyncHw(rig, ring);
-                return fmt(m.gbps);
-            });
-        for (auto &c : cells)
+    for (std::size_t pi = 0; pi < pss.size(); ++pi) {
+        const char *label = pss[pi] == PageSize::Size4K ? "4K" : "2M";
+        std::vector<std::string> row = {label, "cold GB/s"};
+        for (auto &c : cold[pi])
             row.push_back(std::move(c));
+        tbl.addRow(row);
+        row = {label, "warm GB/s"};
+        for (std::size_t si = 0; si < sizes.size(); ++si)
+            row.push_back(std::move(warm[pi * sizes.size() + si]));
         tbl.addRow(row);
     }
     tbl.print();

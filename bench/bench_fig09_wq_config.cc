@@ -121,7 +121,7 @@ runBatched(unsigned n, std::uint64_t ts)
 {
     Rig::Options o;
     o.engines = n;
-    return runScenario(Scenario(o), [&](Rig &rig) {
+    Rig rig(o);
     Core &core = rig.plat.core(0);
     Addr src = rig.as->alloc(ts * n * 8);
     Addr dst = rig.as->alloc(ts * n * 8);
@@ -176,7 +176,6 @@ runBatched(unsigned n, std::uint64_t ts)
     Drv::go(rig, core, src, dst, ts, n, jobs, m);
     rig.sim.run();
     return m.gbps;
-    });
 }
 
 } // namespace
@@ -197,20 +196,30 @@ main()
         cols.push_back(fmtSize(s));
     Table tbl("Fig 9: WQ configurations, memcpy GB/s", cols);
 
-    std::vector<std::string> r1 = {"BS:4 (1 DWQ, 4 PE)"};
-    std::vector<std::string> r2 = {"DWQ:4 (4 thr, 4 PE)"};
-    std::vector<std::string> r3 = {"SWQ:1 (1 thr, 1 PE)"};
-    std::vector<std::string> r4 = {"SWQ:8 (8 thr, 1 PE)"};
-    for (auto ts : sizes) {
-        r1.push_back(fmt(runBatched(n, ts)));
-        r2.push_back(fmt(runConfig(n, "DWQ", ts)));
-        r3.push_back(fmt(runConfig(1, "SWQ", ts)));
-        r4.push_back(fmt(runConfig(8, "SWQ", ts)));
+    // One rig per (config, TS) cell; cells sweep concurrently.
+    const std::vector<std::string> labels = {
+        "BS:4 (1 DWQ, 4 PE)", "DWQ:4 (4 thr, 4 PE)",
+        "SWQ:1 (1 thr, 1 PE)", "SWQ:8 (8 thr, 1 PE)"};
+    SweepRunner sweep;
+    auto cells = sweep.run(labels.size() * sizes.size(), [&](std::size_t i) {
+        const std::uint64_t ts = sizes[i % sizes.size()];
+        switch (i / sizes.size()) {
+        case 0:
+            return fmt(runBatched(n, ts));
+        case 1:
+            return fmt(runConfig(n, "DWQ", ts));
+        case 2:
+            return fmt(runConfig(1, "SWQ", ts));
+        default:
+            return fmt(runConfig(8, "SWQ", ts));
+        }
+    });
+    for (std::size_t r = 0; r < labels.size(); ++r) {
+        std::vector<std::string> row = {labels[r]};
+        for (std::size_t s = 0; s < sizes.size(); ++s)
+            row.push_back(std::move(cells[r * sizes.size() + s]));
+        tbl.addRow(std::move(row));
     }
-    tbl.addRow(r1);
-    tbl.addRow(r2);
-    tbl.addRow(r3);
-    tbl.addRow(r4);
     tbl.print();
     return 0;
 }

@@ -91,17 +91,13 @@ main()
     // One rig per (devices, TS) cell, each built on the
     // SweepRunner; cells sweep concurrently.
     SweepRunner sweep;
-    std::vector<Scenario> points;
-    for (std::size_t i = 0;
-         i < device_counts.size() * sizes.size(); ++i) {
-        Rig::Options o;
-        o.devices = device_counts[i / sizes.size()];
-        points.emplace_back(o);
-    }
-    auto cells = sweepScenarios(
-        sweep, points, [&](Rig &rig, std::size_t i) -> std::string {
+    auto cells = sweep.run(
+        device_counts.size() * sizes.size(), [&](std::size_t i) {
             const unsigned n = device_counts[i / sizes.size()];
             const std::uint64_t ts = sizes[i % sizes.size()];
+            Rig::Options o;
+            o.devices = n;
+            Rig rig(o);
             const int jobs = static_cast<int>(
                 std::max<std::uint64_t>(64, (48ull << 20) / ts));
             Latch done(rig.sim, n);

@@ -71,10 +71,9 @@ main()
     // Every cell builds its own rig on the SweepRunner; cells sweep
     // concurrently.
     SweepRunner sweep;
-    auto cells = sweepScenario(
-        sweep, Scenario(Rig::Options{}),
-        batch_sizes.size() * sizes.size(),
-        [&](Rig &rig, std::size_t i) -> std::string {
+    auto cells = sweep.run(
+        batch_sizes.size() * sizes.size(), [&](std::size_t i) {
+            Rig rig{Rig::Options{}};
             const int bs = batch_sizes[i / sizes.size()];
             const std::uint64_t ts = sizes[i % sizes.size()];
             double frac = 0;

@@ -13,6 +13,7 @@
 
 #include "apps/xmem.hh"
 #include "bench/common.hh"
+#include "sim/logging.hh"
 
 namespace dsasim::bench
 {
@@ -88,13 +89,14 @@ sampler(Rig &rig, TimeSeries &xmem_mb, TimeSeries &bg_mb,
     }
 }
 
-void
-runPanel(const char *kind)
+/** One panel's timeline, as the text it prints. */
+std::string
+runPanel(const std::string &kind)
 {
     Rig::Options o;
     o.devices = 4;
-    runScenario(Scenario(o), [&](Rig &rig) {
-    const bool dsa = std::string(kind) == "DSA";
+    Rig rig(o);
+    const bool dsa = kind == "DSA";
 
     // Background copies: epochs 0..60; probes: epochs 5..45.
     Tick bg_until = static_cast<Tick>(epochs) * epoch;
@@ -129,15 +131,16 @@ runPanel(const char *kind)
     sampler(rig, xmem_mb, bg_mb, dsa);
     rig.sim.runUntil(bg_until + epoch);
 
-    std::printf("\n== Fig 12 (%s): LLC occupancy (MB) over time ==\n",
-                kind);
-    std::printf("%-8s %-12s %-12s\n", "epoch", "xmem(8 cores)",
-                dsa ? "DSA devices" : "memcpy(4 cores)");
+    std::string out =
+        strfmt("\n== Fig 12 (%s): LLC occupancy (MB) over time ==\n",
+               kind.c_str());
+    out += strfmt("%-8s %-12s %-12s\n", "epoch", "xmem(8 cores)",
+                  dsa ? "DSA devices" : "memcpy(4 cores)");
     for (std::size_t i = 0; i < xmem_mb.size(); i += 5) {
-        std::printf("%-8zu %-12.1f %-12.1f\n", i,
-                    xmem_mb.data()[i].value, bg_mb.data()[i].value);
+        out += strfmt("%-8zu %-12.1f %-12.1f\n", i,
+                      xmem_mb.data()[i].value, bg_mb.data()[i].value);
     }
-    });
+    return out;
 }
 
 } // namespace
@@ -146,7 +149,15 @@ runPanel(const char *kind)
 int
 main()
 {
-    dsasim::bench::runPanel("Software");
-    dsasim::bench::runPanel("DSA");
+    using namespace dsasim::bench;
+
+    // The two panels run on their own rigs and print in order.
+    const std::vector<std::string> kinds = {"Software", "DSA"};
+    SweepRunner sweep;
+    auto panels = sweep.run(kinds.size(), [&](std::size_t i) {
+        return runPanel(kinds[i]);
+    });
+    for (const auto &text : panels)
+        std::fputs(text.c_str(), stdout);
     return 0;
 }

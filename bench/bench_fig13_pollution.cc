@@ -67,52 +67,46 @@ dsaCopier(Rig &rig, int core_id, Tick until)
 }
 
 double
-scenario(const char *kind, std::uint64_t ws)
+scenario(const std::string &kind, std::uint64_t ws)
 {
     // One DSA instance (the paper offloads to four groups of one
     // device); its four copy streams share the 30 GB/s fabric.
     Rig::Options o;
     o.devices = 1;
+    Rig rig(o);
     const Tick horizon = fromUs(3000);
-
-    std::vector<std::unique_ptr<apps::XMemProbe>> probes;
-    std::vector<std::unique_ptr<Histogram>> hists;
 
     // Warm-up: probe working sets touched, background copiers
     // launched, and half a horizon of pollution build-up before the
     // measured window opens.
-    Scenario sc(o, [&](Rig &rig) {
-        for (int i = 0; i < 8; ++i) {
-            probes.push_back(std::make_unique<apps::XMemProbe>(
-                rig.plat, *rig.as,
-                rig.plat.core(static_cast<std::size_t>(i)), ws,
-                1000 + static_cast<std::uint64_t>(i)));
-            hists.push_back(std::make_unique<Histogram>());
-            probes.back()->warmAll();
-        }
-        if (std::string(kind) == "Software") {
-            for (int c = 8; c < 12; ++c)
-                softwareCopier(rig, c, rig.sim.now() + 2 * horizon);
-        } else if (std::string(kind) == "DSA") {
-            for (int c = 8; c < 12; ++c)
-                dsaCopier(rig, c, rig.sim.now() + 2 * horizon);
-        }
-        rig.sim.runUntil(rig.sim.now() + horizon / 2);
-    });
+    std::vector<std::unique_ptr<apps::XMemProbe>> probes;
+    for (int i = 0; i < 8; ++i) {
+        probes.push_back(std::make_unique<apps::XMemProbe>(
+            rig.plat, *rig.as,
+            rig.plat.core(static_cast<std::size_t>(i)), ws,
+            1000 + static_cast<std::uint64_t>(i)));
+        probes.back()->warmAll();
+    }
+    if (kind == "Software") {
+        for (int c = 8; c < 12; ++c)
+            softwareCopier(rig, c, rig.sim.now() + 2 * horizon);
+    } else if (kind == "DSA") {
+        for (int c = 8; c < 12; ++c)
+            dsaCopier(rig, c, rig.sim.now() + 2 * horizon);
+    }
+    rig.sim.runUntil(rig.sim.now() + horizon / 2);
 
-    return runScenario(sc, [&](Rig &rig) {
-        // Measured probe phase.
-        Tick until = rig.sim.now() + horizon;
-        for (int i = 0; i < 8; ++i)
-            probes[static_cast<std::size_t>(i)]->run(
-                until, *hists[static_cast<std::size_t>(i)]);
-        rig.sim.runUntil(until);
+    // Measured probe phase.
+    std::vector<Histogram> hists(probes.size());
+    Tick until = rig.sim.now() + horizon;
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        probes[i]->run(until, hists[i]);
+    rig.sim.runUntil(until);
 
-        double sum = 0;
-        for (auto &h : hists)
-            sum += h->mean();
-        return sum / 8.0;
-    });
+    double sum = 0;
+    for (auto &h : hists)
+        sum += h.mean();
+    return sum / 8.0;
 }
 
 } // namespace
@@ -134,24 +128,27 @@ main()
     Table tbl("Fig 13: X-Mem mean read latency (ns), 8 instances",
               cols);
 
-    std::vector<double> base;
-    for (const char *kind : {"None", "Software", "DSA"}) {
-        std::vector<std::string> row = {kind};
-        std::size_t idx = 0;
-        for (auto ws : working_sets) {
-            double ns = scenario(kind, ws);
-            if (std::string(kind) == "None")
-                base.push_back(ns);
+    // One rig per (scenario, working set) point; the "+x%" cells
+    // compare against the None row once every point is in.
+    const std::vector<std::string> kinds = {"None", "Software", "DSA"};
+    const std::size_t nws = working_sets.size();
+    SweepRunner sweep;
+    auto ns = sweep.run(kinds.size() * nws, [&](std::size_t i) {
+        return scenario(kinds[i / nws], working_sets[i % nws]);
+    });
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        std::vector<std::string> row = {kinds[k]};
+        for (std::size_t w = 0; w < nws; ++w) {
+            const double v = ns[k * nws + w];
+            const double base = ns[w];
             char cell[64];
-            if (std::string(kind) == "None") {
-                std::snprintf(cell, sizeof(cell), "%.1f", ns);
+            if (k == 0) {
+                std::snprintf(cell, sizeof(cell), "%.1f", v);
             } else {
-                std::snprintf(cell, sizeof(cell), "%.1f (+%.0f%%)",
-                              ns,
-                              100.0 * (ns - base[idx]) / base[idx]);
+                std::snprintf(cell, sizeof(cell), "%.1f (+%.0f%%)", v,
+                              100.0 * (v - base) / base);
             }
             row.push_back(cell);
-            ++idx;
         }
         tbl.addRow(row);
     }

@@ -71,10 +71,9 @@ main()
         // Every cell builds its own rig on the SweepRunner; cells
         // sweep concurrently.
         SweepRunner sweep;
-        auto cells = sweepScenario(
-            sweep, Scenario(Rig::Options{}),
-            totals.size() * batch_sizes.size(),
-            [&](Rig &rig, std::size_t ci) -> std::string {
+        auto cells = sweep.run(
+            totals.size() * batch_sizes.size(), [&](std::size_t ci) {
+                Rig rig{Rig::Options{}};
                 const std::uint64_t total =
                     totals[ci / batch_sizes.size()];
                 const int bs = batch_sizes[ci % batch_sizes.size()];

@@ -99,10 +99,10 @@ main()
     // One (hw, placement) pair per sweep point; every point builds
     // its own default-options rig on the SweepRunner.
     SweepRunner sweep;
-    auto rows = sweepScenario(
-        sweep, Scenario(Rig::Options{}), 2 * placements.size(),
-        [&](Rig &rig,
-            std::size_t i) -> std::vector<std::vector<std::string>> {
+    auto rows = sweep.run(
+        2 * placements.size(),
+        [&](std::size_t i) -> std::vector<std::vector<std::string>> {
+            Rig rig{Rig::Options{}};
             const bool hw = i < placements.size();
             const Placement &p = placements[i % placements.size()];
             Addr src = rig.as->alloc(sizes.back());

@@ -25,51 +25,49 @@ struct Result
     std::uint64_t corrupt = 0;
 };
 
-Result
-run(bool use_dsa, std::uint32_t pkt_bytes)
+/** One copy group of two PEs on one device. */
+Rig::Options
+vhostRig()
 {
     Rig::Options o;
     o.devices = 1;
     // A group with two PEs: 512B-class descriptors are gap-bound on
     // one PE, and vhost deployments give the copy group >= 2 engines.
     o.engines = 2;
+    return o;
+}
 
+Result
+run(bool use_dsa, std::uint32_t pkt_bytes)
+{
+    Rig rig(vhostRig());
     const Tick horizon = fromUs(1500);
-    std::unique_ptr<apps::Virtqueue> vq;
-    std::unique_ptr<apps::VhostSwitch> host;
-    std::unique_ptr<apps::GuestDriver> guest;
+    apps::Virtqueue vq(1024);
+    apps::VhostSwitch::Config cfg;
+    cfg.useDsa = use_dsa;
+    cfg.packetBytes = pkt_bytes;
+    apps::VhostSwitch host(rig.plat, *rig.as, rig.plat.core(0),
+                           rig.exec.get(), vq, cfg);
+    apps::GuestDriver guest(rig.plat, *rig.as, rig.plat.core(1), vq,
+                            2048, 512);
+    host.run(horizon);
+    guest.run(horizon);
 
     // Warm-up: bring the virtqueue pipeline to steady state before
     // the measured window opens.
-    Scenario sc(o, [&](Rig &rig) {
-        vq = std::make_unique<apps::Virtqueue>(1024);
-        apps::VhostSwitch::Config cfg;
-        cfg.useDsa = use_dsa;
-        cfg.packetBytes = pkt_bytes;
-        host = std::make_unique<apps::VhostSwitch>(
-            rig.plat, *rig.as, rig.plat.core(0), rig.exec.get(),
-            *vq, cfg);
-        guest = std::make_unique<apps::GuestDriver>(
-            rig.plat, *rig.as, rig.plat.core(1), *vq, 2048, 512);
-        host->run(horizon);
-        guest->run(horizon);
-        rig.sim.runUntil(fromUs(300));
-    });
+    rig.sim.runUntil(fromUs(300));
 
-    return runScenario(sc, [&](Rig &rig) {
-        std::uint64_t pkts0 = host->packetsForwarded();
-        Tick t0 = rig.sim.now();
-        rig.plat.core(0).resetAccounting();
-        rig.sim.runUntil(horizon);
+    std::uint64_t pkts0 = host.packetsForwarded();
+    Tick t0 = rig.sim.now();
+    rig.plat.core(0).resetAccounting();
+    rig.sim.runUntil(horizon);
 
-        Result res;
-        res.mpps =
-            static_cast<double>(host->packetsForwarded() - pkts0) /
-            toUs(rig.sim.now() - t0);
-        res.misordered = guest->orderViolations();
-        res.corrupt = guest->payloadErrors();
-        return res;
-    });
+    Result res;
+    res.mpps = static_cast<double>(host.packetsForwarded() - pkts0) /
+               toUs(rig.sim.now() - t0);
+    res.misordered = guest.orderViolations();
+    res.corrupt = guest.payloadErrors();
+    return res;
 }
 
 struct LatResult
@@ -81,42 +79,31 @@ struct LatResult
 LatResult
 runLatency(bool use_dsa, std::uint32_t pkt_bytes, double mpps)
 {
-    Rig::Options o;
-    o.devices = 1;
-    o.engines = 2;
-
+    Rig rig(vhostRig());
     const Tick horizon = fromUs(2500);
-    std::unique_ptr<apps::Virtqueue> vq;
-    std::unique_ptr<apps::VhostSwitch> host;
-    std::unique_ptr<apps::GuestDriver> guest;
+    apps::Virtqueue vq(1024);
+    apps::VhostSwitch::Config cfg;
+    cfg.useDsa = use_dsa;
+    cfg.packetBytes = pkt_bytes;
+    cfg.offeredMpps = mpps;
+    apps::VhostSwitch host(rig.plat, *rig.as, rig.plat.core(0),
+                           rig.exec.get(), vq, cfg);
+    apps::GuestDriver guest(rig.plat, *rig.as, rig.plat.core(1), vq,
+                            2048, 512);
+    host.run(horizon);
+    guest.run(horizon);
 
     // Warm caches/TLBs first; measure steady-state latency only.
-    Scenario sc(o, [&](Rig &rig) {
-        vq = std::make_unique<apps::Virtqueue>(1024);
-        apps::VhostSwitch::Config cfg;
-        cfg.useDsa = use_dsa;
-        cfg.packetBytes = pkt_bytes;
-        cfg.offeredMpps = mpps;
-        host = std::make_unique<apps::VhostSwitch>(
-            rig.plat, *rig.as, rig.plat.core(0), rig.exec.get(),
-            *vq, cfg);
-        guest = std::make_unique<apps::GuestDriver>(
-            rig.plat, *rig.as, rig.plat.core(1), *vq, 2048, 512);
-        host->run(horizon);
-        guest->run(horizon);
-        rig.sim.runUntil(fromUs(500));
-        host->latencyHistogram().reset();
-    });
+    rig.sim.runUntil(fromUs(500));
+    host.latencyHistogram().reset();
 
-    return runScenario(sc, [&](Rig &rig) {
-        rig.sim.runUntil(horizon);
-        LatResult r;
-        r.p50 = host->latencyHistogram().percentile(50);
-        r.p99 = host->latencyHistogram().percentile(99);
-        r.p999 = host->latencyHistogram().percentile(99.9);
-        r.drops = host->drops();
-        return r;
-    });
+    rig.sim.runUntil(horizon);
+    LatResult r;
+    r.p50 = host.latencyHistogram().percentile(50);
+    r.p99 = host.latencyHistogram().percentile(99);
+    r.p999 = host.latencyHistogram().percentile(99.9);
+    r.drops = host.drops();
+    return r;
 }
 
 } // namespace
@@ -135,10 +122,16 @@ main()
               {"packet", "CPU", "DSA", "speedup", "order-errs",
                "payload-errs"});
 
-    for (auto ps : pkt_sizes) {
-        Result cpu = run(false, ps);
-        Result dsa = run(true, ps);
-        tbl.addRow({std::to_string(ps) + "B", fmt(cpu.mpps),
+    // One rig per (packet size, CPU/DSA) point: CPU on even points,
+    // DSA on odd ones.
+    SweepRunner sweep;
+    auto rates = sweep.run(2 * pkt_sizes.size(), [&](std::size_t i) {
+        return run(i % 2 == 1, pkt_sizes[i / 2]);
+    });
+    for (std::size_t k = 0; k < pkt_sizes.size(); ++k) {
+        const Result &cpu = rates[2 * k];
+        const Result &dsa = rates[2 * k + 1];
+        tbl.addRow({std::to_string(pkt_sizes[k]) + "B", fmt(cpu.mpps),
                     fmt(dsa.mpps), fmt(dsa.mpps / cpu.mpps),
                     std::to_string(dsa.misordered),
                     std::to_string(dsa.corrupt)});
@@ -150,11 +143,21 @@ main()
     Table lat("Vhost per-packet latency at offered load (us)",
               {"packet", "load Mpps", "CPU p50/p99/p99.9",
                "DSA p50/p99/p99.9", "CPU drops", "DSA drops"});
-    for (auto ps : {std::uint32_t(512), std::uint32_t(1518)}) {
-        double load = ps == 512 ? 5.0 : 4.5;
-        LatResult c = runLatency(false, ps, load);
-        LatResult d = runLatency(true, ps, load);
-        lat.addRow({std::to_string(ps) + "B", fmt(load, 1),
+    struct Load
+    {
+        std::uint32_t packet;
+        double mpps;
+    };
+    const std::vector<Load> loads = {{512, 5.0}, {1518, 4.5}};
+    auto tails = sweep.run(2 * loads.size(), [&](std::size_t i) {
+        const Load &l = loads[i / 2];
+        return runLatency(i % 2 == 1, l.packet, l.mpps);
+    });
+    for (std::size_t k = 0; k < loads.size(); ++k) {
+        const LatResult &c = tails[2 * k];
+        const LatResult &d = tails[2 * k + 1];
+        lat.addRow({std::to_string(loads[k].packet) + "B",
+                    fmt(loads[k].mpps, 1),
                     fmt(c.p50, 1) + "/" + fmt(c.p99, 1) + "/" +
                         fmt(c.p999, 1),
                     fmt(d.p50, 1) + "/" + fmt(d.p99, 1) + "/" +

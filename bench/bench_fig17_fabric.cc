@@ -20,18 +20,20 @@ namespace dsasim::bench
 namespace
 {
 
-struct PpResult
-{
-    double gbps = 0;
-    double rttUs = 0;
-};
-
-PpResult
-pingpong(bool dsa, std::uint64_t msg, int rounds)
+/** Four DSAs: libfabric spreads copies over the socket's devices. */
+Rig::Options
+fabricRig()
 {
     Rig::Options o;
-    o.devices = 4; // libfabric spreads copies over the socket's DSAs
-    return runScenario(Scenario(o), [&](Rig &rig) {
+    o.devices = 4;
+    return o;
+}
+
+/** Pingpong goodput (GB/s) over @p rounds round trips. */
+double
+pingpong(bool dsa, std::uint64_t msg, int rounds)
+{
+    Rig rig(fabricRig());
     apps::FabricChannel::Config cfg;
     cfg.useDsa = dsa;
     apps::FabricChannel fwd(rig.plat, *rig.as, rig.exec.get(),
@@ -41,36 +43,32 @@ pingpong(bool dsa, std::uint64_t msg, int rounds)
     Addr a = rig.as->alloc(msg);
     Addr b = rig.as->alloc(msg);
 
-    PpResult res;
+    double gbps = 0;
     struct Drv
     {
         static SimTask
         go(Rig &r, apps::FabricChannel &f, apps::FabricChannel &rv,
-           Addr x, Addr y, std::uint64_t n, int rnds, PpResult &out)
+           Addr x, Addr y, std::uint64_t n, int rnds, double &out)
         {
             Tick t0 = r.sim.now();
             for (int i = 0; i < rnds; ++i) {
                 co_await f.transfer(x, y, n);
                 co_await rv.transfer(y, x, n);
             }
-            Tick elapsed = r.sim.now() - t0;
-            out.rttUs = toUs(elapsed) / rnds;
-            out.gbps = achievedGBps(
-                2 * static_cast<std::uint64_t>(rnds) * n, elapsed);
+            out = achievedGBps(
+                2 * static_cast<std::uint64_t>(rnds) * n,
+                r.sim.now() - t0);
         }
     };
-    Drv::go(rig, fwd, rev, a, b, msg, rounds, res);
+    Drv::go(rig, fwd, rev, a, b, msg, rounds, gbps);
     rig.sim.run();
-    return res;
-    });
+    return gbps;
 }
 
 double
 bandwidth(bool dsa, std::uint64_t msg, int count)
 {
-    Rig::Options o;
-    o.devices = 4; // libfabric spreads copies over the socket's DSAs
-    return runScenario(Scenario(o), [&](Rig &rig) {
+    Rig rig(fabricRig());
     apps::FabricChannel::Config cfg;
     cfg.useDsa = dsa;
     apps::FabricChannel ch(rig.plat, *rig.as, rig.exec.get(),
@@ -94,15 +92,12 @@ bandwidth(bool dsa, std::uint64_t msg, int count)
     Drv::go(rig, ch, a, b, msg, count, gbps);
     rig.sim.run();
     return gbps;
-    });
 }
 
 double
 allreduceUs(bool dsa, unsigned ranks, std::uint64_t bytes)
 {
-    Rig::Options o;
-    o.devices = 4; // libfabric spreads copies over the socket's DSAs
-    return runScenario(Scenario(o), [&](Rig &rig) {
+    Rig rig(fabricRig());
     apps::RingAllReduce::Config cfg;
     cfg.channel.useDsa = dsa;
     apps::RingAllReduce ar(rig.plat, *rig.as, rig.exec.get(), ranks,
@@ -122,7 +117,6 @@ allreduceUs(bool dsa, unsigned ranks, std::uint64_t bytes)
     Drv::go(rig, ar, bytes, us);
     rig.sim.run();
     return us;
-    });
 }
 
 } // namespace
@@ -137,20 +131,25 @@ main()
     const std::vector<std::uint64_t> msgs = {
         4 << 10, 32 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20};
 
+    SweepRunner sweep;
     {
         Table tbl("Fig 17a: libfabric Pingpong / BW, CPU vs DSA",
                   {"message", "PP cpu GB/s", "PP dsa GB/s", "PP x",
                    "BW cpu GB/s", "BW dsa GB/s", "BW x"});
-        for (auto m : msgs) {
-            int rounds = static_cast<int>(
+        // Four points per message: PP cpu, PP dsa, BW cpu, BW dsa.
+        auto gbps = sweep.run(4 * msgs.size(), [&](std::size_t i) {
+            const std::uint64_t m = msgs[i / 4];
+            const int rounds = static_cast<int>(
                 std::max<std::uint64_t>(4, (32ull << 20) / m / 2));
-            PpResult pc = pingpong(false, m, rounds);
-            PpResult pd = pingpong(true, m, rounds);
-            double bc = bandwidth(false, m, rounds);
-            double bd = bandwidth(true, m, rounds);
-            tbl.addRow({fmtSize(m), fmt(pc.gbps), fmt(pd.gbps),
-                        fmt(pd.gbps / pc.gbps), fmt(bc), fmt(bd),
-                        fmt(bd / bc)});
+            const bool dsa = i % 2 == 1;
+            return i % 4 < 2 ? pingpong(dsa, m, rounds)
+                             : bandwidth(dsa, m, rounds);
+        });
+        for (std::size_t k = 0; k < msgs.size(); ++k) {
+            const double *g = &gbps[4 * k];
+            tbl.addRow({fmtSize(msgs[k]), fmt(g[0]), fmt(g[1]),
+                        fmt(g[1] / g[0]), fmt(g[2]), fmt(g[3]),
+                        fmt(g[3] / g[2])});
         }
         tbl.print();
     }
@@ -159,15 +158,21 @@ main()
         Table tbl("Fig 17b: AllReduce latency (us), CPU vs DSA",
                   {"message", "ranks", "cpu us", "dsa us",
                    "speedup"});
-        for (unsigned ranks : {2u, 4u, 8u}) {
-            for (std::uint64_t m :
-                 {std::uint64_t(256 << 10), std::uint64_t(1 << 20),
-                  std::uint64_t(16 << 20)}) {
-                double c = allreduceUs(false, ranks, m);
-                double d = allreduceUs(true, ranks, m);
-                tbl.addRow({fmtSize(m), std::to_string(ranks),
-                            fmt(c, 1), fmt(d, 1), fmt(c / d)});
-            }
+        const std::vector<unsigned> ranks = {2, 4, 8};
+        const std::vector<std::uint64_t> sizes = {256 << 10, 1 << 20,
+                                                  16 << 20};
+        // Two points (cpu, dsa) per (ranks, message) pair.
+        const std::size_t n = ranks.size() * sizes.size();
+        auto us = sweep.run(2 * n, [&](std::size_t i) {
+            const std::size_t k = i / 2;
+            return allreduceUs(i % 2 == 1, ranks[k / sizes.size()],
+                               sizes[k % sizes.size()]);
+        });
+        for (std::size_t k = 0; k < n; ++k) {
+            const double c = us[2 * k], d = us[2 * k + 1];
+            tbl.addRow({fmtSize(sizes[k % sizes.size()]),
+                        std::to_string(ranks[k / sizes.size()]),
+                        fmt(c, 1), fmt(d, 1), fmt(c / d)});
         }
         tbl.print();
     }

@@ -29,7 +29,7 @@ trainStep(bool dsa, unsigned ranks, std::uint64_t grad_bytes,
 {
     Rig::Options o;
     o.devices = 4; // libfabric spreads copies over the socket's DSAs
-    return runScenario(Scenario(o), [&](Rig &rig) {
+    Rig rig(o);
     apps::RingAllReduce::Config cfg;
     cfg.channel.useDsa = dsa;
     apps::RingAllReduce ar(rig.plat, *rig.as, rig.exec.get(), ranks,
@@ -52,7 +52,6 @@ trainStep(bool dsa, unsigned ranks, std::uint64_t grad_bytes,
     Drv::go(rig, ar, grad_bytes, compute_ms, res);
     rig.sim.run();
     return res;
-    });
 }
 
 } // namespace
@@ -81,13 +80,18 @@ main()
     // AllReduce share of a BERT pretraining step).
     const std::vector<Setting> settings = {{2, 2930.0}, {8, 1370.0}};
 
-    for (const auto &s : settings) {
-        IterResult cpu = trainStep(false, s.ranks, grads,
-                                   s.computeMs);
-        IterResult dsa = trainStep(true, s.ranks, grads,
-                                   s.computeMs);
+    // Four arms, one rig each: the CPU run of a setting on even
+    // points, its DSA run on odd ones.
+    SweepRunner sweep;
+    auto steps = sweep.run(2 * settings.size(), [&](std::size_t i) {
+        const Setting &s = settings[i / 2];
+        return trainStep(i % 2 == 1, s.ranks, grads, s.computeMs);
+    });
+    for (std::size_t k = 0; k < settings.size(); ++k) {
+        const IterResult &cpu = steps[2 * k];
+        const IterResult &dsa = steps[2 * k + 1];
         double gain = 100.0 * (cpu.iterMs - dsa.iterMs) / cpu.iterMs;
-        tbl.addRow({std::to_string(s.ranks), fmt(cpu.arMs, 1),
+        tbl.addRow({std::to_string(settings[k].ranks), fmt(cpu.arMs, 1),
                     fmt(dsa.arMs, 1), fmt(cpu.arMs / dsa.arMs),
                     fmt(cpu.iterMs, 1), fmt(dsa.iterMs, 1),
                     fmt(gain, 1)});

@@ -79,54 +79,46 @@ run(unsigned threads, bool use_dsa, int ops_per_thread)
     o.wqSize = 16;
     o.engines = 1;
     o.wqMode = WorkQueue::Mode::Shared;
+    Rig rig(o);
 
-    std::unique_ptr<Dto> dto;
-    std::unique_ptr<apps::MiniCache> cache;
+    Dto::Config dc;
+    dc.threshold = use_dsa ? 8192 : ~std::uint64_t(0);
+    Dto dto(*rig.exec, dc);
+    apps::MiniCache::Config cc;
+    cc.capacityBytes = 4ull << 30;
+    apps::MiniCache cache(rig.plat, *rig.as, dto, cc);
 
     // Enough keys that the hot set dwarfs the LLC: copies run cold,
     // as in the paper's 64 GB cloud cache.
     const std::uint64_t keys = 16384;
 
     // Warm-up: populate phase (timed into a discarded histogram).
-    Scenario sc(o, [&](Rig &rig) {
-        Dto::Config dc;
-        dc.threshold = use_dsa ? 8192 : ~std::uint64_t(0);
-        dto = std::make_unique<Dto>(*rig.exec, dc);
-        apps::MiniCache::Config cc;
-        cc.capacityBytes = 4ull << 30;
-        cache = std::make_unique<apps::MiniCache>(rig.plat, *rig.as,
-                                                  *dto, cc);
-        Histogram warm;
-        Latch done(rig.sim, 1);
-        worker(rig.plat, *rig.as, *cache, 0, keys,
-               static_cast<int>(keys), warm, done, 1);
-        rig.sim.run();
-    });
+    Histogram warm;
+    Latch warmed(rig.sim, 1);
+    worker(rig.plat, *rig.as, cache, 0, keys, static_cast<int>(keys),
+           warm, warmed, 1);
+    rig.sim.run();
 
-    return runScenario(sc, [&](Rig &rig) {
-        Histogram lat;
-        Latch done(rig.sim, threads);
-        Tick t0 = rig.sim.now();
-        for (unsigned t = 0; t < threads; ++t) {
-            worker(rig.plat, *rig.as, *cache, static_cast<int>(t),
-                   keys, ops_per_thread, lat, done, 100 + t);
-        }
-        rig.sim.run();
-        Tick elapsed = rig.sim.now() - t0;
+    Histogram lat;
+    Latch done(rig.sim, threads);
+    Tick t0 = rig.sim.now();
+    for (unsigned t = 0; t < threads; ++t) {
+        worker(rig.plat, *rig.as, cache, static_cast<int>(t), keys,
+               ops_per_thread, lat, done, 100 + t);
+    }
+    rig.sim.run();
+    Tick elapsed = rig.sim.now() - t0;
 
-        Stats s;
-        s.mops = static_cast<double>(lat.count()) / toUs(elapsed);
-        s.p99Us = lat.percentile(99.0);
-        s.p9999Us = lat.percentile(99.99);
-        std::uint64_t total_bytes =
-            dto->bytesOffloaded + dto->bytesOnCpu;
-        s.offloadedByteShare =
-            total_bytes
-                ? 100.0 * static_cast<double>(dto->bytesOffloaded) /
-                      static_cast<double>(total_bytes)
-                : 0.0;
-        return s;
-    });
+    Stats s;
+    s.mops = static_cast<double>(lat.count()) / toUs(elapsed);
+    s.p99Us = lat.percentile(99.0);
+    s.p9999Us = lat.percentile(99.99);
+    std::uint64_t total_bytes = dto.bytesOffloaded + dto.bytesOnCpu;
+    s.offloadedByteShare =
+        total_bytes ? 100.0 * static_cast<double>(dto.bytesOffloaded) /
+                          static_cast<double>(total_bytes)
+                    : 0.0;
+    return s;
 }
 
 } // namespace
@@ -147,10 +139,16 @@ main()
                "sw p99 us", "dsa p99 us", "sw p99.99", "dsa p99.99",
                "offloaded bytes %"});
 
-    for (unsigned t : threads) {
-        Stats sw = run(t, false, ops);
-        Stats hw = run(t, true, ops);
-        tbl.addRow({std::to_string(t), fmt(sw.mops, 3),
+    // One rig per (threads, sw/dsa) point: software on even
+    // points, DSA on odd ones.
+    SweepRunner sweep;
+    auto stats = sweep.run(2 * threads.size(), [&](std::size_t i) {
+        return run(threads[i / 2], i % 2 == 1, ops);
+    });
+    for (std::size_t t = 0; t < threads.size(); ++t) {
+        const Stats &sw = stats[2 * t];
+        const Stats &hw = stats[2 * t + 1];
+        tbl.addRow({std::to_string(threads[t]), fmt(sw.mops, 3),
                     fmt(hw.mops, 3), fmt(hw.mops / sw.mops),
                     fmt(sw.p99Us, 1), fmt(hw.p99Us, 1),
                     fmt(sw.p9999Us, 1), fmt(hw.p9999Us, 1),

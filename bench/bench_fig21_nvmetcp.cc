@@ -23,13 +23,13 @@ struct Point
 {
     double kiops = 0;
     double latUs = 0;
+    std::uint64_t crcMismatches = 0;
 };
 
 Point
 run(apps::NvmeTcpTarget::Digest digest, unsigned cores,
     std::uint64_t io_bytes, Tick horizon,
-    apps::NvmeTcpTarget::Kind kind =
-        apps::NvmeTcpTarget::Kind::Read)
+    apps::NvmeTcpTarget::Kind kind)
 {
     // SPDK's accel framework path: a shared WQ, two engines.
     Rig::Options o;
@@ -37,28 +37,22 @@ run(apps::NvmeTcpTarget::Digest digest, unsigned cores,
     o.wqSize = 32;
     o.engines = 2;
     o.wqMode = WorkQueue::Mode::Shared;
+    Rig rig(o);
 
-    return runScenario(Scenario(o), [&](Rig &rig) {
-        apps::NvmeTcpTarget::Config cfg;
-        cfg.kind = kind;
-        cfg.digest = digest;
-        cfg.targetCores = cores;
-        cfg.ioBytes = io_bytes;
-        apps::NvmeTcpTarget target(rig.plat, *rig.as,
-                                   rig.exec.get(), cfg);
-        target.run(horizon);
-        rig.sim.run();
+    apps::NvmeTcpTarget::Config cfg;
+    cfg.kind = kind;
+    cfg.digest = digest;
+    cfg.targetCores = cores;
+    cfg.ioBytes = io_bytes;
+    apps::NvmeTcpTarget target(rig.plat, *rig.as, rig.exec.get(), cfg);
+    target.run(horizon);
+    rig.sim.run();
 
-        if (target.crcMismatches() != 0)
-            std::fprintf(stderr, "warn: %llu digest mismatches!\n",
-                         static_cast<unsigned long long>(
-                             target.crcMismatches()));
-
-        Point p;
-        p.kiops = target.iops() / 1000.0;
-        p.latUs = target.meanLatencyUs();
-        return p;
-    });
+    Point p;
+    p.kiops = target.iops() / 1000.0;
+    p.latUs = target.meanLatencyUs();
+    p.crcMismatches = target.crcMismatches();
+    return p;
 }
 
 } // namespace
@@ -69,77 +63,73 @@ main()
 {
     using namespace dsasim;
     using namespace dsasim::bench;
+    using Digest = apps::NvmeTcpTarget::Digest;
+    using Kind = apps::NvmeTcpTarget::Kind;
 
     const std::vector<unsigned> core_counts = {1, 2, 4, 6, 8, 10};
+    const Digest digests[] = {Digest::None, Digest::Dsa, Digest::IsaL};
 
-    struct Workload
+    struct Panel
     {
-        const char *name;
+        std::string title;
+        const char *column;
         std::uint64_t ioBytes;
         Tick horizon;
+        Kind kind;
+        const char *labels[3]; ///< per digest, in `digests` order
     };
-    const std::vector<Workload> workloads = {
-        {"16KB random read", 16 << 10, fromMs(8)},
-        {"128KB sequential read", 128 << 10, fromMs(12)},
+    const std::vector<Panel> panels = {
+        {"Fig 21: 16KB random read", "digest", 16 << 10, fromMs(8),
+         Kind::Read, {"no digest", "DSA", "ISA-L"}},
+        {"Fig 21: 128KB sequential read", "digest", 128 << 10,
+         fromMs(12), Kind::Read, {"no digest", "DSA", "ISA-L"}},
+        // Extension beyond the paper's Fig. 21: the write path, where
+        // the accel framework uses DSA's DIF Insert instead of CRC32.
+        {"Extension: 16KB writes with T10-DIF protection", "protect",
+         16 << 10, fromMs(6), Kind::Write,
+         {"no DIF", "DSA DIF insert", "ISA-L DIF insert"}},
     };
 
-    for (const auto &w : workloads) {
-        std::vector<std::string> cols = {"digest", "metric"};
+    // One rig per (panel, digest, cores) point.
+    const std::size_t ncores = core_counts.size();
+    const std::size_t per_panel = std::size(digests) * ncores;
+    SweepRunner sweep;
+    auto points = sweep.run(panels.size() * per_panel, [&](std::size_t i) {
+        const Panel &p = panels[i / per_panel];
+        const std::size_t j = i % per_panel;
+        return run(digests[j / ncores], core_counts[j % ncores],
+                   p.ioBytes, p.horizon, p.kind);
+    });
+
+    std::uint64_t mismatches = 0;
+    for (std::size_t pi = 0; pi < panels.size(); ++pi) {
+        const Panel &p = panels[pi];
+        std::vector<std::string> cols = {p.column, "metric"};
         for (auto c : core_counts)
             cols.push_back(std::to_string(c) + " cores");
-        Table tbl(std::string("Fig 21: ") + w.name, cols);
-
-        const struct
-        {
-            apps::NvmeTcpTarget::Digest mode;
-            const char *label;
-        } modes[] = {
-            {apps::NvmeTcpTarget::Digest::None, "no digest"},
-            {apps::NvmeTcpTarget::Digest::Dsa, "DSA"},
-            {apps::NvmeTcpTarget::Digest::IsaL, "ISA-L"},
-        };
-
-        for (const auto &m : modes) {
-            std::vector<std::string> iops_row = {m.label, "KIOPS"};
-            std::vector<std::string> lat_row = {m.label, "lat us"};
-            for (auto c : core_counts) {
-                Point p = run(m.mode, c, w.ioBytes, w.horizon);
-                iops_row.push_back(fmt(p.kiops, 0));
-                lat_row.push_back(fmt(p.latUs, 0));
+        Table tbl(p.title, cols);
+        for (std::size_t d = 0; d < std::size(digests); ++d) {
+            std::vector<std::string> iops_row = {p.labels[d], "KIOPS"};
+            std::vector<std::string> lat_row = {p.labels[d], "lat us"};
+            for (std::size_t c = 0; c < ncores; ++c) {
+                const Point &pt = points[pi * per_panel + d * ncores + c];
+                iops_row.push_back(fmt(pt.kiops, 0));
+                lat_row.push_back(fmt(pt.latUs, 0));
+                mismatches += pt.crcMismatches;
             }
             tbl.addRow(iops_row);
-            tbl.addRow(lat_row);
+            if (p.kind == Kind::Read)
+                tbl.addRow(lat_row);
         }
         tbl.print();
     }
 
-    // Extension beyond the paper's Fig. 21: the write path, where
-    // the accel framework uses DSA's DIF Insert instead of CRC32.
-    {
-        std::vector<std::string> cols = {"protect", "metric"};
-        for (auto c : core_counts)
-            cols.push_back(std::to_string(c) + " cores");
-        Table tbl("Extension: 16KB writes with T10-DIF protection",
-                  cols);
-        const struct
-        {
-            apps::NvmeTcpTarget::Digest mode;
-            const char *label;
-        } modes[] = {
-            {apps::NvmeTcpTarget::Digest::None, "no DIF"},
-            {apps::NvmeTcpTarget::Digest::Dsa, "DSA DIF insert"},
-            {apps::NvmeTcpTarget::Digest::IsaL, "ISA-L DIF insert"},
-        };
-        for (const auto &m : modes) {
-            std::vector<std::string> iops_row = {m.label, "KIOPS"};
-            for (auto c : core_counts) {
-                Point p = run(m.mode, c, 16 << 10, fromMs(6),
-                              apps::NvmeTcpTarget::Kind::Write);
-                iops_row.push_back(fmt(p.kiops, 0));
-            }
-            tbl.addRow(iops_row);
-        }
-        tbl.print();
+    // A digest that does not match its payload is a data-path fault,
+    // not a performance result.
+    if (mismatches != 0) {
+        std::fprintf(stderr, "error: %llu digest mismatches\n",
+                     static_cast<unsigned long long>(mismatches));
+        return 1;
     }
     return 0;
 }

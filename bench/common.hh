@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -522,16 +521,14 @@ class Rig
   public:
     struct Options
     {
-        PlatformConfig platform = PlatformConfig::spr();
         unsigned devices = 1;
         unsigned engines = 1;
         unsigned wqSize = 32;
         WorkQueue::Mode wqMode = WorkQueue::Mode::Dedicated;
-        bool useUmwait = true;
     };
 
     explicit Rig(const Options &o)
-        : plat(sim, o.platform), as(&plat.mem().createSpace())
+        : plat(sim, PlatformConfig::spr()), as(&plat.mem().createSpace())
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < o.devices; ++i) {
@@ -541,7 +538,6 @@ class Rig
         }
         dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
-        ec.useUmwait = o.useUmwait;
         exec = std::make_unique<dml::Executor>(
             sim, plat.mem(), plat.kernels(), devs, ec);
     }
@@ -718,83 +714,6 @@ memMoveRing(Rig &rig, std::uint64_t size, int count = 16,
             src + static_cast<Addr>(i) * size, size));
     }
     return ring;
-}
-
-/**
- * A Scenario splits a benchmark into two phases:
- *
- *   warmup  — allocations, cache/TLB warming, background-traffic
- *             ramp: whatever the point needs before it is measured.
- *   measure — the per-point measurement, supplied to sweepScenarios
- *             (grids) or runScenario (single-rig benches).
- *
- * Every point builds its own rig and runs its own warm-up.
- */
-class Scenario
-{
-  public:
-    using SetupFn = std::function<void(Rig &)>;
-
-    explicit Scenario(Rig::Options o, SetupFn warmup_fn = nullptr)
-        : opts(std::move(o)), warm(std::move(warmup_fn))
-    {}
-
-    /** Build a cold rig and run the warm-up phase on it. */
-    std::unique_ptr<Rig>
-    warmRig() const
-    {
-        auto rig = std::make_unique<Rig>(opts);
-        if (warm)
-            warm(*rig);
-        return rig;
-    }
-
-  private:
-    Rig::Options opts;
-    SetupFn warm;
-};
-
-/**
- * Single-rig scenario: build, warm up, then measure — the uniform
- * entry point for benches that drive one platform through a time
- * window rather than sweeping a grid.
- */
-template <typename MeasureFn>
-auto
-runScenario(const Scenario &sc, MeasureFn &&measure)
-{
-    auto rig = sc.warmRig();
-    return measure(*rig);
-}
-
-/**
- * Evaluate measure(rig, i) for each point's scenario, in index
- * order: each point builds its rig, runs its warm-up, drains the
- * calendar to idle and is then measured.
- */
-template <typename MeasureFn>
-auto
-sweepScenarios(SweepRunner &sweep, const std::vector<Scenario> &pts,
-               MeasureFn &&measure)
-    -> std::vector<decltype(measure(std::declval<Rig &>(),
-                                    std::size_t{}))>
-{
-    using R = decltype(measure(std::declval<Rig &>(), std::size_t{}));
-    return sweep.run(pts.size(), [&](std::size_t i) -> R {
-        auto rig = pts[i].warmRig();
-        rig->sim.run();
-        return measure(*rig, i);
-    });
-}
-
-/** All points share one scenario: the homogeneous-grid case. */
-template <typename MeasureFn>
-auto
-sweepScenario(SweepRunner &sweep, const Scenario &sc, std::size_t n,
-              MeasureFn &&measure)
-{
-    return sweepScenarios(sweep, std::vector<Scenario>(n, sc),
-                          std::forward<MeasureFn>(measure));
 }
 
 } // namespace dsasim::bench

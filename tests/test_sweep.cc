@@ -11,7 +11,12 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "apps/fabric.hh"
+#include "apps/minicache.hh"
+#include "apps/nvmetcp.hh"
+#include "apps/xmem.hh"
 #include "bench/common.hh"
+#include "dto/dto.hh"
 
 namespace dsasim::bench
 {
@@ -45,6 +50,130 @@ TEST(SweepRunner, ParallelMatchesSerialByteForByte)
     ASSERT_EQ(serial.size(), threaded.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], threaded[i]) << "row " << i;
+}
+
+/** A core streaming 4 KB memcpy()s until @p until (fig13's copier). */
+SimTask
+softwareCopier(Rig &rig, int core_id, Tick until)
+{
+    Core &core = rig.plat.core(static_cast<std::size_t>(core_id));
+    const std::uint64_t ts = 4096;
+    const std::uint64_t span = 2ull << 20;
+    Addr src = rig.as->alloc(span);
+    Addr dst = rig.as->alloc(span);
+    for (std::uint64_t off = 0; rig.sim.now() < until;
+         off = (off + ts) % span) {
+        auto r = rig.plat.kernels().memcpyOp(core, *rig.as, dst + off,
+                                             src + off, ts);
+        co_await core.busyFor(r.duration, "memcpy-bg");
+    }
+}
+
+/**
+ * One small point per app the figure benches run concurrently, on
+ * its own rig: X-Mem probes behind a memcpy warm-up (fig13), a
+ * MiniCache over DTO (fig19), a ring AllReduce (fig17/18) and an
+ * NVMe/TCP target (fig21). Points 0-3 take the CPU path, 4-7 DSA.
+ */
+std::string
+appPoint(std::size_t i)
+{
+    const bool dsa = i >= 4;
+    Rig::Options o;
+    o.devices = 2;
+    Rig rig(o);
+    switch (i % 4) {
+    case 0: {
+        std::vector<std::unique_ptr<apps::XMemProbe>> probes;
+        for (int c = 0; c < 2; ++c) {
+            probes.push_back(std::make_unique<apps::XMemProbe>(
+                rig.plat, *rig.as,
+                rig.plat.core(static_cast<std::size_t>(c)),
+                dsa ? 2ull << 20 : 1ull << 20,
+                7 + static_cast<std::uint64_t>(c)));
+            probes.back()->warmAll();
+        }
+        softwareCopier(rig, 2, fromUs(60));
+        rig.sim.runUntil(fromUs(20));
+        std::vector<Histogram> hists(probes.size());
+        for (std::size_t p = 0; p < probes.size(); ++p)
+            probes[p]->run(fromUs(60), hists[p]);
+        rig.sim.runUntil(fromUs(60));
+        return "xmem," + fmt(hists[0].mean(), 4) + "," +
+               fmt(hists[1].mean(), 4) + "," +
+               std::to_string(hists[0].count() + hists[1].count());
+    }
+    case 1: {
+        Dto::Config dc;
+        dc.threshold = dsa ? 8192 : ~std::uint64_t(0);
+        Dto dto(*rig.exec, dc);
+        apps::MiniCache::Config cc;
+        cc.capacityBytes = 2ull << 20;
+        apps::MiniCache cache(rig.plat, *rig.as, dto, cc);
+        struct Drv
+        {
+            static SimTask
+            go(Rig &r, apps::MiniCache &c, Addr buf)
+            {
+                Core &core = r.plat.core(0);
+                for (std::uint64_t k = 0; k < 48; ++k) {
+                    bool hit = false;
+                    std::uint64_t len = 0;
+                    co_await c.get(core, k % 16, buf, len, hit);
+                    if (!hit)
+                        co_await c.set(core, k % 16, buf,
+                                       (k % 3 + 1) * (12 << 10));
+                }
+            }
+        };
+        Drv::go(rig, cache, rig.as->alloc(64 << 10));
+        rig.sim.run();
+        return "minicache," + std::to_string(rig.sim.now()) + "," +
+               std::to_string(cache.itemCount()) + "," +
+               std::to_string(dto.bytesOffloaded) + "," +
+               std::to_string(dto.bytesOnCpu);
+    }
+    case 2: {
+        apps::RingAllReduce::Config cfg;
+        cfg.channel.useDsa = dsa;
+        apps::RingAllReduce ar(rig.plat, *rig.as, rig.exec.get(), 4,
+                               cfg);
+        struct Drv
+        {
+            static SimTask
+            go(apps::RingAllReduce &a)
+            {
+                co_await a.run(256 << 10);
+            }
+        };
+        Drv::go(ar);
+        rig.sim.run();
+        return "allreduce," + std::to_string(rig.sim.now());
+    }
+    default: {
+        apps::NvmeTcpTarget::Config cfg;
+        cfg.digest = dsa ? apps::NvmeTcpTarget::Digest::Dsa
+                         : apps::NvmeTcpTarget::Digest::IsaL;
+        cfg.targetCores = 2;
+        cfg.ioBytes = 16 << 10;
+        apps::NvmeTcpTarget target(rig.plat, *rig.as, rig.exec.get(),
+                                   cfg);
+        target.run(fromUs(200));
+        rig.sim.run();
+        return "nvmetcp," + std::to_string(target.completedIos()) +
+               "," + fmt(target.meanLatencyUs()) + "," +
+               std::to_string(target.crcMismatches());
+    }
+    }
+}
+
+TEST(SweepRunner, AppPointsMatchSerialByteForByte)
+{
+    auto serial = SweepRunner(1).run(8, appPoint);
+    auto threaded = SweepRunner(4).run(8, appPoint);
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        EXPECT_EQ(serial[i], threaded[i]) << "point " << i;
 }
 
 TEST(SweepRunner, ResultsComeBackInIndexOrder)
