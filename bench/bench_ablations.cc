@@ -15,7 +15,6 @@
  */
 
 #include "bench/common.hh"
-#include "driver/pcm.hh"
 
 namespace dsasim::bench
 {

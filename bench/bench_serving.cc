@@ -3,7 +3,7 @@
  * Open-loop multi-tenant serving under overload: the "millions of
  * users" scenario the ROADMAP names, on a 2-socket cluster.
  *
- * DSASIM_TENANTS tenants (default 1024) split across the sockets,
+ * N tenants (--tenants=N, default 1024) split across the sockets,
  * each PASID-isolated in its own address space, submit to one shared
  * (ENQCMD) WQ per socket through the dml::ServingNode degradation
  * ladder (serving.hh). The arrival mix (DSASIM_ARRIVALS) blends a
@@ -410,14 +410,10 @@ main(int argc, char **argv)
 {
     using namespace dsasim::bench;
     Params p;
-    p.tenants = dsasim::tenantCountFromEnv(1024);
-    {
-        dsasim::ArrivalMix probe =
-            dsasim::ArrivalMix::fromEnv(kDefaultMix);
-        (void)probe; // parse errors surface before the run
-    }
     if (const char *s = std::getenv("DSASIM_ARRIVALS"); s && *s)
         p.mixSpec = s;
+    // A malformed spec is fatal here, before any simulation runs.
+    dsasim::ArrivalMix::parse(p.mixSpec);
 
     Gate gate("serving", kTolerance);
     for (int i = 1; i < argc; ++i) {

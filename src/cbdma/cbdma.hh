@@ -39,8 +39,6 @@ struct CbdmaParams
     Tick descriptorGap = fromNs(250);  ///< per-descriptor floor
     Tick completionWrite = fromNs(50);
     std::uint64_t chunkBytes = 4096;
-
-    bool operator==(const CbdmaParams &) const = default;
 };
 
 /** A pinned physical scatter segment (CBDMA has no SVM). */

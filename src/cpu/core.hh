@@ -51,16 +51,8 @@ class Core
         account.charge("umwait", t);
     }
 
-    void
-    chargeSpin(Tick t)
-    {
-        spin += t;
-        account.charge("spin", t);
-    }
-
     Tick busyTicks() const { return busy; }
     Tick umwaitTicks() const { return umwait; }
-    Tick spinTicks() const { return spin; }
     CycleAccount &cycleAccount() { return account; }
 
     void
@@ -68,7 +60,6 @@ class Core
     {
         busy = 0;
         umwait = 0;
-        spin = 0;
         account.clear();
     }
     /// @}
@@ -88,7 +79,6 @@ class Core
     TranslationCache dtlb;
     Tick busy = 0;
     Tick umwait = 0;
-    Tick spin = 0;
     CycleAccount account;
 };
 

@@ -72,10 +72,6 @@ struct CpuParams
 
     /** UMWAIT exit-to-C0 latency. */
     Tick umwaitWake = fromNs(100);
-    /** Spin-poll check granularity for completion records. */
-    Tick pollInterval = fromNs(50);
-
-    bool operator==(const CpuParams &) const = default;
 
     Tick
     cyclesToTicks(double cycles) const

@@ -233,25 +233,6 @@ Executor::Target &
 Executor::pickTarget()
 {
     fatal_if(targets.empty(), "no hardware targets configured");
-    if (cfg.balance == ExecutorConfig::Balance::LeastLoaded) {
-        // Load = queued + dispatched-but-incomplete jobs. For DWQs
-        // the held credits count work in flight on the engines; WQ
-        // occupancy alone misses it, since entries free at dispatch.
-        auto load = [](const Target &t) {
-            std::size_t l =
-                t.wq->occupancy() + t.credits->waitersPending();
-            if (t.wq->mode == WorkQueue::Mode::Dedicated)
-                l += t.wq->size - static_cast<std::size_t>(
-                                      t.credits->available());
-            return l;
-        };
-        Target *best = &targets[0];
-        for (auto &t : targets) {
-            if (load(t) < load(*best))
-                best = &t;
-        }
-        return *best;
-    }
     Target &t = targets[rr % targets.size()];
     ++rr;
     return t;
@@ -265,7 +246,7 @@ Executor::shouldOffload(const WorkDescriptor &d) const
     switch (cfg.path) {
       case Path::Software: return false;
       case Path::Hardware: return true;
-      case Path::Auto: return d.size >= cfg.autoHwThreshold;
+      case Path::Auto: return d.size >= autoHwThreshold;
     }
     return false;
 }
@@ -312,8 +293,8 @@ Executor::submit(Core &core, Job &job)
         co_await sub.enqcmdBackoff(
             *t.dev, *t.wq, job.desc,
             {.maxRetries = cfg.enqcmdMaxRetries,
-             .base = cfg.enqcmdBackoffBase,
-             .cap = cfg.enqcmdBackoffCap},
+             .base = enqcmdBackoffBase,
+             .cap = enqcmdBackoffCap},
             outcome, retries);
         if (outcome == Submitter::Enqueue::GaveUp) {
             // Backoff exhausted with the SWQ still full: the job
@@ -374,10 +355,7 @@ Executor::awaitCompletion(Core &core, CompletionRecord &cr,
         arm = armWatchdog(cr, dev);
     Submitter sub(core, targets.empty() ? DsaParams{}
                                         : targets[0].dev->params());
-    if (cfg.useUmwait)
-        co_await sub.umwait(cr);
-    else
-        co_await sub.poll(cr);
+    co_await sub.umwait(cr);
     if (arm)
         arm->cancelled = true;
 }
@@ -534,7 +512,7 @@ Executor::executeRecover(Core &core, const WorkDescriptor &d,
             out.latency = sim.now() - t0;
             co_return;
         }
-        if (attempts++ >= cfg.maxRecoveryAttempts)
+        if (attempts++ >= maxRecoveryAttempts)
             break;
         if (r.status == St::PageFault) {
             // A mismatch inside the completed prefix is a final
@@ -553,7 +531,7 @@ Executor::executeRecover(Core &core, const WorkDescriptor &d,
             if (!touchFaultPage(cur.pasid, r.faultAddr))
                 break; // truly unmapped; no retry can progress
             ++pageFaultResumes;
-            co_await core.busyFor(cfg.faultTouchCost, "fault-touch");
+            co_await core.busyFor(faultTouchCost, "fault-touch");
             if (r.bytesCompleted > 0 &&
                 advancePastCompleted(cur, r.bytesCompleted, r))
                 done += r.bytesCompleted;

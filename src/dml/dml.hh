@@ -33,24 +33,25 @@ enum class Path
     Auto,     ///< DSA when profitable (size >= threshold), else CPU
 };
 
+/** Auto path: offload at or above this size (G2's ~4 KB rule). */
+constexpr std::uint64_t autoHwThreshold = 4096;
+/**
+ * submit()'s bounded ENQCMD backoff pauses enqcmdBackoffBase before
+ * the first resubmit and doubles up to enqcmdBackoffCap.
+ */
+constexpr Tick enqcmdBackoffBase = fromNs(256);
+constexpr Tick enqcmdBackoffCap = fromUs(16);
+/** CPU cost to touch/repage a faulted page before resuming. */
+constexpr Tick faultTouchCost = fromUs(2);
+/**
+ * executeRecover(): hardware retries (resume, reset-resubmit)
+ * before degrading the remainder to the software path.
+ */
+constexpr unsigned maxRecoveryAttempts = 3;
+
 struct ExecutorConfig
 {
     Path path = Path::Auto;
-    /** Auto path: offload at or above this size (G2's ~4 KB rule). */
-    std::uint64_t autoHwThreshold = 4096;
-    /**
-     * Wait with UMWAIT (true) or spin-poll (false); awaitCompletion()
-     * uses it for wait() and for every ServingNode request.
-     */
-    bool useUmwait = true;
-
-    /** How jobs spread over the available (device, WQ) targets. */
-    enum class Balance
-    {
-        RoundRobin,  ///< strict rotation
-        LeastLoaded, ///< pick the WQ with the most free credits
-    };
-    Balance balance = Balance::RoundRobin;
 
     /// @name Recovery knobs (all off by default: the fault-free
     /// fast path is bit-identical to the pre-recovery executor).
@@ -77,15 +78,6 @@ struct ExecutorConfig
      * loop with its ServingConfig limits.
      */
     unsigned enqcmdMaxRetries = 0;
-    Tick enqcmdBackoffBase = fromNs(256);
-    Tick enqcmdBackoffCap = fromUs(16);
-    /** CPU cost to touch/repage a faulted page before resuming. */
-    Tick faultTouchCost = fromUs(2);
-    /**
-     * executeRecover(): hardware retries (resume, reset-resubmit)
-     * before degrading the remainder to the software path.
-     */
-    unsigned maxRecoveryAttempts = 3;
     /// @}
 };
 
@@ -208,11 +200,11 @@ class Executor
     CoTask wait(Core &core, Job &job, OpResult &out);
 
     /**
-     * The client wait on one hardware completion: UMWAIT or polling
-     * (useUmwait) on @p core, under the watchdog when
-     * watchdogTimeout is set. A fire aborts hung work on @p dev, the
-     * device the descriptor went to; if no completion follows within
-     * watchdogGrace, the record is force-completed Aborted.
+     * The client wait on one hardware completion: UMWAIT on @p core,
+     * under the watchdog when watchdogTimeout is set. A fire aborts
+     * hung work on @p dev, the device the descriptor went to; if no
+     * completion follows within watchdogGrace, the record is
+     * force-completed Aborted.
      */
     CoTask awaitCompletion(Core &core, CompletionRecord &cr,
                            DsaDevice *dev);

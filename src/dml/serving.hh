@@ -134,10 +134,9 @@ struct TenantStats
 };
 
 /**
- * The serving ladder's policy. The hang watchdog and the wait mode
- * are the executor's (ExecutorConfig::watchdogTimeout, watchdogGrace
- * and useUmwait): every request waits through
- * Executor::awaitCompletion.
+ * The serving ladder's policy. The hang watchdog is the executor's
+ * (ExecutorConfig::watchdogTimeout and watchdogGrace): every request
+ * waits through Executor::awaitCompletion.
  */
 struct ServingConfig
 {

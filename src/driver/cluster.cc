@@ -24,21 +24,14 @@ SocketCluster::SocketCluster(const ClusterConfig &c) : config(c)
     if (c.sockets < 2)
         return;
 
-    // Link topology: ordered pairs, ring or full mesh. A std::set
-    // gives a deterministic build order (and dedupes the two-socket
-    // ring, where s+1 and s-1 coincide).
+    // Link topology: the ring's ordered pairs. A std::set gives a
+    // deterministic build order (and dedupes the two-socket ring,
+    // where s+1 and s-1 coincide).
     std::set<std::pair<unsigned, unsigned>> pairs;
-    if (c.fullMesh) {
-        for (unsigned a = 0; a < c.sockets; ++a)
-            for (unsigned b = 0; b < c.sockets; ++b)
-                if (a != b)
-                    pairs.insert({a, b});
-    } else {
-        for (unsigned s = 0; s < c.sockets; ++s) {
-            const unsigned nb = (s + 1) % c.sockets;
-            pairs.insert({s, nb});
-            pairs.insert({nb, s});
-        }
+    for (unsigned s = 0; s < c.sockets; ++s) {
+        const unsigned nb = (s + 1) % c.sockets;
+        pairs.insert({s, nb});
+        pairs.insert({nb, s});
     }
 
     // The channel's declared floor is the wire latency plus the
@@ -51,8 +44,7 @@ SocketCluster::SocketCluster(const ClusterConfig &c) : config(c)
     const Tick floor = c.upiLatency + ser;
 
     for (const auto &[a, b] : pairs)
-        chans[{a, b}] = &set.connect(a, b, floor,
-                                     c.channelCapacity);
+        chans[{a, b}] = &set.connect(a, b, floor);
     for (const auto &[a, b] : pairs) {
         ports[{a, b}] = std::make_unique<RemotePort>(
             *doms[a].sim, *chans[{a, b}], c.upiGBps, c.upiLatency,
@@ -64,8 +56,7 @@ SocketCluster::SocketCluster(const ClusterConfig &c) : config(c)
         end.node = &doms[b].plat->mem().node(0);
         end.returnWire = &ports[{b, a}]->wireLink();
         end.ack = chans[{b, a}];
-        end.ackLatency =
-            c.ackLatency ? c.ackLatency : c.upiLatency;
+        end.ackLatency = c.upiLatency;
         ports[{a, b}]->attachRemote(end);
     }
 }
@@ -76,8 +67,7 @@ SocketCluster::port(unsigned src, unsigned dst)
     auto it = ports.find({src, dst});
     fatal_if(it == ports.end(),
              "SocketCluster::port: sockets %u and %u are not linked "
-             "(ring topology links only neighbors; set "
-             "ClusterConfig::fullMesh)",
+             "(the ring links only neighbors)",
              src, dst);
     return *it->second;
 }

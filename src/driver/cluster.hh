@@ -37,16 +37,11 @@ struct ClusterConfig
      * sockets come up with configured devices. */
     PlatformConfig socket;
 
-    /** UPI hop between adjacent sockets; the latency is the channel
-     * lookahead floor. */
+    /** UPI hop between adjacent sockets of the bidirectional ring
+     * (socket s <-> s+1 mod n); the latency is the channel lookahead
+     * floor and the ack latency. */
     double upiGBps = 60.0;
     Tick upiLatency = fromNs(60);
-
-    /** false: bidirectional ring (socket s <-> s+1 mod n);
-     * true: every ordered socket pair gets a port. */
-    bool fullMesh = false;
-
-    std::size_t channelCapacity = PartitionSet::defaultCapacity;
 
     /**
      * Raise every channel's latency floor by the serialization time
@@ -56,10 +51,6 @@ struct ClusterConfig
      * aggregation). 0 = bare wire latency.
      */
     std::uint64_t lookaheadBytes = 0;
-
-    /** Completion-notification latency for acks (0 = upiLatency);
-     * clamped up to the channel floor. */
-    Tick ackLatency = 0;
 };
 
 class SocketCluster

@@ -53,8 +53,6 @@ struct PlatformConfig
      */
     DsaTopology dsaTopology;
 
-    bool operator==(const PlatformConfig &) const = default;
-
     /** 4th Gen Xeon Scalable (Sapphire Rapids), the DSA platform. */
     static PlatformConfig spr();
     /** 3rd Gen Xeon Scalable (Ice Lake), the CBDMA platform. */

@@ -12,7 +12,6 @@
  *  - UMONITOR/UMWAIT: park the core on the completion record in an
  *    optimized wait state; the waited ticks are accounted separately
  *    from busy work (Fig. 11).
- *  - Spin polling: check the status byte every pollInterval.
  */
 
 #ifndef DSASIM_DRIVER_SUBMITTER_HH
@@ -216,27 +215,6 @@ class Submitter
 
     /** Interrupt handler + context-switch cost on the waker core. */
     static constexpr Tick interruptHandlerCost = fromUs(1.2);
-
-    /**
-     * Spin-poll the completion record's status byte. Timing is
-     * equivalent to checking every pollInterval (the completion is
-     * detected at the next poll boundary) without simulating each
-     * check as its own event.
-     */
-    CoTask
-    poll(CompletionRecord &cr)
-    {
-        Simulation &sim = core_.simulation();
-        const Tick interval = core_.cpuParams().pollInterval;
-        Tick t0 = sim.now();
-        if (!cr.isDone())
-            co_await cr.done.wait();
-        Tick waited = sim.now() - t0;
-        Tick detect = (waited + interval - 1) / interval * interval +
-                      interval - waited;
-        core_.chargeSpin(waited + detect);
-        co_await sim.delay(detect);
-    }
 
   private:
     Core &core_;

@@ -75,8 +75,6 @@ struct DsaParams
 
     /** Per-line cost of the Cache Flush operation. */
     Tick flushPerLine = fromNs(1.0);
-
-    bool operator==(const DsaParams &) const = default;
 };
 
 } // namespace dsasim

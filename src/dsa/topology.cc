@@ -61,8 +61,7 @@ DsaTopology::apply(DsaDevice &dev) const
                  eg, dev.groupCount());
         dev.addEngine(dev.group(static_cast<std::size_t>(eg)));
     }
-    if (enableDevice)
-        dev.enable();
+    dev.enable();
 }
 
 } // namespace dsasim

@@ -33,8 +33,6 @@ struct DsaTopology
     {
         /** 0 = share the unclaimed remainder at enable() time. */
         unsigned readBuffers = 0;
-
-        bool operator==(const GroupSpec &) const = default;
     };
 
     struct WqSpec
@@ -44,18 +42,12 @@ struct DsaTopology
         unsigned size = 32;
         unsigned priority = 0;
         unsigned threshold = 0; ///< 0 = defaults to size
-
-        bool operator==(const WqSpec &) const = default;
     };
 
     std::vector<GroupSpec> groups;
     std::vector<WqSpec> wqs;
     /** One entry per engine: the owning group index, in id order. */
     std::vector<int> engines;
-    /** Call DsaDevice::enable() after building. */
-    bool enableDevice = true;
-
-    bool operator==(const DsaTopology &) const = default;
 
     /** No topology configured (Platform leaves the device bare). */
     bool empty() const { return groups.empty(); }

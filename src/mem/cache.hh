@@ -47,8 +47,6 @@ class CacheModel
         std::uint64_t sizeBytes = 105ull << 20; ///< SPR: 105 MB LLC
         unsigned ways = 15;
         unsigned ddioWays = 2;
-
-        bool operator==(const Config &) const = default;
     };
 
     struct AccessResult

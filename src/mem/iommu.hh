@@ -27,8 +27,6 @@ struct IommuConfig
     Tick iotlbHitLatency = fromNs(10);
     Tick pageWalkLatency = fromNs(250);
     Tick faultServiceLatency = fromUs(5); ///< OS demand-paging round trip
-
-    bool operator==(const IommuConfig &) const = default;
 };
 
 class Iommu

@@ -44,8 +44,6 @@ struct MemNodeConfig
     double writeGBps = 95.0;
     Tick readLatency = fromNs(95);
     Tick writeLatency = fromNs(95);
-
-    bool operator==(const MemNodeConfig &) const = default;
 };
 
 struct MemSystemConfig
@@ -59,8 +57,6 @@ struct MemSystemConfig
     /** On-chip LLC service (device hits and CPU LLC hits). */
     double llcGBps = 400.0;
     Tick llcLatency = fromNs(33);
-
-    bool operator==(const MemSystemConfig &) const = default;
 };
 
 /** One physical memory node (a NUMA node in /sys terms). */

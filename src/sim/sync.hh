@@ -130,7 +130,6 @@ class Semaphore
     Semaphore &operator=(const Semaphore &) = delete;
 
     std::uint64_t available() const { return count; }
-    std::uint64_t waitersPending() const { return waiters.size(); }
 
     bool
     tryAcquire()

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -109,13 +108,6 @@ ArrivalMix::parse(const std::string &spec)
     return mix;
 }
 
-ArrivalMix
-ArrivalMix::fromEnv(const std::string &fallback_spec)
-{
-    const char *spec = std::getenv("DSASIM_ARRIVALS");
-    return parse(spec && *spec ? spec : fallback_spec);
-}
-
 std::size_t
 ArrivalMix::classIndexFor(std::uint64_t tenant) const
 {
@@ -174,16 +166,6 @@ ArrivalStream::interarrival(std::uint64_t k) const
         static_cast<double>(ticksPerSec) / (cls.ratePerSec * scale);
     const double gap = meanTicks * rng.expAt(k);
     return std::max<Tick>(1, static_cast<Tick>(gap));
-}
-
-unsigned
-tenantCountFromEnv(unsigned fallback)
-{
-    const char *s = std::getenv("DSASIM_TENANTS");
-    if (!s || !*s)
-        return fallback;
-    unsigned long n = std::strtoul(s, nullptr, 0);
-    return n ? static_cast<unsigned>(n) : fallback;
 }
 
 } // namespace dsasim

@@ -141,9 +141,6 @@ class ArrivalMix
     /** Parse a mix spec (see file header); malformed is fatal. */
     static ArrivalMix parse(const std::string &spec);
 
-    /** $DSASIM_ARRIVALS, or @p fallback_spec when unset/empty. */
-    static ArrivalMix fromEnv(const std::string &fallback_spec);
-
     const ArrivalClass &classFor(std::uint64_t tenant) const;
     std::size_t classIndexFor(std::uint64_t tenant) const;
 
@@ -177,9 +174,6 @@ class ArrivalStream
     CounterRng rng;
     ArrivalClass cls;
 };
-
-/** $DSASIM_TENANTS, or @p fallback when unset/empty/zero. */
-unsigned tenantCountFromEnv(unsigned fallback);
 
 } // namespace dsasim
 

@@ -49,7 +49,6 @@ TEST(Dml, AutoPathSplitsBySize)
 {
     dml::ExecutorConfig ec;
     ec.path = dml::Path::Auto;
-    ec.autoHwThreshold = 4096;
     DmlBench b(ec);
     Addr src = b.as->alloc(64 << 10);
     Addr dst = b.as->alloc(64 << 10);
@@ -122,47 +121,6 @@ TEST(Dml, RoundRobinLoadBalancing)
         b.run(dml::Executor::memMove(*b.as, dst, src, 4096));
     EXPECT_EQ(b.plat.dsa(0).descriptorsProcessed(), 4u);
     EXPECT_EQ(b.plat.dsa(1).descriptorsProcessed(), 4u);
-}
-
-
-TEST(Dml, LeastLoadedBalancing)
-{
-    // One fast WQ and one pre-loaded WQ: least-loaded routing should
-    // strongly prefer the empty one, unlike round robin.
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    ec.balance = dml::ExecutorConfig::Balance::LeastLoaded;
-    DmlBench b(ec, /*devices=*/2);
-    Addr src = b.as->alloc(1 << 20);
-    Addr dst = b.as->alloc(1 << 20);
-
-    struct Drv
-    {
-        static SimTask
-        go(DmlBench &db, Addr s, Addr d, int &oks)
-        {
-            // Occupy device 0's WQ with a large job first.
-            auto big = db.exec->prepare(
-                dml::Executor::memMove(*db.as, d, s, 1 << 20));
-            co_await db.exec->submit(db.plat.core(0), *big);
-            // Now fire small jobs; least-loaded sends them to dsa1.
-            for (int i = 0; i < 6; ++i) {
-                dml::OpResult r;
-                co_await db.exec->executeHardware(
-                    db.plat.core(0),
-                    dml::Executor::memMove(*db.as, d, s, 4096), r);
-                oks += r.ok ? 1 : 0;
-            }
-            dml::OpResult r;
-            co_await db.exec->wait(db.plat.core(0), *big, r);
-        }
-    };
-    int oks = 0;
-    Drv::go(b, src, dst, oks);
-    b.sim.run();
-    EXPECT_EQ(oks, 6);
-    // The small jobs favored the less-loaded device 1.
-    EXPECT_GE(b.plat.dsa(1).descriptorsProcessed(), 5u);
 }
 
 TEST(Dml, DwqCreditsBackpressure)

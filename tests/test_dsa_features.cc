@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/pcm.hh"
 #include "ops/crc32.hh"
 #include "driver/submitter.hh"
 #include "tests/util.hh"
@@ -20,6 +19,7 @@ namespace
 {
 
 using test::Bench;
+using test::engineCounterSum;
 
 struct FBench : Bench
 {
@@ -266,19 +266,18 @@ TEST(DsaFeatures, ReadBuffersLimitBandwidth)
 TEST(DsaFeatures, PcmCountersTrackTraffic)
 {
     FBench b;
-    pcm::Monitor mon(b.plat);
-    auto before = mon.sample(0);
+    const std::uint64_t processed0 = b.plat.dsa(0).descriptorsProcessed();
+    const std::uint64_t read0 = engineCounterSum(b.plat, 0, "bytes_read");
+    const std::uint64_t written0 =
+        engineCounterSum(b.plat, 0, "bytes_written");
     const std::uint64_t n = 64 << 10;
     Addr src = b.as->alloc(n);
     Addr dst = b.as->alloc(n);
     b.run(dml::Executor::memMove(*b.as, dst, src, n));
-    auto after = mon.sample(0);
-    auto delta = after - before;
-    EXPECT_EQ(delta.descriptorsProcessed, 1u);
-    EXPECT_EQ(delta.inboundBytes, n);
-    EXPECT_EQ(delta.outboundBytes, n);
-    std::string line = pcm::Monitor::format(delta, fromUs(10));
-    EXPECT_NE(line.find("dsa0"), std::string::npos);
+    EXPECT_EQ(b.plat.dsa(0).descriptorsProcessed() - processed0, 1u);
+    EXPECT_EQ(engineCounterSum(b.plat, 0, "bytes_read") - read0, n);
+    EXPECT_EQ(engineCounterSum(b.plat, 0, "bytes_written") - written0,
+              n);
 }
 
 TEST(DsaFeatures, EngineStatsAccumulate)

@@ -469,8 +469,6 @@ TEST(Recovery, EnqcmdBackoffGivesUpOnPersistentlyFullSwq)
     }
     dml::ExecutorConfig ec;
     ec.enqcmdMaxRetries = 4;
-    ec.enqcmdBackoffBase = fromNs(100);
-    ec.enqcmdBackoffCap = fromUs(2);
     b.makeExecutor(ec);
 
     const std::uint64_t n = 8 << 10;
@@ -481,11 +479,12 @@ TEST(Recovery, EnqcmdBackoffGivesUpOnPersistentlyFullSwq)
     EXPECT_EQ(r.status, St::QueueFull);
     EXPECT_EQ(b.exec->submitGiveUps, 1u);
     EXPECT_EQ(b.plat.dsa(0).injectedRejects, 5u); // 1 try + 4 retries
-    // Exponential pauses actually elapsed: 100 + 200 + 400 + 800 ns,
+    // Exponential pauses actually elapsed: 256 + 512 + 1024 + 2048 ns
+    // (dml::enqcmdBackoffBase doubling, under dml::enqcmdBackoffCap),
     // each charged to the core as backoff, not busy, time.
-    EXPECT_GE(b.sim.now() - t0, fromNs(1500));
+    EXPECT_GE(b.sim.now() - t0, fromNs(3840));
     EXPECT_EQ(b.plat.core(0).cycleAccount().bucket("enqcmd-backoff"),
-              fromNs(1500));
+              fromNs(3840));
 }
 
 TEST(Recovery, RecoverFallsBackToCpuWhenSwqNeverAdmits)

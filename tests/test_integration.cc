@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/pcm.hh"
 #include "ops/crc32.hh"
 #include "tests/util.hh"
 
@@ -25,6 +24,7 @@ namespace
 {
 
 using test::Bench;
+using test::engineCounterSum;
 
 struct RunResult
 {
@@ -157,7 +157,6 @@ TEST(Integration, PcmBytesMatchSubmittedWork)
     ec.path = dml::Path::Hardware;
     dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
                        {&b.plat.dsa(0)}, ec);
-    pcm::Monitor mon(b.plat);
 
     const std::uint64_t sizes[] = {4096, 16384, 65536};
     std::uint64_t expect_read = 0, expect_written = 0;
@@ -193,11 +192,12 @@ TEST(Integration, PcmBytesMatchSubmittedWork)
     Drv::go(b, exec, sizes, expect_read, expect_written);
     b.sim.run();
 
-    auto counters = mon.sample(0);
-    EXPECT_EQ(counters.inboundBytes, expect_read);
-    EXPECT_EQ(counters.outboundBytes, expect_written);
-    EXPECT_EQ(counters.descriptorsProcessed, 9u);
-    EXPECT_EQ(counters.descriptorsSubmitted, 9u);
+    EXPECT_EQ(engineCounterSum(b.plat, 0, "bytes_read"), expect_read);
+    EXPECT_EQ(engineCounterSum(b.plat, 0, "bytes_written"),
+              expect_written);
+    EXPECT_EQ(b.plat.dsa(0).descriptorsProcessed(), 9u);
+    EXPECT_EQ(b.sim.stats().counterValue("dsa0.descriptors_submitted"),
+              9u);
 }
 
 TEST(Integration, FullTable2TopologyMixedLoad)

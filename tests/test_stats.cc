@@ -8,8 +8,7 @@
  *  - Prometheus / CSV exporters (golden output + format validator),
  *    and their I/O-failure reporting;
  *  - sampler purity: the event-stream fingerprint is bit-identical
- *    with sampling off, and on at any period;
- *  - the pcm::Monitor registry view and its pcm-accel line format.
+ *    with sampling off, and on at any period.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/pcm.hh"
 #include "sim/stats.hh"
 #include "tests/util.hh"
 
@@ -31,6 +29,7 @@ namespace
 {
 
 using test::Bench;
+using test::engineCounterSum;
 
 // --------------------------------------------------------------------
 // Registry contracts
@@ -284,14 +283,8 @@ TEST(StatsPlatform, OffloadBumpsRegistryCounters)
 
     const stats::Registry &reg = b.sim.stats();
     EXPECT_EQ(reg.counterValue("dsa0.descriptors_submitted"), 1u);
-    std::uint64_t read = 0, written = 0;
-    for (std::size_t e = 0; e < b.plat.dsa(0).engineCount(); ++e) {
-        const std::string eng = "dsa0.eng" + std::to_string(e) + ".";
-        read += reg.counterValue(eng + "bytes_read");
-        written += reg.counterValue(eng + "bytes_written");
-    }
-    EXPECT_GE(read, n);
-    EXPECT_GE(written, n);
+    EXPECT_GE(engineCounterSum(b.plat, 0, "bytes_read"), n);
+    EXPECT_GE(engineCounterSum(b.plat, 0, "bytes_written"), n);
 }
 
 // --------------------------------------------------------------------
@@ -406,48 +399,6 @@ TEST(StatsSampler, ExportReportsWriteFailure)
         ::testing::TempDir() + "stats_export_ok.prom";
     EXPECT_TRUE(sampler.writePrometheusFile(path));
     std::remove(path.c_str());
-}
-
-// --------------------------------------------------------------------
-// pcm::Monitor registry view
-
-TEST(StatsPcm, FormatGolden)
-{
-    pcm::DsaCounters d;
-    d.deviceId = 0;
-    d.inboundBytes = 2'000'000'000;
-    d.outboundBytes = 1'000'000'000;
-    d.descriptorsProcessed = 3'000'000;
-    d.descriptorsRetried = 4;
-    d.pageFaults = 5;
-    d.atcMisses = 6;
-    EXPECT_EQ(pcm::Monitor::format(d, fromUs(1'000'000)),
-              "dsa0: in 2.00 GB/s out 1.00 GB/s reqs 3.00M/s "
-              "retries 4 faults 5 atc-misses 6");
-}
-
-TEST(StatsPcm, MonitorMatchesRegistry)
-{
-    HwBench b;
-    const std::uint64_t n = 16384;
-    Addr src = b.as->alloc(n);
-    Addr dst = b.as->alloc(n);
-    b.randomize(src, n);
-    b.run(dml::Executor::memMove(*b.as, dst, src, n));
-
-    pcm::Monitor mon(b.plat);
-    pcm::DsaCounters c = mon.sample(0);
-    const stats::Registry &reg = b.sim.stats();
-    EXPECT_EQ(c.descriptorsSubmitted,
-              reg.counterValue("dsa0.descriptors_submitted"));
-    EXPECT_EQ(c.descriptorsRetried,
-              reg.counterValue("dsa0.descriptors_retried"));
-    std::uint64_t read = 0;
-    for (std::size_t e = 0; e < b.plat.dsa(0).engineCount(); ++e)
-        read += reg.counterValue("dsa0.eng" + std::to_string(e) +
-                                 ".bytes_read");
-    EXPECT_EQ(c.inboundBytes, read);
-    EXPECT_GE(c.inboundBytes, n);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #define DSASIM_TESTS_UTIL_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dml/dml.hh"
@@ -83,6 +84,24 @@ driveTimedOp(Bench &b, dml::Executor &ex, WorkDescriptor d,
     Tick t0 = b.sim.now();
     co_await ex.execute(b.plat.core(0), d, out);
     elapsed = b.sim.now() - t0;
+}
+
+/**
+ * Device @p idx's dsa<N>.eng<E>.<leaf> registry counter summed over
+ * its engines (e.g. leaf "bytes_read" is the device's inbound bytes).
+ */
+inline std::uint64_t
+engineCounterSum(Platform &plat, std::size_t idx, const std::string &leaf)
+{
+    const DsaDevice &dev = plat.dsa(idx);
+    const std::string stem =
+        "dsa" + std::to_string(dev.deviceId()) + ".eng";
+    std::uint64_t sum = 0;
+    for (std::size_t e = 0; e < dev.engineCount(); ++e)
+        sum += plat.sim().stats().counterValue(
+            stem + std::to_string(dev.engine(e).engineId()) + "." +
+            leaf);
+    return sum;
 }
 
 } // namespace dsasim::test

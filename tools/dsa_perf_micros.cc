@@ -19,7 +19,6 @@
 #include <string>
 
 #include "bench/common.hh"
-#include "driver/pcm.hh"
 
 using namespace dsasim;
 using namespace dsasim::bench;
@@ -43,7 +42,6 @@ struct Options
     std::string dst = "dram";
     bool cacheControl = false;
     std::string pages = "4k";
-    bool showPcm = false;
 };
 
 [[noreturn]] void
@@ -57,7 +55,7 @@ usage()
         "  [--mode=sync|async] [--wq=dwq|swq] [--engines=N] "
         "[--devices=N]\n"
         "  [--src=dram|remote|cxl] [--dst=dram|remote|cxl]\n"
-        "  [--cache-control=0|1] [--pages=4k|2m] [--pcm]\n");
+        "  [--cache-control=0|1] [--pages=4k|2m]\n");
     std::exit(2);
 }
 
@@ -108,8 +106,6 @@ parse(int argc, char **argv)
             o.devices = static_cast<unsigned>(std::stoul(v));
         } else if (eat("cache-control", v)) {
             o.cacheControl = v == "1";
-        } else if (a == "--pcm") {
-            o.showPcm = true;
         } else if (a == "--help" || a == "-h") {
             usage();
         } else {
@@ -290,14 +286,6 @@ main(int argc, char **argv)
                     "max=%.0f\n",
                     h.mean(), h.percentile(50), h.percentile(99),
                     h.max());
-    }
-    if (o.showPcm) {
-        pcm::Monitor mon(rig.plat);
-        for (std::size_t d = 0; d < rig.plat.dsaCount(); ++d) {
-            auto c = mon.sample(d);
-            std::printf("%s\n",
-                        pcm::Monitor::format(c, elapsed).c_str());
-        }
     }
     return 0;
 }
